@@ -226,7 +226,7 @@ def cmd_table1(args):
         for line in census.lines:
             if (line.exactness == "exact" and line.n_incident == 2
                     and line.field() == QQ):
-                got_x = line_report(surface, line, order=args.order or 8).m
+                got_x = line_report(surface, line, order=args.order).m
                 break
         cells["x"] = {"got": got_x, "want": expected["x"],
                       "pass": got_x == expected["x"]}
@@ -266,7 +266,11 @@ def build_parser():
         if config:
             p.add_argument("--config", required=True, help="surface config JSON")
         p.add_argument("--order", type=int, default=None,
-                       help="jet truncation order (default 8)")
+                       help="jet truncation order (default: the config's, "
+                       "else 8). line-report, verify-appendix and a given "
+                       "table1 --order also start exact line reports at it; "
+                       "otherwise they start at 3. A line report doubles "
+                       "its order as needed.")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--tolerance", type=float, default=None)
         p.add_argument("--json", default=None, help="also write the report here")

@@ -33,6 +33,9 @@ from .surface import AdaptedChart, ProjectivePoint, adapted_chart
 
 DEFAULT_ORDER = 8
 MAX_ORDER = 32
+# line_report's first truncation order: a finite vanishing order read off a
+# jet is exact, so most lines settle here and the rest escalate
+LINE_REPORT_START_ORDER = 3
 
 
 # --------------------------------------------------------------------------
@@ -315,8 +318,7 @@ def line_chart(surface, line, base_param=None):
             if not surface.is_smooth_at(base):
                 continue
             chart = adapted_chart(surface, base, line)
-            q1, q2, ok = _line_chart_jets(surface, chart, probe=True)
-            if ok:
+            if _line_chart_jets(surface, chart, order=1, probe=True):
                 return chart
         except SegreCuspError as exc:
             last_error = exc
@@ -324,8 +326,12 @@ def line_chart(surface, line, base_param=None):
     raise SegreCuspError(f"no usable base point found on {line}: {last_error}")
 
 
-def _line_chart_jets(surface, chart, order=DEFAULT_ORDER, probe=False):
-    """The two quadrics as jets in (y, z, w) over Q(x) for an aligned chart."""
+def _line_chart_jets(surface, chart, order, probe=False):
+    """The two quadrics as jets in (y, z, w) over Q(x) for an aligned chart.
+
+    With ``probe`` set, returns only whether d(q1, q2)/d(z, w) is invertible
+    at y = z = w = 0; that reads constant terms, so order 1 suffices.
+    """
     Kx = RationalFunctions("x")
     x = Kx.gen
     names = ("y", "z", "w")
@@ -345,21 +351,22 @@ def _line_chart_jets(surface, chart, order=DEFAULT_ORDER, probe=False):
     if probe:
         jz = [[e.derivative(v).constant_term() for v in ("z", "w")]
               for e in (q1, q2)]
-        det = jz[0][0] * jz[1][1] - jz[0][1] * jz[1][0]
-        return q1, q2, bool(det)
+        return bool(jz[0][0] * jz[1][1] - jz[0][1] * jz[1][0])
     return q1, q2
 
 
-def line_report(surface, line, chart=None, order=DEFAULT_ORDER) -> HessianAlongLine:
+def line_report(surface, line, chart=None, order=None) -> HessianAlongLine:
     """Hessian data along an exact line: the D_1 multiplicity m, the
     discriminant order, and the branch multiplicity disc_order - 2m.
 
-    Escalates the truncation order (doubling, up to 32) when a vanishing
-    order hits the cap.
+    ``order`` is the starting truncation order (default
+    ``LINE_REPORT_START_ORDER``).  It doubles, up to ``MAX_ORDER``, while a
+    vanishing order is not settled at the current order; the order used is
+    ``rep.F.order``.
     """
     if chart is None:
         chart = line_chart(surface, line)
-    current = order
+    current = order or LINE_REPORT_START_ORDER
     while True:
         try:
             return _line_report_at_order(surface, line, chart, current)
@@ -384,22 +391,41 @@ def _line_report_at_order(surface, line, chart, order):
     b = fxx * gyy + gxx * fyy - 2 * fxy * gxy
     c = gxx * gyy - gxy * gxy
     orders = tuple(y_order(j, "y") for j in (a, b, c))
-    finite = [o for o in orders if not isinstance(o, InfiniteOrder)]
-    if not finite:
-        raise TruncationInsufficient(
-            f"all Hessian coefficients vanish to order {order} along the line")
-    m = min(finite)
+    m = _line_multiplicity(orders)
     disc = b * b - 4 * (a * c)
     d_ord = y_order(disc, "y")
     if isinstance(d_ord, InfiniteOrder):
         raise TruncationInsufficient(
             f"discriminant vanishes to order {d_ord.truncation_order} along the line")
     branch = d_ord - 2 * m
-    assert branch >= 0, "discriminant order below twice the coefficient order"
+    if branch < 0:
+        raise CrossCheckMismatch(
+            f"discriminant order {d_ord} below twice the coefficient order {m}")
     return HessianAlongLine(line=line, chart=chart,
                             form=BinaryQuadratic(a, b, c),
                             coefficient_orders=orders, m=m,
                             disc_order=d_ord, branch_mult=branch, F=F, G=G)
+
+
+def _line_multiplicity(orders):
+    """m = the least y-order of (Hess F, K, Hess G), read only where settled.
+
+    A coefficient that is zero to its truncation order k is only known to
+    vanish to order k + 1 or more, so the least finite order is taken as m
+    only when it is at most k; otherwise the caller raises the order.
+    """
+    finite = [o for o in orders if not isinstance(o, InfiniteOrder)]
+    if not finite:
+        raise TruncationInsufficient(
+            "all Hessian coefficients vanish to their truncation order along "
+            "the line")
+    m = min(finite)
+    for o in orders:
+        if isinstance(o, InfiniteOrder) and m > o.truncation_order:
+            raise TruncationInsufficient(
+                f"m = {m} exceeds the order {o.truncation_order} to which a "
+                "Hessian coefficient is known to vanish")
+    return m
 
 
 # --------------------------------------------------------------------------
@@ -502,9 +528,13 @@ class BranchReport:
                 if isinstance(r.branch_mult, int) and r.branch_mult >= 1]
 
 
-def branch_scan(surface, offline_points=10, rng=None, order=DEFAULT_ORDER,
+def branch_scan(surface, offline_points=10, rng=None, order=None,
                 numeric_deltas=(1e-3, 5e-4, 2.5e-4)) -> BranchReport:
-    """Per-line branch data plus a no-off-line-branching spot check."""
+    """Per-line branch data plus a no-off-line-branching spot check.
+
+    ``order`` is the starting truncation order of each exact line report
+    (see :func:`line_report`).
+    """
     from .lines import enumerate_lines
     from .surface import sample_rational_points
 

@@ -237,7 +237,10 @@ class QuadricPencil:
             for k in range(len(at_least)):
                 exactly = at_least[k] - (at_least[k + 1] if k + 1 < len(at_least) else 0)
                 sizes.extend([k + 1] * exactly)
-            assert sum(sizes) == mult, "Jordan structure does not match multiplicity"
+            if sum(sizes) != mult:
+                raise CrossCheckMismatch(
+                    f"Jordan blocks at {alpha} have sizes {sizes}, which do "
+                    f"not sum to the multiplicity {mult}")
             units.append(tuple(sorted(sizes)))
             # the singular member S - alpha*R, expressed as lam*P + mu*Q
             if (a, b) != (Fraction(1), Fraction(0)):

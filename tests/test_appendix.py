@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 from segrecusp.appendix import (appendix_cases, closed_forms_first_case,
                                 verify_appendix)
-from segrecusp.cusplocus import line_report
+from segrecusp.cusplocus import DEFAULT_ORDER, line_report
 from segrecusp.pencil import SegreSymbol
 
 
@@ -16,7 +16,8 @@ def test_seven_cases_reproduce_multiplicities():
 def test_first_case_closed_forms_instantiated():
     case = appendix_cases()[0]
     surf = case.surface()
-    rep = line_report(surf, case.line(), chart=case.chart(surf))
+    rep = line_report(surf, case.line(), chart=case.chart(surf),
+                      order=DEFAULT_ORDER)
     f_c, g_c, k_c = closed_forms_first_case(1, 2, 3)
     assert rep.F.coeffs == {(2,): f_c}
     assert rep.G.coeffs == {(2,): g_c}
@@ -52,7 +53,8 @@ def test_A2_case_closed_forms():
 
     case = appendix_cases()[3]
     surf = case.surface()
-    rep = line_report(surf, case.line(), chart=case.chart(surf))
+    rep = line_report(surf, case.line(), chart=case.chart(surf),
+                      order=DEFAULT_ORDER)
     Kx = RationalFunctions("x")
     x = Kx.gen
     order = rep.F.order
@@ -85,7 +87,8 @@ def test_coefficient_order_bounds_per_case():
 
     for case, (amin, bexact, cmin) in zip(appendix_cases(), bounds):
         surf = case.surface()
-        rep = line_report(surf, case.line(), chart=case.chart(surf))
+        rep = line_report(surf, case.line(), chart=case.chart(surf),
+                          order=DEFAULT_ORDER)
         oa, ob, oc = rep.coefficient_orders
         assert at_least(oa, amin), (case.name, oa)
         assert ob == bexact, (case.name, ob)

@@ -202,6 +202,34 @@ def test_line_report_appendix_values():
         assert rep.disc_order == 2 * rep.m
 
 
+def test_line_multiplicity_waits_for_unsettled_coefficients():
+    # Hess F vanishes to order 6, K and Hess G are zero only through order 4:
+    # their true orders may be 5, so m = 6 is not yet established
+    from segrecusp.cusplocus import _line_multiplicity
+    from segrecusp.errors import TruncationInsufficient
+    from segrecusp.jets import InfiniteOrder
+    with pytest.raises(TruncationInsufficient):
+        _line_multiplicity((6, InfiniteOrder(4), InfiniteOrder(4)))
+    assert _line_multiplicity((4, InfiniteOrder(4), InfiniteOrder(4))) == 4
+    assert _line_multiplicity((6, 3, InfiniteOrder(4))) == 3
+
+
+@pytest.mark.parametrize("symbol, span, expected", [
+    ("[(14)]", (1, 2), (6, 16, 4)),   # through the D5 point
+    ("[5]", (0, 1), (4, 10, 2)),      # two lines through the A4 point
+    ("[5]", (0, 3), (0, 5, 5)),
+])
+def test_line_report_escalates_from_start_order(symbol, span, expected):
+    from segrecusp.cusplocus import LINE_REPORT_START_ORDER
+    from segrecusp.lines import LineOnSurface
+    inst = table1_instance(symbol)
+    ends = [ProjectivePoint.make(QQ, [F(int(k == i)) for k in range(5)])
+            for i in span]
+    rep = line_report(inst, LineOnSurface(*ends, "exact"))
+    assert (rep.m, rep.disc_order, rep.branch_mult) == expected
+    assert rep.F.order > LINE_REPORT_START_ORDER
+
+
 def test_line_report_base_point_independent(line_fixture):
     from segrecusp.cusplocus import line_chart
     line = line_fixture.distinguished_line
