@@ -88,6 +88,7 @@ def cmd_surface_report(args):
         entry["disc_order"] = rec.disc_order
         entry["branch_mult"] = rec.branch_mult
         entry["exact_report"] = rec.exact
+        entry["order_used"] = rec.order_used
         lines_out.append(entry)
 
     payload = {
@@ -133,6 +134,7 @@ def cmd_line_report(args):
             "m": rep.m, "disc_order": rep.disc_order,
             "branch_mult": rep.branch_mult,
             "coefficient_orders": [str(o) for o in rep.coefficient_orders],
+            "order_used": rep.F.order,
             "exact": True,
         })
     else:

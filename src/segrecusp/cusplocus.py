@@ -513,6 +513,7 @@ class LineBranchRecord:
     disc_order: object = None
     branch_mult: object = None
     coefficient_orders: tuple = ()
+    order_used: object = None     # truncation order of an exact report
     evidence: dict = dc_field(default_factory=dict)
 
 
@@ -522,10 +523,6 @@ class BranchReport:
     offline_points_checked: int
     offline_all_two_roots: bool
     anomalies: list = dc_field(default_factory=list)
-
-    def branch_components(self):
-        return [r for r in self.records
-                if isinstance(r.branch_mult, int) and r.branch_mult >= 1]
 
 
 def branch_scan(surface, offline_points=10, rng=None, order=None,
@@ -549,7 +546,8 @@ def branch_scan(surface, offline_points=10, rng=None, order=None,
                 records.append(LineBranchRecord(
                     line=line, exact=True, m=rep.m, disc_order=rep.disc_order,
                     branch_mult=rep.branch_mult,
-                    coefficient_orders=rep.coefficient_orders))
+                    coefficient_orders=rep.coefficient_orders,
+                    order_used=rep.F.order))
                 continue
             except (SegreCuspError, TowerUnsupported) as exc:
                 anomalies.append(f"exact report failed on {line}: {exc}")

@@ -116,13 +116,6 @@ def pmul(a, b):
     return _ptrim(out)
 
 
-def pscale(a, c):
-    c = Fraction(c)
-    if not c:
-        return ()
-    return tuple(x * c for x in a)
-
-
 def pdivmod(a, b):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -140,13 +133,6 @@ def pdivmod(a, b):
 
 def pderiv(a):
     return _ptrim(i * c for i, c in enumerate(a) if i >= 1)
-
-
-def peval(a, x):
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def _int_primitive(p):
@@ -554,9 +540,6 @@ class RationalFunctions:
         if isinstance(value, QuadExtElem):
             raise TowerUnsupported("quadratic irrationals inside Q(x)")
         return RatFuncElem(pconst(parse_rational(value)), (Fraction(1),))
-
-    def from_poly(self, coeffs):
-        return RatFuncElem.make(coeffs)
 
     def derivative(self, e):
         return self.coerce(e).derivative()

@@ -8,13 +8,15 @@ to order 8 by one of valuation 2 yields coefficients trusted to order 10.
 On top of the ring operations this module provides the local-analysis
 primitives used throughout the package: implicit solving of one or two
 equations (Newton lifting), vanishing orders, extraction of unit-times-square
-factorizations, and the formal splitting of a germ into a nondegenerate
-quadratic part plus a residual in the corank variables.
+factorizations, and the splitting of a germ into a nondegenerate quadratic
+part plus a residual in the corank variables, obtained by eliminating the
+critical set in the nondegenerate directions with the same Newton lifting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import OrderTooSmall, SingularJacobian
 
@@ -254,11 +256,6 @@ class Jet:
         return Jet(field, self.vars, self.order,
                    {e: fn(c) for e, c in self.coeffs.items()})
 
-    def restrict_zero(self, name):
-        """Set one jet variable to zero (keeping the variable slot)."""
-        i = self.vars.index(name)
-        return self.clone({e: c for e, c in self.coeffs.items() if e[i] == 0})
-
     def drop_vars(self, names):
         """Remove variables the jet does not involve."""
         idx = [self.vars.index(n) for n in names]
@@ -324,10 +321,6 @@ class InfiniteOrder:
 
     truncation_order: int
 
-    @property
-    def is_infinite(self):
-        return True
-
     def __eq__(self, other):
         return isinstance(other, InfiniteOrder)
 
@@ -369,9 +362,6 @@ class BinaryQuadratic:
 
     def discriminant(self):
         return self.b * self.b - 4 * (self.a * self.c)
-
-    def evaluate(self, lam, mu):
-        return self.a * lam * lam + self.b * lam * mu + self.c * mu * mu
 
     def coefficients(self):
         return (self.a, self.b, self.c)
@@ -573,6 +563,22 @@ def pdiv_list(num, den, field):
     return q, num
 
 
+def pgcd_list(a, b, field):
+    """Monic gcd of two dense coefficient lists over a field ([] for 0, 0)."""
+    a, b = list(a), list(b)
+    while b and any(b):
+        _, r = pdiv_list(a, b, field)
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, r
+    while a and not a[-1]:
+        a.pop()
+    if a:
+        inv = field.one / a[-1]
+        a = [c * inv for c in a]
+    return a
+
+
 # --------------------------------------------------------------------------
 # formal splitting (Morse reduction)
 
@@ -616,68 +622,46 @@ def _matrix_rank(H, field):
     return rank
 
 
-def splitting_reduce(f: Jet, max_rounds=None):
+def splitting_reduce(f: Jet):
     """Split a germ (no constant or linear part) into squares plus a residual.
 
-    Returns the Hessian rank at the origin and the residual germ in the
+    Returns the Hessian rank r at the origin and the residual germ in the
     remaining (corank-many) variables, equivalent to f up to formal
-    coordinate change through the truncation order.
+    coordinate change through the truncation order.  By the splitting lemma
+    f(u, v) ~ Q(u) + f(phi(v), v), where u are r variables whose principal
+    Hessian minor is nonsingular and u = phi(v) is the critical set
+    df/du = 0, solved by one :func:`hensel_solve` to half the truncation
+    order; that solver eliminates at most two variables, so a germ in four
+    variables of Hessian rank 3 raises ValueError.
     """
     if f.constant_term() or f.homogeneous_part(1):
         raise ValueError("germ must have no constant or linear part")
     field = f.field
-    hess_rank = _matrix_rank(_quadratic_matrix(f), field)
-    active = list(f.vars)
-    current = f
-    splits = 0
-    while splits < hess_rank:
-        quad = current.homogeneous_part(2)
-        # direction with nonzero square coefficient, creating one if needed
-        sq_var = None
-        for v in active:
-            i = current.vars.index(v)
-            e = tuple(2 if j == i else 0 for j in range(len(current.vars)))
-            if quad.get(e):
-                sq_var = v
-                break
-        if sq_var is None:
-            cross = next(iter(e for e in quad), None)
-            if cross is None:
-                break
-            i, j = [k for k, x in enumerate(cross) for _ in range(x)][:2]
-            vi, vj = current.vars[i], current.vars[j]
-            images = {v: Jet.variable(field, current.vars, current.order, v)
-                      for v in current.vars}
-            images[vj] = images[vj] + Jet.variable(field, current.vars,
-                                                   current.order, vi)
-            current = current.substitute(images)
-            continue
-        i = current.vars.index(sq_var)
-        e2 = tuple(2 if j == i else 0 for j in range(len(current.vars)))
-        a = current.coeffs[e2]
-        # iteratively remove terms of degree one in sq_var
-        for _ in range(current.order + 1):
-            linear = {tuple(0 if j == i else k for j, k in enumerate(e)): c
-                      for e, c in current.coeffs.items() if e[i] == 1}
-            if not linear:
-                break
-            w = Jet(field, current.vars, current.order, linear) / (2 * a)
-            images = {v: Jet.variable(field, current.vars, current.order, v)
-                      for v in current.vars}
-            images[sq_var] = images[sq_var] - w
-            current = current.substitute(images)
-        else:
-            raise OrderTooSmall("square completion did not stabilize")
-        current = current.restrict_zero(sq_var)
-        active.remove(sq_var)
-        splits += 1
-    if splits != hess_rank:
-        raise OrderTooSmall("could not realize the full Hessian rank")
-    if not active:
-        residual = Jet.zero(field, f.vars[:1], current.order)
-    elif len(active) < len(f.vars):
-        residual = current.drop_vars([v for v in f.vars if v not in active])
-    else:
-        residual = current
-    return SplitResult(rank=hess_rank, residual=residual,
-                       residual_vars=tuple(active))
+    H = _quadratic_matrix(f)
+    n = len(f.vars)
+    rank = _matrix_rank(H, field)
+    if rank == n:
+        return SplitResult(rank=rank, residual_vars=(),
+                           residual=Jet.zero(field, f.vars[:1], f.order))
+    if rank == 0:
+        return SplitResult(rank=0, residual=f, residual_vars=f.vars)
+    if f.order < 3:
+        raise OrderTooSmall(
+            f"truncation order {f.order} < 3 leaves no critical set to solve")
+    # a symmetric matrix of rank r has a nonsingular r x r principal minor
+    S = next(S for S in combinations(range(n), rank)
+             if _matrix_rank([[H[i][j] for j in S] for i in S], field) == rank)
+    solve_vars = tuple(f.vars[i] for i in S)
+    rest = tuple(v for v in f.vars if v not in solve_vars)
+    # The residual keeps order f.order although phi is solved only to order
+    # k = f.order // 2: the true critical set is phi + delta with
+    # val(delta) >= k + 1, and df/du(phi) vanishes below degree k + 1 too,
+    # so f(phi + delta) - f(phi) = df/du(phi) delta + O(delta^2) starts at
+    # degree 2k + 2 > f.order.
+    phi = hensel_solve([f.derivative(v) for v in solve_vars], solve_vars,
+                       order=max(2, f.order // 2))
+    images = {v: Jet.variable(field, rest, f.order, v) for v in rest}
+    images.update((v, Jet(field, rest, f.order, g.coeffs))
+                  for v, g in zip(solve_vars, phi))
+    return SplitResult(rank=rank, residual=f.substitute(images),
+                       residual_vars=rest)

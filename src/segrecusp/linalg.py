@@ -11,10 +11,6 @@ from fractions import Fraction
 import sympy
 
 
-def mat_from_rows(field, rows):
-    return [[field.coerce(c) for c in row] for row in rows]
-
-
 def identity(field, n):
     return [[field.one if i == j else field.zero for j in range(n)]
             for i in range(n)]
@@ -33,14 +29,6 @@ def mat_mul(A, B):
 def mat_vec(A, v):
     return [sum((A[i][j] * v[j] for j in range(len(v))), start=A[0][0] * 0)
             for i in range(len(A))]
-
-
-def mat_scale(A, c):
-    return [[a * c for a in row] for row in A]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_sub(A, B):

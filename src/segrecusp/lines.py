@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import TowerUnsupported
 from .fields import QQ, field_with_sqrt, quadext_sqrt
-from .jets import pdiv_list
+from .jets import pgcd_list
 from .linalg import mat_rank, nullspace
 from .pencil import bform, qform
 from .surface import ProjectivePoint
@@ -105,13 +105,6 @@ def coordinate_lines(pencil):
     return found
 
 
-def _quotient_basis(field, s):
-    """Coordinate vectors completing s to a basis (representatives of K^5/<s>)."""
-    pivot = next(i for i, c in enumerate(s) if c)
-    return [[field.one if k == j else field.zero for k in range(5)]
-            for j in range(5) if j != pivot]
-
-
 def _through_point_forms(pencil, s_point):
     """Quotient setup for lines through a singular point.
 
@@ -187,7 +180,7 @@ def count_lines_through_singular_point(pencil, s_point):
         lists = [[f.get((0, 0), Fraction(0)), f.get((0, 1), Fraction(0)),
                   f.get((1, 1), Fraction(0))] for f in forms]
         count = 1 if (lists[0][2] == 0 and lists[1][2] == 0) else 0
-        g = _poly_gcd_list(lists[0], lists[1], QQ)
+        g = pgcd_list(lists[0], lists[1], QQ)
         if len(g) > 1:
             gs = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                              for c in reversed(g)], sympy.Symbol("_t"))
@@ -292,7 +285,7 @@ def _common_zeros_of_two_conics(forms, k):
         zeros = []
         if lists[0][2] == 0 and lists[1][2] == 0:
             zeros.append((QQ, (Fraction(0), Fraction(1))))
-        g = _poly_gcd_list(lists[0], lists[1], QQ)
+        g = pgcd_list(lists[0], lists[1], QQ)
         for rfield, t in _poly_roots_one_ext(g):
             zeros.append((rfield, (rfield.one, t)))
         return zeros, True
@@ -384,21 +377,6 @@ def _poly_roots_one_ext(g):
     return [(fld, (mb + root) / twoa), (fld, (mb - root) / twoa)]
 
 
-def _poly_gcd_list(a, b, field):
-    a, b = list(a), list(b)
-    while b and any(b):
-        _, r = pdiv_list(a, b, field)
-        while r and not r[-1]:
-            r.pop()
-        a, b = b, r
-    while a and not a[-1]:
-        a.pop()
-    if a:
-        inv = field.one / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
 def _lift_c(forms, rfield, ra, rb):
     """Given (a : b), solve the two conics for the last coordinate c."""
     lists = []
@@ -410,7 +388,7 @@ def _lift_c(forms, rfield, ra, rb):
               + rfield.coerce(f.get((0, 1), Fraction(0))) * ra * rb
               + rfield.coerce(f.get((1, 1), Fraction(0))) * rb * rb)
         lists.append([c0, c1, c2])
-    g = _poly_gcd_list(lists[0], lists[1], rfield)
+    g = pgcd_list(lists[0], lists[1], rfield)
     out = []
     if not g:
         # both restrictions vanish identically: a pencil of candidate

@@ -12,12 +12,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (NonIsolatedSingularity, OrderTooSmall, PointNotOnLine,
-                     PointSingular, ReducibleImageConic, RetryExhausted,
-                     SegreCuspError, UnsupportedSingularity)
+from .errors import (CrossCheckMismatch, NonIsolatedSingularity, OrderTooSmall,
+                     PointNotOnLine, PointSingular, ReducibleImageConic,
+                     RetryExhausted, SegreCuspError, UnsupportedSingularity)
 from .fields import QQ, QuadraticExtension, field_with_sqrt
-from .jets import Jet, hensel_solve, splitting_reduce
-from .jets import pdiv_list
+from .jets import Jet, hensel_solve, pgcd_list, splitting_reduce
 from .linalg import complete_basis, mat_rank, mat_vec, nullspace
 from .pencil import QuadricPencil, bform, proj_normalize, qform
 
@@ -141,7 +140,9 @@ class SurfaceInstance:
         if mat_rank(field, rows) != 2:
             raise PointSingular(f"{point} is singular")
         kernel = nullspace(field, rows)
-        assert len(kernel) == 3
+        if len(kernel) != 3:
+            raise CrossCheckMismatch(
+                f"tangent space at {point} has dimension {len(kernel)}, not 3")
         # replace one kernel vector so the point itself is in the basis
         basis = [list(point.coords)]
         for v in kernel:
@@ -149,7 +150,9 @@ class SurfaceInstance:
                 basis.append(v)
             if len(basis) == 3:
                 break
-        assert len(basis) == 3
+        if len(basis) != 3:
+            raise CrossCheckMismatch(
+                f"could not complete {point} to a tangent-plane basis")
         return basis, field
 
 
@@ -267,18 +270,6 @@ def singular_sweep_numeric(surface, n_starts=200, tol=1e-8, seed=0):
     return matched, distinct
 
 
-def _numeric_jacobian(fn, x, eps=1e-7):
-    import numpy as np
-
-    base = fn(x)
-    J = np.zeros((len(base), len(x)), dtype=complex)
-    for k in range(len(x)):
-        dx = np.zeros(len(x), dtype=complex)
-        dx[k] = eps
-        J[:, k] = (fn(x + dx) - base) / eps
-    return J
-
-
 # --------------------------------------------------------------------------
 # affine germs and ADE classification
 
@@ -326,7 +317,10 @@ def hypersurface_germ(surface, point, order=DEFAULT_ORDER):
     grad = grads[use]
     solve_idx = next((i for i, b in enumerate(basis)
                       if sum(grad[k] * b[k] for k in range(5))), None)
-    assert solve_idx is not None, "Euler relation guarantees a usable direction"
+    if solve_idx is None:
+        # grad . X = 2 q(X) = 0, so a nonzero gradient meets some b_i
+        raise CrossCheckMismatch(
+            f"no chart direction at {point} meets the member's gradient")
     solve_var = names[solve_idx]
     (h,) = hensel_solve([q_member], (solve_var,), order=order)
     images = {v: Jet.variable(field, h.vars, order, v) for v in h.vars}
@@ -350,7 +344,7 @@ def _binary_cubic_double_root(coeffs, field):
         # factor v^2 or v^3
         return ("triple" if inf_mult == 3 else "double", (field.one, field.zero))
     dp = [p[i] * i for i in range(1, len(p))]
-    g = _list_gcd(p, dp, field)
+    g = pgcd_list(p, dp, field)
     if len(g) <= 1:
         return ("distinct", None)
     if len(g) == 2:
@@ -360,21 +354,6 @@ def _binary_cubic_double_root(coeffs, field):
     # p = c (t - t0)^3, so t0 = -p[2]/(3 p[3]) when deg 3
     t0 = -g[1] / (2 * g[2])
     return ("triple", (t0, field.one))
-
-
-def _list_gcd(a, b, field):
-    a, b = list(a), list(b)
-    while b and any(b):
-        _, r = pdiv_list(a, b, field)
-        while r and not r[-1]:
-            r.pop()
-        a, b = b, r
-    while a and not a[-1]:
-        a.pop()
-    if a:
-        inv = field.one / a[-1]
-        a = [c * inv for c in a]
-    return a
 
 
 def classify_germ(f: Jet) -> ADEClass:

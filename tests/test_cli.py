@@ -98,6 +98,18 @@ def test_line_report_command(tmp_path, capsys):
     assert "branch_mult" in out and "m" in out
 
 
+def test_line_report_states_order_used(tmp_path, capsys):
+    path = write_config(tmp_path, {"symbol": "[122]",
+                                   "params": ["1", "2", "5"]})
+    outs = []
+    for extra in ([], ["--order", "3"]):
+        assert main(["line-report", "--config", path, "--line", "3"]
+                    + extra) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    assert [o["order_used"] for o in outs] == [8, 3]
+    assert outs[0]["m"] == outs[1]["m"] == 2
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "segrecusp.cli",
                            "table1", "--symbols", "[11111]"],

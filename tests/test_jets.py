@@ -12,9 +12,9 @@ import pytest
 import sympy
 
 from segrecusp.errors import OrderTooSmall, SingularJacobian
-from segrecusp.fields import QQ, RationalFunctions
+from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions
 from segrecusp.jets import (InfiniteOrder, Jet, hensel_solve_pair,
-                            jet_from_poly, splitting_reduce,
+                            jet_from_poly, pgcd_list, splitting_reduce,
                             try_extract_square, y_order)
 
 V4 = ("x", "y", "z", "w")
@@ -217,6 +217,65 @@ def test_splitting_surface_germ_with_A2_behavior():
     r = splitting_reduce(f)
     assert r.rank in (1, 2)
     assert r.residual.valuation() == 3
+
+
+def test_splitting_without_square_terms():
+    # xy + xz^2 + z^3: the Hessian has no diagonal entry, so the eliminated
+    # pair is {x, y} through the off-diagonal minor; critical set x = 0,
+    # y = -z^2, residual z^3
+    f = jet_from_poly(QQ, ("x", "y", "z"), 8,
+                      {(1, 1, 0): 1, (1, 0, 2): 1, (0, 0, 3): 1})
+    r = splitting_reduce(f)
+    assert r.rank == 2 and r.residual_vars == ("z",)
+    assert r.residual.coeffs == {(3,): 1}
+    assert r.residual.order == f.order
+
+
+def test_splitting_D4_residual_cubic():
+    # x^2 + 2xy^2 + y^3 + z^3: the critical set is x = -y^2, residual
+    # y^3 - y^4 + z^3, whose cubic part has no repeated factor
+    f = jet_from_poly(QQ, ("x", "y", "z"), 8,
+                      {(2, 0, 0): 1, (1, 2, 0): 2, (0, 3, 0): 1, (0, 0, 3): 1})
+    r = splitting_reduce(f)
+    assert r.rank == 1 and r.residual_vars == ("y", "z")
+    assert r.residual.coeffs == {(3, 0): 1, (4, 0): -1, (0, 3): 1}
+    assert r.residual.order == f.order
+    cubic = [r.residual.coefficient((3 - k, k)) for k in range(4)]
+    derivative = [k * c for k, c in enumerate(cubic)][1:]
+    assert len(pgcd_list(cubic, derivative, QQ)) == 1
+
+
+def test_splitting_residual_exact_to_truncation_order():
+    # x^2 + 2x g(y) + y^3 with g = y^2 + ... + y^7: the critical set is
+    # x = -g, reached only through degree 7, and the residual y^3 - g^2
+    # must be exact through degree 8 although phi is solved to order 4
+    g = {(1, k): 2 for k in range(2, 8)}
+    f = jet_from_poly(QQ, ("x", "y"), 8, {(2, 0): 1, (0, 3): 1, **g})
+    r = splitting_reduce(f)
+    assert r.rank == 1 and r.residual.order == 8
+    assert r.residual.coeffs == {(3,): 1, (4,): -1, (5,): -2, (6,): -3,
+                                 (7,): -4, (8,): -5}
+
+
+def test_splitting_over_quadratic_extension():
+    # (x + sqrt2 y)^2 + sqrt2 y^3: critical set x = -sqrt2 y
+    K = QuadraticExtension(2)
+    r2 = K.sqrt_gen
+    f = jet_from_poly(K, ("x", "y"), 8,
+                      {(2, 0): 1, (1, 1): 2 * r2, (0, 2): 2, (0, 3): r2})
+    r = splitting_reduce(f)
+    assert r.rank == 1 and r.residual_vars == ("y",)
+    assert r.residual.coeffs == {(3,): r2}
+    assert r.residual.order == f.order
+
+
+def test_splitting_needs_order_three():
+    # at order 2 the derivatives are known only to order 1, too little to
+    # solve for the critical set; a nondegenerate germ needs no solve
+    with pytest.raises(OrderTooSmall, match="order 2 < 3"):
+        splitting_reduce(jet_from_poly(QQ, ("x", "y"), 2, {(2, 0): 1}))
+    morse = jet_from_poly(QQ, ("x", "y"), 2, {(2, 0): 1, (1, 1): 1})
+    assert splitting_reduce(morse).rank == 2
 
 
 def test_square_oracle_resultant():
