@@ -16,7 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IrrationalEigenvalue, RetryExhausted, SegreCuspError
+from .errors import (CrossCheckMismatch, IrrationalEigenvalue, RetryExhausted,
+                     SegreCuspError)
 from .fields import QQ
 from .lines import LineOnSurface, line_contained_exact
 from .linalg import complete_basis, mat_inv, mat_vec, nullspace, transpose
@@ -138,7 +139,8 @@ def _conic_through(points):
     monos = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
     rows = [[_eval_mono(m, p) for m in monos] for p in points]
     kernel = nullspace(QQ, rows)
-    assert len(kernel) == 1
+    if len(kernel) != 1:
+        raise CrossCheckMismatch("five points do not fix one conic")
     conic = {m: c for m, c in zip(monos, kernel[0]) if c}
     M = [[Fraction(0)] * 3 for _ in range(3)]
     for (i, j, k), c in conic.items():
@@ -200,7 +202,8 @@ def model_lines(model: PlaneModel):
         if len(samples) == 2:
             break
     add(*samples)
-    assert len(lines) == 16
+    if len(lines) != 16:
+        raise CrossCheckMismatch(f"{len(lines)} lines on the plane model, not 16")
     return lines
 
 
@@ -253,7 +256,8 @@ def surface_through_line(seed=0, order=8, attempts=60) -> SurfaceInstance:
         A = transpose(complete_basis(QQ, [a, b], 5))   # columns a, b, ...
         new_pencil = inst.pencil.congruent(A)
         for M in (new_pencil.P, new_pencil.Q):
-            assert M[0][0] == 0 and M[0][1] == 0 and M[1][1] == 0
+            if M[0][0] or M[0][1] or M[1][1]:
+                raise CrossCheckMismatch("the moved line is not span(e0, e1)")
         out = SurfaceInstance(new_pencil, order=order, seed=seed)
         if out.singular_points():
             continue
@@ -281,9 +285,11 @@ def surface_through_line(seed=0, order=8, attempts=60) -> SurfaceInstance:
         # a 5-point smoothness sample along the line, plus exact containment
         e0 = ProjectivePoint.make(QQ, [1, 0, 0, 0, 0])
         e1 = ProjectivePoint.make(QQ, [0, 1, 0, 0, 0])
-        assert line_contained_exact(new_pencil, e0, e1)
+        if not line_contained_exact(new_pencil, e0, e1):
+            raise CrossCheckMismatch("span(e0, e1) is not on the moved surface")
         for t in (0, 1, 2, 3, 5):
             pt = ProjectivePoint.make(QQ, [1, t, 0, 0, 0])
-            assert out.is_smooth_at(pt)
+            if not out.is_smooth_at(pt):
+                raise CrossCheckMismatch(f"{pt} on the line is singular")
         return out
     raise RetryExhausted("no line-through fixture found")

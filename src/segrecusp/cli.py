@@ -62,7 +62,9 @@ def cmd_surface_report(args):
     census = _census(surface, config)
     scan = branch_scan(surface, offline_points=args.offline_points)
     summary = cusp_locus_summary(surface)
-    notes = list(census.warnings)
+    # an uncertified census is a wrong answer the report cannot rule out
+    scan.anomalies.extend(census.warnings)
+    notes = []
 
     from .surface import singular_sweep_numeric
     _, unresolved = singular_sweep_numeric(surface, n_starts=60,

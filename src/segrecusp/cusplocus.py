@@ -23,12 +23,11 @@ import numpy as np
 from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
                      NonGenericPoint, RootFieldUnsupported, SegreCuspError,
                      TowerUnsupported, TruncationInsufficient)
-from .fields import (QQ, QuadraticExtension, RationalFunctions, field_with_sqrt,
-                     quadext_sqrt)
+from .fields import QQ, QuadraticExtension, RationalFunctions, quadratic_roots
 from .jets import (BinaryQuadratic, InfiniteOrder, Jet, hensel_solve,
                    splitting_reduce, try_extract_square, y_order)
 from .linalg import nullspace
-from .pencil import proj_normalize, qform
+from .pencil import qform
 from .surface import AdaptedChart, ProjectivePoint, adapted_chart
 
 DEFAULT_ORDER = 8
@@ -71,37 +70,6 @@ def _hessian_coefficients(F: Jet, G: Jet):
     return a, b, c
 
 
-def _quadratic_roots(a, b, c, field):
-    """Projective roots (lam : mu) of a*lam^2 + b*lam*mu + c*mu^2."""
-    if not a and not b and not c:
-        return None
-    if not a:
-        roots = [(field, (field.one, field.zero), 1 if b else 2)]
-        if b:
-            roots.append((field, proj_normalize((-c, b)), 1))
-        return roots
-    disc = b * b - 4 * a * c
-    if field == QQ:
-        rfield, root = field_with_sqrt(disc)
-        if rfield == QQ:
-            if root:
-                return [(QQ, proj_normalize((-b + root, 2 * a)), 1),
-                        (QQ, proj_normalize((-b - root, 2 * a)), 1)]
-            return [(QQ, proj_normalize((-b, 2 * a)), 2)]
-        mb, two_a = rfield.coerce(-b), rfield.coerce(2 * a)
-        return [(rfield, proj_normalize((mb + root, two_a)), 1),
-                (rfield, proj_normalize((mb - root, two_a)), 1)]
-    # already inside a quadratic extension: the root must stay there
-    if not disc:
-        return [(field, proj_normalize((-b, 2 * a)), 2)]
-    root = quadext_sqrt(field.coerce(disc))
-    if root is None:
-        raise RootFieldUnsupported(
-            "Hessian roots would need a second quadratic extension")
-    return [(field, proj_normalize((-b + root, 2 * a)), 1),
-            (field, proj_normalize((-b - root, 2 * a)), 1)]
-
-
 def hessian_form_at(surface, point, chart=None, order=2,
                     with_roots=True) -> HessianAtPoint:
     """The binary quadratic detecting non-nodal sections at a smooth point."""
@@ -110,7 +78,7 @@ def hessian_form_at(surface, point, chart=None, order=2,
     F, G = chart.solve_graph(max(order, 2))
     a, b, c = _hessian_coefficients(F, G)
     form = BinaryQuadratic(a, b, c)
-    roots = _quadratic_roots(a, b, c, chart.field) if with_roots else None
+    roots = quadratic_roots(a, b, c, chart.field) if with_roots else None
     return HessianAtPoint(point=point, chart=chart, form=form,
                           discriminant=form.discriminant(),
                           roots=roots or [], F=F, G=G)
@@ -473,7 +441,8 @@ def dual_plane_conic_fit(hyperplanes, line):
     a, b = line.span_over(QQ)
     rows = [a, b]
     basis = nullspace(QQ, rows)  # covectors vanishing on the line
-    assert len(basis) == 3
+    if len(basis) != 3:
+        raise CrossCheckMismatch(f"{line} does not span a line")
     coords = []
     for h in hyperplanes:
         sol = _express_in_basis(h, basis)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import sympy
 
-from .errors import FieldError, TowerUnsupported
+from .errors import FieldError, RootFieldUnsupported, TowerUnsupported
 
 Rational = Fraction
 
@@ -595,3 +595,42 @@ def field_with_sqrt(disc: Fraction):
     d, r = squarefree_split(disc)
     ext = QuadraticExtension(d)
     return ext, r * ext.sqrt_gen
+
+
+def proj_normalize(vec):
+    """Scale a projective tuple so its first nonzero entry is one."""
+    for c in vec:
+        if c:
+            inv = 1 / c
+            return tuple(x * inv for x in vec)
+    raise ValueError("zero vector is not projective")
+
+
+def quadratic_roots(a, b, c, field=QQ):
+    """Projective roots (u : v) of a u^2 + b uv + c v^2 over ``field``.
+
+    Returns (root field, normalized (u, v), multiplicity) triples, or None for
+    the zero form.  Over Q an irrational pair of roots lives in one quadratic
+    extension; inside an extension the roots must stay there, else
+    RootFieldUnsupported.
+    """
+    if not a and not b and not c:
+        return None
+    if not a:
+        roots = [(field, (field.one, field.zero), 1 if b else 2)]
+        if b:
+            roots.append((field, proj_normalize((-c, b)), 1))
+        return roots
+    disc = b * b - 4 * a * c
+    if not disc:
+        return [(field, proj_normalize((-b, 2 * a)), 2)]
+    if field == QQ:
+        field, root = field_with_sqrt(disc)
+    else:
+        root = quadext_sqrt(field.coerce(disc))
+        if root is None:
+            raise RootFieldUnsupported(
+                "roots would need a second quadratic extension")
+    mb, two_a = field.coerce(-b), field.coerce(2 * a)
+    return [(field, proj_normalize((mb + root, two_a)), 1),
+            (field, proj_normalize((mb - root, two_a)), 1)]

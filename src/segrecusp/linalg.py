@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import sympy
 
+from .errors import CrossCheckMismatch
+
 
 def identity(field, n):
     return [[field.one if i == j else field.zero for j in range(n)]
@@ -137,7 +139,8 @@ def complete_basis(field, vectors, n):
             basis.append(cand)
         if len(basis) == n:
             break
-    assert len(basis) == n, "could not complete basis"
+    if len(basis) != n:
+        raise CrossCheckMismatch("could not complete basis")
     return basis
 
 

@@ -1,22 +1,23 @@
 """Lines on a Segre surface: exact scans and numeric enumeration.
 
-Exact lines come from the coordinate scan and from solving the through-a-
-singular-point system by factorization; the full census is completed by a
-batched Newton search with random complex restarts over Grassmannian charts,
-deduplicated on normalized Pluecker coordinates.
+The lines through a rational singular point come from one resultant of its
+quotient system: exact where the factors allow it, numeric otherwise.  The
+coordinate scan adds the exact coordinate lines, and a batched Newton search
+with random complex restarts over Grassmannian charts finds the lines that
+miss the singular points, deduplicated on normalized Pluecker coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
+import sympy
 
-from .errors import TowerUnsupported
-from .fields import QQ, field_with_sqrt, quadext_sqrt
+from .errors import CrossCheckMismatch, RootFieldUnsupported, TowerUnsupported
+from .fields import QQ, quadratic_roots
 from .jets import pgcd_list
 from .linalg import mat_rank, nullspace
 from .pencil import bform, qform
@@ -71,12 +72,20 @@ class LineOnSurface:
         return f"Line[{tag}]({self.point_a}, {self.point_b})"
 
 
+_I, _J = np.triu_indices(5, 1)
+
+
+def _plucker(M):
+    """Pluecker vectors of a stack of 2x5 matrices, (..., 2, 5) -> (..., 10)."""
+    return M[..., 0, _I] * M[..., 1, _J] - M[..., 0, _J] * M[..., 1, _I]
+
+
 def plucker_normalized(M):
-    """Pluecker vector of a 2x5 matrix, scaled by its largest entry."""
-    p = np.array([M[0, i] * M[1, j] - M[0, j] * M[1, i]
-                  for i in range(5) for j in range(i + 1, 5)])
-    k = int(np.argmax(np.abs(p)))
-    return p / p[k]
+    """Pluecker vector of a 2x5 matrix, scaled by its largest entry (the
+    first of the entries that tie with it, so rounding cannot pick)."""
+    p = _plucker(np.asarray(M))
+    size = np.abs(p)
+    return p / p[int(np.argmax(size >= size.max() * (1 - 1e-6)))]
 
 
 def line_contained_exact(pencil, a, b):
@@ -108,12 +117,14 @@ def coordinate_lines(pencil):
 def _through_point_forms(pencil, s_point):
     """Quotient setup for lines through a singular point.
 
-    Returns (reduced, forms, k): representatives of the admissible direction
-    space modulo the point, and the two restricted quadratic forms in k
-    quotient coordinates.
+    Returns (reduced, forms): three representatives of the admissible
+    direction space modulo the point, and the two restricted quadratic forms
+    in the three quotient coordinates; (None, None) when the point is not
+    rational or the quotient is not a plane (s is then not a singular point
+    of a Segre surface).
     """
     if s_point.field != QQ:
-        return None, None, 0
+        return None, None
     s = [Fraction(c) for c in s_point.coords]
     rows = []
     for M in (pencil.P, pencil.Q):
@@ -126,292 +137,166 @@ def _through_point_forms(pencil, s_point):
     for v in V:
         if mat_rank(QQ, reduced + [s, v]) == len(reduced) + 2:
             reduced.append(v)
-    k = len(reduced)
-    if k == 0 or k > 3:
-        return None, None, k
+    if len(reduced) != 3:
+        return None, None
     # the two quadrics restricted to representatives of V/<s>, as forms in
     # the quotient coordinates (q is constant on cosets of s there)
     forms = []
     for M in (pencil.P, pencil.Q):
         f = {}
-        for i in range(k):
-            for j in range(i, k):
+        for i in range(3):
+            for j in range(i, 3):
                 c = qform(M, reduced[i]) if i == j \
                     else 2 * bform(M, reduced[i], reduced[j])
                 if c:
                     f[(i, j)] = c
         forms.append(f)
-    return reduced, forms, k
+    return reduced, forms
+
+
+def through_point_lines(pencil, s_point):
+    """Every line on S through a rational singular point s.
+
+    The lines are span(s, v) for the common zeros (a : b : c) of the two
+    quadrics restricted to the quotient plane of directions.  One resultant
+    in c, factored over Q, gives their (a : b).  A factor of degree <= 2
+    gives exact lines when its roots and their lifts in c stay in one
+    quadratic extension; any other factor gives numeric lines from its
+    numeric roots, lifted in c in floating point.
+
+    Returns (exact, numeric, count): (s, point) spanning pairs, numeric
+    LineOnSurface records, and the number of distinct lines, None when it is
+    not certified (an irrational point, or a lift that fails).
+    """
+    reduced, forms = _through_point_forms(pencil, s_point)
+    if forms is None:
+        return [], [], None
+    # the forms as polynomials in (c, a, b): Poly.resultant eliminates c
+    polys = [sympy.Poly.from_dict(
+        {tuple((i == k) + (j == k) for k in (2, 0, 1)):
+         sympy.Rational(q.numerator, q.denominator) for (i, j), q in f.items()},
+        sympy.symbols("c a b")) for f in forms]
+    res = polys[0].resultant(polys[1])
+    if res.is_zero:
+        return [], [], None     # a common component: not a Segre surface
+    # the common zero (0 : 0 : 1), invisible to the c-resultant
+    exact_dirs = [(QQ, (Fraction(0), Fraction(0), Fraction(1)))] \
+        if all((2, 2) not in f for f in forms) else []
+    numeric_dirs, certified = [], True
+    for fp, _mult in sympy.factor_list(res)[1]:
+        cf = {m: Fraction(int(q.p), int(q.q)) for m, q in fp.as_dict().items()}
+        deg = fp.total_degree()
+        lifts = _exact_lifts(forms, cf, deg)
+        if lifts is not None:
+            exact_dirs += [d for ds in lifts for d in ds or ()]
+        else:
+            # numeric roots (r : 1): an irreducible factor of degree >= 2
+            # does not vanish at (1 : 0)
+            roots = np.roots([complex(cf.get((deg - k, k), 0))
+                              for k in range(deg + 1)])
+            lifts = [_numeric_c_lifts(forms, r) for r in roots]
+            numeric_dirs += [(r, 1.0, z) for r, zs in zip(roots, lifts)
+                             for z in zs or ()]
+        # Galois-conjugate roots lift alike
+        certified &= None not in lifts and len(set(map(len, lifts))) <= 1
+
+    exact = []
+    for fld, d in exact_dirs:
+        coords = [sum((d[i] * fld.coerce(reduced[i][t]) for i in range(3)),
+                      start=fld.zero) for t in range(5)]
+        p2 = ProjectivePoint.make(fld, coords)
+        if not line_contained_exact(pencil, s_point, p2):
+            raise CrossCheckMismatch(f"direction {p2} at {s_point} is not a line")
+        exact.append((s_point, p2))
+    numeric = []
+    if numeric_dirs:
+        M = np.empty((len(numeric_dirs), 2, 5), dtype=complex)
+        M[:, 0] = np.array(s_point.as_float())
+        M[:, 1] = np.array(numeric_dirs) @ np.array(reduced, dtype=float)
+        M, resid = _orthonormal_residuals(pencil, M)
+        numeric = [LineOnSurface(tuple(m[0]), tuple(m[1]), "numeric",
+                                 residual_bound=float(r))
+                   for m, r in zip(M, resid)]
+    count = len(exact) + len(numeric) if certified else None
+    return exact, numeric, count
 
 
 def lines_through_singular_point(pencil, s_point):
     """Exact lines on S through a singular point, where the system factors
     over Q or one quadratic extension.  Returns (lines, fully_resolved)."""
-    reduced, forms, k = _through_point_forms(pencil, s_point)
-    if forms is None:
-        return [], k == 0
-    directions, resolved = _common_zeros_of_two_conics(forms, k)
-    lines = []
-    for d_field, d in directions:
-        coords = [sum((d[i] * d_field.coerce(reduced[i][t]) for i in range(k)),
-                      start=d_field.zero) for t in range(5)]
-        if not any(coords):
-            continue
-        p2 = ProjectivePoint.make(d_field, coords)
-        if line_contained_exact(pencil, s_point, p2):
-            lines.append((s_point, p2))
-    return lines, resolved
+    exact, numeric, count = through_point_lines(pencil, s_point)
+    return exact, count is not None and not numeric
 
 
 def count_lines_through_singular_point(pencil, s_point):
-    """Exact number of distinct complex lines on S through a singular point.
-
-    Counts distinct common zeros of the two restricted conics: rational-root
-    data comes from the exact factorization of their resultant; the lift
-    count per root of each irreducible factor is certified numerically (the
-    roots in question are simple).  Returns None when unavailable.
-    """
-    import sympy
-
-    reduced, forms, k = _through_point_forms(pencil, s_point)
-    if forms is None:
-        return 0 if k == 0 else None
-    if k == 2:
-        lists = [[f.get((0, 0), Fraction(0)), f.get((0, 1), Fraction(0)),
-                  f.get((1, 1), Fraction(0))] for f in forms]
-        count = 1 if (lists[0][2] == 0 and lists[1][2] == 0) else 0
-        g = pgcd_list(lists[0], lists[1], QQ)
-        if len(g) > 1:
-            gs = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
-                             for c in reversed(g)], sympy.Symbol("_t"))
-            count += sum(f.degree() for f, _ in gs.factor_list()[1])
-        return count
-    a, b, c = sympy.symbols("a b c")
-    xs = (a, b, c)
-    polys = []
-    for f in forms:
-        expr = sympy.Integer(0)
-        for (i, j), coeff in f.items():
-            expr += sympy.Rational(coeff.numerator, coeff.denominator) * xs[i] * xs[j]
-        polys.append(sympy.expand(expr))
-    res = sympy.expand(sympy.resultant(polys[0], polys[1], c))
-    if res == 0:
-        return None
-    count = 0
-    # common zero in the plane c-direction, missed by the c-resultant
-    if all(f.get((2, 2), Fraction(0)) == 0 for f in forms):
-        count += 1
-    p1 = sympy.lambdify((a, b, c), polys[0], "numpy")
-    p2 = sympy.lambdify((a, b, c), polys[1], "numpy")
-    for fac, _mult in sympy.factor_list(res, a, b)[1]:
-        fp = sympy.Poly(fac, a, b)
-        deg = fp.total_degree()
-        if deg == 0:
-            continue
-        roots_ab = _numeric_form_roots(fp, a, b)
-        lifts = []
-        try:
-            for ra, rb in roots_ab:
-                lifts.append(len(_common_c_roots(p1, p2, polys, ra, rb, a, b, c)))
-        except ArithmeticError:
-            return None
-        if lifts and max(lifts) != min(lifts):
-            # Galois-conjugate roots must lift equally; numerical trouble
-            return None
-        count += deg * (lifts[0] if lifts else 0)
-    return count
+    """Number of distinct complex lines on S through a singular point, or
+    None when it is not certified."""
+    return through_point_lines(pencil, s_point)[2]
 
 
-def _numeric_form_roots(fp, a, b):
-    """Numeric projective roots (a, b) of a binary form (simple roots)."""
-    import numpy as np
-
-    coeffs = {m: complex(co) for m, co in zip(fp.monoms(), fp.coeffs())}
-    deg = fp.total_degree()
-    dense = [coeffs.get((deg - i, i), 0.0) for i in range(deg + 1)]
-    # roots of sum dense[i] t^(deg-i) with t = a/b ... treat as poly in a with b=1
-    poly = np.array(dense, dtype=complex)  # descending in a
-    roots = []
-    nz = np.nonzero(np.abs(poly) > 1e-14)[0]
-    lead = nz[0]
-    for _ in range(lead):
-        roots.append((1.0 + 0j, 0.0 + 0j))  # roots at b = 0
-    finite = np.roots(poly[lead:]) if len(poly[lead:]) > 1 else []
-    for r in finite:
-        roots.append((r, 1.0 + 0j))
-    return roots
+def _c_polynomial(f, a, b, coerce):
+    """The ternary form f at (a : b : c), as coefficients ascending in c."""
+    q = {k: coerce(v) for k, v in f.items()}
+    zero = coerce(0)
+    return [q.get((0, 0), zero) * a * a + q.get((0, 1), zero) * a * b
+            + q.get((1, 1), zero) * b * b,
+            q.get((0, 2), zero) * a + q.get((1, 2), zero) * b,
+            q.get((2, 2), zero)]
 
 
-def _common_c_roots(p1, p2, polys, ra, rb, a, b, c, tol=1e-6):
-    """Distinct common roots in c of the two conics at a fixed (a, b)."""
-    import numpy as np
-    import sympy
-
-    cs = []
-    for poly in polys:
-        pc = sympy.Poly(poly, c)
-        dense = [complex(sympy.lambdify((a, b), co, "numpy")(ra, rb))
-                 for co in pc.all_coeffs()]
-        cs.append(np.array(dense, dtype=complex))
-    scale = max(1.0, abs(ra), abs(rb)) ** 2
-    vanish = [bool(np.all(np.abs(d) < 1e-9 * scale)) for d in cs]
-    if all(vanish):
-        raise ArithmeticError("conic pair vanishes on a whole direction line")
-    if any(vanish):
-        d = cs[1] if vanish[0] else cs[0]
-        candidates = list(np.roots(d)) if len(d) > 1 else []
-    else:
-        candidates = [r for r in (np.roots(cs[0]) if len(cs[0]) > 1 else [])
-                      if abs(np.polyval(cs[1], r))
-                      < tol * scale * max(1.0, abs(r)) ** 2]
-    out = []
-    for r in candidates:
-        if all(abs(r - o) > 1e-5 * max(1.0, abs(r)) for o in out):
-            out.append(r)
-    return out
-
-
-def _common_zeros_of_two_conics(forms, k):
-    """Common projective zeros of two quadratic forms in k (2 or 3) variables.
-
-    Returns (zeros, fully_resolved); zeros are (field, coords) pairs over Q
-    or one quadratic extension.  Factors the system exactly and reports
-    resolved=False when an irreducible factor of degree > 2 remains.
-    """
-    if k == 2:
-        # dehomogenize along (1, t): p(t) = f(1, t)
-        lists = [[f.get((0, 0), Fraction(0)), f.get((0, 1), Fraction(0)),
-                  f.get((1, 1), Fraction(0))] for f in forms]
-        zeros = []
-        if lists[0][2] == 0 and lists[1][2] == 0:
-            zeros.append((QQ, (Fraction(0), Fraction(1))))
-        g = pgcd_list(lists[0], lists[1], QQ)
-        for rfield, t in _poly_roots_one_ext(g):
-            zeros.append((rfield, (rfield.one, t)))
-        return zeros, True
-    assert k == 3
-    # resultant of the two ternary conics with respect to the last variable
-    import sympy
-
-    a, b, c = sympy.symbols("a b c")
-    xs = (a, b, c)
-    polys = []
-    for f in forms:
-        expr = sympy.Integer(0)
-        for (i, j), coeff in f.items():
-            expr += sympy.Rational(coeff.numerator, coeff.denominator) * xs[i] * xs[j]
-        polys.append(sympy.expand(expr))
-    res = sympy.resultant(polys[0], polys[1], c)
-    res = sympy.Poly(sympy.expand(res), a, b)
-    if res.is_zero:
-        return [], False  # common component; cannot happen on a valid surface
-    zeros, resolved = [], True
-    seen = set()
-    for fac, _mult in sympy.factor_list(res.as_expr(), a, b)[1]:
-        fp = sympy.Poly(fac, a, b)
-        deg = fp.total_degree()
-        if deg == 0:
-            continue
-        roots = []
-        if deg == 1:
-            cf = {m: co for m, co in zip(fp.monoms(), fp.coeffs())}
-            ca = cf.get((1, 0), 0)
-            cb = cf.get((0, 1), 0)
-            roots.append((QQ, (Fraction(str(-cb)), Fraction(str(ca)))))
-        elif deg == 2:
-            roots.extend(_binary_quadratic_roots_sympy(fp))
-        else:
-            resolved = False
-            continue
-        for rfield, (ra, rb) in roots:
-            key = (repr(rfield), str(ra), str(rb))
-            if key in seen:
-                continue
-            seen.add(key)
-            zeros.extend(_lift_c(forms, rfield, ra, rb))
-    return zeros, resolved
-
-
-def _binary_quadratic_roots_sympy(fp):
-    """Projective roots (u, v) of a sympy binary quadratic over Q or Q(sqrt(d))."""
-    cf = {m: co for m, co in zip(fp.monoms(), fp.coeffs())}
-    A = Fraction(str(cf.get((2, 0), 0)))
-    B = Fraction(str(cf.get((1, 1), 0)))
-    C = Fraction(str(cf.get((0, 2), 0)))
-    return _quadratic_form_roots(A, B, C)
-
-
-def _quadratic_form_roots(A, B, C):
-    """Projective zeros (u, v) of A u^2 + B uv + C v^2."""
-    if not A:
-        out = [(QQ, (Fraction(1), Fraction(0)))]
-        if B:
-            out.append((QQ, (Fraction(-C), Fraction(B))))
-        return out
-    out = []
-    for rfield, t in _poly_roots_one_ext([C, B, A]):
-        out.append((rfield, (t, rfield.one)))
-    return out
-
-
-def _poly_roots_one_ext(g):
-    """Roots of a rational polynomial of degree <= 2, allowing one sqrt.
-
-    Returns (field, value) pairs; an empty list for constants."""
-    g = list(g)
-    while g and not g[-1]:
-        g.pop()
-    if len(g) <= 1:
-        return []
-    if len(g) == 2:
-        return [(QQ, Fraction(-g[0]) / Fraction(g[1]))]
-    C, B, A = g[0], g[1], g[2]
-    disc = B * B - 4 * A * C
-    fld, root = field_with_sqrt(disc)
-    if fld == QQ:
-        if root:
-            return [(QQ, (-B + root) / (2 * A)), (QQ, (-B - root) / (2 * A))]
-        return [(QQ, Fraction(-B) / (2 * A))]
-    mb = fld.coerce(-B)
-    twoa = fld.coerce(2 * A)
-    return [(fld, (mb + root) / twoa), (fld, (mb - root) / twoa)]
-
-
-def _lift_c(forms, rfield, ra, rb):
-    """Given (a : b), solve the two conics for the last coordinate c."""
-    lists = []
-    for f in forms:
-        c2 = rfield.coerce(f.get((2, 2), Fraction(0)))
-        c1 = (rfield.coerce(f.get((0, 2), Fraction(0))) * ra
-              + rfield.coerce(f.get((1, 2), Fraction(0))) * rb)
-        c0 = (rfield.coerce(f.get((0, 0), Fraction(0))) * ra * ra
-              + rfield.coerce(f.get((0, 1), Fraction(0))) * ra * rb
-              + rfield.coerce(f.get((1, 1), Fraction(0))) * rb * rb)
-        lists.append([c0, c1, c2])
-    g = pgcd_list(lists[0], lists[1], rfield)
-    out = []
-    if not g:
-        # both restrictions vanish identically: a pencil of candidate
-        # directions, impossible for a finite line count; leave to numerics
-        return out
-    deg = len(g) - 1
-    if deg == 0:
-        return []
+def _exact_lifts(forms, cf, deg):
+    """Exact common zeros over each root (a : b) of a resultant factor with
+    coefficients cf, one list per root (None where the lift fails); None
+    when the degree exceeds 2 or the lifts would need a tower."""
     if deg == 1:
-        out.append((rfield, (ra, rb, -g[0] / g[1])))
-        return out
-    # quadratic in c: extend once over Q; within an extension only square
-    # roots staying in the same field are allowed (no towers)
-    if rfield == QQ:
-        for fld, val in _poly_roots_one_ext([Fraction(x) for x in g]):
-            out.append((fld, (fld.coerce(ra), fld.coerce(rb), val)))
+        roots = [(QQ, (-cf.get((0, 1), 0), cf.get((1, 0), 0)))]
+    elif deg == 2:
+        roots = [(fld, ab) for fld, ab, _ in quadratic_roots(
+            cf.get((2, 0), 0), cf.get((1, 1), 0), cf.get((0, 2), 0))]
     else:
-        A, B, C = g[2], g[1], g[0]
-        root = quadext_sqrt(B * B - 4 * A * C)
-        if root is not None:
-            for sign in (1, -1):
-                val = (-B + sign * root) / (2 * A)
-                out.append((rfield, (ra, rb, val)))
+        return None
+    try:
+        return [_lift_c(forms, fld, ra, rb) for fld, (ra, rb) in roots]
+    except RootFieldUnsupported:
+        return None
+
+
+def _lift_c(forms, field, ra, rb):
+    """Exact common zeros (ra : rb : c) of the two conics over ``field`` or
+    one extension of Q (RootFieldUnsupported otherwise), or None when both
+    vanish on the whole line through (ra : rb : 0) and (0 : 0 : 1)."""
+    g = pgcd_list(*(_c_polynomial(f, ra, rb, field.coerce) for f in forms),
+                  field)
+    if not g:
+        return None
+    if len(g) == 2:
+        return [(field, (ra, rb, -g[0] / g[1]))]
+    if len(g) == 3:
+        return [(fld, (fld.coerce(ra) * v, fld.coerce(rb) * v, u))
+                for fld, (u, v), _ in quadratic_roots(g[2], g[1], g[0], field)]
+    return []
+
+
+def _numeric_c_lifts(forms, r, tol=1e-6):
+    """Distinct common zeros c of the two conics at (r : 1 : c) in floating
+    point, or None when both vanish on the whole line."""
+    polys = []
+    for f in forms:
+        top = float(max(abs(v) for v in f.values()))
+        polys.append(np.array(_c_polynomial(f, r, 1.0, complex)[::-1]) / top)
+    scale = max(1.0, abs(r)) ** 2
+    vanish = [bool(np.abs(p).max() < 1e-9 * scale) for p in polys]
+    if all(vanish):
+        return None
+    first, other = (polys[1], None) if vanish[0] else \
+        (polys[0], None if vanish[1] else polys[1])
+    out = []
+    for z in np.roots(first):
+        if other is not None and abs(np.polyval(other, z)) \
+                >= tol * scale * max(1.0, abs(z)) ** 2:
+            continue
+        if all(abs(z - o) > 1e-5 * max(1.0, abs(z)) for o in out):
+            out.append(z)
     return out
 
 
@@ -427,141 +312,106 @@ class LineCensus:
     warnings: list = dc_field(default_factory=list)
 
 
-def proj_distance(p, q):
-    """Projective (Fubini-Study style) distance of two Pluecker vectors."""
-    num = abs(np.vdot(p, q))
-    den = np.linalg.norm(p) * np.linalg.norm(q)
-    return float(np.sqrt(max(0.0, 1.0 - (num / den) ** 2)))
+def _orthonormal_residuals(pencil, M):
+    """Orthonormal row bases of the spans of a stack of 2x5 matrices, and the
+    containment residual on them: the largest |u^T A v| over basis vectors
+    u, v and A in {P, Q}.  Rows that are nearly parallel span no line, and
+    their residual shows it."""
+    U, _ = np.linalg.qr(np.swapaxes(M, 1, 2))
+    rows = np.swapaxes(U, 1, 2)
+    resid = np.zeros(len(M))
+    for A in (pencil.P, pencil.Q):
+        A = np.array(A, dtype=float)
+        resid = np.maximum(resid, np.abs(rows @ A @ U).max(axis=(1, 2)))
+    return rows, resid
 
 
-def _point_line_distance(coords, M):
-    q, _ = np.linalg.qr(M.T)
-    v = np.array(coords, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return float(np.linalg.norm(v - q @ (q.conj().T @ v)))
+def _unit_plucker(M):
+    """Pluecker vectors of a stack of 2x5 matrices, scaled to unit norm."""
+    p = _plucker(M)
+    return p / np.linalg.norm(p, axis=-1, keepdims=True)
+
+
+def _fs_distances(p, q):
+    """Fubini-Study distances between the rows of two stacks of unit vectors."""
+    return np.sqrt(np.clip(1 - np.abs(p.conj() @ q.T) ** 2, 0, None))
+
+
+def _distinct(pl, radius):
+    """Indices of the rows of pl (unit vectors, best first) that are farther
+    than radius from every earlier row kept."""
+    alive = np.ones(len(pl), dtype=bool)
+    keep = []
+    while alive.any():
+        i = int(np.argmax(alive))
+        keep.append(i)
+        alive &= _fs_distances(pl, pl[i:i + 1])[:, 0] > radius
+    return keep
 
 
 def enumerate_lines(surface, seed=None, starts_per_chart=500,
                     newton_tol=1e-10, dedup=1e-6):
-    """Complete line census: exact scans merged with numeric Newton restarts.
+    """Complete line census: coordinate lines, the lines through each
+    singular point from its quotient system, and Newton restarts for the
+    lines that miss Sing(S).
 
-    Lines through a singular point can be multiple solutions of the
-    containment system, so plain Newton leaves ill-conditioned clusters
-    there; the exact per-point line counts (from the factorization of the
-    through-point system) steer an adaptive clustering of those candidates.
-    Counts are partitioned by the number of incident singular points.
+    Lines through a singular point are multiple roots of the containment
+    system, where Newton converges badly, so every Newton candidate within
+    1e-2 of a singular point is dropped; the rest are simple roots, kept
+    when their residual on an orthonormal basis is below newton_tol and
+    deduplicated on Pluecker coordinates.  Counts are partitioned by the
+    number of incident singular points.
     """
     pencil = surface.pencil
     seed = surface.seed if seed is None else seed
     warnings = []
-
-    exact_pairs = list(coordinate_lines(pencil))
     sing_points = surface.singular_points()
-    expected = {}
-    for idx, s in enumerate(sing_points):
-        found, resolved = lines_through_singular_point(pencil, s)
-        for a, b in found:
-            exact_pairs.append((a, b))
-        n = count_lines_through_singular_point(pencil, s)
-        if n is None:
-            warnings.append(f"count of lines through {s} not certified")
-        expected[idx] = n
 
-    exact_lines = []
-    for a, b in exact_pairs:
-        cand = LineOnSurface(a, b, "exact")
-        if all(proj_distance(cand.plucker_float(), e.plucker_float()) > dedup
-               for e in exact_lines):
-            exact_lines.append(cand)
-    for line in exact_lines:
-        inc = _exact_incidences(pencil, line, sing_points)
+    known = [LineOnSurface(a, b, "exact") for a, b in coordinate_lines(pencil)]
+    for s in sing_points:
+        exact, numeric, count = through_point_lines(pencil, s)
+        if count is None:
+            warnings.append(f"count of lines through {s} not certified")
+        known += [LineOnSurface(a, b, "exact") for a, b in exact] + numeric
+    known_pl = _unit_plucker(
+        np.array([l.as_matrix_float() for l in known]).reshape(-1, 2, 5))
+    keep = _distinct(known_pl, dedup)
+    merged, known_pl = [known[i] for i in keep], known_pl[keep]
+    for line in merged:
+        if line.exactness == "exact":
+            inc = _exact_incidences(pencil, line, sing_points)
+        else:
+            inc = [s for s in sing_points if line.contains_point_float(s.as_float())]
         line.incident_singularities = tuple(inc)
 
-    candidates = _newton_line_search(pencil, seed, starts_per_chart, newton_tol)
-    sing_float = [np.array(p.as_float()) for p in sing_points]
-
-    # drop candidates duplicating exact lines; split the rest by whether they
-    # pass near a singular point (multiple Fano points cluster there)
-    clean, near = [], {i: [] for i in range(len(sing_points))}
-    exact_pl = [e.plucker_float() for e in exact_lines]
-    for M, resid in candidates:
-        p = plucker_normalized(M)
-        if any(proj_distance(p, ep) < 1e-4 for ep in exact_pl):
-            continue
-        hit = [i for i, sv in enumerate(sing_float)
-               if _point_line_distance(sv, M) < 1e-2]
-        if hit:
-            for i in hit:
-                near[i].append((M, resid, p, tuple(sorted(hit))))
-        else:
-            clean.append((M, resid, p))
-
-    merged = list(exact_lines)
-    max_resid = 0.0
-
-    # clean candidates converge quadratically; dedup at the nominal radius
-    for M, resid, p in sorted(clean, key=lambda t: t[1]):
-        if all(proj_distance(p, e.plucker_float()) > dedup for e in merged):
-            line = LineOnSurface(tuple(M[0]), tuple(M[1]), "numeric",
-                                 residual_bound=resid)
-            line.incident_singularities = ()
-            merged.append(line)
-            max_resid = max(max_resid, resid)
-
-    # through-singularity candidates: cluster adaptively until the exact
-    # count for that singular point is realized
-    for i, group in near.items():
-        if not group:
-            continue
-        already = [l for l in merged
-                   if _point_line_distance(sing_float[i],
-                                           l.as_matrix_float()) < 1e-4]
-        want = expected.get(i)
-        remaining = None if want is None else want - len(already)
-        group = sorted(group, key=lambda t: t[1])
-        chosen = _adaptive_clusters(group, merged, remaining, dedup)
-        for M, resid, p, hit in chosen:
-            line = LineOnSurface(tuple(M[0]), tuple(M[1]), "numeric",
-                                 residual_bound=resid)
-            line.incident_singularities = tuple(sing_points[j] for j in hit)
-            merged.append(line)
-            max_resid = max(max_resid, resid)
-        if remaining is not None and len(chosen) < remaining:
-            warnings.append(
-                f"only {len(already) + len(chosen)} of {want} lines through "
-                f"singular point {i} found (lower bound)")
+    M, resid = _newton_line_search(pencil, seed, starts_per_chart, newton_tol)
+    if sing_points:
+        V = np.array([p.as_float() for p in sing_points])
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        # squared distances from each (orthonormal) span to each point
+        dist2 = 1 - (np.abs(M.conj() @ V.T) ** 2).sum(axis=1)
+        far = (dist2 >= 1e-4).all(axis=1)
+        M, resid = M[far], resid[far]
+    order = np.argsort(resid, kind="stable")
+    M, resid = M[order], resid[order]
+    pl = _unit_plucker(M)
+    if len(known_pl):
+        fresh = (_fs_distances(pl, known_pl) > 1e-4).all(axis=1)
+        M, resid, pl = M[fresh], resid[fresh], pl[fresh]
+    for i in _distinct(pl, dedup):
+        merged.append(LineOnSurface(tuple(M[i, 0]), tuple(M[i, 1]), "numeric",
+                                    residual_bound=float(resid[i])))
 
     counts = [0, 0, 0]
     for line in merged:
         counts[min(line.n_incident, 2)] += 1
+    max_resid = max((l.residual_bound for l in merged
+                     if l.exactness == "numeric"), default=0.0)
     merged.sort(key=lambda l: tuple(np.round(l.plucker_float(), 6)
                                     .view(float).tolist()))
     surface.lines = merged
     return LineCensus(lines=merged, counts=tuple(counts),
                       residual_bound=max_resid, warnings=warnings)
-
-
-def _adaptive_clusters(group, merged, remaining, dedup):
-    """Greedy best-residual clustering, coarsened until the count fits.
-
-    Lines through a singular point are multiple roots of the containment
-    system, so their Newton basins are wide; the exact through-point count
-    decides how far the clustering may coarsen.
-    """
-    if remaining is not None and remaining <= 0:
-        return []
-    radii = [dedup, 1e-5, 1e-4, 1e-3, 1e-2, 3e-2, 1e-1, 0.3]
-    reps = []
-    for radius in radii:
-        reps = []
-        for M, resid, p, hit in group:
-            if any(proj_distance(p, e.plucker_float()) < radius for e in merged):
-                continue
-            if all(proj_distance(p, rp[2]) > radius for rp in reps):
-                reps.append((M, resid, p, hit))
-        if remaining is None or len(reps) <= remaining:
-            return reps
-    return reps[:remaining] if remaining is not None else reps
 
 
 def _exact_incidences(pencil, line, singular_points):
@@ -581,28 +431,29 @@ def _exact_incidences(pencil, line, singular_points):
 
 
 def _newton_line_search(pencil, seed, starts_per_chart, newton_tol):
-    """Batched Newton on the 6-equation containment system, per chart."""
+    """Batched Newton on the 6-equation containment system over the ten
+    Grassmannian charts.  Returns the converged candidates as orthonormal
+    2x5 row bases and their residuals, both below newton_tol."""
     rng = np.random.default_rng(seed)
-    Pf = np.array([[float(c) for c in row] for row in pencil.P])
-    Qf = np.array([[float(c) for c in row] for row in pencil.Q])
-    results = []
+    Pf = np.array(pencil.P, dtype=float)
+    Qf = np.array(pencil.Q, dtype=float)
+    spans = []
     for pivots in itertools.combinations(range(5), 2):
         free = [k for k in range(5) if k not in pivots]
         z = (rng.standard_normal((starts_per_chart, 6))
              + 1j * rng.standard_normal((starts_per_chart, 6)))
 
         def assemble(z):
-            B = z.shape[0]
-            A1 = np.zeros((B, 5), dtype=complex)
-            A2 = np.zeros((B, 5), dtype=complex)
-            A1[:, pivots[0]] = 1.0
-            A2[:, pivots[1]] = 1.0
-            A1[:, free] = z[:, :3]
-            A2[:, free] = z[:, 3:]
-            return A1, A2
+            A = np.zeros((z.shape[0], 2, 5), dtype=complex)
+            A[:, 0, pivots[0]] = 1.0
+            A[:, 1, pivots[1]] = 1.0
+            A[:, 0, free] = z[:, :3]
+            A[:, 1, free] = z[:, 3:]
+            return A
 
         def system(z):
-            A1, A2 = assemble(z)
+            A = assemble(z)
+            A1, A2 = A[:, 0], A[:, 1]
             F = np.empty((z.shape[0], 6), dtype=complex)
             J = np.zeros((z.shape[0], 6, 6), dtype=complex)
             for m, M in enumerate((Pf, Qf)):
@@ -615,10 +466,10 @@ def _newton_line_search(pencil, seed, starts_per_chart, newton_tol):
                 J[:, 3 * m + 1, :3] = MA2[:, free]
                 J[:, 3 * m + 1, 3:] = MA1[:, free]
                 J[:, 3 * m + 2, 3:] = 2 * MA2[:, free]
-            return A1, A2, F, J
+            return F, J
 
         for _ in range(40):
-            _, _, F, J = system(z)
+            F, J = system(z)
             try:
                 step = np.linalg.solve(J, F[..., None])[..., 0]
             except np.linalg.LinAlgError:
@@ -631,16 +482,7 @@ def _newton_line_search(pencil, seed, starts_per_chart, newton_tol):
             if bad.any():
                 z[bad] = (rng.standard_normal((int(bad.sum()), 6))
                           + 1j * rng.standard_normal((int(bad.sum()), 6)))
-        A1, A2, F, _ = system(z)
-        # residual of the containment equations on unit-norm spanning rows
-        n1 = np.linalg.norm(A1, axis=1)
-        n2 = np.linalg.norm(A2, axis=1)
-        scale = np.stack([n1 * n1, n1 * n2, n2 * n2,
-                          n1 * n1, n1 * n2, n2 * n2], axis=1)
-        rel = np.abs(F) / scale
-        good = (rel.max(axis=1) < newton_tol) & np.isfinite(z).all(axis=1)
-        for idx in np.where(good)[0]:
-            M2 = np.vstack([A1[idx] / n1[idx], A2[idx] / n2[idx]])
-            resid = float(rel[idx].max())
-            results.append((M2, resid))
-    return results
+        spans.append(assemble(z[np.isfinite(z).all(axis=1)]))
+    M, resid = _orthonormal_residuals(pencil, np.concatenate(spans))
+    good = resid < newton_tol
+    return M[good], resid[good]

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import (CrossCheckMismatch, DegeneratePencil, DuplicateEigenvalue,
                      IrrationalEigenvalue)
-from .fields import QQ, RationalFunctions, parse_rational
+from .fields import QQ, RationalFunctions, parse_rational, proj_normalize
 from .linalg import (identity, mat_det, mat_inv, mat_mul, mat_rank, mat_sub,
                      nullspace, rational_roots, transpose)
 
@@ -48,15 +48,6 @@ def bform(M, X, Y):
 
 def member_matrix(P, Q, lam, mu):
     return [[lam * p + mu * q for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)]
-
-
-def proj_normalize(vec):
-    """Scale a projective tuple so its first nonzero entry is one."""
-    for c in vec:
-        if c:
-            inv = 1 / c
-            return tuple(x * inv for x in vec)
-    raise ValueError("zero vector is not projective")
 
 
 # --------------------------------------------------------------------------
@@ -198,7 +189,8 @@ class QuadricPencil:
         M = [[s * p + Kx.coerce(q) for p, q in zip(rp, rq)]
              for rp, rq in zip(self.P, self.Q)]
         d = mat_det(Kx, M)
-        assert d.den == (Fraction(1),)
+        if d.den != (Fraction(1),):
+            raise CrossCheckMismatch("det(s*P + Q) is not a polynomial in s")
         return d.num
 
     # ------------------------------------------------------------- symbol
@@ -371,7 +363,8 @@ def normal_form(symbol, params) -> QuadricPencil:
                     P[offset + i][offset + j] = bp[i][j]
                     Q[offset + i][offset + j] = bq[i][j]
             offset += k
-    assert offset == DIM
+    if offset != DIM:
+        raise CrossCheckMismatch(f"{symbol} fills {offset} of {DIM} rows")
     pencil = QuadricPencil(P, Q)
     computed = pencil.segre_symbol()
     if computed != symbol:

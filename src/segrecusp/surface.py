@@ -15,10 +15,10 @@ from fractions import Fraction
 from .errors import (CrossCheckMismatch, NonIsolatedSingularity, OrderTooSmall,
                      PointNotOnLine, PointSingular, ReducibleImageConic,
                      RetryExhausted, SegreCuspError, UnsupportedSingularity)
-from .fields import QQ, QuadraticExtension, field_with_sqrt
+from .fields import QQ, proj_normalize, quadratic_roots
 from .jets import Jet, hensel_solve, pgcd_list, splitting_reduce
 from .linalg import complete_basis, mat_rank, mat_vec, nullspace
-from .pencil import QuadricPencil, bform, proj_normalize, qform
+from .pencil import QuadricPencil, bform, qform
 
 DEFAULT_ORDER = 8
 
@@ -168,26 +168,8 @@ def _restricted_conic_points(pencil, v1, v2):
     else:
         raise NonIsolatedSingularity(
             "a kernel line lies on the surface: singular locus is a curve")
-    # roots of a s^2 + 2b st + c t^2
-    sols = []
-    if not a:
-        sols.append((Fraction(1), Fraction(0)))
-        if b:
-            sols.append((-c, 2 * b))
-    else:
-        disc = b * b - a * c
-        field, root = field_with_sqrt(disc)
-        if field == QQ:
-            if root:
-                sols = [((-b + root), a), ((-b - root), a)]
-            else:
-                sols = [(-b, a)]
-        else:
-            mb = field.coerce(-b)
-            sols = [(mb + root, field.coerce(a)), (mb - root, field.coerce(a))]
     points = []
-    for s, t in sols:
-        field = QQ if isinstance(s, Fraction) else QuadraticExtension(s.d)
+    for field, (s, t), _ in quadratic_roots(a, 2 * b, c):
         coords = [field.coerce(v1[i]) * s + field.coerce(v2[i]) * t
                   for i in range(5)]
         points.append(ProjectivePoint.make(field, coords))

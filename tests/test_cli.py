@@ -81,6 +81,19 @@ def test_surface_report_deterministic(tmp_path, capsys):
     assert canonical_dumps(json.loads(first)) == first
 
 
+def test_surface_report_uncertified_census_is_anomaly(tmp_path, capsys,
+                                                     monkeypatch):
+    from segrecusp import lines
+    monkeypatch.setattr(lines, "through_point_lines",
+                        lambda pencil, point: ([], [], None))
+    path = write_config(tmp_path, {"symbol": "[1(13)]",
+                                   "params": ["1", "2"], "seed": 3})
+    assert main(["surface-report", "--config", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert any("not certified" in a for a in out["anomalies"])
+    assert out["notes"] == []
+
+
 def test_point_case_fixed_point(tmp_path, capsys):
     path = write_config(tmp_path, {"symbol": "[1(11)(11)]",
                                    "params": ["1", "2", "5"], "seed": 1})

@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from segrecusp.errors import FieldError, TowerUnsupported
+from segrecusp.errors import FieldError, RootFieldUnsupported, TowerUnsupported
 from segrecusp.fields import (QQ, QuadraticExtension, RatFuncElem,
                               RationalFunctions, field_with_sqrt,
                               fraction_sqrt, parse_rational, pgcd, pmul,
-                              quadext_sqrt, squarefree_split)
+                              quadext_sqrt, quadratic_roots,
+                              squarefree_split)
 
 
 def test_parse_and_format_rationals():
@@ -34,6 +35,28 @@ def test_field_with_sqrt_routes():
     fld, root = field_with_sqrt(F(-3))
     assert isinstance(fld, QuadraticExtension) and fld.d == -3
     assert root * root == -3
+
+
+def test_quadratic_roots_fields_and_multiplicities():
+    # (u - 2v)(u + 3v): two rational roots
+    assert quadratic_roots(F(1), F(1), F(-6)) == [
+        (QQ, (F(1), F(1, 2)), 1), (QQ, (F(1), F(-1, 3)), 1)]
+    assert quadratic_roots(F(1), F(-4), F(4)) == [(QQ, (F(1), F(1, 2)), 2)]
+    # a = 0: the root (1 : 0), double when b = 0 too
+    assert quadratic_roots(F(0), F(2), F(3)) == [
+        (QQ, (F(1), F(0)), 1), (QQ, (F(1), F(-2, 3)), 1)]
+    assert quadratic_roots(F(0), F(0), F(5)) == [(QQ, (F(1), F(0)), 2)]
+    assert quadratic_roots(F(0), F(0), F(0)) is None
+    # u^2 - 2v^2 over Q needs sqrt(2); inside Q(sqrt(2)) it splits there
+    E = QuadraticExtension(2)
+    roots = quadratic_roots(F(1), F(0), F(-2))
+    assert [fld for fld, _, _ in roots] == [E, E]
+    for _, (u, v), mult in roots:
+        assert mult == 1 and u * u - 2 * v * v == 0
+    assert quadratic_roots(E.one, E.zero, E.coerce(-2), E)[0][0] == E
+    # u^2 - (1 + sqrt(2)) v^2 would need a second extension
+    with pytest.raises(RootFieldUnsupported):
+        quadratic_roots(E.one, E.zero, -(1 + E.sqrt_gen), E)
 
 
 def test_quadratic_extension_arithmetic():
