@@ -155,21 +155,18 @@ def cmd_line_report(args):
 
 
 def cmd_point_case(args):
+    point = _parse_point(args.point) if args.point else None
+    if point is None and args.count < 1:
+        raise SegreCuspError(f"--count must be positive, got {args.count}")
     config = SurfaceConfig.load(args.config)
     _apply_overrides(config, args)
     surface = config.build()
-    from .cusplocus import point_case
+    from .cusplocus import point_case, sample_point_cases
 
     _census(surface, config)
-    if args.point:
-        coords = [parse_rational(c) for c in args.point.split(",")]
-        if len(coords) != 5:
-            raise SegreCuspError("--point needs five comma-separated rationals")
-        pairs = [(ProjectivePoint.make(QQ, coords),
-                  point_case(surface, ProjectivePoint.make(QQ, coords),
-                             order=config.order))]
+    if point is not None:
+        pairs = [(point, point_case(surface, point, order=config.order))]
     else:
-        from .cusplocus import sample_point_cases
         pairs = sample_point_cases(surface, args.count,
                                    rng=random.Random(config.seed),
                                    order=config.order)
@@ -187,6 +184,18 @@ def cmd_point_case(args):
     return 0
 
 
+def _parse_point(text):
+    try:
+        coords = [parse_rational(c) for c in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SegreCuspError(f"--point: {exc}") from exc
+    if len(coords) != 5:
+        raise SegreCuspError("--point needs five comma-separated rationals")
+    if not any(coords):
+        raise SegreCuspError("--point must not be the zero vector")
+    return ProjectivePoint.make(QQ, coords)
+
+
 def cmd_verify_appendix(args):
     from .appendix import verify_appendix
     results = verify_appendix(order=args.order or 8)
@@ -200,10 +209,24 @@ def cmd_verify_appendix(args):
     return 0 if ok else 1
 
 
+def _table1_spelling(text):
+    """Table 1's spelling of a symbol written in any unit order: the
+    fixture's rows are keyed by it."""
+    try:
+        sym = SegreSymbol.parse(text)
+    except ValueError as exc:
+        raise SegreCuspError(f"--symbols: {exc}") from exc
+    for s in TABLE1_SYMBOLS:
+        if s == sym:
+            return str(s)
+    raise SegreCuspError(f"--symbols: {text.strip()} is not in Table 1")
+
+
 def cmd_table1(args):
     fixture = _load_table1_fixture()
     if args.symbols:
-        wanted = [s.strip() for s in args.symbols.split(",") if s.strip()]
+        wanted = [_table1_spelling(s) for s in args.symbols.split(",")
+                  if s.strip()]
     else:
         wanted = [str(s) for s in TABLE1_SYMBOLS]
     from .instances import table1_instance
@@ -213,8 +236,7 @@ def cmd_table1(args):
     ds_name = {0: "irreducible", 1: "reducible", 2: "cuspidal-image-empty"}
     rows = []
     all_ok = True
-    for name in wanted:
-        canon = str(SegreSymbol.parse(name))
+    for canon in wanted:
         expected = fixture["rows"][canon]
         surface = table1_instance(canon, order=args.order or 8,
                                   seed=args.seed or 0)

@@ -26,7 +26,7 @@ from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
 from .fields import QQ, QuadraticExtension, RationalFunctions, quadratic_roots
 from .jets import (BinaryQuadratic, InfiniteOrder, Jet, hensel_solve,
                    splitting_reduce, try_extract_square, y_order)
-from .linalg import nullspace
+from .linalg import mat_rank, nullspace
 from .pencil import qform
 from .surface import AdaptedChart, ProjectivePoint, adapted_chart
 
@@ -311,8 +311,7 @@ def _line_chart_jets(surface, chart, order, probe=False):
             e = tuple(1 if j == i else 0 for j in range(3))
             terms[e] = Kx.coerce(chart.columns[i + 2][k])
         jets.append(Jet(Kx, names, order, terms))
-    P = [[Kx.coerce(c) for c in row] for row in surface.pencil.P]
-    Q = [[Kx.coerce(c) for c in row] for row in surface.pencil.Q]
+    P, Q = surface.pencil.coerced(Kx)
     q1, q2 = qform(P, jets), qform(Q, jets)
     if q1.constant_term() or q2.constant_term():
         raise SegreCuspError("chart is not aligned: quadrics do not vanish on it")
@@ -547,10 +546,20 @@ def branch_scan(surface, offline_points=10, rng=None, order=None,
 
 
 def _on_any_line(surface, point, tol=1e-7):
+    """Whether the point lies on a known line: by rank over the line's field
+    for an exact line, to ``tol`` in floating point for a numeric one."""
     if not surface.lines:
         return False
     coords = point.as_float()
-    return any(l.contains_point_float(coords, tol=tol) for l in surface.lines)
+    for line in surface.lines:
+        if line.exactness == "exact":
+            field = line.field()
+            rows = [*line.span_over(field), [field.coerce(c) for c in point.coords]]
+            if mat_rank(field, rows) == 2:
+                return True
+        elif line.contains_point_float(coords, tol=tol):
+            return True
+    return False
 
 
 def numeric_line_branch_evidence(surface, line, deltas=(1e-3, 5e-4, 2.5e-4)):

@@ -8,6 +8,10 @@ Everything in this package computes over one of three scalar domains:
 
 Towers (e.g. a quadratic extension of Q(x)) are deliberately unsupported:
 operations that would need one raise :class:`~segrecusp.errors.TowerUnsupported`.
+
+Dense univariate polynomials live here too; their gcd (:func:`pgcd`, by
+Euclid's algorithm) and division (:func:`pdivmod`) work over any of the three
+domains and are the package's only ones.
 """
 
 from __future__ import annotations
@@ -71,13 +75,15 @@ def squarefree_split(q: Fraction):
 
 
 # --------------------------------------------------------------------------
-# dense univariate polynomials over Q, represented as tuples of Fractions in
-# ascending degree order with no trailing zeros; used by RatFuncElem
+# dense univariate polynomials, represented as tuples of coefficients in
+# ascending degree order with no trailing zeros.  pdivmod, pgcd and pmonic
+# work over any of the three fields, which they read from the coefficients;
+# the others build RatFuncElem's numerators and denominators over Q
 
 
 def _ptrim(cs):
     cs = list(cs)
-    while cs and cs[-1] == 0:
+    while cs and not cs[-1]:
         cs.pop()
     return tuple(cs)
 
@@ -117,11 +123,17 @@ def pmul(a, b):
 
 
 def pdivmod(a, b):
+    """Quotient and remainder of a by b over any of the three fields.
+
+    The coefficient field is read from the operands; untrimmed sequences
+    are accepted.
+    """
+    a, b = _ptrim(a), _ptrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
     inv = 1 / b[-1]
+    q = [inv - inv] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
     for k in range(len(a) - len(b), -1, -1):
         c = r[k + len(b) - 1] * inv
         if c:
@@ -135,49 +147,18 @@ def pderiv(a):
     return _ptrim(i * c for i, c in enumerate(a) if i >= 1)
 
 
-def _int_primitive(p):
-    """Scale a rational polynomial to a primitive integer one (sign-normalized)."""
-    den = math.lcm(*(c.denominator for c in p))
-    ints = [int(c * den) for c in p]
-    g = math.gcd(*(abs(i) for i in ints))
-    if ints[-1] < 0:
-        g = -g
-    return [i // g for i in ints]
-
-
-def _int_prem(A, B):
-    """Scaled integer remainder of A by B (exact, fraction-free)."""
-    R = list(A)
-    lb = B[-1]
-    while len(R) >= len(B):
-        shift = len(R) - len(B)
-        lead = R[-1]
-        g = math.gcd(abs(lead), abs(lb))
-        m_r, m_b = lb // g, lead // g
-        R = [c * m_r for c in R]
-        for j, cb in enumerate(B):
-            R[shift + j] -= m_b * cb
-        while R and R[-1] == 0:
-            R.pop()
-        if not R:
-            break
-    return R
-
-
 def pgcd(a, b):
-    """Monic gcd via the primitive pseudo-remainder sequence over Z."""
-    if not a:
-        return pmonic(b)
-    if not b:
-        return pmonic(a)
-    A, B = _int_primitive(a), _int_primitive(b)
-    while B:
-        if len(A) < len(B):
-            A, B = B, A
-            continue
-        R = _int_prem(A, B)
-        A, B = B, (_int_primitive(R) if R else [])
-    return pmonic(tuple(Fraction(c) for c in A))
+    """Monic gcd over any of the three fields, by Euclid's algorithm.
+
+    The coefficient field is read from the operands; untrimmed sequences
+    are accepted, and gcd(0, 0) is the zero polynomial ().
+    """
+    a, b = _ptrim(a), _ptrim(b)
+    while b:
+        if len(a) == 1 or len(b) == 1:
+            return (b[-1] / b[-1],)  # a nonzero constant gives 1
+        a, b = b, pdivmod(a, b)[1]
+    return pmonic(a)
 
 
 def pmonic(a):

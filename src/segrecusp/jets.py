@@ -8,9 +8,11 @@ to order 8 by one of valuation 2 yields coefficients trusted to order 10.
 On top of the ring operations this module provides the local-analysis
 primitives used throughout the package: implicit solving of one or two
 equations (Newton lifting), vanishing orders, extraction of unit-times-square
-factorizations, and the splitting of a germ into a nondegenerate quadratic
-part plus a residual in the corank variables, obtained by eliminating the
-critical set in the nondegenerate directions with the same Newton lifting.
+factorizations (dividing forms by :func:`segrecusp.fields.pdivmod`, the
+package's one polynomial division), and the splitting of a germ into a
+nondegenerate quadratic part plus a residual in the corank variables,
+obtained by eliminating the critical set in the nondegenerate directions with
+the same Newton lifting.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import OrderTooSmall, SingularJacobian
+from .fields import pdivmod
 
 
 DEFAULT_ORDER = 8
@@ -527,8 +530,8 @@ def try_extract_square(h: Jet):
             continue
         num = [c if c is not None else field.zero
                for c in _form_to_list(diff, v + k, last)]
-        quot, rem = pdiv_list(num, q_list, field)
-        if quot is None or any(rem):
+        quot, rem = pdivmod(num, q_list)
+        if rem:
             return None
         add = {}
         for i, c in enumerate(quot):
@@ -542,41 +545,6 @@ def try_extract_square(h: Jet):
         return None
     u = Jet.constant(field, h.vars, h.order, field.one) * c0
     return u, s
-
-
-def pdiv_list(num, den, field):
-    """Dense list division over a field; returns (quotient, remainder)."""
-    den = list(den)
-    while den and not den[-1]:
-        den.pop()
-    if not den:
-        return None, num
-    num = list(num)
-    q = [field.zero] * max(len(num) - len(den) + 1, 0)
-    inv = field.one / den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] * inv
-        if c:
-            q[k] = c
-            for j, cb in enumerate(den):
-                num[k + j] = num[k + j] - c * cb
-    return q, num
-
-
-def pgcd_list(a, b, field):
-    """Monic gcd of two dense coefficient lists over a field ([] for 0, 0)."""
-    a, b = list(a), list(b)
-    while b and any(b):
-        _, r = pdiv_list(a, b, field)
-        while r and not r[-1]:
-            r.pop()
-        a, b = b, r
-    while a and not a[-1]:
-        a.pop()
-    if a:
-        inv = field.one / a[-1]
-        a = [c * inv for c in a]
-    return a
 
 
 # --------------------------------------------------------------------------

@@ -17,8 +17,7 @@ import numpy as np
 import sympy
 
 from .errors import CrossCheckMismatch, RootFieldUnsupported, TowerUnsupported
-from .fields import QQ, quadratic_roots
-from .jets import pgcd_list
+from .fields import QQ, pgcd, quadratic_roots
 from .linalg import mat_rank, nullspace
 from .pencil import bform, qform
 from .surface import ProjectivePoint
@@ -93,8 +92,7 @@ def line_contained_exact(pencil, a, b):
     field = a.field if a.field != QQ else b.field
     va = [field.coerce(c) for c in a.coords]
     vb = [field.coerce(c) for c in b.coords]
-    for M in (pencil.P, pencil.Q):
-        Mf = [[field.coerce(c) for c in row] for row in M]
+    for Mf in pencil.coerced(field):
         if qform(Mf, va) or qform(Mf, vb) or bform(Mf, va, vb):
             return False
     return True
@@ -265,8 +263,7 @@ def _lift_c(forms, field, ra, rb):
     """Exact common zeros (ra : rb : c) of the two conics over ``field`` or
     one extension of Q (RootFieldUnsupported otherwise), or None when both
     vanish on the whole line through (ra : rb : 0) and (0 : 0 : 1)."""
-    g = pgcd_list(*(_c_polynomial(f, ra, rb, field.coerce) for f in forms),
-                  field)
+    g = pgcd(*(_c_polynomial(f, ra, rb, field.coerce) for f in forms))
     if not g:
         return None
     if len(g) == 2:

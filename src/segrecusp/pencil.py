@@ -157,6 +157,7 @@ class QuadricPencil:
                 raise ValueError("pencil matrices must be symmetric")
         self._symbol = None
         self._members = None
+        self._coerced = {}
         self._reference = None
 
     def is_single_quadric(self):
@@ -178,6 +179,14 @@ class QuadricPencil:
             else:
                 raise DegeneratePencil("det(lam*P + mu*Q) vanishes identically")
         return self._reference
+
+    def coerced(self, field):
+        """(P, Q) with their entries in ``field``, built once per field."""
+        if field not in self._coerced:
+            self._coerced[field] = tuple(
+                [[field.coerce(c) for c in row] for row in M]
+                for M in (self.P, self.Q))
+        return self._coerced[field]
 
     def member(self, lam, mu):
         return member_matrix(self.P, self.Q, Fraction(lam), Fraction(mu))

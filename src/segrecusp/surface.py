@@ -15,8 +15,8 @@ from fractions import Fraction
 from .errors import (CrossCheckMismatch, NonIsolatedSingularity, OrderTooSmall,
                      PointNotOnLine, PointSingular, ReducibleImageConic,
                      RetryExhausted, SegreCuspError, UnsupportedSingularity)
-from .fields import QQ, proj_normalize, quadratic_roots
-from .jets import Jet, hensel_solve, pgcd_list, splitting_reduce
+from .fields import QQ, pgcd, proj_normalize, quadratic_roots
+from .jets import Jet, hensel_solve, splitting_reduce
 from .linalg import complete_basis, mat_rank, mat_vec, nullspace
 from .pencil import QuadricPencil, bform, qform
 
@@ -117,15 +117,13 @@ class SurfaceInstance:
     def gradient_rows(self, point):
         coords = list(point.coords)
         field = point.field
-        P = [[field.coerce(c) for c in row] for row in self.pencil.P]
-        Q = [[field.coerce(c) for c in row] for row in self.pencil.Q]
+        P, Q = self.pencil.coerced(field)
         return [mat_vec(P, coords), mat_vec(Q, coords)], field
 
     def on_surface(self, point):
         coords = list(point.coords)
         field = point.field
-        P = [[field.coerce(c) for c in row] for row in self.pencil.P]
-        Q = [[field.coerce(c) for c in row] for row in self.pencil.Q]
+        P, Q = self.pencil.coerced(field)
         return not qform(P, coords) and not qform(Q, coords)
 
     def is_smooth_at(self, point):
@@ -274,8 +272,7 @@ def hypersurface_germ(surface, point, order=DEFAULT_ORDER):
     """
     field = point.field
     coords = list(point.coords)
-    P = [[field.coerce(c) for c in row] for row in surface.pencil.P]
-    Q = [[field.coerce(c) for c in row] for row in surface.pencil.Q]
+    P, Q = surface.pencil.coerced(field)
     candidates = [(Q, P), (P, Q)]
     grads = {0: mat_vec(candidates[0][0], coords), 1: mat_vec(candidates[1][0], coords)}
     use = next((k for k in (0, 1) if any(grads[k])), None)
@@ -326,7 +323,7 @@ def _binary_cubic_double_root(coeffs, field):
         # factor v^2 or v^3
         return ("triple" if inf_mult == 3 else "double", (field.one, field.zero))
     dp = [p[i] * i for i in range(1, len(p))]
-    g = pgcd_list(p, dp, field)
+    g = pgcd(p, dp)
     if len(g) <= 1:
         return ("distinct", None)
     if len(g) == 2:
@@ -426,8 +423,7 @@ class AdaptedChart:
                 e = tuple(1 if j == i else 0 for j in range(4))
                 terms[e] = self.columns[i + 1][k]
             jets.append(Jet(field, self.VAR_NAMES, order, terms))
-        P = [[field.coerce(c) for c in row] for row in self.surface.pencil.P]
-        Q = [[field.coerce(c) for c in row] for row in self.surface.pencil.Q]
+        P, Q = self.surface.pencil.coerced(field)
         return qform(P, jets), qform(Q, jets)
 
     def solve_graph(self, order):

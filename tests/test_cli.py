@@ -61,12 +61,30 @@ def test_verify_appendix_exit_zero(capsys):
 
 
 def test_table1_subset(capsys):
-    assert main(["table1", "--symbols", "[122],[1(13)]"]) == 0
+    # [221] is Table 1's [122] written in another order
+    assert main(["table1", "--symbols", "[221],[1(13)]"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["all_pass"] is True
     cells = {r["symbol"]: r["cells"] for r in out["rows"]}
     assert cells["[122]"]["x"]["got"] == 2
     assert cells["[1(13)]"]["DS"]["got"] == "reducible"
+
+
+@pytest.mark.parametrize("argv", [
+    ["point-case", "--point", "1,2,x,4,5"],
+    ["point-case", "--point", "0,0,0,0,0"],
+    ["point-case", "--point", "1,2,3"],
+    ["point-case", "--random", "--count", "-1"],
+    ["table1", "--symbols", "[9]"],
+    ["table1", "--symbols", "[1(11)(11)"],
+    ["table1", "--symbols", "[(111)11]"],
+])
+def test_malformed_input_is_an_error(argv, tmp_path, capsys):
+    if argv[0] == "point-case":
+        argv = argv + ["--config", write_config(
+            tmp_path, {"symbol": "[1(11)(11)]", "params": ["1", "2", "5"]})]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_surface_report_deterministic(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from segrecusp.appendix import appendix_cases
-from segrecusp.cusplocus import (branch_scan, classify_plane_germ,
+from segrecusp.cusplocus import (_on_any_line, branch_scan, classify_plane_germ,
                                  classify_section_germ, cusp_locus_summary,
                                  dual_plane_conic_fit, hessian_form_at,
                                  line_report, numeric_line_branch_evidence,
@@ -17,7 +17,7 @@ from segrecusp.errors import NoDoubleRoot
 from segrecusp.fields import QQ
 from segrecusp.instances import sampling_instance, table1_instance
 from segrecusp.jets import jet_from_poly
-from segrecusp.lines import enumerate_lines
+from segrecusp.lines import LineOnSurface, coordinate_lines, enumerate_lines
 from segrecusp.pencil import normal_form
 from segrecusp.surface import (AdaptedChart, ProjectivePoint, SurfaceInstance,
                                adapted_chart, sample_rational_points)
@@ -270,6 +270,22 @@ def test_branch_scan_smooth_fixture_all_simple(line_fixture):
     assert all(r.exact and r.m == 0 and r.branch_mult == 1
                for r in scan.records)
     assert not scan.anomalies
+
+
+def test_on_any_line_is_exact_for_exact_lines():
+    surf = table1_instance("[1(11)(11)]")
+    a, b = coordinate_lines(surf.pencil)[0]
+    line = LineOnSurface(a, b, "exact")
+    surf.lines = [line]
+    on = [x + 3 * y for x, y in zip(a.coords, b.coords)]
+    off = list(on)
+    k = next(k for k in range(5) if not a.coords[k] and not b.coords[k])
+    off[k] = F(1, 10 ** 9)
+    on, off = ProjectivePoint.make(QQ, on), ProjectivePoint.make(QQ, off)
+    assert _on_any_line(surf, on)
+    assert not _on_any_line(surf, off)
+    # the 1e-7 float test says "on" for both
+    assert line.contains_point_float(off.as_float(), tol=1e-7)
 
 
 def test_numeric_branch_evidence_diag(census_cache):

@@ -6,7 +6,7 @@ import pytest
 from segrecusp.errors import FieldError, RootFieldUnsupported, TowerUnsupported
 from segrecusp.fields import (QQ, QuadraticExtension, RatFuncElem,
                               RationalFunctions, field_with_sqrt,
-                              fraction_sqrt, parse_rational, pgcd, pmul,
+                              fraction_sqrt, parse_rational, pdivmod, pgcd, pmul,
                               quadext_sqrt, quadratic_roots,
                               squarefree_split)
 
@@ -95,12 +95,20 @@ def test_rational_functions_reduce_and_derive():
 
 
 def test_polynomial_gcd_random_products(rng=random.Random(7)):
-    for _ in range(25):
-        a = tuple(F(rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))) + (F(1),)
-        b = tuple(F(rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))) + (F(1),)
-        c = tuple(F(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))) + (F(1),)
-        g = pgcd(pmul(a, c), pmul(b, c))
-        # gcd is divisible by c (monic): check degree and exact division
-        from segrecusp.fields import pdivmod
-        q, r = pdivmod(g, c)
-        assert not r
+    r2 = QuadraticExtension(2).sqrt_gen
+    # coefficients in Q, then in Q(sqrt 2); the gcd's inputs carry 0-2
+    # trailing zeros, which it must ignore
+    for coeff in (F, lambda n: n + rng.randint(-2, 2) * r2):
+        zero = coeff(0) * 0
+        for _ in range(25):
+            a = tuple(coeff(rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))) + (F(1),)
+            b = tuple(coeff(rng.randint(-4, 4)) for _ in range(rng.randint(1, 4))) + (F(1),)
+            c = tuple(coeff(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))) + (F(1),)
+            ac, bc = pmul(a, c), pmul(b, c)
+            g = pgcd(ac + (zero,) * rng.randint(0, 2),
+                     bc + (zero,) * rng.randint(0, 2))
+            # a monic common divisor of both products, divisible by c
+            assert g[-1] == 1
+            assert not pdivmod(ac, g)[1] and not pdivmod(bc, g)[1]
+            q, r = pdivmod(g, c)
+            assert not r

@@ -12,9 +12,9 @@ import pytest
 import sympy
 
 from segrecusp.errors import OrderTooSmall, SingularJacobian
-from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions
+from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions, pgcd
 from segrecusp.jets import (InfiniteOrder, Jet, hensel_solve_pair,
-                            jet_from_poly, pgcd_list, splitting_reduce,
+                            jet_from_poly, splitting_reduce,
                             try_extract_square, y_order)
 
 V4 = ("x", "y", "z", "w")
@@ -242,7 +242,7 @@ def test_splitting_D4_residual_cubic():
     assert r.residual.order == f.order
     cubic = [r.residual.coefficient((3 - k, k)) for k in range(4)]
     derivative = [k * c for k, c in enumerate(cubic)][1:]
-    assert len(pgcd_list(cubic, derivative, QQ)) == 1
+    assert len(pgcd(cubic, derivative)) == 1
 
 
 def test_splitting_residual_exact_to_truncation_order():
