@@ -17,7 +17,7 @@ from segrecusp.lines import enumerate_lines
 for name in ("[1(11)(11)]", "[1(13)]", "[11111]"):
     inst = sampling_instance(name, seed=5)
     if inst.lines is None:
-        enumerate_lines(inst, starts_per_chart=150)
+        enumerate_lines(inst)
     pairs = sample_point_cases(inst, 2, rng=random.Random(3))
     summary = cusp_locus_summary(inst, sample_points=[p for p, _ in pairs])
     print(f"{name}: cuspidal locus is {summary.classification}")

@@ -16,7 +16,7 @@ print("-" * 60)
 for symbol in TABLE1_SYMBOLS:
     inst = table1_instance(str(symbol), seed=11)
     sing = "+".join(inst.singularity_multiset()) or "none"
-    census = enumerate_lines(inst, starts_per_chart=250)
+    census = enumerate_lines(inst)
     n0, n1, n2 = census.counts
     dc = inst.pencil.double_conic_pencil_count()
     print(f"{str(symbol):12} {sing:16} {n0:2}+{n1:2}+{n2:2}   {dc:2}  "

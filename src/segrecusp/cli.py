@@ -41,25 +41,18 @@ def _emit(payload, path=None):
     sys.stdout.write(text)
 
 
-def _census(surface, config):
-    from .lines import enumerate_lines
+def _census(surface):
+    from .lines import LineCensus, enumerate_lines
     if surface.lines is None:
-        return enumerate_lines(surface, newton_tol=min(config.tolerance, 1e-10))
-    from .lines import LineCensus
-    counts = [0, 0, 0]
-    for line in surface.lines:
-        counts[min(line.n_incident, 2)] += 1
-    return LineCensus(lines=surface.lines, counts=tuple(counts),
-                      residual_bound=0.0)
+        return enumerate_lines(surface)
+    return LineCensus(lines=surface.lines)
 
 
 def cmd_surface_report(args):
-    config = SurfaceConfig.load(args.config)
-    _apply_overrides(config, args)
-    surface = config.build()
+    config, surface = _build(args)
     from .cusplocus import branch_scan, cusp_locus_summary
 
-    census = _census(surface, config)
+    census = _census(surface)
     scan = branch_scan(surface, offline_points=args.offline_points)
     summary = cusp_locus_summary(surface)
     # an uncertified census is a wrong answer the report cannot rule out
@@ -114,12 +107,10 @@ def cmd_surface_report(args):
 
 
 def cmd_line_report(args):
-    config = SurfaceConfig.load(args.config)
-    _apply_overrides(config, args)
-    surface = config.build()
+    config, surface = _build(args)
     from .cusplocus import line_report, numeric_line_branch_evidence
 
-    census = _census(surface, config)
+    census = _census(surface)
     if not 0 <= args.line < len(census.lines):
         raise SegreCuspError(
             f"line index {args.line} out of range 0..{len(census.lines) - 1}")
@@ -158,12 +149,10 @@ def cmd_point_case(args):
     point = _parse_point(args.point) if args.point else None
     if point is None and args.count < 1:
         raise SegreCuspError(f"--count must be positive, got {args.count}")
-    config = SurfaceConfig.load(args.config)
-    _apply_overrides(config, args)
-    surface = config.build()
+    config, surface = _build(args)
     from .cusplocus import point_case, sample_point_cases
 
-    _census(surface, config)
+    _census(surface)
     if point is not None:
         pairs = [(point, point_case(surface, point, order=config.order))]
     else:
@@ -244,7 +233,7 @@ def cmd_table1(args):
         sing = surface.singularity_multiset()
         cells["sing"] = {"got": sing, "want": sorted(expected["sing"]),
                          "pass": sing == sorted(expected["sing"])}
-        census = enumerate_lines(surface, newton_tol=1e-10)
+        census = enumerate_lines(surface)
         cells["lines"] = {"got": list(census.counts),
                           "want": expected["lines"],
                           "pass": list(census.counts) == expected["lines"]}
@@ -273,13 +262,15 @@ def cmd_table1(args):
     return 0 if all_ok else 1
 
 
-def _apply_overrides(config, args):
+def _build(args):
+    """The config named by --config, with --order and --seed applied, and
+    the surface it describes."""
+    config = SurfaceConfig.load(args.config)
     if args.order:
         config.order = args.order
     if args.seed is not None:
         config.seed = args.seed
-    if args.tolerance:
-        config.tolerance = args.tolerance
+    return config, config.build()
 
 
 def build_parser():
@@ -292,13 +283,12 @@ def build_parser():
         if config:
             p.add_argument("--config", required=True, help="surface config JSON")
         p.add_argument("--order", type=int, default=None,
-                       help="jet truncation order (default: the config's, "
-                       "else 8). line-report, verify-appendix and a given "
-                       "table1 --order also start exact line reports at it; "
-                       "otherwise they start at 3. A line report doubles "
-                       "its order as needed.")
+                       help="jet truncation order, at least 2 (default: "
+                       "the config's, else 8). line-report, verify-appendix "
+                       "and a given table1 --order also start exact line "
+                       "reports at it; otherwise they start at 3. A line "
+                       "report doubles its order as needed.")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
         p.add_argument("--json", default=None, help="also write the report here")
 
     p = sub.add_parser("surface-report", help="full report for one surface")
@@ -337,6 +327,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.order is not None and args.order < 2:
+            raise SegreCuspError(
+                f"--order must be at least 2, got {args.order}")
         return args.func(args)
     except SegreCuspError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,7 +155,7 @@ class QuadricPencil:
                 raise ValueError("pencil matrices must be 5x5")
             if any(M[i][j] != M[j][i] for i in range(DIM) for j in range(DIM)):
                 raise ValueError("pencil matrices must be symmetric")
-        self._symbol = None
+        self._jordan = None
         self._members = None
         self._coerced = {}
         self._reference = None
@@ -191,22 +191,15 @@ class QuadricPencil:
     def member(self, lam, mu):
         return member_matrix(self.P, self.Q, Fraction(lam), Fraction(mu))
 
-    def det_polynomial(self):
-        """Coefficients (ascending in s) of det(s*P + Q)."""
-        Kx = RationalFunctions("s")
-        s = Kx.gen
-        M = [[s * p + Kx.coerce(q) for p, q in zip(rp, rq)]
-             for rp, rq in zip(self.P, self.Q)]
-        d = mat_det(Kx, M)
-        if d.den != (Fraction(1),):
-            raise CrossCheckMismatch("det(s*P + Q) is not a polynomial in s")
-        return d.num
-
     # ------------------------------------------------------------- symbol
 
-    def segre_symbol(self) -> SegreSymbol:
-        if self._symbol is not None:
-            return self._symbol
+    def jordan_data(self):
+        """(M, blocks): M = R**-1 * S for the reference member R and an
+        independent member S, and for each eigenvalue alpha of M, ascending,
+        the pair (alpha, ascending Jordan block sizes).  Raises
+        IrrationalEigenvalue when an eigenvalue is not rational."""
+        if self._jordan is not None:
+            return self._jordan
         a, b = self.reference
         R = self.member(a, b)
         S = self.member(1, 0) if (a, b) != (1, 0) else self.member(0, 1)
@@ -222,38 +215,39 @@ class QuadricPencil:
             raise IrrationalEigenvalue(
                 f"pencil eigenvalue outside Q: irreducible factor(s) {leftovers}",
                 factor=leftovers)
-        units, eigenroots = [], []
+        blocks = []
         for alpha, mult in sorted(roots):
             A = mat_sub(M, [[alpha if i == j else Fraction(0)
                              for j in range(DIM)] for i in range(DIM)])
             ranks = [DIM]
             power = identity(QQ, DIM)
-            while True:
+            while len(ranks) < 2 or ranks[-1] != ranks[-2]:
                 power = mat_mul(power, A)
                 ranks.append(mat_rank(QQ, power))
-                if ranks[-1] == ranks[-2]:
-                    break
-            at_least = [ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1)]
-            sizes = []
-            for k in range(len(at_least)):
-                exactly = at_least[k] - (at_least[k + 1] if k + 1 < len(at_least) else 0)
-                sizes.extend([k + 1] * exactly)
+            # rank(A^(k-1)) - rank(A^k) blocks have size >= k
+            at_least = [r - r1 for r, r1 in zip(ranks, ranks[1:])]
+            sizes = tuple(k for k in range(1, len(at_least))
+                          for _ in range(at_least[k - 1] - at_least[k]))
             if sum(sizes) != mult:
                 raise CrossCheckMismatch(
                     f"Jordan blocks at {alpha} have sizes {sizes}, which do "
                     f"not sum to the multiplicity {mult}")
-            units.append(tuple(sorted(sizes)))
-            # the singular member S - alpha*R, expressed as lam*P + mu*Q
-            if (a, b) != (Fraction(1), Fraction(0)):
-                root = (Fraction(1) - alpha * a, -alpha * b)
-            else:
-                root = (-alpha, Fraction(1))
-            eigenroots.append(proj_normalize(root))
-        sym = SegreSymbol(tuple(units), tuple(eigenroots))
-        if sym.total() != DIM:
-            raise DegeneratePencil("Jordan blocks do not fill dimension 5")
-        self._symbol = sym
-        return sym
+            blocks.append((alpha, sizes))
+        self._jordan = (M, blocks)
+        return self._jordan
+
+    def _root_of(self, alpha):
+        """The singular member S - alpha*R as its projective root (lam : mu)
+        of det(lam*P + mu*Q)."""
+        a, b = self.reference
+        if (a, b) != (Fraction(1), Fraction(0)):
+            return proj_normalize((Fraction(1) - alpha * a, -alpha * b))
+        return proj_normalize((-alpha, Fraction(1)))
+
+    def segre_symbol(self) -> SegreSymbol:
+        blocks = self.jordan_data()[1]
+        return SegreSymbol(tuple(sizes for _, sizes in blocks),
+                           tuple(self._root_of(alpha) for alpha, _ in blocks))
 
     # ------------------------------------------------------------- members
 
@@ -261,26 +255,13 @@ class QuadricPencil:
         """One entry per root of det(lam*P + mu*Q), with exact kernel."""
         if self._members is not None:
             return self._members
-        det = self.det_polynomial()
-        if not det:
-            raise DegeneratePencil("det(lam*P + mu*Q) vanishes identically")
-        roots, leftovers = rational_roots(det)
-        if leftovers:
-            raise IrrationalEigenvalue(
-                f"pencil eigenvalue outside Q: irreducible factor(s) {leftovers}",
-                factor=leftovers)
         members = []
-        entries = [(Fraction(r), 1, m) for r, m in roots]
-        inf_mult = DIM - (len(det) - 1)
-        if inf_mult > 0:
-            entries.append((Fraction(1), 0, inf_mult))
-        for lam, mu, mult in entries:
-            M = self.member(lam, mu)
-            members.append(RankMember(
-                root=proj_normalize((Fraction(lam), Fraction(mu))),
-                rank=mat_rank(QQ, M),
-                multiplicity=mult,
-                kernel=nullspace(QQ, M)))
+        for alpha, sizes in self.jordan_data()[1]:
+            root = self._root_of(alpha)
+            M = self.member(*root)
+            members.append(RankMember(root=root, rank=mat_rank(QQ, M),
+                                      multiplicity=sum(sizes),
+                                      kernel=nullspace(QQ, M)))
         members.sort(key=lambda m: m.root)
         self._members = members
         return members

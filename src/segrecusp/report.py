@@ -68,7 +68,6 @@ class SurfaceConfig:
         self.raw = raw
         self.order = int(raw.get("order", 8))
         self.seed = int(raw.get("seed", 0))
-        self.tolerance = float(raw.get("tolerance", 1e-12))
         self.symbol = None
         self.params = None
         self.quadrics = None
@@ -132,8 +131,7 @@ class SurfaceConfig:
         if not report.ok:
             raise ValidationFailure(
                 f"surface validation failed: {report.failures}", report=report)
-        return SurfaceInstance(pencil, order=self.order, seed=self.seed,
-                               tolerance=self.tolerance)
+        return SurfaceInstance(pencil, order=self.order, seed=self.seed)
 
     def echo(self):
         return self.raw

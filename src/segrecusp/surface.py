@@ -85,12 +85,10 @@ class ADEClass:
 class SurfaceInstance:
     """A Segre surface cut out by a validated pencil, plus cached geometry."""
 
-    def __init__(self, pencil: QuadricPencil, order=DEFAULT_ORDER, seed=0,
-                 tolerance=1e-12):
+    def __init__(self, pencil: QuadricPencil, order=DEFAULT_ORDER, seed=0):
         self.pencil = pencil
         self.order = order
         self.seed = seed
-        self.tolerance = tolerance
         self.point_source = None   # optional exact parameterization
         self.lines = None          # filled by segrecusp.lines.enumerate_lines
         self._singular = None

@@ -1,8 +1,8 @@
 """Acceptance suite: the eight exit criteria, one pass/fail line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines.  Exact cells carry zero tolerance; the numeric line search uses
-residual < 1e-10 with dedup radius 1e-6.
+lines.  Exact cells carry zero tolerance; a numeric line of the census
+must have containment residual < 1e-10.
 """
 
 import json

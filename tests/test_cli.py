@@ -78,6 +78,8 @@ def test_table1_subset(capsys):
     ["table1", "--symbols", "[9]"],
     ["table1", "--symbols", "[1(11)(11)"],
     ["table1", "--symbols", "[(111)11]"],
+    ["table1", "--symbols", "[5]", "--order", "-1"],
+    ["table1", "--symbols", "[5]", "--order", "0"],
 ])
 def test_malformed_input_is_an_error(argv, tmp_path, capsys):
     if argv[0] == "point-case":

@@ -1,13 +1,20 @@
+import itertools
+import json
+import random
 from fractions import Fraction
+from importlib import resources
 
+import numpy as np
 import pytest
 
 from segrecusp.fields import QQ
 from segrecusp.instances import table1_instance
+from segrecusp.linalg import mat_det
 from segrecusp.lines import (coordinate_lines, count_lines_through_singular_point,
                              enumerate_lines, line_contained_exact,
-                             lines_through_singular_point)
-from segrecusp.pencil import default_instance
+                             lines_through_singular_point, off_singular_lines)
+from segrecusp.pencil import (TABLE1_SYMBOLS, SegreSymbol, default_instance,
+                              normal_form)
 from segrecusp.surface import SurfaceInstance
 
 EXPECTED_COUNTS = {
@@ -95,3 +102,68 @@ def test_census_keeps_lines_through_a_singular_point():
     census = enumerate_lines(SurfaceInstance(pen, seed=7), starts_per_chart=200)
     assert census.counts == (0, 4, 0)
     assert census.warnings == []
+
+
+# --------------------------------------------------------------------------
+# the census of every Table-1 symbol, in default form and congruent copies
+
+with resources.files("segrecusp").joinpath("data", "table1.json").open() as fh:
+    TABLE1 = json.load(fh)["rows"]
+
+
+def _random_congruences(seed):
+    """One invertible integer matrix with entries in [-2, 2] per Table-1
+    symbol, drawn from random.Random(seed) in Table-1 order."""
+    rng, out = random.Random(seed), {}
+    for symbol in TABLE1_SYMBOLS:
+        while True:
+            A = [[Fraction(rng.randint(-2, 2)) for _ in range(5)]
+                 for _ in range(5)]
+            if mat_det(QQ, A):
+                out[str(symbol)] = A
+                break
+    return out
+
+
+def _check_census(pencil, symbol):
+    census = enumerate_lines(SurfaceInstance(pencil))
+    assert list(census.counts) == TABLE1[symbol]["lines"]
+    assert census.warnings == []
+    for line in census.lines:
+        if line.exactness == "exact":
+            assert line_contained_exact(pencil, line.point_a, line.point_b)
+        else:
+            assert line.residual_bound < 1e-10
+
+
+@pytest.mark.parametrize("symbol", [str(s) for s in TABLE1_SYMBOLS])
+def test_census_matches_table1_default_and_congruent(symbol):
+    form = default_instance(symbol)
+    _check_census(form, symbol)
+    _check_census(form.congruent(_random_congruences(1)[symbol]), symbol)
+
+
+@pytest.mark.parametrize("symbol", ["[1(11)(11)]", "[(11)3]", "[(14)]"])
+def test_derogatory_census_has_no_line_off_sing(symbol):
+    # every line meets the vertex line of a rank-3 cone, hence Sing(S)
+    pen = normal_form(symbol, [3, -1, 4][:len(SegreSymbol.parse(symbol).units)])
+    assert off_singular_lines(pen) == ([], [])
+    census = enumerate_lines(SurfaceInstance(pen.congruent(
+        _random_congruences(5)[symbol])))
+    assert census.counts[0] == 0
+    assert sum(census.counts) == sum(TABLE1[symbol]["lines"])
+    assert census.warnings == []
+
+
+def test_census_ignores_search_keywords():
+    pen = default_instance("[1112]").congruent(_random_congruences(1)["[1112]"])
+    inst = SurfaceInstance(pen, seed=3)
+    runs = [{"seed": seed, "starts_per_chart": starts} for seed, starts in
+            itertools.product((0, 5), (None, 50))]
+    seen = set()
+    for kwargs in runs + [{"newton_tol": 1e-3, "dedup": 1e-2}]:
+        census = enumerate_lines(inst, **kwargs)
+        seen.add((census.counts, tuple(
+            tuple(np.round(l.plucker_float(), 8).tolist())
+            for l in census.lines)))
+    assert len(seen) == 1
