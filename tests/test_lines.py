@@ -1,4 +1,3 @@
-import itertools
 import json
 import random
 from fractions import Fraction
@@ -137,10 +136,10 @@ def _check_census(pencil, symbol):
 
 
 @pytest.mark.parametrize("symbol", [str(s) for s in TABLE1_SYMBOLS])
-def test_census_matches_table1_default_and_congruent(symbol):
-    form = default_instance(symbol)
-    _check_census(form, symbol)
-    _check_census(form.congruent(_random_congruences(1)[symbol]), symbol)
+def test_census_matches_table1_congruent(symbol):
+    # the default forms are criterion 1 of the acceptance suite
+    _check_census(default_instance(symbol).congruent(
+        _random_congruences(1)[symbol]), symbol)
 
 
 @pytest.mark.parametrize("symbol", ["[1(11)(11)]", "[(11)3]", "[(14)]"])
@@ -158,12 +157,22 @@ def test_derogatory_census_has_no_line_off_sing(symbol):
 def test_census_ignores_search_keywords():
     pen = default_instance("[1112]").congruent(_random_congruences(1)["[1112]"])
     inst = SurfaceInstance(pen, seed=3)
-    runs = [{"seed": seed, "starts_per_chart": starts} for seed, starts in
-            itertools.product((0, 5), (None, 50))]
     seen = set()
-    for kwargs in runs + [{"newton_tol": 1e-3, "dedup": 1e-2}]:
+    for kwargs in [{}, {"starts_per_chart": 50},
+                   {"newton_tol": 1e-3, "dedup": 1e-2}]:
         census = enumerate_lines(inst, **kwargs)
         seen.add((census.counts, tuple(
             tuple(np.round(l.plucker_float(), 8).tolist())
             for l in census.lines)))
     assert len(seen) == 1
+
+
+def test_uncertified_numeric_line_is_a_warning(monkeypatch):
+    from segrecusp import lines
+    pen = default_instance("[11111]")
+    _, numeric = off_singular_lines(pen)
+    numeric[0].residual_bound = 1e-6
+    monkeypatch.setattr(lines, "off_singular_lines", lambda pencil: ([], numeric))
+    census = enumerate_lines(SurfaceInstance(pen))
+    assert census.counts == (16, 0, 0)
+    assert census.warnings == ["numeric line not certified: residual 1.0e-06"]
