@@ -15,21 +15,10 @@ from fractions import Fraction
 
 from .errors import CrossCheckMismatch
 from .fields import QQ, RationalFunctions
+from .linalg import sym_matrix
 from .pencil import QuadricPencil, SegreSymbol
 from .surface import AdaptedChart, ProjectivePoint, SurfaceInstance
 from .lines import LineOnSurface
-
-
-def _sym(entries):
-    M = [[Fraction(0)] * 5 for _ in range(5)]
-    for (i, j), c in entries.items():
-        c = Fraction(c)
-        if i == j:
-            M[i][i] = c
-        else:
-            M[i][j] += c / 2
-            M[j][i] += c / 2
-    return M
 
 
 def _e(i, scale=1):
@@ -74,8 +63,8 @@ def _case_2sing_A1A1_two_pencils(a, b, c):
     return AppendixCase(
         name="double_A1_pair_with_two_conic_pencils",
         symbol="[1(11)(11)]", params=(a, b, c),
-        P=_sym({(0, 1): a, (2, 3): b, (4, 4): c}),
-        Q=_sym({(0, 1): 1, (2, 3): 1, (4, 4): 1}),
+        P=sym_matrix(5, {(0, 1): a, (2, 3): b, (4, 4): c}),
+        Q=sym_matrix(5, {(0, 1): 1, (2, 3): 1, (4, 4): 1}),
         line_points=(0, 2),
         chart_columns=[_e(0), _e(2), _e(4), _e(3), _e(1)],
         expected_m=2, expected_branch=0)
@@ -85,8 +74,8 @@ def _case_3A1(a, b, c):
     return AppendixCase(
         name="three_A1_points",
         symbol="[12(11)]", params=(a, b, c),
-        P=_sym({(0, 1): 2 * a, (1, 1): 1, (2, 3): b, (4, 4): c}),
-        Q=_sym({(0, 1): 2, (2, 3): 1, (4, 4): 1}),
+        P=sym_matrix(5, {(0, 1): 2 * a, (1, 1): 1, (2, 3): b, (4, 4): c}),
+        Q=sym_matrix(5, {(0, 1): 2, (2, 3): 1, (4, 4): 1}),
         line_points=(0, 2),
         chart_columns=[_e(0), _e(2), _e(4), _e(3), _e(1, Fraction(-1, 2))],
         expected_m=2, expected_branch=0)
@@ -96,9 +85,9 @@ def _case_2A1(a, b, c):
     return AppendixCase(
         name="two_A1_points",
         symbol="[122]", params=(a, b, c),
-        P=_sym({(0, 1): 2 * a, (1, 1): 1, (2, 3): 2 * b, (3, 3): 1,
-                (4, 4): c}),
-        Q=_sym({(0, 1): 2, (2, 3): 2, (4, 4): 1}),
+        P=sym_matrix(5, {(0, 1): 2 * a, (1, 1): 1, (2, 3): 2 * b, (3, 3): 1,
+                        (4, 4): c}),
+        Q=sym_matrix(5, {(0, 1): 2, (2, 3): 2, (4, 4): 1}),
         line_points=(0, 2),
         chart_columns=[_e(0), _e(2), _e(4), _e(3), _e(1)],
         expected_m=2, expected_branch=0)
@@ -108,8 +97,8 @@ def _case_A2_2A1(a, b):
     return AppendixCase(
         name="A2_plus_two_A1",
         symbol="[(11)3]", params=(a, b),
-        P=_sym({(0, 2): 2 * a, (1, 1): a, (1, 2): 2, (3, 4): b}),
-        Q=_sym({(0, 2): 2, (1, 1): 1, (3, 4): 1}),
+        P=sym_matrix(5, {(0, 2): 2 * a, (1, 1): a, (1, 2): 2, (3, 4): b}),
+        Q=sym_matrix(5, {(0, 2): 2, (1, 1): 1, (3, 4): 1}),
         line_points=(0, 3),
         chart_columns=[_e(0), _e(3), _e(1), _e(4), _e(2, Fraction(-1, 2))],
         expected_m=3, expected_branch=0,
@@ -120,9 +109,9 @@ def _case_A1A2(a, b):
     return AppendixCase(
         name="A1_plus_A2",
         symbol="[23]", params=(a, b),
-        P=_sym({(0, 2): 2 * a, (1, 1): a, (1, 2): 2, (3, 4): 2 * b,
-                (4, 4): 1}),
-        Q=_sym({(0, 2): 2, (1, 1): 1, (3, 4): 2}),
+        P=sym_matrix(5, {(0, 2): 2 * a, (1, 1): a, (1, 2): 2, (3, 4): 2 * b,
+                        (4, 4): 1}),
+        Q=sym_matrix(5, {(0, 2): 2, (1, 1): 1, (3, 4): 2}),
         line_points=(0, 3),
         chart_columns=[_e(0), _e(3), _e(1), _e(4), _e(2, Fraction(-1, 2))],
         expected_m=3, expected_branch=0,
@@ -133,8 +122,8 @@ def _case_A3_2A1(a, b):
     return AppendixCase(
         name="A3_plus_two_A1",
         symbol="[(11)(12)]", params=(a, b),
-        P=_sym({(0, 1): 2 * a, (1, 1): 1, (2, 2): a, (3, 4): b}),
-        Q=_sym({(0, 1): 2, (2, 2): 1, (3, 4): 1}),
+        P=sym_matrix(5, {(0, 1): 2 * a, (1, 1): 1, (2, 2): a, (3, 4): b}),
+        Q=sym_matrix(5, {(0, 1): 2, (2, 2): 1, (3, 4): 1}),
         line_points=(0, 3),
         chart_columns=[_e(0), _e(3), _e(2), _e(4), _e(1, Fraction(-1, 2))],
         expected_m=4, expected_branch=0,
@@ -145,9 +134,9 @@ def _case_A1A3(a, b):
     return AppendixCase(
         name="A1_plus_A3",
         symbol="[(12)2]", params=(a, b),
-        P=_sym({(0, 1): 2 * a, (1, 1): 1, (2, 3): 2 * b, (3, 3): 1,
-                (4, 4): b}),
-        Q=_sym({(0, 1): 2, (2, 3): 2, (4, 4): 1}),
+        P=sym_matrix(5, {(0, 1): 2 * a, (1, 1): 1, (2, 3): 2 * b, (3, 3): 1,
+                        (4, 4): b}),
+        Q=sym_matrix(5, {(0, 1): 2, (2, 3): 2, (4, 4): 1}),
         line_points=(0, 2),
         chart_columns=[_e(2), _e(0), _e(4), _e(1), _e(3, Fraction(-1, 2))],
         expected_m=4, expected_branch=0,

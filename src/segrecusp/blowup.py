@@ -20,8 +20,9 @@ from .errors import (CrossCheckMismatch, IrrationalEigenvalue, RetryExhausted,
                      SegreCuspError)
 from .fields import QQ
 from .lines import LineOnSurface, line_contained_exact
-from .linalg import complete_basis, mat_inv, mat_vec, nullspace, transpose
-from .pencil import QuadricPencil
+from .linalg import (complete_basis, mat_inv, mat_vec, nullspace,
+                     sym_matrix, transpose)
+from .pencil import QuadricPencil, second_intersection
 from .surface import ProjectivePoint, SurfaceInstance
 
 CUBIC_MONOMIALS = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
@@ -103,17 +104,8 @@ def _quadric_relations(cubics):
     kernel = nullspace(QQ, rows)
     if len(kernel) != 2:
         raise SegreCuspError("parameterization does not satisfy exactly two quadrics")
-    mats = []
-    for vec in kernel:
-        M = [[Fraction(0)] * 5 for _ in range(5)]
-        for coeff, (i, j) in zip(vec, pairs):
-            if i == j:
-                M[i][i] = coeff
-            else:
-                M[i][j] += coeff / 2
-                M[j][i] += coeff / 2
-        mats.append(M)
-    return QuadricPencil(*mats)
+    return QuadricPencil(*(sym_matrix(5, dict(zip(pairs, vec)))
+                           for vec in kernel))
 
 
 def _general_position(points):
@@ -141,16 +133,9 @@ def _conic_through(points):
     kernel = nullspace(QQ, rows)
     if len(kernel) != 1:
         raise CrossCheckMismatch("five points do not fix one conic")
-    conic = {m: c for m, c in zip(monos, kernel[0]) if c}
-    M = [[Fraction(0)] * 3 for _ in range(3)]
-    for (i, j, k), c in conic.items():
-        idx = [t for t, e in enumerate((i, j, k)) for _ in range(e)]
-        if idx[0] == idx[1]:
-            M[idx[0]][idx[0]] = c
-        else:
-            M[idx[0]][idx[1]] += c / 2
-            M[idx[1]][idx[0]] += c / 2
-    return M
+    # the index pair (i, j) of each monomial X_i X_j
+    pairs = [tuple(t for t, e in enumerate(m) for _ in range(e)) for m in monos]
+    return sym_matrix(3, dict(zip(pairs, kernel[0])))
 
 
 def model_lines(model: PlaneModel):
@@ -188,10 +173,7 @@ def model_lines(model: PlaneModel):
     for t in (Fraction(1), Fraction(2), Fraction(3), Fraction(5), Fraction(-1),
               Fraction(7), Fraction(-2)):
         d = [others[0][k] + t * others[1][k] for k in range(3)]
-        from .pencil import bform, qform
-        qd = qform(C, d)
-        bd = bform(C, base, d)
-        pt = tuple(qd * base[k] - 2 * bd * d[k] for k in range(3))
+        pt = tuple(second_intersection(C, base, d))
         if not any(pt):
             continue
         if tuple(Fraction(x) for x in pt) in [tuple(p) for p in model.points]:

@@ -23,12 +23,12 @@ import numpy as np
 from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
                      NonGenericPoint, RootFieldUnsupported, SegreCuspError,
                      TowerUnsupported, TruncationInsufficient)
-from .fields import QQ, QuadraticExtension, RationalFunctions, quadratic_roots
+from .fields import QQ, QuadraticExtension, pmul, psub, quadratic_roots
 from .jets import (BinaryQuadratic, InfiniteOrder, Jet, hensel_solve,
                    splitting_reduce, try_extract_square, y_order)
-from .linalg import mat_rank, nullspace
-from .pencil import qform
-from .surface import AdaptedChart, ProjectivePoint, adapted_chart
+from .linalg import gram_matrix, mat_rank, nullspace
+from .surface import (AdaptedChart, ProjectivePoint, adapted_chart,
+                      chart_quadrics)
 
 DEFAULT_ORDER = 8
 MAX_ORDER = 32
@@ -57,17 +57,17 @@ class HessianAtPoint:
         return bool(self.discriminant) or (not a and not c and b)
 
 
-def _hessian_coefficients(F: Jet, G: Jet):
-    """(Hess F, K, Hess G) from the 2-jets of a graph presentation."""
-    def second(J):
-        return (2 * J.coefficient((2, 0)), J.coefficient((1, 1)),
-                2 * J.coefficient((0, 2)))
-    fxx, fxy, fyy = second(F)
-    gxx, gxy, gyy = second(G)
-    a = fxx * fyy - fxy * fxy
-    b = fxx * gyy + gxx * fyy - 2 * fxy * gxy
-    c = gxx * gyy - gxy * gxy
-    return a, b, c
+def _hessian_form(fxx, fxy, fyy, gxx, gxy, gyy):
+    """(Hess F, K, Hess G) from the second derivatives of F and G."""
+    return (fxx * fyy - fxy * fxy,
+            fxx * gyy + gxx * fyy - 2 * fxy * gxy,
+            gxx * gyy - gxy * gxy)
+
+
+def _second_derivatives(J: Jet):
+    """(J_xx, J_xy, J_yy) at the origin."""
+    return (2 * J.coefficient((2, 0)), J.coefficient((1, 1)),
+            2 * J.coefficient((0, 2)))
 
 
 def hessian_form_at(surface, point, chart=None, order=2,
@@ -76,7 +76,7 @@ def hessian_form_at(surface, point, chart=None, order=2,
     if chart is None:
         chart = adapted_chart(surface, point)
     F, G = chart.solve_graph(max(order, 2))
-    a, b, c = _hessian_coefficients(F, G)
+    a, b, c = _hessian_form(*_second_derivatives(F), *_second_derivatives(G))
     form = BinaryQuadratic(a, b, c)
     roots = quadratic_roots(a, b, c, chart.field) if with_roots else None
     return HessianAtPoint(point=point, chart=chart, form=form,
@@ -145,12 +145,17 @@ def section_germ(surface, point, hyperplane, chart=None, order=DEFAULT_ORDER):
         return None, chart  # contains p but not T_pS: smooth section
     lam, mu = duals
     F, G = chart.solve_graph(order)
-    lam_mu_field = _common_field(chart.field, lam, mu)
-    if lam_mu_field != chart.field:
-        F = F.map_coefficients(lam_mu_field, lam_mu_field.coerce)
-        G = G.map_coefficients(lam_mu_field, lam_mu_field.coerce)
-        lam, mu = lam_mu_field.coerce(lam), lam_mu_field.coerce(mu)
-    return F * lam + G * mu, chart
+    field = _common_field(chart.field, lam, mu)
+    return _section_jet(F, G, lam, mu, field), chart
+
+
+def _section_jet(F, G, lam, mu, field):
+    """lam F + mu G, with F, G, lam and mu coerced into ``field``."""
+    if field != F.field:
+        F = F.map_coefficients(field, field.coerce)
+        G = G.map_coefficients(field, field.coerce)
+        lam, mu = field.coerce(lam), field.coerce(mu)
+    return F * lam + G * mu
 
 
 def _common_field(field, *values):
@@ -196,17 +201,9 @@ def point_case(surface, point, order=DEFAULT_ORDER) -> PointCase:
     if not hess.has_two_distinct_roots:
         raise NonGenericPoint(
             f"Hessian form at {point} is degenerate; the point is not generic")
-    chart = hess.chart
-    F, G = chart.solve_graph(order)
-    classes = []
-    for rfield, (lam, mu), _m in hess.roots:
-        Fr, Gr = F, G
-        if rfield != chart.field:
-            Fr = F.map_coefficients(rfield, rfield.coerce)
-            Gr = G.map_coefficients(rfield, rfield.coerce)
-            lam, mu = rfield.coerce(lam), rfield.coerce(mu)
-        h = Fr * lam + Gr * mu
-        classes.append(classify_plane_germ(h))
+    F, G = hess.chart.solve_graph(order)
+    classes = [classify_plane_germ(_section_jet(F, G, lam, mu, rfield))
+               for rfield, (lam, mu), _m in hess.roots]
     kinds = sorted(c.kind for c in classes)
     squares = kinds.count("PerfectSquare")
     if squares == 2:
@@ -286,7 +283,7 @@ def line_chart(surface, line, base_param=None):
             if not surface.is_smooth_at(base):
                 continue
             chart = adapted_chart(surface, base, line)
-            if _line_chart_jets(surface, chart, order=1, probe=True):
+            if _graph_solvable_along_line(surface, chart):
                 return chart
         except SegreCuspError as exc:
             last_error = exc
@@ -294,32 +291,19 @@ def line_chart(surface, line, base_param=None):
     raise SegreCuspError(f"no usable base point found on {line}: {last_error}")
 
 
-def _line_chart_jets(surface, chart, order, probe=False):
-    """The two quadrics as jets in (y, z, w) over Q(x) for an aligned chart.
+def _graph_solvable_along_line(surface, chart):
+    """Whether d(q1, q2)/d(z, w) is invertible along the aligned line.
 
-    With ``probe`` set, returns only whether d(q1, q2)/d(z, w) is invertible
-    at y = z = w = 0; that reads constant terms, so order 1 suffices.
+    Read over Q off the Gram matrices G = C^T M C of the chart, with x the
+    line parameter: q(c_0 + x c_1) = G_00 + 2 G_01 x + G_11 x^2 must vanish
+    identically, and dq/dv there is 2 (G_0v + G_1v x) for v = z, w.
     """
-    Kx = RationalFunctions("x")
-    x = Kx.gen
-    names = ("y", "z", "w")
-    jets = []
-    for k in range(5):
-        const = Kx.coerce(chart.columns[0][k]) + x * Kx.coerce(chart.columns[1][k])
-        terms = {(0, 0, 0): const}
-        for i in range(3):
-            e = tuple(1 if j == i else 0 for j in range(3))
-            terms[e] = Kx.coerce(chart.columns[i + 2][k])
-        jets.append(Jet(Kx, names, order, terms))
-    P, Q = surface.pencil.coerced(Kx)
-    q1, q2 = qform(P, jets), qform(Q, jets)
-    if q1.constant_term() or q2.constant_term():
+    grams = [gram_matrix(QQ, M, chart.columns) for M in surface.pencil.coerced(QQ)]
+    if any(G[0][0] or G[0][1] or G[1][1] for G in grams):
         raise SegreCuspError("chart is not aligned: quadrics do not vanish on it")
-    if probe:
-        jz = [[e.derivative(v).constant_term() for v in ("z", "w")]
-              for e in (q1, q2)]
-        return bool(jz[0][0] * jz[1][1] - jz[0][1] * jz[1][0])
-    return q1, q2
+    (p_z, p_w), (q_z, q_w) = ([(G[0][v], G[1][v]) for v in (3, 4)]
+                              for G in grams)
+    return bool(psub(pmul(p_z, q_w), pmul(p_w, q_z)))
 
 
 def line_report(surface, line, chart=None, order=None) -> HessianAlongLine:
@@ -344,7 +328,8 @@ def line_report(surface, line, chart=None, order=None) -> HessianAlongLine:
 
 
 def _line_report_at_order(surface, line, chart, order):
-    q1, q2 = _line_chart_jets(surface, chart, order=order)
+    q1, q2 = chart_quadrics(surface.pencil, QQ, chart.columns, ("y", "z", "w"),
+                            order)
     F, G = hensel_solve([q1, q2], ("z", "w"), order=order)
 
     def split_derivs(J):
@@ -352,11 +337,7 @@ def _line_report_at_order(surface, line, chart, order):
         return (Jx.coefficient_derivative(), Jx.derivative("y"),
                 J.derivative("y").derivative("y"))
 
-    fxx, fxy, fyy = split_derivs(F)
-    gxx, gxy, gyy = split_derivs(G)
-    a = fxx * fyy - fxy * fxy
-    b = fxx * gyy + gxx * fyy - 2 * fxy * gxy
-    c = gxx * gyy - gxy * gxy
+    a, b, c = _hessian_form(*split_derivs(F), *split_derivs(G))
     orders = tuple(y_order(j, "y") for j in (a, b, c))
     m = _line_multiplicity(orders)
     disc = b * b - 4 * (a * c)

@@ -22,6 +22,7 @@ from itertools import combinations
 
 from .errors import OrderTooSmall, SingularJacobian
 from .fields import pdivmod
+from .linalg import mat_rank
 
 
 DEFAULT_ORDER = 8
@@ -572,24 +573,6 @@ def _quadratic_matrix(f: Jet):
     return H
 
 
-def _matrix_rank(H, field):
-    M = [row[:] for row in H]
-    n = len(M)
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, n) if M[r][col]), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = field.one / M[rank][col]
-        for r in range(n):
-            if r != rank and M[r][col]:
-                factor = M[r][col] * inv
-                M[r] = [a - factor * b for a, b in zip(M[r], M[rank])]
-        rank += 1
-    return rank
-
-
 def splitting_reduce(f: Jet):
     """Split a germ (no constant or linear part) into squares plus a residual.
 
@@ -607,7 +590,7 @@ def splitting_reduce(f: Jet):
     field = f.field
     H = _quadratic_matrix(f)
     n = len(f.vars)
-    rank = _matrix_rank(H, field)
+    rank = mat_rank(field, H)
     if rank == n:
         return SplitResult(rank=rank, residual_vars=(),
                            residual=Jet.zero(field, f.vars[:1], f.order))
@@ -618,7 +601,7 @@ def splitting_reduce(f: Jet):
             f"truncation order {f.order} < 3 leaves no critical set to solve")
     # a symmetric matrix of rank r has a nonsingular r x r principal minor
     S = next(S for S in combinations(range(n), rank)
-             if _matrix_rank([[H[i][j] for j in S] for i in S], field) == rank)
+             if mat_rank(field, [[H[i][j] for j in S] for i in S]) == rank)
     solve_vars = tuple(f.vars[i] for i in S)
     rest = tuple(v for v in f.vars if v not in solve_vars)
     # The residual keeps order f.order although phi is solved only to order

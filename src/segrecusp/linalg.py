@@ -33,6 +33,15 @@ def mat_vec(A, v):
             for i in range(len(A))]
 
 
+def gram_matrix(field, M, vectors):
+    """The matrix (v_a^T M v_b) of the vectors, skipping zero entries."""
+    supports = [[(k, v) for k, v in enumerate(c) if v] for c in vectors]
+    images = [[sum((row[k] * v for k, v in support if row[k]), field.zero)
+               for row in M] for support in supports]
+    return [[sum((v * images[b][k] for k, v in supports[a]), field.zero)
+             for b in range(len(vectors))] for a in range(len(vectors))]
+
+
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
@@ -127,6 +136,23 @@ def mat_inv(field, M):
     if len(pivots) != n:
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in aug]
+
+
+def sym_matrix(n, coeffs):
+    """The symmetric n x n matrix of the quadratic form sum c X_i X_j.
+
+    ``coeffs`` maps index pairs (i, j) to monomial coefficients c: c goes on
+    the diagonal when i == j and c/2 to (i, j) and (j, i) otherwise.
+    """
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), c in coeffs.items():
+        c = Fraction(c)
+        if i == j:
+            M[i][i] = c
+        else:
+            M[i][j] += c / 2
+            M[j][i] += c / 2
+    return M
 
 
 def complete_basis(field, vectors, n):

@@ -21,7 +21,7 @@ import sympy
 from .errors import CrossCheckMismatch, RootFieldUnsupported, TowerUnsupported
 from .fields import (QQ, QuadraticExtension, padd, pgcd, pmul,
                      quadratic_roots, squarefree_split)
-from .linalg import identity, mat_mul, mat_rank, mat_vec, nullspace
+from .linalg import gram_matrix, identity, mat_mul, mat_rank, mat_vec, nullspace
 from .pencil import bform, qform
 from .surface import ProjectivePoint
 
@@ -144,14 +144,9 @@ def _through_point_forms(pencil, s_point):
     # the quotient coordinates (q is constant on cosets of s there)
     forms = []
     for M in (pencil.P, pencil.Q):
-        f = {}
-        for i in range(3):
-            for j in range(i, 3):
-                c = qform(M, reduced[i]) if i == j \
-                    else 2 * bform(M, reduced[i], reduced[j])
-                if c:
-                    f[(i, j)] = c
-        forms.append(f)
+        G = gram_matrix(QQ, M, reduced)
+        forms.append({(i, j): G[i][j] if i == j else 2 * G[i][j]
+                      for i in range(3) for j in range(i, 3) if G[i][j]})
     return reduced, forms
 
 

@@ -46,6 +46,13 @@ def bform(M, X, Y):
     return acc
 
 
+def second_intersection(M, p, w):
+    """The second point of the quadric X^T M X = 0 on the line through its
+    point p in the direction w: q(w) p - 2 b(p, w) w."""
+    qw, bw = qform(M, w), bform(M, p, w)
+    return [qw * pk - 2 * bw * wk for pk, wk in zip(p, w)]
+
+
 def member_matrix(P, Q, lam, mu):
     return [[lam * p + mu * q for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)]
 

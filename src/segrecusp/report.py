@@ -66,7 +66,11 @@ class SurfaceConfig:
 
     def __init__(self, raw):
         self.raw = raw
-        self.order = int(raw.get("order", 8))
+        self.order = raw.get("order", 8)
+        if isinstance(self.order, bool) or not isinstance(self.order, int) \
+                or self.order < 2:
+            raise ConfigError(
+                f"\"order\" must be an integer at least 2, got {self.order!r}")
         self.seed = int(raw.get("seed", 0))
         self.symbol = None
         self.params = None

@@ -15,10 +15,11 @@ from fractions import Fraction
 from .errors import (CrossCheckMismatch, NonIsolatedSingularity, OrderTooSmall,
                      PointNotOnLine, PointSingular, ReducibleImageConic,
                      RetryExhausted, SegreCuspError, UnsupportedSingularity)
-from .fields import QQ, pgcd, proj_normalize, quadratic_roots
+from .fields import (QQ, RatFuncElem, RationalFunctions, pgcd,
+                     proj_normalize, quadratic_roots)
 from .jets import Jet, hensel_solve, splitting_reduce
-from .linalg import complete_basis, mat_rank, mat_vec, nullspace
-from .pencil import QuadricPencil, bform, qform
+from .linalg import complete_basis, gram_matrix, mat_rank, mat_vec, nullspace
+from .pencil import QuadricPencil, bform, qform, second_intersection
 
 DEFAULT_ORDER = 8
 
@@ -268,41 +269,24 @@ def hypersurface_germ(surface, point, order=DEFAULT_ORDER):
 
     Returns a 3-variable jet f with f(0) = 0 whose zero germ is (S, p).
     """
-    field = point.field
-    coords = list(point.coords)
-    P, Q = surface.pencil.coerced(field)
-    candidates = [(Q, P), (P, Q)]
-    grads = {0: mat_vec(candidates[0][0], coords), 1: mat_vec(candidates[1][0], coords)}
-    use = next((k for k in (0, 1) if any(grads[k])), None)
-    if use is None:
+    names = ("u1", "u2", "u3", "u4")
+    q_p, q_q = chart_quadrics(surface.pencil, point.field,
+                              [list(point.coords)] + _affine_chart_vectors(point),
+                              names, order)
+    # a member is smooth at p when its chart jet has a linear part, which
+    # is its gradient at p read in the chart directions
+    for member, other in ((q_q, q_p), (q_p, q_q)):
+        linear = member.homogeneous_part(1)
+        if linear:
+            break
+    else:
         raise UnsupportedSingularity(
             "both quadrics are singular at the point: not a hypersurface germ")
-    member, other = candidates[use]
-
-    basis = _affine_chart_vectors(point)
-    names = ("u1", "u2", "u3", "u4")
-    jets = []
-    for k in range(5):
-        terms = {(0, 0, 0, 0): coords[k]}
-        for i, b in enumerate(basis):
-            e = tuple(1 if j == i else 0 for j in range(4))
-            terms[e] = b[k]
-        jets.append(Jet(field, names, order, terms))
-    q_member = qform(member, jets)
-    q_other = qform(other, jets)
-
-    grad = grads[use]
-    solve_idx = next((i for i, b in enumerate(basis)
-                      if sum(grad[k] * b[k] for k in range(5))), None)
-    if solve_idx is None:
-        # grad . X = 2 q(X) = 0, so a nonzero gradient meets some b_i
-        raise CrossCheckMismatch(
-            f"no chart direction at {point} meets the member's gradient")
-    solve_var = names[solve_idx]
-    (h,) = hensel_solve([q_member], (solve_var,), order=order)
-    images = {v: Jet.variable(field, h.vars, order, v) for v in h.vars}
+    solve_var = names[min(e.index(1) for e in linear)]
+    (h,) = hensel_solve([member], (solve_var,), order=order)
+    images = {v: Jet.variable(point.field, h.vars, order, v) for v in h.vars}
     images[solve_var] = h
-    return q_other.substitute(images)
+    return other.substitute(images)
 
 
 def _binary_cubic_double_root(coeffs, field):
@@ -395,6 +379,41 @@ def classify_singularity(surface, point, order=DEFAULT_ORDER) -> ADEClass:
 # adapted charts
 
 
+def chart_quadrics(pencil, field, columns, names, order):
+    """The two quadrics of S on the chart X = c_0 + t_1 c_1 + ... + t_k c_k.
+
+    With t_0 = 1 and G = C^T M C, the restriction of a quadric M is
+    sum_{a <= b} (2 - delta_ab) G_ab t_a t_b, so the jets in ``names`` (to
+    total degree ``order``) are read off the Gram matrices with scalar
+    products only.  ``columns`` lie over ``field``, the constant column first.
+    With one name fewer than chart directions, t_1 is the line parameter x of
+    Q(x) and each coefficient is a polynomial of degree at most 2 in x.
+    """
+    fold = len(columns) - 1 - len(names)      # 1: t_1 is folded into Q(x)
+    units = [tuple(int(i == j) for i in range(len(names)))
+             for j in range(len(names))]
+    # exponent over ``names`` and power of x of each chart coordinate t_a
+    exps = [(0,) * len(names)] * (1 + fold) + units
+    xdeg = [0, fold] + [0] * (len(columns) - 2)
+    jets = []
+    for M in pencil.coerced(field):
+        G = gram_matrix(field, M, columns)
+        polys = {}
+        for a in range(len(columns)):
+            for b in range(a, len(columns)):
+                if G[a][b]:
+                    e = tuple(i + j for i, j in zip(exps[a], exps[b]))
+                    poly = polys.setdefault(e, [field.zero] * 3)
+                    poly[xdeg[a] + xdeg[b]] += (2 - (a == b)) * G[a][b]
+        if fold:
+            jets.append(Jet(RationalFunctions("x"), names, order,
+                            {e: RatFuncElem.make(p) for e, p in polys.items()}))
+        else:
+            jets.append(Jet(field, names, order,
+                            {e: p[0] for e, p in polys.items()}))
+    return tuple(jets)
+
+
 @dataclass
 class AdaptedChart:
     """Exact linear chart: X = c0 + x c1 + y c2 + z c3 + w c4.
@@ -413,16 +432,8 @@ class AdaptedChart:
 
     def chart_jets(self, order):
         """The two quadrics as jets in (x, y, z, w) centered at the base point."""
-        field = self.field
-        jets = []
-        for k in range(5):
-            terms = {(0, 0, 0, 0): self.columns[0][k]}
-            for i in range(4):
-                e = tuple(1 if j == i else 0 for j in range(4))
-                terms[e] = self.columns[i + 1][k]
-            jets.append(Jet(field, self.VAR_NAMES, order, terms))
-        P, Q = self.surface.pencil.coerced(field)
-        return qform(P, jets), qform(Q, jets)
+        return chart_quadrics(self.surface.pencil, self.field, self.columns,
+                              self.VAR_NAMES, order)
 
     def solve_graph(self, order):
         """F, G with the surface locally {z = F(x,y), w = G(x,y)}."""
@@ -597,12 +608,9 @@ def sample_rational_points(surface, count, rng=None, avoid=None,
             M_cache[key] = surface.pencil.member(*member.root)
         M = M_cache[key]
         w = [Fraction(rng.randint(-9, 9)) for _ in range(5)]
-        qw = qform(M, w)
-        bw = bform(M, seed_vec, w)
-        if not qw:
+        if not qform(M, w):
             continue
-        # second intersection of the line through the seed with the cone
-        d = [qw * seed_vec[k] - 2 * bw * w[k] for k in range(5)]
+        d = second_intersection(M, seed_vec, w)
         if not any(d):
             continue
         s = list(s_pt.coords)
@@ -657,10 +665,7 @@ def _conic_tangency_point(surface, member, t):
     # two directions completing the base modulo the kernel
     comp = complete_basis(QQ, member.kernel + [base], 5)[len(member.kernel) + 1:]
     w1, w2 = comp
-    w = [w1[k] + t * w2[k] for k in range(5)]
-    qw = qform(N, w)
-    bw = bform(N, base, w)
-    u = [qw * base[k] - 2 * bw * w[k] for k in range(5)]
+    u = second_intersection(N, base, [w1[k] + t * w2[k] for k in range(5)])
     if not any(u):
         raise ReducibleImageConic("conic parameterization degenerated")
     return N, u
@@ -693,7 +698,7 @@ def double_conic_points(surface, member, t, count=3, rng=None):
     plane = [list(v) for v in member.kernel] + [u]
     # restriction of a quadric to the plane (both restrict proportionally)
     for M in (surface.pencil.Q, surface.pencil.P):
-        f = [[bform(M, plane[i], plane[j]) for j in range(3)] for i in range(3)]
+        f = gram_matrix(QQ, M, plane)
         if any(any(row) for row in f):
             break
     # a singular point of S on the kernel line, in plane coordinates
@@ -714,11 +719,9 @@ def double_conic_points(surface, member, t, count=3, rng=None):
         if len(out) >= count:
             break
         d = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
-        qd = qform(f, d)
-        if not qd:
+        if not qform(f, d):
             continue
-        bd = bform(f, anchor, d)
-        pc = [qd * anchor[i] - 2 * bd * d[i] for i in range(3)]
+        pc = second_intersection(f, anchor, d)
         coords = [sum(pc[j] * plane[j][i] for j in range(3)) for i in range(5)]
         if not any(coords):
             continue

@@ -89,6 +89,14 @@ def test_malformed_input_is_an_error(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("order", [-1, 0, 2.5])
+def test_config_order_below_two_is_an_error(order, tmp_path, capsys):
+    path = write_config(tmp_path, {"symbol": "[5]", "params": ["1"],
+                                   "order": order})
+    assert main(["surface-report", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_surface_report_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, {"symbol": "[23]",
                                    "params": ["1", "2"], "seed": 6})

@@ -5,11 +5,14 @@ import pytest
 
 from segrecusp.appendix import appendix_cases
 from segrecusp.errors import PointSingular
-from segrecusp.fields import QQ
+from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions
 from segrecusp.instances import table1_instance
-from segrecusp.linalg import mat_rank
+from segrecusp.jets import Jet
+from segrecusp.linalg import mat_det, mat_rank
+from segrecusp.pencil import default_instance, qform
 from segrecusp.surface import (ProjectivePoint,
-                               adapted_chart, double_conic_hyperplane,
+                               adapted_chart, chart_quadrics,
+                               double_conic_hyperplane,
                                double_conic_points, sample_rational_points,
                                singular_sweep_numeric)
 
@@ -91,6 +94,53 @@ def test_adapted_chart_roundtrip(smooth_model):
     from segrecusp.linalg import mat_inv, mat_mul, identity
     A = [[chart.columns[j][i] for j in range(5)] for i in range(5)]
     assert mat_mul(mat_inv(QQ, A), A) == identity(QQ, 5)
+
+
+def _linear_jets(field, const, directions, names, order):
+    """X = const + sum_a t_a directions[a] as five linear jets."""
+    units = [tuple(int(i == a) for i in range(len(names)))
+             for a in range(len(names))]
+    return [Jet(field, names, order,
+                {(0,) * len(names): const[k],
+                 **{e: d[k] for e, d in zip(units, directions)}})
+            for k in range(5)]
+
+
+@pytest.mark.parametrize("order", range(1, 9))
+def test_chart_quadrics_match_qform_on_linear_jets(order):
+    # the reference is q(X) evaluated on linear jets; at order 1 the
+    # degree-2 terms of the restriction are truncated away
+    rng = random.Random(order)
+    while True:
+        A = [[F(rng.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
+        if mat_det(QQ, A):
+            break
+    Kr2, Kx = QuadraticExtension(2), RationalFunctions("x")
+    for pencil in (default_instance("[1112]"),
+                   default_instance("[23]").congruent(A)):
+        rational = [[F(rng.randint(-2, 2)) for _ in range(5)]
+                    for _ in range(5)]
+        quadratic = [[Kr2.coerce(rng.randint(-2, 2))
+                      + Kr2.sqrt_gen * rng.randint(-2, 2) for _ in range(5)]
+                     for _ in range(5)]
+        cases = [(field, cols, ("x", "y", "z", "w"), field,
+                  _linear_jets(field, cols[0], cols[1:],
+                               ("x", "y", "z", "w"), order))
+                 for field, cols in ((QQ, rational), (Kr2, quadratic))]
+        # the line form: x is the parameter of c_0 + x c_1, over Q(x)
+        const = [Kx.coerce(a) + Kx.gen * b
+                 for a, b in zip(rational[0], rational[1])]
+        directions = [[Kx.coerce(v) for v in c] for c in rational[2:]]
+        cases.append((QQ, rational, ("y", "z", "w"), Kx,
+                      _linear_jets(Kx, const, directions, ("y", "z", "w"),
+                                   order)))
+        for field, cols, names, jet_field, X in cases:
+            got = chart_quadrics(pencil, field, cols, names, order)
+            want = [qform(M, X) for M in pencil.coerced(jet_field)]
+            for g, w in zip(got, want):
+                assert (g.field, g.vars, g.order) == (jet_field, names, order)
+                assert g.coeffs == w.coeffs
+                assert all(sum(e) <= order for e in g.coeffs)
 
 
 def test_adapted_chart_rejects_singular_point():
