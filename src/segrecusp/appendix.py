@@ -42,8 +42,8 @@ class AppendixCase:
     def pencil(self):
         return QuadricPencil(self.P, self.Q)
 
-    def surface(self, order=8, seed=0):
-        return SurfaceInstance(self.pencil(), order=order, seed=seed)
+    def surface(self, seed=0):
+        return SurfaceInstance(self.pencil(), seed=seed)
 
     def line(self):
         i, j = self.line_points
@@ -178,7 +178,7 @@ def verify_appendix(order=8):
 
     results = []
     for case in appendix_cases():
-        surf = case.surface(order=order)
+        surf = case.surface()
         symbol = surf.pencil.segre_symbol()
         if symbol != SegreSymbol.parse(case.symbol):
             raise CrossCheckMismatch(

@@ -189,11 +189,11 @@ def model_lines(model: PlaneModel):
     return lines
 
 
-def smooth_segre_instance(seed=0, order=8, attempts=60) -> SurfaceInstance:
+def smooth_segre_instance(seed=0) -> SurfaceInstance:
     """A smooth Segre surface with rational parameterization and exact lines."""
     rng = random.Random(seed)
     base = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1), (2, 3, 1)]
-    for attempt in range(attempts):
+    for attempt in range(60):
         pts = base if attempt == 0 else \
             [(rng.randint(-6, 6), rng.randint(-6, 6), 1) for _ in range(5)]
         try:
@@ -202,7 +202,7 @@ def smooth_segre_instance(seed=0, order=8, attempts=60) -> SurfaceInstance:
             lines = model_lines(model)
         except (SegreCuspError, IrrationalEigenvalue):
             continue
-        inst = SurfaceInstance(model.pencil, order=order, seed=seed)
+        inst = SurfaceInstance(model.pencil, seed=seed)
         if inst.singular_points():
             continue
 
@@ -223,7 +223,7 @@ def smooth_segre_instance(seed=0, order=8, attempts=60) -> SurfaceInstance:
     raise RetryExhausted("no smooth rational model found")
 
 
-def surface_through_line(seed=0, order=8, attempts=60) -> SurfaceInstance:
+def surface_through_line(seed=0) -> SurfaceInstance:
     """A pencil of quadrics vanishing on the coordinate line {X2=X3=X4=0}.
 
     Built by moving a rational line of a smooth model into coordinate
@@ -231,8 +231,8 @@ def surface_through_line(seed=0, order=8, attempts=60) -> SurfaceInstance:
     carry no X0^2, X0*X1 or X1^2 monomials.
     """
     rng = random.Random(seed ^ 0x5EED)
-    for _ in range(attempts):
-        inst = smooth_segre_instance(seed=rng.randrange(10 ** 6), order=order)
+    for _ in range(60):
+        inst = smooth_segre_instance(seed=rng.randrange(10 ** 6))
         line = inst.lines[rng.randrange(len(inst.lines))]
         a, b = line.span_over(QQ)
         A = transpose(complete_basis(QQ, [a, b], 5))   # columns a, b, ...
@@ -240,7 +240,7 @@ def surface_through_line(seed=0, order=8, attempts=60) -> SurfaceInstance:
         for M in (new_pencil.P, new_pencil.Q):
             if M[0][0] or M[0][1] or M[1][1]:
                 raise CrossCheckMismatch("the moved line is not span(e0, e1)")
-        out = SurfaceInstance(new_pencil, order=order, seed=seed)
+        out = SurfaceInstance(new_pencil, seed=seed)
         if out.singular_points():
             continue
         Ainv = mat_inv(QQ, A)

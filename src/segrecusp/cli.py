@@ -71,7 +71,8 @@ def cmd_surface_report(args):
     try:
         from .cusplocus import sample_point_cases
         for p, pc in sample_point_cases(surface, 3,
-                                        rng=random.Random(config.seed + 11)):
+                                        rng=random.Random(config.seed + 11),
+                                        order=config.order):
             point_cases.append({"point": point_payload(p), "case": pc.case})
     except SegreCuspError as exc:
         notes.append(f"point sampling unavailable: {exc}")
@@ -227,8 +228,7 @@ def cmd_table1(args):
     all_ok = True
     for canon in wanted:
         expected = fixture["rows"][canon]
-        surface = table1_instance(canon, order=args.order or 8,
-                                  seed=args.seed or 0)
+        surface = table1_instance(canon, seed=args.seed or 0)
         cells = {}
         sing = surface.singularity_multiset()
         cells["sing"] = {"got": sing, "want": sorted(expected["sing"]),
@@ -283,11 +283,10 @@ def build_parser():
         if config:
             p.add_argument("--config", required=True, help="surface config JSON")
         p.add_argument("--order", type=int, default=None,
-                       help="jet truncation order, at least 2 (default: "
-                       "the config's, else 8). line-report, verify-appendix "
-                       "and a given table1 --order also start exact line "
-                       "reports at it; otherwise they start at 3. A line "
-                       "report doubles its order as needed.")
+                       help="jet truncation order of the point trichotomy, "
+                       "at least 2 (default: the config's, else 8); "
+                       "line-report, verify-appendix and table1 also start "
+                       "line reports at it (table1 only when given)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", default=None, help="also write the report here")
 

@@ -24,17 +24,14 @@ from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
                      NonGenericPoint, RootFieldUnsupported, SegreCuspError,
                      TowerUnsupported, TruncationInsufficient)
 from .fields import QQ, QuadraticExtension, pmul, psub, quadratic_roots
-from .jets import (BinaryQuadratic, InfiniteOrder, Jet, hensel_solve,
-                   splitting_reduce, try_extract_square, y_order)
+from .jets import (START_ORDER, BinaryQuadratic, InfiniteOrder, Jet,
+                   escalate, hensel_solve, splitting_reduce,
+                   try_extract_square, y_order)
 from .linalg import gram_matrix, mat_rank, nullspace
 from .surface import (AdaptedChart, ProjectivePoint, adapted_chart,
                       chart_quadrics)
 
 DEFAULT_ORDER = 8
-MAX_ORDER = 32
-# line_report's first truncation order: a finite vanishing order read off a
-# jet is exact, so most lines settle here and the rest escalate
-LINE_REPORT_START_ORDER = 3
 
 
 # --------------------------------------------------------------------------
@@ -219,17 +216,15 @@ def point_case(surface, point, order=DEFAULT_ORDER) -> PointCase:
     return PointCase(case=case, root_classes=tuple(classes), hessian=hess)
 
 
-def sample_point_cases(surface, count, rng=None, order=DEFAULT_ORDER,
-                       max_attempts=None):
+def sample_point_cases(surface, count, rng=None, order=DEFAULT_ORDER):
     """Point cases at ``count`` generic rational points, resampling the
     occasional hit on a special curve."""
     from .surface import sample_rational_points
 
     rng = rng or random.Random(surface.seed + 3)
     out = []
-    attempts = max_attempts or (8 * count + 16)
     seen = set()
-    for _ in range(attempts):
+    for _ in range(8 * count + 16):
         if len(out) >= count:
             return out
         (p,) = sample_rational_points(surface, 1, rng=rng,
@@ -311,20 +306,14 @@ def line_report(surface, line, chart=None, order=None) -> HessianAlongLine:
     discriminant order, and the branch multiplicity disc_order - 2m.
 
     ``order`` is the starting truncation order (default
-    ``LINE_REPORT_START_ORDER``).  It doubles, up to ``MAX_ORDER``, while a
-    vanishing order is not settled at the current order; the order used is
+    :data:`segrecusp.jets.START_ORDER`); it escalates as
+    :func:`segrecusp.jets.escalate` does, and the order used is
     ``rep.F.order``.
     """
     if chart is None:
         chart = line_chart(surface, line)
-    current = order or LINE_REPORT_START_ORDER
-    while True:
-        try:
-            return _line_report_at_order(surface, line, chart, current)
-        except TruncationInsufficient:
-            if current >= MAX_ORDER:
-                raise
-            current = min(2 * current, MAX_ORDER)
+    return escalate(lambda n: _line_report_at_order(surface, line, chart, n),
+                    order or START_ORDER)
 
 
 def _line_report_at_order(surface, line, chart, order):
@@ -474,8 +463,8 @@ class BranchReport:
     anomalies: list = dc_field(default_factory=list)
 
 
-def branch_scan(surface, offline_points=10, rng=None, order=None,
-                numeric_deltas=(1e-3, 5e-4, 2.5e-4)) -> BranchReport:
+def branch_scan(surface, offline_points=10, rng=None,
+                order=None) -> BranchReport:
     """Per-line branch data plus a no-off-line-branching spot check.
 
     ``order`` is the starting truncation order of each exact line report
@@ -500,7 +489,7 @@ def branch_scan(surface, offline_points=10, rng=None, order=None,
                 continue
             except (SegreCuspError, TowerUnsupported) as exc:
                 anomalies.append(f"exact report failed on {line}: {exc}")
-        ev = numeric_line_branch_evidence(surface, line, deltas=numeric_deltas)
+        ev = numeric_line_branch_evidence(surface, line)
         records.append(LineBranchRecord(
             line=line, exact=False, m=ev.get("m_estimate"),
             disc_order=ev.get("disc_order_estimate"),

@@ -15,7 +15,9 @@ class TowerUnsupported(FieldError):
 
 
 class OrderTooSmall(SegreCuspError):
-    """The requested truncation order cannot support the computation."""
+    """The requested truncation order cannot support the computation (it is
+    below a routine's minimum, or Newton lifting did not converge); unlike
+    :class:`TruncationInsufficient`, nothing retries it."""
 
 
 class TruncationInsufficient(SegreCuspError):

@@ -270,9 +270,6 @@ class QuadExtElem:
     def __bool__(self):
         return bool(self.a or self.b)
 
-    def conjugate(self):
-        return QuadExtElem(self.a, -self.b, self.d)
-
     def __repr__(self):
         if not self.b:
             return fmt_rational(self.a)

@@ -51,12 +51,12 @@ EIGENVALUE_CANDIDATES = [
 ]
 
 
-def table1_instance(symbol, order=8, seed=0) -> SurfaceInstance:
+def table1_instance(symbol, seed=0) -> SurfaceInstance:
     """The default-parameter instance used for Table-1 regressions."""
-    return SurfaceInstance(default_instance(symbol), order=order, seed=seed)
+    return SurfaceInstance(default_instance(symbol), seed=seed)
 
 
-def sampling_instance(symbol, order=8, seed=0, probe_points=1) -> SurfaceInstance:
+def sampling_instance(symbol, seed=0) -> SurfaceInstance:
     """An instance of the symbol on which exact rational points can be drawn.
 
     The smooth symbol is served by the five-points plane model; singular
@@ -67,7 +67,7 @@ def sampling_instance(symbol, order=8, seed=0, probe_points=1) -> SurfaceInstanc
         symbol = SegreSymbol.parse(symbol)
     if str(symbol) == "[11111]":
         from .blowup import smooth_segre_instance
-        return smooth_segre_instance(seed=seed, order=order)
+        return smooth_segre_instance(seed=seed)
     n_units = len(symbol.units)
     last = None
     for values in EIGENVALUE_CANDIDATES:
@@ -76,8 +76,8 @@ def sampling_instance(symbol, order=8, seed=0, probe_points=1) -> SurfaceInstanc
             continue
         try:
             pencil = normal_form(symbol, params)
-            inst = SurfaceInstance(pencil, order=order, seed=seed)
-            sample_rational_points(inst, probe_points,
+            inst = SurfaceInstance(pencil, seed=seed)
+            sample_rational_points(inst, 1,
                                    rng=random.Random(seed + 1),
                                    max_attempts=200)
             return inst

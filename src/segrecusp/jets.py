@@ -20,12 +20,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import OrderTooSmall, SingularJacobian
+from .errors import OrderTooSmall, SingularJacobian, TruncationInsufficient
 from .fields import pdivmod
 from .linalg import mat_rank
 
+# A finite vanishing order read off a jet is exact, so a computation whose
+# order is not fixed starts low and doubles only while the answer is not
+# settled (A_k is (k+1)-determined: the order needed follows the germ).
+START_ORDER = 3
+MAX_ORDER = 32
 
-DEFAULT_ORDER = 8
+
+def escalate(compute, start=START_ORDER):
+    """``compute(order)`` from ``start``, doubling the order (up to
+    ``MAX_ORDER``) while it raises :class:`TruncationInsufficient`; at the
+    cap the error is re-raised."""
+    order = start
+    while True:
+        try:
+            return compute(order)
+        except TruncationInsufficient:
+            if order >= MAX_ORDER:
+                raise
+            order = min(2 * order, MAX_ORDER)
 
 
 def _exp_add(a, b):

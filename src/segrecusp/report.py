@@ -71,7 +71,10 @@ class SurfaceConfig:
                 or self.order < 2:
             raise ConfigError(
                 f"\"order\" must be an integer at least 2, got {self.order!r}")
-        self.seed = int(raw.get("seed", 0))
+        self.seed = raw.get("seed", 0)
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError(
+                f"\"seed\" must be an integer, got {self.seed!r}")
         self.symbol = None
         self.params = None
         self.quadrics = None
@@ -135,7 +138,7 @@ class SurfaceConfig:
         if not report.ok:
             raise ValidationFailure(
                 f"surface validation failed: {report.failures}", report=report)
-        return SurfaceInstance(pencil, order=self.order, seed=self.seed)
+        return SurfaceInstance(pencil, seed=self.seed)
 
     def echo(self):
         return self.raw

@@ -11,17 +11,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations, product
 
-from .errors import (CrossCheckMismatch, NonIsolatedSingularity, OrderTooSmall,
+from .errors import (CrossCheckMismatch, NonIsolatedSingularity,
                      PointNotOnLine, PointSingular, ReducibleImageConic,
-                     RetryExhausted, SegreCuspError, UnsupportedSingularity)
+                     RetryExhausted, SegreCuspError, TruncationInsufficient,
+                     UnsupportedSingularity)
 from .fields import (QQ, RatFuncElem, RationalFunctions, pgcd,
                      proj_normalize, quadratic_roots)
-from .jets import Jet, hensel_solve, splitting_reduce
+from .jets import Jet, escalate, hensel_solve, splitting_reduce
 from .linalg import complete_basis, gram_matrix, mat_rank, mat_vec, nullspace
 from .pencil import QuadricPencil, bform, qform, second_intersection
-
-DEFAULT_ORDER = 8
 
 
 # --------------------------------------------------------------------------
@@ -86,9 +86,8 @@ class ADEClass:
 class SurfaceInstance:
     """A Segre surface cut out by a validated pencil, plus cached geometry."""
 
-    def __init__(self, pencil: QuadricPencil, order=DEFAULT_ORDER, seed=0):
+    def __init__(self, pencil: QuadricPencil, seed=0):
         self.pencil = pencil
-        self.order = order
         self.seed = seed
         self.point_source = None   # optional exact parameterization
         self.lines = None          # filled by segrecusp.lines.enumerate_lines
@@ -104,8 +103,7 @@ class SurfaceInstance:
         """List of (point, ADEClass), computed once."""
         if self._singular is None:
             pts = _singular_points_exact(self.pencil)
-            self._singular = [(p, classify_singularity(self, p, order=self.order))
-                              for p in pts]
+            self._singular = [(p, classify_singularity(self, p)) for p in pts]
         return self._singular
 
     def singularity_multiset(self):
@@ -193,7 +191,7 @@ def _singular_points_exact(pencil: QuadricPencil):
     return sorted(unique, key=lambda p: tuple(str(c) for c in p.coords))
 
 
-def singular_sweep_numeric(surface, n_starts=200, tol=1e-8, seed=0):
+def singular_sweep_numeric(surface, n_starts=200, seed=0):
     """Random Newton sweep on the rank-drop system, cross-checked exactly.
 
     Solves (A - lam*B) x = 0 with an affine normalization from random starts
@@ -235,7 +233,7 @@ def singular_sweep_numeric(surface, n_starts=200, tol=1e-8, seed=0):
             xn = x / np.linalg.norm(x)
             member_resid = np.linalg.norm((A - lam * B) @ xn)
             on_surface = abs(xn @ P @ xn) + abs(xn @ Q @ xn)
-            if member_resid < tol and on_surface < tol:
+            if member_resid < 1e-8 and on_surface < 1e-8:
                 hits.append(xn)
     matched, unresolved = [], []
     for h in hits:
@@ -264,7 +262,7 @@ def _affine_chart_vectors(point):
     return basis
 
 
-def hypersurface_germ(surface, point, order=DEFAULT_ORDER):
+def hypersurface_germ(surface, point, order):
     """Eliminate one coordinate via a pencil member smooth at the point.
 
     Returns a 3-variable jet f with f(0) = 0 whose zero germ is (S, p).
@@ -327,16 +325,16 @@ def classify_germ(f: Jet) -> ADEClass:
     if corank == 1:
         v = res.valuation()
         if v is None:
-            raise OrderTooSmall(
-                f"residual vanishes to order {res.order}; raise the order")
+            raise TruncationInsufficient(
+                f"residual vanishes to order {res.order}")
         if v > 5:
             raise UnsupportedSingularity(f"corank 1 residual of order {v}")
         return ADEClass("A", v - 1)
     if corank == 2:
         v = res.valuation()
         if v is None:
-            raise OrderTooSmall(
-                f"residual vanishes to order {res.order}; raise the order")
+            raise TruncationInsufficient(
+                f"residual vanishes to order {res.order}")
         if v != 3:
             raise UnsupportedSingularity(
                 f"corank 2 residual with valuation {v}")
@@ -356,7 +354,7 @@ def classify_germ(f: Jet) -> ADEClass:
         restricted = res.substitute(images)
         w = restricted.valuation()
         if w is None:
-            raise OrderTooSmall(
+            raise TruncationInsufficient(
                 f"restriction vanishes to order {restricted.order}")
         if w + 1 not in (4, 5):
             raise UnsupportedSingularity(f"D-series index {w + 1}")
@@ -364,15 +362,11 @@ def classify_germ(f: Jet) -> ADEClass:
     raise UnsupportedSingularity(f"corank {corank} germ")
 
 
-def classify_singularity(surface, point, order=DEFAULT_ORDER) -> ADEClass:
-    """ADE class of a singular point, with automatic order escalation."""
-    current = max(order, DEFAULT_ORDER)
-    while current <= 4 * max(order, DEFAULT_ORDER):
-        try:
-            return classify_germ(hypersurface_germ(surface, point, order=current))
-        except OrderTooSmall:
-            current *= 2
-    raise OrderTooSmall(f"classification failed up to order {current // 2}")
+def classify_singularity(surface, point) -> ADEClass:
+    """ADE class of a singular point, at the least order that settles it
+    (see :func:`segrecusp.jets.escalate`)."""
+    return escalate(
+        lambda n: classify_germ(hypersurface_germ(surface, point, n)))
 
 
 # --------------------------------------------------------------------------
@@ -526,22 +520,17 @@ def _isotropic_seed(pencil, member, surface_points=()):
     """
     kernel = member.kernel
     M = pencil.member(*member.root)
-    n = 5
-    candidates = [list(p.coords) for p in surface_points if p.is_rational]
-    basis = [[Fraction(1) if k == j else Fraction(0) for k in range(n)]
-             for j in range(n)]
-    candidates += list(basis)
-    import itertools as _it
+    units = [[Fraction(int(k == j)) for k in range(5)] for j in range(5)]
     scales = (1, -1, 2, -2)
-    for i, j in _it.combinations(range(n), 2):
-        for s in scales:
-            candidates.append([basis[i][k] + s * basis[j][k] for k in range(n)])
-    for i, j, k3 in _it.combinations(range(n), 3):
-        for c1 in (1, 2):
-            for s in scales:
-                for t in scales:
-                    candidates.append([c1 * basis[i][k] + s * basis[j][k]
-                                       + t * basis[k3][k] for k in range(n)])
+    # generated as they are tried: most calls stop at an early candidate
+    candidates = chain(
+        (list(p.coords) for p in surface_points if p.is_rational), units,
+        ([a + s * b for a, b in zip(units[i], units[j])]
+         for i, j in combinations(range(5), 2) for s in scales),
+        ([c1 * a + s * b + t * c
+          for a, b, c in zip(units[i], units[j], units[k])]
+         for i, j, k in combinations(range(5), 3)
+         for c1, s, t in product((1, 2), scales, scales)))
     for v in candidates:
         if qform(M, v) != 0:
             continue
@@ -553,8 +542,8 @@ def _isotropic_seed(pencil, member, surface_points=()):
 
 
 def sample_rational_points(surface, count, rng=None, avoid=None,
-                           require_smooth=True, max_attempts=4000):
-    """Exact rational points on the surface, drawn from a dense family.
+                           max_attempts=4000):
+    """Exact smooth rational points on the surface, drawn from a dense family.
 
     Uses the attached parameterization when the surface has one, otherwise
     sweeps lines through a singular point inside a degenerate member's cone.
@@ -566,7 +555,7 @@ def sample_rational_points(surface, count, rng=None, avoid=None,
     def accept(p):
         if p is None or not surface.on_surface(p):
             return
-        if require_smooth and not surface.is_smooth_at(p):
+        if not surface.is_smooth_at(p):
             return
         if avoid is not None and avoid(p):
             return

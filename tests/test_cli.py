@@ -97,6 +97,14 @@ def test_config_order_below_two_is_an_error(order, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("seed", ["abc", 2.7, True])
+def test_config_seed_not_an_integer_is_an_error(seed, tmp_path, capsys):
+    path = write_config(tmp_path, {"symbol": "[5]", "params": ["1"],
+                                   "seed": seed})
+    assert main(["surface-report", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_surface_report_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, {"symbol": "[23]",
                                    "params": ["1", "2"], "seed": 6})

@@ -220,14 +220,14 @@ def test_line_multiplicity_waits_for_unsettled_coefficients():
     ("[5]", (0, 3), (0, 5, 5)),
 ])
 def test_line_report_escalates_from_start_order(symbol, span, expected):
-    from segrecusp.cusplocus import LINE_REPORT_START_ORDER
+    from segrecusp.jets import START_ORDER
     from segrecusp.lines import LineOnSurface
     inst = table1_instance(symbol)
     ends = [ProjectivePoint.make(QQ, [F(int(k == i)) for k in range(5)])
             for i in span]
     rep = line_report(inst, LineOnSurface(*ends, "exact"))
     assert (rep.m, rep.disc_order, rep.branch_mult) == expected
-    assert rep.F.order > LINE_REPORT_START_ORDER
+    assert rep.F.order > START_ORDER
 
 
 def test_line_report_base_point_independent(line_fixture):

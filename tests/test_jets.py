@@ -11,11 +11,12 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from segrecusp.errors import OrderTooSmall, SingularJacobian
+from segrecusp.errors import (OrderTooSmall, SingularJacobian,
+                              TruncationInsufficient)
 from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions, pgcd
-from segrecusp.jets import (InfiniteOrder, Jet, hensel_solve_pair,
-                            jet_from_poly, splitting_reduce,
-                            try_extract_square, y_order)
+from segrecusp.jets import (MAX_ORDER, START_ORDER, InfiniteOrder, Jet,
+                            escalate, hensel_solve_pair, jet_from_poly,
+                            splitting_reduce, try_extract_square, y_order)
 
 V4 = ("x", "y", "z", "w")
 
@@ -74,6 +75,33 @@ def test_hensel_errors():
     with pytest.raises(OrderTooSmall):
         hensel_solve_pair(poly4(1, {(0, 0, 1, 0): 1}),
                           poly4(1, {(0, 0, 0, 1): 1}), ("z", "w"), order=1)
+
+
+def test_escalate_doubles_until_settled():
+    calls = []
+
+    def needs(least):
+        def compute(order):
+            calls.append(order)
+            if order < least:
+                raise TruncationInsufficient(f"order {order} < {least}")
+            return order
+        return compute
+
+    assert escalate(needs(10)) == 12 and calls == [3, 6, 12]
+    calls.clear()
+    with pytest.raises(TruncationInsufficient):
+        escalate(needs(MAX_ORDER + 1), start=5)
+    assert calls == [5, 10, 20, MAX_ORDER]
+
+    def misuse(order):
+        calls.append(order)
+        raise OrderTooSmall("not a truncation to retry")
+
+    calls.clear()
+    with pytest.raises(OrderTooSmall):
+        escalate(misuse)
+    assert calls == [START_ORDER]
 
 
 def _random_quadric(rng, order, with_unit_block):

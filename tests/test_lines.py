@@ -125,9 +125,12 @@ def _random_congruences(seed):
 
 
 def _check_census(pencil, symbol):
-    census = enumerate_lines(SurfaceInstance(pencil))
+    surface = SurfaceInstance(pencil)
+    census = enumerate_lines(surface)
     assert list(census.counts) == TABLE1[symbol]["lines"]
     assert census.warnings == []
+    # the census classified Sing(S) already: ADE types are congruence invariant
+    assert surface.singularity_multiset() == sorted(TABLE1[symbol]["sing"])
     for line in census.lines:
         if line.exactness == "exact":
             assert line_contained_exact(pencil, line.point_a, line.point_b)
