@@ -20,6 +20,7 @@ from importlib import resources
 
 from .errors import SegreCuspError
 from .fields import parse_rational
+from .jets import START_ORDER
 from .pencil import TABLE1_SYMBOLS, SegreSymbol
 from .report import (SCHEMA_VERSION, SurfaceConfig, canonical_dumps,
                      line_payload, point_payload)
@@ -284,7 +285,8 @@ def build_parser():
             p.add_argument("--config", required=True, help="surface config JSON")
         p.add_argument("--order", type=int, default=None,
                        help="jet truncation order of the point trichotomy, "
-                       "at least 2 (default: the config's, else 8); "
+                       f"at least {START_ORDER} (default: the config's, "
+                       "else 8); "
                        "line-report, verify-appendix and table1 also start "
                        "line reports at it (table1 only when given)")
         p.add_argument("--seed", type=int, default=None)
@@ -326,9 +328,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.order is not None and args.order < 2:
+        if args.order is not None and args.order < START_ORDER:
             raise SegreCuspError(
-                f"--order must be at least 2, got {args.order}")
+                f"--order must be at least {START_ORDER}, got {args.order}")
         return args.func(args)
     except SegreCuspError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -369,7 +369,7 @@ def _line_multiplicity(orders):
 # tacnodal hyperplanes along a line
 
 
-def tacnodal_hyperplane_on_line(surface, line, point, order=DEFAULT_ORDER):
+def tacnodal_hyperplane_on_line(surface, line, point):
     """The unique tangent-direction hyperplane along a line at a point.
 
     Writes F = y f, G = y g in the line-aligned chart at the point; the
@@ -379,7 +379,7 @@ def tacnodal_hyperplane_on_line(surface, line, point, order=DEFAULT_ORDER):
     section germ (a tacnode for generic points).
     """
     chart = adapted_chart(surface, point, line)
-    F, G = chart.solve_graph(order)
+    F, G = chart.solve_graph(DEFAULT_ORDER)
     for J in (F, G):
         k = J.order_in("y")
         if k is not None and k < 1:
@@ -463,13 +463,8 @@ class BranchReport:
     anomalies: list = dc_field(default_factory=list)
 
 
-def branch_scan(surface, offline_points=10, rng=None,
-                order=None) -> BranchReport:
-    """Per-line branch data plus a no-off-line-branching spot check.
-
-    ``order`` is the starting truncation order of each exact line report
-    (see :func:`line_report`).
-    """
+def branch_scan(surface, offline_points=10, rng=None) -> BranchReport:
+    """Per-line branch data plus a no-off-line-branching spot check."""
     from .lines import enumerate_lines
     from .surface import sample_rational_points
 
@@ -480,7 +475,7 @@ def branch_scan(surface, offline_points=10, rng=None,
     for line in surface.lines:
         if line.exactness == "exact" and line.field() == QQ:
             try:
-                rep = line_report(surface, line, order=order)
+                rep = line_report(surface, line)
                 records.append(LineBranchRecord(
                     line=line, exact=True, m=rep.m, disc_order=rep.disc_order,
                     branch_mult=rep.branch_mult,
@@ -532,18 +527,23 @@ def _on_any_line(surface, point, tol=1e-7):
     return False
 
 
-def numeric_line_branch_evidence(surface, line, deltas=(1e-3, 5e-4, 2.5e-4)):
+# transversal offsets from the line at which numeric evidence is sampled
+EVIDENCE_DELTAS = (1e-3, 5e-4, 2.5e-4)
+
+
+def numeric_line_branch_evidence(surface, line):
     """Residual-level branch data for a line without an exact chart.
 
     Evaluates the three Hessian coefficients and their discriminant at
-    surface points approached transversally to the line; the log-slope of
-    the discriminant against the offset estimates its vanishing order.
-    Numeric evidence only, never an exact claim.
+    surface points approached transversally to the line (offsets
+    :data:`EVIDENCE_DELTAS`); the log-slope of the discriminant against the
+    offset estimates its vanishing order.  Numeric evidence only, never an
+    exact claim.
     """
     P = np.array([[float(c) for c in row] for row in surface.pencil.P])
     Q = np.array([[float(c) for c in row] for row in surface.pencil.Q])
     M = line.as_matrix_float()
-    out = {"deltas": list(deltas)}
+    out = {"deltas": list(EVIDENCE_DELTAS)}
     samples = []
     for t in (0.3, 0.7):
         base = M[0] + t * M[1]
@@ -552,7 +552,7 @@ def numeric_line_branch_evidence(surface, line, deltas=(1e-3, 5e-4, 2.5e-4)):
         if frame is None:
             continue
         disc_vals, coeff_vals = [], []
-        for d in deltas:
+        for d in EVIDENCE_DELTAS:
             pt = _project_to_surface(P, Q, base + d * frame[1], frame)
             if pt is None:
                 break
@@ -562,15 +562,15 @@ def numeric_line_branch_evidence(surface, line, deltas=(1e-3, 5e-4, 2.5e-4)):
             a, b, c = abc
             disc_vals.append(abs(b * b - 4 * a * c))
             coeff_vals.append(max(abs(a), abs(b), abs(c)))
-        if len(disc_vals) == len(deltas):
+        if len(disc_vals) == len(EVIDENCE_DELTAS):
             samples.append((coeff_vals, disc_vals))
     if not samples:
         out["status"] = "no numeric samples"
         return out
     m_slopes, disc_slopes = [], []
     for coeff_vals, disc_vals in samples:
-        m_slopes.append(_log_slope(deltas, coeff_vals))
-        disc_slopes.append(_log_slope(deltas, disc_vals))
+        m_slopes.append(_log_slope(EVIDENCE_DELTAS, coeff_vals))
+        disc_slopes.append(_log_slope(EVIDENCE_DELTAS, disc_vals))
     m_est = int(round(float(np.median(m_slopes))))
     d_est = int(round(float(np.median(disc_slopes))))
     out.update({
@@ -690,7 +690,7 @@ class CuspLocusSummary:
     cross_checked: bool
 
 
-def cusp_locus_summary(surface, sample_points=None, order=DEFAULT_ORDER):
+def cusp_locus_summary(surface, sample_points=None):
     """Empty / birational-to-S / double-cover classification of the locus.
 
     Based on the double-conic pencil count from the Segre symbol, optionally
@@ -702,7 +702,7 @@ def cusp_locus_summary(surface, sample_points=None, order=DEFAULT_ORDER):
     if sample_points:
         expected = CASE_FOR_SUMMARY[summary]
         for p in sample_points:
-            pc = point_case(surface, p, order=order)
+            pc = point_case(surface, p)
             cases.append(pc.case)
             if pc.case != expected:
                 raise CrossCheckMismatch(

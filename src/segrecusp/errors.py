@@ -15,8 +15,7 @@ class TowerUnsupported(FieldError):
 
 
 class OrderTooSmall(SegreCuspError):
-    """The requested truncation order cannot support the computation (it is
-    below a routine's minimum, or Newton lifting did not converge); unlike
+    """The requested truncation order is below a routine's minimum; unlike
     :class:`TruncationInsufficient`, nothing retries it."""
 
 

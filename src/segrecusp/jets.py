@@ -7,12 +7,12 @@ to order 8 by one of valuation 2 yields coefficients trusted to order 10.
 
 On top of the ring operations this module provides the local-analysis
 primitives used throughout the package: implicit solving of one or two
-equations (Newton lifting), vanishing orders, extraction of unit-times-square
-factorizations (dividing forms by :func:`segrecusp.fields.pdivmod`, the
-package's one polynomial division), and the splitting of a germ into a
-nondegenerate quadratic part plus a residual in the corank variables,
-obtained by eliminating the critical set in the nondegenerate directions with
-the same Newton lifting.
+equations (degree by degree, with no Newton iteration), vanishing orders,
+extraction of unit-times-square factorizations (dividing forms by
+:func:`segrecusp.fields.pdivmod`, the package's one polynomial division), and
+the splitting of a germ into a nondegenerate quadratic part plus a residual
+in the corank variables, obtained by eliminating the critical set in the
+nondegenerate directions with the same implicit solve.
 """
 
 from __future__ import annotations
@@ -47,6 +47,35 @@ def escalate(compute, start=START_ORDER):
 
 def _exp_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _group_terms(coeffs, key_idx, rest_idx):
+    """The terms of ``coeffs`` grouped by their exponents at the positions
+    ``key_idx``: {key: {exponents at rest_idx: coefficient}}."""
+    groups = {}
+    for e, c in coeffs.items():
+        key = tuple(e[i] for i in key_idx)
+        groups.setdefault(key, {})[tuple(e[i] for i in rest_idx)] = c
+    return groups
+
+
+def _lower(k):
+    """(j, k - e_j) for j the last nonzero position of the exponent ``k``."""
+    j = max(i for i, n in enumerate(k) if n)
+    return j, k[:j] + (k[j] - 1,) + k[j + 1:]
+
+
+def _mul_into(out, a, b, order, zero):
+    """Add the product of the term maps ``a`` and ``b`` into ``out``, keeping
+    total degree at most ``order``; returns ``out`` (zero sums stay in it)."""
+    b_terms = [(eb, sum(eb), cb) for eb, cb in b.items()]
+    for ea, ca in a.items():
+        room = order - sum(ea)
+        for eb, db, cb in b_terms:
+            if db <= room:
+                e = _exp_add(ea, eb)
+                out[e] = out.get(e, zero) + ca * cb
+    return out
 
 
 class Jet:
@@ -112,10 +141,6 @@ class Jet:
 
     def homogeneous_part(self, degree):
         return {e: c for e, c in self.coeffs.items() if sum(e) == degree}
-
-    def degree_in(self, name):
-        i = self.vars.index(name)
-        return max((e[i] for e in self.coeffs), default=0)
 
     def order_in(self, name):
         """Minimal exponent of ``name`` over nonzero terms (None if zero jet)."""
@@ -185,20 +210,8 @@ class Jet:
             return self.clone({e: v * c for e, v in self.coeffs.items()})
         self._check_compatible(other)
         order = min(self.order + other._val_bound(), other.order + self._val_bound())
-        out = {}
-        zero = self.field.zero
-        for ea, ca in self.coeffs.items():
-            da = sum(ea)
-            for eb, cb in other.coeffs.items():
-                if da + sum(eb) > order:
-                    continue
-                e = _exp_add(ea, eb)
-                s = out.get(e, zero) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return self.clone(out, order)
+        return self.clone(_mul_into({}, self.coeffs, other.coeffs, order,
+                                    self.field.zero), order)
 
     __rmul__ = __mul__
 
@@ -301,25 +314,43 @@ class Jet:
         """Substitute every variable by a jet (all images over one target ring).
 
         Images of variables that merely rename/embed must be supplied too.
-        The result is exact to min(self.order, image orders).
+        An image equal to the target variable of the same name only shifts
+        exponents.  The terms are grouped by their exponents in the other
+        variables, and each group costs one product with the (memoised)
+        product of their images' powers.  The result is exact to
+        min(self.order, image orders).
         """
         target = next(iter(images.values()))
+        field, tvars = target.field, target.vars
         order = min([self.order] + [g.order for g in images.values()])
-        result = Jet.zero(target.field, target.vars, order)
-        powers = {v: [Jet.constant(target.field, target.vars, order, 1)]
-                  for v in self.vars}
-        for v in self.vars:
-            g = images[v].truncate(order)
-            top = self.degree_in(v)
-            for _ in range(top):
-                powers[v].append(powers[v][-1] * g)
-        for e, c in self.coeffs.items():
-            term = Jet.constant(target.field, target.vars, order, c)
-            for v, k in zip(self.vars, e):
-                if k:
-                    term = term * powers[v][k]
-            result = result + term
-        return result.truncate(order)
+        shifted, moving = [], []
+        for i, v in enumerate(self.vars):
+            if v in tvars and images[v].coeffs == {
+                    tuple(int(t == v) for t in tvars): field.one}:
+                shifted.append(i)
+            else:
+                moving.append(i)
+        slots = [tvars.index(self.vars[i]) for i in shifted]
+        gens = [images[self.vars[i]].truncate(order).coeffs for i in moving]
+        powers = {(0,) * len(moving): {(0,) * len(tvars): field.one}}
+
+        def power(k):
+            if k not in powers:
+                j, prev = _lower(k)
+                powers[k] = {e: c for e, c in _mul_into(
+                    {}, power(prev), gens[j], order, field.zero).items() if c}
+            return powers[k]
+
+        out = {}
+        for k, terms in _group_terms(self.coeffs, moving, shifted).items():
+            poly = {}
+            for rest, c in terms.items():
+                e = [0] * len(tvars)
+                for slot, n in zip(slots, rest):
+                    e[slot] = n
+                poly[tuple(e)] = c
+            _mul_into(out, poly, power(k), order, field.zero)
+        return Jet(field, tvars, order, out)
 
 
 # --------------------------------------------------------------------------
@@ -389,77 +420,106 @@ class BinaryQuadratic:
 
 
 # --------------------------------------------------------------------------
-# Newton lifting of implicit functions
+# implicit functions
 
 
 def hensel_solve(equations, solve_vars, order=None):
     """Solve ``equations == 0`` for ``solve_vars`` as jets in the other variables.
 
     The equations are jets in base + solve variables, vanishing at the
-    origin, whose Jacobian with respect to the solve variables is invertible
-    at the origin.  Returns one jet per solve variable, in base variables,
-    exact modulo total degree ``order + 1``.
+    origin, whose Jacobian J0 with respect to the solve variables is
+    invertible at the origin.  Returns one jet per solve variable, in base
+    variables, exact modulo total degree ``order + 1``; ``order`` defaults
+    to, and is capped at, the least order of the equations, beyond which
+    the solution is not determined.
+
+    The solution phi is found degree by degree, with no Newton iteration
+    (a relaxed solve: J. van der Hoeven, "Relax, but don't be too lazy",
+    J. Symbolic Comput. 34, 2002).  Written as sum_k P_k(base) u^k, an
+    equation's degree-d part at u = phi is J0 phi_d + R_d, where R_d
+    involves phi only below degree d, so phi_d = -J0^{-1} R_d.  Each power
+    phi^k (|k| >= 2) is extended by its degree-d part at every step.
     """
     eqs = list(equations)
-    if order is None:
-        order = min(e.order for e in eqs)
+    known = min(e.order for e in eqs)
+    order = known if order is None else min(order, known)
     if order < 2:
         raise OrderTooSmall(f"truncation order {order} < 2")
-    if len(eqs) != len(solve_vars) or len(eqs) not in (1, 2):
+    n = len(eqs)
+    if n != len(solve_vars) or n not in (1, 2):
         raise ValueError("hensel_solve handles 1 or 2 equations")
     field = eqs[0].field
+    zero = field.zero
     all_vars = eqs[0].vars
-    base_vars = tuple(v for v in all_vars if v not in solve_vars)
+    solve_idx = [all_vars.index(v) for v in solve_vars]
+    base_idx = [i for i, v in enumerate(all_vars) if v not in solve_vars]
+    base_vars = tuple(all_vars[i] for i in base_idx)
+    b0 = (0,) * len(base_vars)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     for e in eqs:
         if e.constant_term():
             raise SingularJacobian("equation does not vanish at the origin")
 
-    jac = [[e.derivative(v) for v in solve_vars] for e in eqs]
-    jac0 = [[entry.constant_term() for entry in row] for row in jac]
-    if len(eqs) == 1:
-        det0 = jac0[0][0]
+    # P[i][k][m]: degree-m part of the coefficient of u^k in equation i,
+    # without the constant of a linear u^k, which is the Jacobian J0
+    P = []
+    for e in eqs:
+        by_k = {}
+        for k, terms in _group_terms(e.coeffs, solve_idx, base_idx).items():
+            for a, c in terms.items():
+                by_k.setdefault(k, {}).setdefault(sum(a), {})[a] = c
+        P.append(by_k)
+    J0 = [[P[i].get(u, {}).pop(0, {}).get(b0, zero) for u in units]
+          for i in range(n)]
+    if n == 1:
+        det0, adj = J0[0][0], [[field.one]]
     else:
-        det0 = jac0[0][0] * jac0[1][1] - jac0[0][1] * jac0[1][0]
+        det0 = J0[0][0] * J0[1][1] - J0[0][1] * J0[1][0]
+        adj = [[J0[1][1], -J0[0][1]], [-J0[1][0], J0[0][0]]]
     if not det0:
         raise SingularJacobian("Jacobian in the solve variables is singular at 0")
+    # the nonzero entries of each row of J0^{-1}
+    inv = [[(i, c / det0) for i, c in enumerate(row) if c] for row in adj]
 
-    # staged Newton: each step doubles the trusted order, so early steps can
-    # run at low truncation (a large saving over Q(x) coefficients)
-    stages = [order]
-    while stages[-1] > 2:
-        stages.append(stages[-1] // 2)
-    stages.reverse()
-
-    current = [Jet.zero(field, base_vars, stages[0]) for _ in solve_vars]
-    for stage_idx, stage in enumerate(stages):
-        eqs_s = [e.truncate(stage) for e in eqs]
-        jac_s = [[entry.truncate(stage) for entry in row] for row in jac]
-        identity_images = {v: Jet.variable(field, base_vars, stage, v)
-                           for v in base_vars}
-        current = [Jet(field, base_vars, stage, f.coeffs) for f in current]
-        for _ in range(3 if stage_idx else stage.bit_length() + 3):
-            images = dict(identity_images)
-            for v, f in zip(solve_vars, current):
-                images[v] = f
-            residuals = [e.substitute(images) for e in eqs_s]
-            if all(r.is_zero() for r in residuals):
-                break
-            jval = [[entry.substitute(images) for entry in row] for row in jac_s]
-            if len(eqs) == 1:
-                delta = [residuals[0] / jval[0][0]]
-            else:
-                det = jval[0][0] * jval[1][1] - jval[0][1] * jval[1][0]
-                det_inv = det.inverse()
-                delta = [
-                    (jval[1][1] * residuals[0] - jval[0][1] * residuals[1]) * det_inv,
-                    (jval[0][0] * residuals[1] - jval[1][0] * residuals[0]) * det_inv,
-                ]
-            current = [f - d for f, d in zip(current, delta)]
-        else:
-            raise OrderTooSmall(
-                f"Newton lifting failed to converge at order {stage}")
-    current = [Jet(field, base_vars, order, f.coeffs) for f in current]
-    return tuple(current)
+    # powers[k][d]: degree-d part of phi^k; phi^(e_j) is phi_j itself, and
+    # phi^k for |k| >= 2 extends phi^(k - e_j) by phi_j (see _lower)
+    phi = [[{}] for _ in range(n)]
+    powers = {(0,) * n: [{b0: field.one}]}
+    powers.update(zip(units, phi))
+    links = {}
+    for by_k in P:
+        for k in by_k:
+            while sum(k) >= 2 and k not in links:
+                links[k] = _lower(k)
+                powers[k] = [{}]
+                k = links[k][1]
+    steps = [(powers[k], j, powers[prev]) for k, (j, prev) in links.items()]
+    for d in range(1, order + 1):
+        for pk, j, prev in steps:
+            part = {}
+            for b in range(1, d):
+                _mul_into(part, prev[d - b], phi[j][b], order, zero)
+            pk.append({e: c for e, c in part.items() if c})
+        R = []
+        for by_k in P:
+            r = {}
+            for k, parts in by_k.items():
+                pk = powers[k]
+                for m, Pm in parts.items():
+                    if 0 <= d - m < len(pk):
+                        _mul_into(r, Pm, pk[d - m], order, zero)
+            R.append(r)
+        exps = {e: None for r in R for e in r}
+        for j in range(n):
+            part = {}
+            for e in exps:
+                c = sum((w * R[i][e] for i, w in inv[j] if e in R[i]), zero)
+                if c:
+                    part[e] = -c
+            phi[j].append(part)
+    return tuple(Jet(field, base_vars, order,
+                     {e: c for part in f for e, c in part.items()})
+                 for f in phi)
 
 
 def hensel_solve_pair(q1: Jet, q2: Jet, solve_vars=("z", "w"), order=None):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import ConfigError, ValidationFailure
 from .fields import fmt_rational, parse_rational
+from .jets import START_ORDER
 from .pencil import QuadricPencil, SegreSymbol, normal_form, validate_segre
 from .surface import SurfaceInstance
 
@@ -68,9 +69,10 @@ class SurfaceConfig:
         self.raw = raw
         self.order = raw.get("order", 8)
         if isinstance(self.order, bool) or not isinstance(self.order, int) \
-                or self.order < 2:
+                or self.order < START_ORDER:
             raise ConfigError(
-                f"\"order\" must be an integer at least 2, got {self.order!r}")
+                f"\"order\" must be an integer at least {START_ORDER}, "
+                f"got {self.order!r}")
         self.seed = raw.get("seed", 0)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(

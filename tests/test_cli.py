@@ -97,6 +97,26 @@ def test_config_order_below_two_is_an_error(order, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_order_two_is_an_error(tmp_path, capsys):
+    # the point trichotomy splits germs, which needs order 3 at least
+    path = write_config(tmp_path, {"symbol": "[1(11)(11)]",
+                                   "params": ["1", "2", "5"]})
+    assert main(["point-case", "--config", path, "--random",
+                 "--order", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least 3" in err
+
+
+def test_config_order_two_is_an_error(tmp_path, capsys):
+    path = write_config(tmp_path, {"symbol": "[23]", "params": ["1", "2"],
+                                   "seed": 6, "order": 2})
+    for argv in (["surface-report", "--config", path],
+                 ["point-case", "--config", path, "--random"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least 3" in err
+
+
 @pytest.mark.parametrize("seed", ["abc", 2.7, True])
 def test_config_seed_not_an_integer_is_an_error(seed, tmp_path, capsys):
     path = write_config(tmp_path, {"symbol": "[5]", "params": ["1"],

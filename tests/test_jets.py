@@ -1,10 +1,11 @@
-"""Jet arithmetic, Newton lifting, vanishing orders, squares, splitting.
+"""Jet arithmetic, implicit solving, vanishing orders, squares, splitting.
 
 Expected values tagged as derived in the design notes are recomputed here
 through independent routes (sympy substitution, resultants) before being
 asserted against the jet pipeline.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -15,8 +16,9 @@ from segrecusp.errors import (OrderTooSmall, SingularJacobian,
                               TruncationInsufficient)
 from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions, pgcd
 from segrecusp.jets import (MAX_ORDER, START_ORDER, InfiniteOrder, Jet,
-                            escalate, hensel_solve_pair, jet_from_poly,
-                            splitting_reduce, try_extract_square, y_order)
+                            escalate, hensel_solve, hensel_solve_pair,
+                            jet_from_poly, splitting_reduce,
+                            try_extract_square, y_order)
 
 V4 = ("x", "y", "z", "w")
 
@@ -162,6 +164,154 @@ def test_hensel_relift_stability(rng):
                                order=N)
     assert F2.truncate(N).coeffs == F1.coeffs
     assert G2.truncate(N).coeffs == G1.coeffs
+
+
+def _field_sampler(name):
+    """A coefficient field and a draw of small random elements of it."""
+    if name == "Q":
+        return QQ, lambda rng: F(rng.randint(-3, 3), rng.randint(1, 2))
+    if name == "Qsqrt2":
+        K = QuadraticExtension(2)
+        return K, lambda rng: (K.coerce(rng.randint(-3, 3))
+                               + K.coerce(rng.randint(-2, 2)) * K.sqrt_gen)
+    Kx = RationalFunctions("x")
+    x = Kx.gen
+    return Kx, lambda rng: (Kx.coerce(rng.randint(-3, 3))
+                            + rng.randint(-2, 2) * x
+                            + Kx.coerce(rng.randint(0, 1)) / (x - 1))
+
+
+def _random_jet(field, draw, rng, vars, order, low=0):
+    """A jet with a random coefficient on about half the monomials of total
+    degree ``low`` to ``order``."""
+    terms = {}
+    for e in itertools.product(range(order + 1), repeat=len(vars)):
+        if low <= sum(e) <= order and rng.random() < 0.5:
+            terms[e] = draw(rng)
+    return Jet(field, vars, order, terms)
+
+
+def _reference_substitute(jet, images, order):
+    """sum of c * prod images[v]**k over the terms of ``jet``, expanded term
+    by term as plain polynomials cut at total degree ``order``."""
+    target = next(iter(images.values()))
+    zero = target.field.zero
+
+    def mul(a, b):
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(i + j for i, j in zip(ea, eb))
+                if sum(e) <= order:
+                    out[e] = out.get(e, zero) + ca * cb
+        return out
+
+    total = {}
+    for e, c in jet.coeffs.items():
+        term = {(0,) * len(target.vars): c}
+        for v, k in zip(jet.vars, e):
+            for _ in range(k):
+                term = mul(term, images[v].coeffs)
+        for t, val in term.items():
+            total[t] = total.get(t, zero) + val
+    return {t: val for t, val in total.items() if val}
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Qsqrt2", "Qx"])
+def test_substitute_matches_term_by_term_expansion(field_name, rng):
+    field, draw = _field_sampler(field_name)
+    src = ("x", "y", "z")
+    f = _random_jet(field, draw, rng, src, 5)
+    cases = {}
+    # identity: every image is the target variable of the same name
+    cases["identity"] = {v: Jet.variable(field, src, 6, v) for v in src}
+    # the same names in another order in the target ring
+    perm = ("z", "x", "y")
+    cases["permuted"] = {v: Jet.variable(field, perm, 5, v) for v in src}
+    # two images are scaled variables, one the identity
+    scaled = {v: Jet.variable(field, src, 5, v) * draw(rng) for v in src}
+    scaled["y"] = Jet.variable(field, src, 5, "y")
+    cases["scaled"] = scaled
+    # identity in x, general jets (one with a constant term) for y and z
+    general = {"x": Jet.variable(field, ("x", "t"), 4, "x"),
+               "y": _random_jet(field, draw, rng, ("x", "t"), 4, low=1),
+               "z": _random_jet(field, draw, rng, ("x", "t"), 4)}
+    cases["general"] = general
+    # no image shares a name with the target: all images are products
+    cases["renamed"] = {v: _random_jet(field, draw, rng, ("s", "t"), 4, low=1)
+                        for v in src}
+    for label, images in cases.items():
+        order = min([f.order] + [g.order for g in images.values()])
+        got = f.substitute(images)
+        assert got.vars == next(iter(images.values())).vars, label
+        assert got.order == order, label
+        assert got.coeffs == _reference_substitute(f, images, order), label
+
+
+def test_hensel_one_equation_over_sqrt2_oracle():
+    """Oracle: sympy substitution of the solved series into the equation,
+    whose derivative in u is 1 + sqrt2 x + 2 sqrt2 u + ..., not a constant;
+    the solution has a linear part, so its powers mix all degrees."""
+    K = QuadraticExtension(2)
+    r2 = K.sqrt_gen
+    N = 6
+    e = Jet(K, ("x", "y", "u"), N,
+            {(0, 0, 1): K.one, (1, 0, 1): r2, (0, 0, 2): r2,
+             (1, 0, 0): r2, (2, 0, 0): K.coerce(3), (1, 1, 0): -r2,
+             (0, 3, 1): K.coerce(2),
+             (0, 2, 2): 1 + r2, (1, 0, 3): K.coerce(F(1, 2))})
+    (phi,) = hensel_solve([e], ("u",))
+    assert phi.order == N and phi.vars == ("x", "y")
+    xs, ys, us = sympy.symbols("x y u")
+    s2 = sympy.sqrt(2)
+
+    def to_sympy(jet, syms):
+        expr = sympy.Integer(0)
+        for exps, c in jet.coeffs.items():
+            term = sympy.Rational(c.a.numerator, c.a.denominator) \
+                + sympy.Rational(c.b.numerator, c.b.denominator) * s2
+            for sym, k in zip(syms, exps):
+                term *= sym ** k
+            expr += term
+        return expr
+
+    phis = to_sympy(phi, (xs, ys))
+    assert phis != 0
+    residual = sympy.expand(to_sympy(e, (xs, ys, us)).subs(us, phis))
+    low = {}
+    for term in sympy.Add.make_args(residual):
+        mono = sympy.Poly(term, xs, ys).monoms()[0]
+        if sum(mono) <= N:
+            low[mono] = (low.get(mono, 0)
+                         + term / (xs ** mono[0] * ys ** mono[1]))
+    assert all(sympy.simplify(c) == 0 for c in low.values()), low
+
+
+def test_hensel_order_capped_at_the_equations():
+    # u = x^2 + u^3 known only to order 3 determines u only to order 3
+    e = jet_from_poly(QQ, ("x", "u"), 3, {(0, 1): 1, (2, 0): -1, (0, 3): -1})
+    (phi,) = hensel_solve([e], ("u",), order=6)
+    assert phi.order == 3 and phi.coeffs == {(2,): 1}
+
+
+def test_hensel_relift_stability_over_rational_functions(rng):
+    """The solve at order N + 2, cut to N, is the solve at order N, over Q(x)
+    with a Jacobian that depends on x."""
+    Kx, draw = _field_sampler("Qx")
+    x = Kx.gen
+    N = 5
+    vars3 = ("y", "z", "w")
+    q1 = _random_jet(Kx, draw, rng, vars3, N + 2, low=2) \
+        + Jet(Kx, vars3, N + 2, {(0, 1, 0): x + 1, (0, 0, 1): Kx.coerce(2)})
+    q2 = _random_jet(Kx, draw, rng, vars3, N + 2, low=2) \
+        + Jet(Kx, vars3, N + 2, {(0, 1, 0): Kx.coerce(1), (0, 0, 1): x})
+    F2, G2 = hensel_solve([q1, q2], ("z", "w"), order=N + 2)
+    F1, G1 = hensel_solve([q1.truncate(N), q2.truncate(N)], ("z", "w"),
+                          order=N)
+    assert F1.order == N and F2.order == N + 2
+    assert F2.truncate(N).coeffs == F1.coeffs
+    assert G2.truncate(N).coeffs == G1.coeffs
+    assert F1.coeffs or G1.coeffs
 
 
 def test_y_order_examples():
