@@ -18,6 +18,7 @@ import random
 import sys
 from importlib import resources
 
+from .cusplocus import DEFAULT_ORDER
 from .errors import SegreCuspError
 from .fields import parse_rational
 from .jets import START_ORDER
@@ -284,9 +285,10 @@ def build_parser():
         if config:
             p.add_argument("--config", required=True, help="surface config JSON")
         p.add_argument("--order", type=int, default=None,
-                       help="jet truncation order of the point trichotomy, "
-                       f"at least {START_ORDER} (default: the config's, "
-                       "else 8); "
+                       help="order to which the point trichotomy confirms a "
+                       f"perfect-square section (A1 and A2 sections settle at "
+                       f"order {START_ORDER}), at least {START_ORDER} "
+                       f"(default: the config's, else {DEFAULT_ORDER}); "
                        "line-report, verify-appendix and table1 also start "
                        "line reports at it (table1 only when given)")
         p.add_argument("--seed", type=int, default=None)

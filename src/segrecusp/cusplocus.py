@@ -111,12 +111,14 @@ def classify_plane_germ(h: Jet, aligned_var=None) -> SectionGermClass:
         k = h.order_in(aligned_var)
         if k is not None and k >= 2:
             return SectionGermClass("NonReducedLineMultiple", multiplicity=k)
+    # a square needs no splitting; a node is no square (c * l**2 has a
+    # Hessian of rank at most 1)
+    if try_extract_square(h) is not None:
+        return SectionGermClass("PerfectSquare",
+                                detail=f"square to order {h.order}")
     split = splitting_reduce(h)
     if split.rank == 2:
         return SectionGermClass("A1_node")
-    sq = try_extract_square(h)
-    if sq is not None:
-        return SectionGermClass("PerfectSquare")
     if split.rank == 1:
         v = split.residual.valuation()
         if v is None:
@@ -192,15 +194,38 @@ class PointCase:
     hessian: HessianAtPoint
 
 
+# classes that the 3-jet of a section germ settles: A1 is read off the
+# Hessian rank and an ordinary cusp is 3-determined
+SETTLED_AT_START = ("A1_node", "A2_cusp")
+
+
 def point_case(surface, point, order=DEFAULT_ORDER) -> PointCase:
-    """Classify both Hessian-root sections at a smooth point off all lines."""
+    """Classify both Hessian-root sections at a smooth point off all lines.
+
+    Each section germ is classified at :data:`segrecusp.jets.START_ORDER`
+    first, where an A1 or A2 germ is final; every other germ (a
+    perfect-square candidate) is classified again at ``order``, the order
+    to which a perfect square is confirmed.  Over a rational chart, roots
+    conjugate in Q(sqrt d) give conjugate germs, and the classification
+    (field operations and zero tests) commutes with sqrt d -> -sqrt d, so
+    the second root takes the first root's class.
+    """
     hess = hessian_form_at(surface, point)
     if not hess.has_two_distinct_roots:
         raise NonGenericPoint(
             f"Hessian form at {point} is degenerate; the point is not generic")
-    F, G = hess.chart.solve_graph(order)
-    classes = [classify_plane_germ(_section_jet(F, G, lam, mu, rfield))
-               for rfield, (lam, mu), _m in hess.roots]
+    chart = hess.chart
+    conjugate = chart.field == QQ and hess.roots[0][0] != QQ
+    roots = hess.roots[:1] if conjugate else hess.roots
+    classes = _root_classes(chart, roots, min(order, START_ORDER))
+    pending = [i for i, c in enumerate(classes)
+               if c.kind not in SETTLED_AT_START]
+    if pending and order > START_ORDER:
+        again = _root_classes(chart, [roots[i] for i in pending], order)
+        for i, c in zip(pending, again):
+            classes[i] = c
+    if conjugate:
+        classes *= 2
     kinds = sorted(c.kind for c in classes)
     squares = kinds.count("PerfectSquare")
     if squares == 2:
@@ -216,9 +241,21 @@ def point_case(surface, point, order=DEFAULT_ORDER) -> PointCase:
     return PointCase(case=case, root_classes=tuple(classes), hessian=hess)
 
 
+def _root_classes(chart, roots, order):
+    """Classes of the Hessian-root section germs, with the graph solved to
+    ``order``."""
+    F, G = chart.solve_graph(order)
+    return [classify_plane_germ(_section_jet(F, G, lam, mu, rfield))
+            for rfield, (lam, mu), _m in roots]
+
+
 def sample_point_cases(surface, count, rng=None, order=DEFAULT_ORDER):
     """Point cases at ``count`` generic rational points, resampling the
-    occasional hit on a special curve."""
+    occasional hit on a special curve.
+
+    As in :func:`point_case`, A1 and A2 sections settle at
+    :data:`segrecusp.jets.START_ORDER` and ``order`` is the order to which
+    a perfect-square section is confirmed."""
     from .surface import sample_rational_points
 
     rng = rng or random.Random(surface.seed + 3)

@@ -599,11 +599,22 @@ def try_extract_square(h: Jet):
     for e, c in s_coeffs.items():
         q_list[e[last]] = c
     s_order = h.order - m
-    # lift degree by degree: (h/c0) must equal s**2 exactly
-    s = Jet(field, h.vars, s_order, s_coeffs)
-    target = h / c0
+    # lift degree by degree: h/c0 must equal s**2 exactly.  With s_j the
+    # degree-(m + j) part of s, the degree-(v + k) part of s**2 is
+    # 2 s_0 s_k + sum_{0<i<k} s_i s_{k-i}, so s_k = (h_{v+k}/c0 - that
+    # sum) / (2 s_0), read off the parts already lifted.
+    parts = [s_coeffs]
+    inv = field.one / c0
     for k in range(1, s_order - m + 1):
-        diff = (target - s * s).homogeneous_part(v + k)
+        known = {}
+        for i in range(1, k):
+            _mul_into(known, parts[i], parts[k - i], v + k, field.zero)
+        diff = {e: c * inv for e, c in h.homogeneous_part(v + k).items()}
+        for e, c in known.items():
+            diff[e] = diff.get(e, field.zero) - c
+        diff = {e: c for e, c in diff.items() if c}
+        add = {}
+        parts.append(add)
         if not diff:
             continue
         num = [c if c is not None else field.zero
@@ -611,14 +622,13 @@ def try_extract_square(h: Jet):
         quot, rem = pdivmod(num, q_list)
         if rem:
             return None
-        add = {}
         for i, c in enumerate(quot):
             if c:
                 e = form_entry(m + k, i)
                 if e is None or i > m + k:
                     return None
                 add[e] = c / 2
-        s = s + Jet(field, h.vars, s_order, add)
+    s = Jet(field, h.vars, s_order, {e: c for p in parts for e, c in p.items()})
     if not (s * s * c0 - h).is_zero():
         return None
     u = Jet.constant(field, h.vars, h.order, field.one) * c0

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .cusplocus import DEFAULT_ORDER
 from .errors import ConfigError, ValidationFailure
 from .fields import fmt_rational, parse_rational
 from .jets import START_ORDER
@@ -67,7 +68,7 @@ class SurfaceConfig:
 
     def __init__(self, raw):
         self.raw = raw
-        self.order = raw.get("order", 8)
+        self.order = raw.get("order", DEFAULT_ORDER)
         if isinstance(self.order, bool) or not isinstance(self.order, int) \
                 or self.order < START_ORDER:
             raise ConfigError(
@@ -81,13 +82,17 @@ class SurfaceConfig:
         self.params = None
         self.quadrics = None
         if "symbol" in raw:
+            if not isinstance(raw["symbol"], str):
+                raise ConfigError(
+                    f"\"symbol\" must be a string, got {raw['symbol']!r}")
             try:
                 self.symbol = SegreSymbol.parse(raw["symbol"])
             except ValueError as exc:
                 raise ConfigError(f"bad symbol: {exc}") from exc
             params = raw.get("params")
-            if params is None:
-                raise ConfigError("symbol input needs \"params\"")
+            if not isinstance(params, (list, dict)):
+                raise ConfigError("symbol input needs \"params\", a list or "
+                                  f"an object, got {params!r}")
             try:
                 if isinstance(params, dict):
                     self.params = {k: parse_rational(v) for k, v in params.items()}
@@ -101,7 +106,8 @@ class SurfaceConfig:
                 raise ConfigError("\"quadrics\" must hold two 5x5 matrices")
             out = []
             for M in mats:
-                if len(M) != 5 or any(len(r) != 5 for r in M):
+                if not (isinstance(M, list) and len(M) == 5) or any(
+                        not isinstance(r, list) or len(r) != 5 for r in M):
                     raise ConfigError("quadric matrices must be 5x5")
                 try:
                     rows = [[parse_rational(c) for c in r] for r in M]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -424,10 +425,15 @@ class AdaptedChart:
 
     VAR_NAMES = ("x", "y", "z", "w")
 
+    @cached_property
+    def _quadrics(self):
+        # degree 2: read off the Gram matrices once, whatever the order
+        return chart_quadrics(self.surface.pencil, self.field, self.columns,
+                              self.VAR_NAMES, 2)
+
     def chart_jets(self, order):
         """The two quadrics as jets in (x, y, z, w) centered at the base point."""
-        return chart_quadrics(self.surface.pencil, self.field, self.columns,
-                              self.VAR_NAMES, order)
+        return tuple(q.clone(q.coeffs, order) for q in self._quadrics)
 
     def solve_graph(self, order):
         """F, G with the surface locally {z = F(x,y), w = G(x,y)}."""

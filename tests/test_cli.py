@@ -125,6 +125,18 @@ def test_config_seed_not_an_integer_is_an_error(seed, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("raw", [
+    {"symbol": 23, "params": ["1", "2"]},
+    {"symbol": "[23]", "params": "12"},
+    {"quadrics": [5, 6]},
+    {"quadrics": [[5, 6, 7, 8, 9]] * 2},
+])
+def test_config_wrong_json_types_are_errors(raw, tmp_path, capsys):
+    path = write_config(tmp_path, raw)
+    assert main(["surface-report", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_surface_report_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, {"symbol": "[23]",
                                    "params": ["1", "2"], "seed": 6})

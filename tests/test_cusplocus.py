@@ -7,7 +7,8 @@ import pytest
 import sympy
 
 from segrecusp.appendix import appendix_cases
-from segrecusp.cusplocus import (_on_any_line, branch_scan, classify_plane_germ,
+from segrecusp.cusplocus import (_on_any_line, _section_jet, branch_scan,
+                                 classify_plane_germ,
                                  classify_section_germ, cusp_locus_summary,
                                  dual_plane_conic_fit, hessian_form_at,
                                  line_report, numeric_line_branch_evidence,
@@ -18,7 +19,7 @@ from segrecusp.fields import QQ
 from segrecusp.instances import sampling_instance, table1_instance
 from segrecusp.jets import jet_from_poly
 from segrecusp.lines import LineOnSurface, coordinate_lines, enumerate_lines
-from segrecusp.pencil import normal_form
+from segrecusp.pencil import TABLE1_SYMBOLS, normal_form
 from segrecusp.surface import (AdaptedChart, ProjectivePoint, SurfaceInstance,
                                adapted_chart, sample_rational_points)
 
@@ -105,6 +106,10 @@ def test_classify_plane_germ_basics():
     assert classify_plane_germ(tac).kind == "A3_tacnode"
     f = jet_from_poly(QQ, ("x", "y"), 8, {(0, 1): 1, (2, 0): 1})
     assert classify_plane_germ(f * f).kind == "PerfectSquare"
+    for order in (3, 5, 8):
+        square = classify_plane_germ((f * f).truncate(order))
+        assert str(square) == "PerfectSquare"
+        assert square.detail == f"square to order {order}"
     y4 = jet_from_poly(QQ, ("x", "y"), 8, {(0, 4): 1, (1, 4): 2})
     assert str(classify_plane_germ(y4, aligned_var="y")) == \
         "NonReducedLineMultiple(4)"
@@ -176,6 +181,45 @@ def test_point_case_examples(symbol, expected):
         enumerate_lines(inst, starts_per_chart=150)
     for p, pc in sample_point_cases(inst, 3, rng=random.Random(7)):
         assert pc.case == expected
+
+
+CASE_OF_KINDS = {("PerfectSquare", "PerfectSquare"): "CaseI",
+                 ("A2_cusp", "PerfectSquare"): "CaseII",
+                 ("A2_cusp", "A2_cusp"): "CaseIII"}
+
+
+@pytest.fixture(scope="module")
+def trichotomy_points():
+    """Two generic points on the sampling instance of each of the 16
+    symbols."""
+    out = []
+    for symbol in TABLE1_SYMBOLS:
+        inst = sampling_instance(symbol, seed=5)
+        if inst.lines is None:
+            enumerate_lines(inst)
+        out += [(inst, p) for p, _ in
+                sample_point_cases(inst, 2, rng=random.Random(7))]
+    return out
+
+
+@pytest.mark.parametrize("order", [3, 8, 12])
+def test_point_case_matches_full_order_classification(trichotomy_points,
+                                                      order):
+    """point_case settles A1/A2 sections at order 3 and classifies one root
+    of a conjugate pair; the reference classifies both root germs at the
+    full order."""
+    conjugate_pairs = 0
+    for inst, p in trichotomy_points:
+        pc = point_case(inst, p, order=order)
+        hess = hessian_form_at(inst, p)
+        F_, G_ = hess.chart.solve_graph(order)
+        want = [classify_plane_germ(_section_jet(F_, G_, lam, mu, rfield))
+                for rfield, (lam, mu), _ in hess.roots]
+        got = [(c.kind, c.detail) for c in pc.root_classes]
+        assert got == [(c.kind, c.detail) for c in want], (inst.pencil, p)
+        assert pc.case == CASE_OF_KINDS[tuple(sorted(c.kind for c in want))]
+        conjugate_pairs += hess.roots[0][0] != QQ
+    assert conjugate_pairs > 0
 
 
 def test_point_case_constant_over_five_points():
