@@ -172,9 +172,11 @@ def closed_forms_first_case(a, b, c):
     return f_coeff, g_coeff, k_coeff
 
 
-def verify_appendix(order=8):
-    """Replay all seven computations; returns a list of result dicts."""
-    from .cusplocus import classify_section_germ, line_report
+def verify_appendix(order=None):
+    """Replay all seven computations; returns a list of result dicts.
+    ``order`` starts the line reports (default: START_ORDER) and classifies
+    the special sections (default: DEFAULT_ORDER)."""
+    from .cusplocus import DEFAULT_ORDER, classify_section_germ, line_report
 
     results = []
     for case in appendix_cases():
@@ -198,7 +200,8 @@ def verify_appendix(order=8):
             smooth_pt = _smooth_line_point(surf, case)
             cls = classify_section_germ(surf, smooth_pt,
                                         case.special_hyperplane,
-                                        line=case.line(), order=order)
+                                        line=case.line(),
+                                        order=order or DEFAULT_ORDER)
             entry["special_section"] = str(cls)
             entry["pass"] = entry["pass"] and cls.kind == "NonReducedLineMultiple" \
                 and cls.multiplicity == case.special_multiple

@@ -190,7 +190,7 @@ def _parse_point(text):
 
 def cmd_verify_appendix(args):
     from .appendix import verify_appendix
-    results = verify_appendix(order=args.order or 8)
+    results = verify_appendix(order=args.order)
     ok = all(r["pass"] for r in results)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -290,7 +290,8 @@ def build_parser():
                        f"order {START_ORDER}), at least {START_ORDER} "
                        f"(default: the config's, else {DEFAULT_ORDER}); "
                        "line-report, verify-appendix and table1 also start "
-                       "line reports at it (table1 only when given)")
+                       "line reports at it (table1 and verify-appendix only "
+                       "when given)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", default=None, help="also write the report here")
 

@@ -28,7 +28,9 @@ Rational = Fraction
 
 
 def parse_rational(value) -> Fraction:
-    """Parse an exact rational from an int, Fraction or a ``"p/q"`` string."""
+    """Parse an exact rational from an int (not a bool), Fraction or ``"p/q"``."""
+    if isinstance(value, bool):
+        raise FieldError(f"cannot parse rational from {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

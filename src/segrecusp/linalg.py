@@ -11,6 +11,7 @@ from fractions import Fraction
 import sympy
 
 from .errors import CrossCheckMismatch
+from .fields import QQ
 
 
 def identity(field, n):
@@ -40,10 +41,6 @@ def gram_matrix(field, M, vectors):
                for row in M] for support in supports]
     return [[sum((v * images[b][k] for k, v in supports[a]), field.zero)
              for b in range(len(vectors))] for a in range(len(vectors))]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def _row_reduce(field, M, ncols=None):
@@ -129,13 +126,31 @@ def mat_det(field, M):
     return det
 
 
-def mat_inv(field, M):
-    n = len(M)
-    aug = [row[:] + ident for row, ident in zip(M, identity(field, n))]
-    pivots = _row_reduce(field, aug, ncols=n)
-    if len(pivots) != n:
+def mat_solve(field, A, B):
+    """A**-1 * B from one row reduction of [A | B]."""
+    n = len(A)
+    aug = [ra + rb for ra, rb in zip(A, B)]
+    if len(_row_reduce(field, aug, ncols=n)) != n:
         raise ZeroDivisionError("matrix is singular")
     return [row[n:] for row in aug]
+
+
+def mat_inv(field, M):
+    return mat_solve(field, M, identity(field, len(M)))
+
+
+def char_poly(M):
+    """det(t*I - M) of a rational matrix, ascending: its values over Q at
+    t = 0 .. n, interpolated in Newton form (Cohen, GTM 138, section 2.2)."""
+    n = len(M)
+    c = [mat_det(QQ, [[int(i == j) * t - x for j, x in enumerate(row)]
+                      for i, row in enumerate(M)]) for t in range(n + 1)]
+    for k in range(1, n + 1):  # divided differences: nodes k apart
+        c[k:] = [(b - a) / k for a, b in zip(c[k - 1:], c[k:])]
+    poly = [c[n]]
+    for k in range(n - 1, -1, -1):  # Horner: poly * (t - k) + c[k]
+        poly = [a - k * b for a, b in zip([c[k]] + poly, poly + [0])]
+    return tuple(poly)
 
 
 def sym_matrix(n, coeffs):
@@ -177,19 +192,15 @@ def complete_basis(field, vectors, n):
 _T = sympy.Symbol("_t")
 
 
-def poly_to_sympy(coeffs):
-    return sympy.Poly.from_list([sympy.Rational(c.numerator, c.denominator)
-                                 for c in reversed(coeffs)], _T)
-
-
 def rational_roots(coeffs):
     """All rational roots with multiplicities, plus leftover factors.
 
     ``coeffs`` is an ascending Fraction tuple.  Returns
     (roots: list[(Fraction, int)], other_factors: list[str]).
     """
-    poly = poly_to_sympy(coeffs)
-    _, factors = poly.factor_list()
+    _, factors = sympy.Poly.from_list(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+        _T).factor_list()
     roots, leftovers = [], []
     for fac, mult in factors:
         if fac.degree() == 1:

@@ -3,8 +3,9 @@
 A pencil is stored as a pair of 5x5 symmetric rational matrices (P, Q).  The
 Segre symbol collects, for each eigenvalue of the pencil, the multiset of
 Jordan block sizes of M = R**-1 * S, where R is a recorded invertible member
-and S an independent one.  Degenerate members, their exact kernels, and the
-count of double-conic pencils all derive from this data.
+and S an independent one, all over Q: one row reduction per eigenvalue, no
+rational functions.  Degenerate members, their exact kernels, and the count
+of double-conic pencils all derive from this data.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from fractions import Fraction
 
 from .errors import (CrossCheckMismatch, DegeneratePencil, DuplicateEigenvalue,
                      IrrationalEigenvalue)
-from .fields import QQ, RationalFunctions, parse_rational, proj_normalize
-from .linalg import (identity, mat_det, mat_inv, mat_mul, mat_rank, mat_sub,
+from .fields import QQ, parse_rational, proj_normalize
+from .linalg import (char_poly, mat_det, mat_mul, mat_rank, mat_solve,
                      nullspace, rational_roots, transpose)
 
 DIM = 5
@@ -201,38 +202,36 @@ class QuadricPencil:
     # ------------------------------------------------------------- symbol
 
     def jordan_data(self):
-        """(M, blocks): M = R**-1 * S for the reference member R and an
-        independent member S, and for each eigenvalue alpha of M, ascending,
-        the pair (alpha, ascending Jordan block sizes).  Raises
-        IrrationalEigenvalue when an eigenvalue is not rational."""
+        """(M, blocks): M = R**-1 * S (one row reduction of [R | S]) for the
+        reference member R and an independent member S, and for each root
+        alpha of char_poly(M), ascending, the pair (alpha, ascending Jordan
+        block sizes).  Raises IrrationalEigenvalue when a root is not
+        rational.  One row reduction of A = M - alpha*I gives rank(A) and
+        its kernel; powers of A follow only until rank(A**k) = 5 - mult or
+        stops falling.  As the multiplicities sum to 5, a misstated one
+        makes the block sizes at some alpha miss theirs."""
         if self._jordan is not None:
             return self._jordan
         a, b = self.reference
-        R = self.member(a, b)
         S = self.member(1, 0) if (a, b) != (1, 0) else self.member(0, 1)
-        M = mat_mul(mat_inv(QQ, R), S)
-        # char poly of M via det(t*I - M) over Q(t)
-        Kt = RationalFunctions("t")
-        t = Kt.gen
-        TM = [[t * (1 if i == j else 0) - Kt.coerce(M[i][j])
-               for j in range(DIM)] for i in range(DIM)]
-        chi = mat_det(Kt, TM).num
-        roots, leftovers = rational_roots(chi)
+        M = mat_solve(QQ, self.member(a, b), S)
+        roots, leftovers = rational_roots(char_poly(M))
         if leftovers:
             raise IrrationalEigenvalue(
                 f"pencil eigenvalue outside Q: irreducible factor(s) {leftovers}",
                 factor=leftovers)
-        blocks = []
+        if sum(mult for _, mult in roots) != DIM:
+            raise CrossCheckMismatch(f"multiplicities {roots} do not sum to {DIM}")
+        blocks, members = [], []
         for alpha, mult in sorted(roots):
-            A = mat_sub(M, [[alpha if i == j else Fraction(0)
-                             for j in range(DIM)] for i in range(DIM)])
-            ranks = [DIM]
-            power = identity(QQ, DIM)
-            while len(ranks) < 2 or ranks[-1] != ranks[-2]:
+            A = [[c - alpha if i == j else c for j, c in enumerate(row)]
+                 for i, row in enumerate(M)]
+            kernel = nullspace(QQ, A)
+            ranks, power = [DIM, DIM - len(kernel)], A
+            while ranks[-1] not in (DIM - mult, ranks[-2]):
                 power = mat_mul(power, A)
                 ranks.append(mat_rank(QQ, power))
-            # rank(A^(k-1)) - rank(A^k) blocks have size >= k
-            at_least = [r - r1 for r, r1 in zip(ranks, ranks[1:])]
+            at_least = [r - r1 for r, r1 in zip(ranks, ranks[1:])] + [0]
             sizes = tuple(k for k in range(1, len(at_least))
                           for _ in range(at_least[k - 1] - at_least[k]))
             if sum(sizes) != mult:
@@ -240,7 +239,11 @@ class QuadricPencil:
                     f"Jordan blocks at {alpha} have sizes {sizes}, which do "
                     f"not sum to the multiplicity {mult}")
             blocks.append((alpha, sizes))
+            members.append(RankMember(root=self._root_of(alpha),
+                                      rank=ranks[1], multiplicity=mult,
+                                      kernel=kernel))
         self._jordan = (M, blocks)
+        self._members = sorted(members, key=lambda m: m.root)
         return self._jordan
 
     def _root_of(self, alpha):
@@ -259,19 +262,11 @@ class QuadricPencil:
     # ------------------------------------------------------------- members
 
     def rank_drop_members(self):
-        """One entry per root of det(lam*P + mu*Q), with exact kernel."""
-        if self._members is not None:
-            return self._members
-        members = []
-        for alpha, sizes in self.jordan_data()[1]:
-            root = self._root_of(alpha)
-            M = self.member(*root)
-            members.append(RankMember(root=root, rank=mat_rank(QQ, M),
-                                      multiplicity=sum(sizes),
-                                      kernel=nullspace(QQ, M)))
-        members.sort(key=lambda m: m.root)
-        self._members = members
-        return members
+        """One entry per root of det(lam*P + mu*Q), with exact kernel: the
+        member S - alpha*R = R * A shares the row space of A = M - alpha*I,
+        hence the rank and ``nullspace`` basis ``jordan_data`` found."""
+        self.jordan_data()
+        return self._members
 
     def double_conic_pencil_count(self):
         """Number of pencils of double conics, with a rank cross-check."""

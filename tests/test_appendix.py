@@ -13,6 +13,10 @@ def test_seven_cases_reproduce_multiplicities():
     assert all(r["pass"] for r in results)
 
 
+def test_escalating_line_reports_match_order_8():
+    assert verify_appendix() == verify_appendix(order=8)
+
+
 def test_first_case_closed_forms_instantiated():
     case = appendix_cases()[0]
     surf = case.surface()

@@ -137,6 +137,18 @@ def test_config_wrong_json_types_are_errors(raw, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("raw", [
+    {"symbol": "[23]", "params": [True, 2]},
+    {"quadrics": [[[True if i == j else 0 for j in range(5)]
+                   for i in range(5)],
+                  [[i * int(i == j) for j in range(5)] for i in range(5)]]},
+], ids=["params", "quadrics"])
+def test_config_booleans_are_not_rationals(raw, tmp_path, capsys):
+    path = write_config(tmp_path, raw)
+    assert main(["surface-report", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_surface_report_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, {"symbol": "[23]",
                                    "params": ["1", "2"], "seed": 6})

@@ -20,6 +20,12 @@ def test_parse_and_format_rationals():
         parse_rational(0.5)
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_parse_rational_rejects_booleans(value):
+    with pytest.raises(FieldError):
+        parse_rational(value)
+
+
 def test_fraction_sqrt_and_squarefree():
     assert fraction_sqrt(F(49, 9)) == F(7, 3)
     assert fraction_sqrt(F(2)) is None

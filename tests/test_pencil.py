@@ -1,11 +1,14 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from segrecusp.errors import (DegeneratePencil, DuplicateEigenvalue,
-                              IrrationalEigenvalue)
-from segrecusp.fields import QQ
+from segrecusp import pencil as pencil_module
+from segrecusp.errors import (CrossCheckMismatch, DegeneratePencil,
+                              DuplicateEigenvalue, IrrationalEigenvalue)
+from segrecusp.fields import QQ, RationalFunctions
+from segrecusp.linalg import char_poly, mat_det, mat_rank, nullspace
 from segrecusp.pencil import (TABLE1_SYMBOLS, QuadricPencil, SegreSymbol,
                               default_instance, normal_form, validate_segre)
 
@@ -138,3 +141,106 @@ def test_validate_segre():
     P = [[F(int(i == j)) for j in range(5)] for i in range(5)]
     rep = validate_segre(QuadricPencil(P, P))
     assert not rep.ok and "nondegenerate_pencil" in rep.failures
+
+
+SYMBOLS = [str(s) for s in TABLE1_SYMBOLS]
+
+
+@functools.lru_cache(maxsize=None)
+def _census_congruences():
+    """The random.Random(1) draw of the census benchmark: one invertible
+    matrix with entries in [-2, 2] per Table-1 symbol, in Table-1 order."""
+    rng = random.Random(1)
+    out = {}
+    for symbol in SYMBOLS:
+        while True:
+            A = [[F(rng.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
+            if mat_det(QQ, A):
+                break
+        out[symbol] = A
+    return out
+
+
+def _form_and_copy(symbol):
+    form = default_instance(symbol)
+    return form, form.congruent(_census_congruences()[symbol])
+
+
+def _det_over_qt(M):
+    """Monic det(t*I - M), computed as a determinant over Q(t)."""
+    Kt = RationalFunctions("t")
+    TM = [[Kt.gen * int(i == j) - Kt.coerce(c) for j, c in enumerate(row)]
+          for i, row in enumerate(M)]
+    num = mat_det(Kt, TM).num
+    return tuple(c / num[-1] for c in num)
+
+
+@pytest.mark.parametrize("symbol", SYMBOLS)
+def test_char_poly_matches_rational_function_determinant(symbol):
+    form, copy = _form_and_copy(symbol)
+    for pen in (form, copy):
+        M = pen.jordan_data()[0]
+        assert char_poly(M) == _det_over_qt(M)
+
+
+def test_char_poly_small_cases():
+    assert char_poly([[F(3)]]) == (F(-3), F(1))
+    # companion-like: t^2 - t - 1
+    assert char_poly([[F(0), F(1)], [F(1), F(1)]]) == (F(-1), F(-1), F(1))
+
+
+@pytest.mark.parametrize("symbol", SYMBOLS)
+def test_rank_drop_members_match_direct_reduction(symbol):
+    form, copy = _form_and_copy(symbol)
+    for pen in (form, copy, form.basis_changed(2, 3, -1, 5)):
+        members = pen.rank_drop_members()
+        assert [m.root for m in members] == sorted(m.root for m in members)
+        for m in members:
+            S = pen.member(*m.root)
+            assert m.rank == mat_rank(QQ, S)
+            assert m.kernel == nullspace(QQ, S)
+
+
+@pytest.mark.parametrize("symbol", SYMBOLS)
+def test_symbol_round_trip_congruence_and_basis_change(symbol):
+    form, copy = _form_and_copy(symbol)
+    want = SegreSymbol.parse(symbol)
+    for pen in (copy, form.basis_changed(2, 3, -1, 5),
+                form.basis_changed(0, 1, 1, 0)):
+        assert pen.segre_symbol() == want
+
+
+def test_irrational_eigenvalue_factor_is_reported_exactly():
+    P = [[1, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 3, 0, 0],
+         [0, 0, 0, 4, 0], [0, 0, 0, 0, 5]]
+    Q = [[F(int(i == j)) for j in range(5)] for i in range(5)]
+    with pytest.raises(IrrationalEigenvalue) as info:
+        QuadricPencil(P, Q).segre_symbol()
+    assert info.value.factor == ["_t**2 - _t - 1"]
+
+
+@pytest.mark.parametrize("symbol,moves", [
+    ("[5]", [(0, 1), (0, -1)]),
+    ("[(11)3]", [(0, 1), (0, -1), (-1, 1)]),
+    ("[11111]", [(0, 1), (-1, -1)]),
+    ("[(12)2]", [(0, 1), (-1, 1), (-1, -1)]),
+])
+def test_jordan_blocks_cross_checked_against_multiplicity(symbol, moves,
+                                                          monkeypatch):
+    # characteristic polynomials that misstate multiplicities: the first
+    # root's by `shift`, and the root `other` by -shift (other == 0: only
+    # the first; the multiplicities then no longer add up to 5)
+    form = default_instance(symbol)
+    roots = pencil_module.rational_roots
+    for other, shift in moves:
+        def wrong(coeffs, other=other, shift=shift):
+            found, leftovers = roots(coeffs)
+            found = [list(r) for r in sorted(found)]
+            found[0][1] += shift
+            if other:
+                found[other][1] -= shift
+            return [tuple(r) for r in found], leftovers
+
+        monkeypatch.setattr(pencil_module, "rational_roots", wrong)
+        with pytest.raises(CrossCheckMismatch):
+            QuadricPencil(form.P, form.Q).jordan_data()
