@@ -11,9 +11,8 @@ cuspidal locus of the dual variety.
 
 from .errors import SegreCuspError
 from .fields import QQ, QuadraticExtension, RationalFunctions
-from .jets import (BinaryQuadratic, Jet, hensel_solve, hensel_solve_pair,
-                   jet_from_poly, splitting_reduce, try_extract_square,
-                   y_order)
+from .jets import (BinaryQuadratic, Jet, hensel_solve, jet_from_poly,
+                   splitting_reduce, try_extract_square, y_order)
 from .pencil import (QuadricPencil, SegreSymbol, TABLE1_SYMBOLS,
                      default_instance, normal_form, validate_segre)
 from .surface import (ADEClass, AdaptedChart, ProjectivePoint,
@@ -36,7 +35,7 @@ __all__ = [
     "SurfaceInstance", "TABLE1_SYMBOLS", "adapted_chart", "branch_scan",
     "classify_section_germ", "classify_singularity", "cusp_locus_summary",
     "default_instance", "double_conic_hyperplane", "enumerate_lines",
-    "hensel_solve", "hensel_solve_pair", "hessian_form_at", "jet_from_poly",
+    "hensel_solve", "hessian_form_at", "jet_from_poly",
     "line_report", "load_surface_config", "normal_form", "point_case",
     "sample_rational_points", "sampling_instance", "smooth_segre_instance",
     "splitting_reduce", "surface_through_line", "table1_instance",

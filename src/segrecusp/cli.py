@@ -1,10 +1,13 @@
 """Command line interface.
 
-    segre-cusp surface-report  --config FILE [--order N --seed S --json PATH]
-    segre-cusp line-report     --config FILE --line K
+    segre-cusp surface-report  --config FILE [--seed S --json PATH]
+    segre-cusp line-report     --config FILE --line K [--order N]
     segre-cusp point-case      --config FILE (--point "a,b,c,d,e" | --random)
-    segre-cusp verify-appendix
-    segre-cusp table1          [--symbols "[11111],[5]"]
+    segre-cusp verify-appendix [--order N]
+    segre-cusp table1          [--symbols "[11111],[5]"] [--order N]
+
+``--order`` is the order at which line reports start; the point trichotomy
+and the ADE types work out their own.
 
 All commands print deterministic JSON on standard output and exit nonzero
 when an assertion-bearing record fails.
@@ -73,8 +76,7 @@ def cmd_surface_report(args):
     try:
         from .cusplocus import sample_point_cases
         for p, pc in sample_point_cases(surface, 3,
-                                        rng=random.Random(config.seed + 11),
-                                        order=config.order):
+                                        rng=random.Random(config.seed + 11)):
             point_cases.append({"point": point_payload(p), "case": pc.case})
     except SegreCuspError as exc:
         notes.append(f"point sampling unavailable: {exc}")
@@ -157,11 +159,10 @@ def cmd_point_case(args):
 
     _census(surface)
     if point is not None:
-        pairs = [(point, point_case(surface, point, order=config.order))]
+        pairs = [(point, point_case(surface, point))]
     else:
         pairs = sample_point_cases(surface, args.count,
-                                   rng=random.Random(config.seed),
-                                   order=config.order)
+                                   rng=random.Random(config.seed))
     cases = []
     for p, pc in pairs:
         cases.append({"point": point_payload(p), "case": pc.case,
@@ -265,10 +266,10 @@ def cmd_table1(args):
 
 
 def _build(args):
-    """The config named by --config, with --order and --seed applied, and
-    the surface it describes."""
+    """The config named by --config, with --order (where the command takes
+    it) and --seed applied, and the surface it describes."""
     config = SurfaceConfig.load(args.config)
-    if args.order:
+    if getattr(args, "order", None):
         config.order = args.order
     if args.seed is not None:
         config.seed = args.seed
@@ -281,22 +282,20 @@ def build_parser():
         description="Exact cuspidal-locus data of Segre quartic surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
+    def common(p, config=True, order=True):
         if config:
             p.add_argument("--config", required=True, help="surface config JSON")
-        p.add_argument("--order", type=int, default=None,
-                       help="order to which the point trichotomy confirms a "
-                       f"perfect-square section (A1 and A2 sections settle at "
-                       f"order {START_ORDER}), at least {START_ORDER} "
-                       f"(default: the config's, else {DEFAULT_ORDER}); "
-                       "line-report, verify-appendix and table1 also start "
-                       "line reports at it (table1 and verify-appendix only "
-                       "when given)")
+        if order:
+            p.add_argument("--order", type=int, default=None,
+                           help="order at which line reports start, at least "
+                           f"{START_ORDER} (line-report: default the "
+                           f"config's, else {DEFAULT_ORDER}; verify-appendix "
+                           "and table1: only when given)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", default=None, help="also write the report here")
 
     p = sub.add_parser("surface-report", help="full report for one surface")
-    common(p)
+    common(p, order=False)
     p.add_argument("--offline-points", type=int, default=5)
     p.set_defaults(func=cmd_surface_report)
 
@@ -307,10 +306,12 @@ def build_parser():
     p.set_defaults(func=cmd_line_report)
 
     p = sub.add_parser("point-case", help="the trichotomy at a point")
-    common(p)
-    p.add_argument("--point", default=None,
-                   help="five comma-separated rationals (homogeneous)")
-    p.add_argument("--random", action="store_true")
+    common(p, order=False)
+    where = p.add_mutually_exclusive_group(required=True)
+    where.add_argument("--point", default=None,
+                       help="five comma-separated rationals (homogeneous)")
+    where.add_argument("--random", action="store_true",
+                       help="--count generic rational points")
     p.add_argument("--count", type=int, default=1)
     p.set_defaults(func=cmd_point_case)
 
@@ -331,9 +332,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.order is not None and args.order < START_ORDER:
+        order = getattr(args, "order", None)
+        if order is not None and order < START_ORDER:
             raise SegreCuspError(
-                f"--order must be at least {START_ORDER}, got {args.order}")
+                f"--order must be at least {START_ORDER}, got {order}")
         return args.func(args)
     except SegreCuspError as exc:
         print(f"error: {exc}", file=sys.stderr)

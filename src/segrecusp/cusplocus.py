@@ -50,8 +50,7 @@ class HessianAtPoint:
 
     @property
     def has_two_distinct_roots(self):
-        a, b, c = self.form.coefficients()
-        return bool(self.discriminant) or (not a and not c and b)
+        return bool(self.discriminant)
 
 
 def _hessian_form(fxx, fxy, fyy, gxx, gxy, gyy):
@@ -194,36 +193,34 @@ class PointCase:
     hessian: HessianAtPoint
 
 
-# classes that the 3-jet of a section germ settles: A1 is read off the
-# Hessian rank and an ordinary cusp is 3-determined
-SETTLED_AT_START = ("A1_node", "A2_cusp")
-
-
-def point_case(surface, point, order=DEFAULT_ORDER) -> PointCase:
+def point_case(surface, point) -> PointCase:
     """Classify both Hessian-root sections at a smooth point off all lines.
 
-    Each section germ is classified at :data:`segrecusp.jets.START_ORDER`
-    first, where an A1 or A2 germ is final; every other germ (a
-    perfect-square candidate) is classified again at ``order``, the order
-    to which a perfect square is confirmed.  Over a rational chart, roots
-    conjugate in Q(sqrt d) give conjugate germs, and the classification
-    (field operations and zero tests) commutes with sqrt d -> -sqrt d, so
+    One graph solve to :data:`segrecusp.jets.START_ORDER` gives the Hessian
+    form and both root germs.  At that order an A1 or A2 germ is final (A1
+    is read off the Hessian rank, an ordinary cusp is 3-determined); a germ
+    that is a square to that order is a ``PerfectSquare`` only when
+    :func:`_double_conic` confirms it exactly, and the point is not generic
+    otherwise.  Over a rational chart, roots conjugate in Q(sqrt d) give
+    conjugate germs and hyperplanes, and the classification (field
+    operations, zero tests and ranks) commutes with sqrt d -> -sqrt d, so
     the second root takes the first root's class.
     """
-    hess = hessian_form_at(surface, point)
+    hess = hessian_form_at(surface, point, order=START_ORDER)
     if not hess.has_two_distinct_roots:
         raise NonGenericPoint(
             f"Hessian form at {point} is degenerate; the point is not generic")
-    chart = hess.chart
-    conjugate = chart.field == QQ and hess.roots[0][0] != QQ
-    roots = hess.roots[:1] if conjugate else hess.roots
-    classes = _root_classes(chart, roots, min(order, START_ORDER))
-    pending = [i for i, c in enumerate(classes)
-               if c.kind not in SETTLED_AT_START]
-    if pending and order > START_ORDER:
-        again = _root_classes(chart, [roots[i] for i in pending], order)
-        for i, c in zip(pending, again):
-            classes[i] = c
+    conjugate = hess.chart.field == QQ and hess.roots[0][0] != QQ
+    classes = []
+    for rfield, (lam, mu), _m in (hess.roots[:1] if conjugate else hess.roots):
+        cls = classify_plane_germ(_section_jet(hess.F, hess.G, lam, mu, rfield))
+        if cls.kind == "PerfectSquare":
+            if not _double_conic(hess.chart, rfield, lam, mu):
+                raise NonGenericPoint(
+                    f"section ({lam} : {mu}) at {point} is a square to order "
+                    f"{START_ORDER} but cuts no doubled conic")
+            cls = SectionGermClass("PerfectSquare", detail="double conic")
+        classes.append(cls)
     if conjugate:
         classes *= 2
     kinds = sorted(c.kind for c in classes)
@@ -241,21 +238,23 @@ def point_case(surface, point, order=DEFAULT_ORDER) -> PointCase:
     return PointCase(case=case, root_classes=tuple(classes), hessian=hess)
 
 
-def _root_classes(chart, roots, order):
-    """Classes of the Hessian-root section germs, with the graph solved to
-    ``order``."""
-    F, G = chart.solve_graph(order)
-    return [classify_plane_germ(_section_jet(F, G, lam, mu, rfield))
-            for rfield, (lam, mu), _m in roots]
+def _double_conic(chart, field, lam, mu):
+    """Whether the hyperplane of lam F + mu G, spanned by the chart columns
+    c0, c1, c2 and mu c3 - lam c4, cuts S in a doubled conic: exactly when
+    some rank-3 member N of the pencil restricts to it with rank at most 1,
+    the hyperplane being tangent to the cone N along a ruling (Dolgachev,
+    Classical Algebraic Geometry, §8.6).  Exact over ``field``."""
+    c = chart.columns
+    basis = c[:3] + [[mu * u - lam * v for u, v in zip(c[3], c[4])]]
+    pencil = chart.surface.pencil
+    return any(mat_rank(field, gram_matrix(field, pencil.member(*m.root),
+                                           basis)) <= 1
+               for m in pencil.rank_drop_members() if m.is_rank3)
 
 
-def sample_point_cases(surface, count, rng=None, order=DEFAULT_ORDER):
-    """Point cases at ``count`` generic rational points, resampling the
-    occasional hit on a special curve.
-
-    As in :func:`point_case`, A1 and A2 sections settle at
-    :data:`segrecusp.jets.START_ORDER` and ``order`` is the order to which
-    a perfect-square section is confirmed."""
+def sample_point_cases(surface, count, rng=None):
+    """Point cases (see :func:`point_case`) at ``count`` generic rational
+    points, resampling the occasional hit on a special curve."""
     from .surface import sample_rational_points
 
     rng = rng or random.Random(surface.seed + 3)
@@ -269,7 +268,7 @@ def sample_point_cases(surface, count, rng=None, order=DEFAULT_ORDER):
                                       or q in seen)
         seen.add(p)
         try:
-            out.append((p, point_case(surface, p, order=order)))
+            out.append((p, point_case(surface, p)))
         except (NonGenericPoint, RootFieldUnsupported):
             continue
     raise SegreCuspError(f"found only {len(out)} of {count} generic points")

@@ -522,11 +522,6 @@ def hensel_solve(equations, solve_vars, order=None):
                  for f in phi)
 
 
-def hensel_solve_pair(q1: Jet, q2: Jet, solve_vars=("z", "w"), order=None):
-    """Two-equation front end; returns (F, G) with q_i(base, F, G) = 0."""
-    return hensel_solve([q1, q2], tuple(solve_vars), order)
-
-
 # --------------------------------------------------------------------------
 # unit * square extraction
 

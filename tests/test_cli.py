@@ -98,13 +98,29 @@ def test_config_order_below_two_is_an_error(order, tmp_path, capsys):
 
 
 def test_order_two_is_an_error(tmp_path, capsys):
-    # the point trichotomy splits germs, which needs order 3 at least
-    path = write_config(tmp_path, {"symbol": "[1(11)(11)]",
+    # line reports split germs, which needs order 3 at least
+    path = write_config(tmp_path, {"symbol": "[122]",
                                    "params": ["1", "2", "5"]})
-    assert main(["point-case", "--config", path, "--random",
+    assert main(["line-report", "--config", path, "--line", "0",
                  "--order", "2"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "at least 3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["point-case"],
+    ["point-case", "--point", "1,2,3,4,5", "--random"],
+    ["point-case", "--random", "--order", "8"],
+    ["surface-report", "--order", "8"],
+], ids=["no-point-flag", "both-point-flags", "point-case-order",
+        "surface-report-order"])
+def test_usage_errors_exit_two(argv, tmp_path, capsys):
+    path = write_config(tmp_path, {"symbol": "[1(11)(11)]",
+                                   "params": ["1", "2", "5"]})
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", path])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_config_order_two_is_an_error(tmp_path, capsys):

@@ -6,22 +6,24 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
+from segrecusp import cusplocus
 from segrecusp.appendix import appendix_cases
-from segrecusp.cusplocus import (_on_any_line, _section_jet, branch_scan,
-                                 classify_plane_germ,
+from segrecusp.cusplocus import (_double_conic, _on_any_line, _section_jet,
+                                 branch_scan, classify_plane_germ,
                                  classify_section_germ, cusp_locus_summary,
                                  dual_plane_conic_fit, hessian_form_at,
                                  line_report, numeric_line_branch_evidence,
                                  point_case, sample_point_cases,
                                  tacnodal_hyperplane_on_line)
-from segrecusp.errors import NoDoubleRoot
+from segrecusp.errors import NoDoubleRoot, NonGenericPoint
 from segrecusp.fields import QQ
 from segrecusp.instances import sampling_instance, table1_instance
-from segrecusp.jets import jet_from_poly
+from segrecusp.jets import START_ORDER, jet_from_poly
 from segrecusp.lines import LineOnSurface, coordinate_lines, enumerate_lines
 from segrecusp.pencil import TABLE1_SYMBOLS, normal_form
 from segrecusp.surface import (AdaptedChart, ProjectivePoint, SurfaceInstance,
-                               adapted_chart, sample_rational_points)
+                               adapted_chart, double_conic_hyperplane,
+                               double_conic_points, sample_rational_points)
 
 
 def first_case():
@@ -202,24 +204,69 @@ def trichotomy_points():
     return out
 
 
-@pytest.mark.parametrize("order", [3, 8, 12])
+@pytest.mark.parametrize("order", [8, 12])
 def test_point_case_matches_full_order_classification(trichotomy_points,
                                                       order):
-    """point_case settles A1/A2 sections at order 3 and classifies one root
-    of a conjugate pair; the reference classifies both root germs at the
-    full order."""
+    """point_case classifies at order 3, confirms squares exactly and
+    classifies one root of a conjugate pair; the reference classifies both
+    root germs at the full order."""
     conjugate_pairs = 0
     for inst, p in trichotomy_points:
-        pc = point_case(inst, p, order=order)
+        pc = point_case(inst, p)
         hess = hessian_form_at(inst, p)
         F_, G_ = hess.chart.solve_graph(order)
         want = [classify_plane_germ(_section_jet(F_, G_, lam, mu, rfield))
                 for rfield, (lam, mu), _ in hess.roots]
-        got = [(c.kind, c.detail) for c in pc.root_classes]
-        assert got == [(c.kind, c.detail) for c in want], (inst.pencil, p)
+        assert [c.kind for c in pc.root_classes] == [c.kind for c in want], \
+            (inst.pencil, p)
+        assert all(c.detail == "double conic" for c in pc.root_classes
+                   if c.kind == "PerfectSquare")
         assert pc.case == CASE_OF_KINDS[tuple(sorted(c.kind for c in want))]
         conjugate_pairs += hess.roots[0][0] != QQ
     assert conjugate_pairs > 0
+
+
+def test_point_case_solves_the_graph_once(trichotomy_points, monkeypatch):
+    calls = []
+    solve = AdaptedChart.solve_graph
+
+    def counted(chart, order):
+        calls.append(order)
+        return solve(chart, order)
+
+    monkeypatch.setattr(AdaptedChart, "solve_graph", counted)
+    for inst, p in trichotomy_points:
+        calls.clear()
+        point_case(inst, p)
+        assert calls == [START_ORDER], (inst.pencil, p)
+
+
+@pytest.mark.parametrize("symbol", ["[1(11)(11)]", "[(14)]", "[111(11)]"])
+def test_double_conic_test_on_double_conic_hyperplanes(symbol):
+    """The hyperplane tangent to a rank-3 cone along a ruling passes the
+    exact test at every point of its doubled conic; another hyperplane
+    through the same tangent plane fails it."""
+    inst = sampling_instance(symbol, seed=5)
+    for member in inst.pencil.rank_drop_members():
+        if not member.is_rank3:
+            continue
+        for t in (1, 2):
+            H = double_conic_hyperplane(inst, member, t)
+            pts = double_conic_points(inst, member, t, count=3)
+            assert pts
+            for p in pts:
+                chart = adapted_chart(inst, p)
+                lam, mu = chart.dual_coords(H)
+                assert _double_conic(chart, chart.field, lam, mu)
+                assert not _double_conic(chart, chart.field, lam + 1, mu + 3)
+
+
+def test_unconfirmed_square_is_not_generic(trichotomy_points, monkeypatch):
+    inst, p = next((inst, p) for inst, p in trichotomy_points
+                   if point_case(inst, p).case == "CaseI")
+    monkeypatch.setattr(cusplocus, "_double_conic", lambda *args: False)
+    with pytest.raises(NonGenericPoint):
+        point_case(inst, p)
 
 
 def test_point_case_constant_over_five_points():

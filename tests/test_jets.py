@@ -17,9 +17,8 @@ from segrecusp.errors import (OrderTooSmall, SingularJacobian,
 from segrecusp.fields import (QQ, QuadraticExtension, RationalFunctions, pdivmod,
                               pgcd)
 from segrecusp.jets import (MAX_ORDER, START_ORDER, InfiniteOrder, Jet,
-                            escalate, hensel_solve, hensel_solve_pair,
-                            jet_from_poly, splitting_reduce,
-                            try_extract_square, y_order)
+                            escalate, hensel_solve, jet_from_poly,
+                            splitting_reduce, try_extract_square, y_order)
 
 V4 = ("x", "y", "z", "w")
 
@@ -48,7 +47,7 @@ def test_truncation_closure():
 def test_hensel_trivial_graph():
     q1 = poly4(4, {(0, 0, 1, 0): 1, (2, 0, 0, 0): -1})
     q2 = poly4(4, {(0, 0, 0, 1): 1, (0, 2, 0, 0): -1})
-    Fj, Gj = hensel_solve_pair(q1, q2, ("z", "w"))
+    Fj, Gj = hensel_solve([q1, q2], ("z", "w"))
     assert Fj.coeffs == {(2, 0): F(1)}
     assert Gj.coeffs == {(0, 2): F(1)}
 
@@ -61,7 +60,7 @@ def test_hensel_instantiated_closed_form():
     vars3 = ("y", "z", "w")
     q1 = jet_from_poly(Kx, vars3, 8, {(0, 0, 1): 1, (0, 1, 0): x, (2, 0, 0): 1})
     q2 = jet_from_poly(Kx, vars3, 8, {(0, 1, 0): (b - a) * x, (2, 0, 0): c - a})
-    Fj, Gj = hensel_solve_pair(q1, q2, ("z", "w"))
+    Fj, Gj = hensel_solve([q1, q2], ("z", "w"))
     assert Fj.coeffs == {(2,): Kx.coerce(F(a - c, b - a)) / x}
     assert Gj.coeffs == {(2,): Kx.coerce(F(c - b, b - a))}
 
@@ -70,14 +69,14 @@ def test_hensel_errors():
     q1 = poly4(4, {(0, 0, 0, 0): 1, (0, 0, 1, 0): 1})
     q2 = poly4(4, {(0, 0, 0, 1): 1})
     with pytest.raises(SingularJacobian):
-        hensel_solve_pair(q1, q2, ("z", "w"))
+        hensel_solve([q1, q2], ("z", "w"))
     q1 = poly4(4, {(0, 0, 1, 0): 1, (0, 0, 0, 1): 1})  # rank-1 Jacobian block
     q2 = poly4(4, {(0, 0, 1, 0): 2, (0, 0, 0, 1): 2})
     with pytest.raises(SingularJacobian):
-        hensel_solve_pair(q1, q2, ("z", "w"))
+        hensel_solve([q1, q2], ("z", "w"))
     with pytest.raises(OrderTooSmall):
-        hensel_solve_pair(poly4(1, {(0, 0, 1, 0): 1}),
-                          poly4(1, {(0, 0, 0, 1): 1}), ("z", "w"), order=1)
+        hensel_solve([poly4(1, {(0, 0, 1, 0): 1}),
+                      poly4(1, {(0, 0, 0, 1): 1})], ("z", "w"), order=1)
 
 
 def test_escalate_doubles_until_settled():
@@ -130,7 +129,7 @@ def test_hensel_random_residual_zero_oracle(rng):
         q2 = _random_quadric(rng, N, {(0, 0, 0, 1): F(1), (0, 0, 0, 0): F(0),
                                       (1, 0, 0, 0): F(0), (0, 1, 0, 0): F(0),
                                       (0, 0, 1, 0): F(0)})
-        Fj, Gj = hensel_solve_pair(q1, q2, ("z", "w"))
+        Fj, Gj = hensel_solve([q1, q2], ("z", "w"))
         xs, ys, zs, ws = sympy.symbols("x y z w")
 
         def to_sympy(jet, syms):
@@ -160,9 +159,9 @@ def test_hensel_relift_stability(rng):
     q2 = _random_quadric(rng, N + 2, {(0, 0, 0, 1): F(1), (0, 0, 0, 0): F(0),
                                       (1, 0, 0, 0): F(0), (0, 1, 0, 0): F(0),
                                       (0, 0, 1, 0): F(0)})
-    F2, G2 = hensel_solve_pair(q1, q2, ("z", "w"), order=N + 2)
-    F1, G1 = hensel_solve_pair(q1.truncate(N), q2.truncate(N), ("z", "w"),
-                               order=N)
+    F2, G2 = hensel_solve([q1, q2], ("z", "w"), order=N + 2)
+    F1, G1 = hensel_solve([q1.truncate(N), q2.truncate(N)], ("z", "w"),
+                          order=N)
     assert F2.truncate(N).coeffs == F1.coeffs
     assert G2.truncate(N).coeffs == G1.coeffs
 
