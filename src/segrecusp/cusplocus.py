@@ -547,20 +547,15 @@ def branch_scan(surface, offline_points=10, rng=None) -> BranchReport:
 
 
 def _on_any_line(surface, point, tol=1e-7):
-    """Whether the point lies on a known line: by rank over the line's field
-    for an exact line, to ``tol`` in floating point for a numeric one."""
+    """Whether the point lies on a known line: exactly, from the line's
+    equations (:meth:`LineOnSurface.contains`), for an exact line; to
+    ``tol`` in floating point for a numeric one."""
     if not surface.lines:
         return False
     coords = point.as_float()
-    for line in surface.lines:
-        if line.exactness == "exact":
-            field = line.field()
-            rows = [*line.span_over(field), [field.coerce(c) for c in point.coords]]
-            if mat_rank(field, rows) == 2:
-                return True
-        elif line.contains_point_float(coords, tol=tol):
-            return True
-    return False
+    return any(line.contains(point) if line.exactness == "exact"
+               else line.contains_point_float(coords, tol=tol)
+               for line in surface.lines)
 
 
 # transversal offsets from the line at which numeric evidence is sampled

@@ -67,29 +67,38 @@ def _row_reduce(field, M, ncols=None):
     return pivots
 
 
-def mat_rank(field, M):
-    if not M:
-        return 0
+def rref(field, M):
+    """The reduced row echelon form of M, as a new matrix, and its pivot
+    columns."""
     work = [row[:] for row in M]
-    return len(_row_reduce(field, work))
+    return work, _row_reduce(field, work)
+
+
+def rref_kernel(field, R, pivots):
+    """Basis of the right kernel of a matrix from its reduced row echelon
+    form R: for each free column f, the vector with 1 at f, 0 at the other
+    free columns and -R[r][f] at the r-th pivot column (Cohen, GTM 138,
+    section 2.3)."""
+    n = len(R[0])
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [field.zero] * n
+        v[fc] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r][fc]
+        basis.append(v)
+    return basis
+
+
+def mat_rank(field, M):
+    return len(rref(field, M)[1])
 
 
 def nullspace(field, M):
     """Basis of the right kernel of M as a list of vectors."""
     if not M:
         return []
-    n = len(M[0])
-    work = [row[:] for row in M]
-    pivots = _row_reduce(field, work)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero] * n
-        v[fc] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -work[r][fc]
-        basis.append(v)
-    return basis
+    return rref_kernel(field, *rref(field, M))
 
 
 def solve_linear(field, M, b):

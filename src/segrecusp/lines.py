@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,24 @@ class LineOnSurface:
             if p.field != QQ:
                 return p.field
         return QQ
+
+    @cached_property
+    def equations(self):
+        """Three covectors over the line's field that cut out the line: the
+        kernel of its span, computed once."""
+        equations = nullspace(self.field(), self.span_over(self.field()))
+        if len(equations) != 3:
+            raise CrossCheckMismatch(f"{self} has a degenerate span")
+        return equations
+
+    def contains(self, point):
+        """Whether an exact point lies on this exact line: every one of its
+        equations vanishes there (TowerUnsupported when the point and the
+        line lie over different quadratic extensions)."""
+        field = self.field() if point.field == QQ else point.field
+        return not any(sum((field.coerce(h) * field.coerce(c)
+                            for h, c in zip(eq, point.coords)), field.zero)
+                       for eq in self.equations)
 
     def as_matrix_float(self):
         if self.exactness == "exact":
@@ -496,14 +515,10 @@ def enumerate_lines(surface, starts_per_chart=None, newton_tol=None,
 def _exact_incidences(pencil, line, singular_points):
     out = []
     for s in singular_points:
-        field = line.field() if s.field == QQ else s.field
         try:
-            va, vb = line.span_over(field)
-            vs = [field.coerce(c) for c in s.coords]
+            on = line.contains(s)
         except TowerUnsupported:
-            if line.contains_point_float(s.as_float()):
-                out.append(s)
-            continue
-        if mat_rank(field, [va, vb, vs]) == 2:
+            on = line.contains_point_float(s.as_float())
+        if on:
             out.append(s)
     return out

@@ -14,14 +14,14 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from .errors import (CrossCheckMismatch, NonIsolatedSingularity,
-                     PointNotOnLine, PointSingular, ReducibleImageConic,
-                     RetryExhausted, SegreCuspError, TruncationInsufficient,
-                     UnsupportedSingularity)
+from .errors import (NonIsolatedSingularity, PointNotOnLine, PointSingular,
+                     ReducibleImageConic, RetryExhausted, SegreCuspError,
+                     TruncationInsufficient, UnsupportedSingularity)
 from .fields import (QQ, RatFuncElem, RationalFunctions, pgcd,
                      proj_normalize, quadratic_roots)
 from .jets import Jet, escalate, hensel_solve, splitting_reduce
-from .linalg import complete_basis, gram_matrix, mat_rank, mat_vec, nullspace
+from .linalg import (complete_basis, gram_matrix, mat_det, mat_rank, mat_vec,
+                     rref, rref_kernel)
 from .pencil import QuadricPencil, bform, qform, second_intersection
 
 
@@ -93,6 +93,7 @@ class SurfaceInstance:
         self.point_source = None   # optional exact parameterization
         self.lines = None          # filled by segrecusp.lines.enumerate_lines
         self._singular = None
+        self._strategies = None
 
     # ---------------------------------------------------------- singularities
 
@@ -106,6 +107,27 @@ class SurfaceInstance:
             pts = _singular_points_exact(self.pencil)
             self._singular = [(p, classify_singularity(self, p)) for p in pts]
         return self._singular
+
+    def sampling_strategies(self):
+        """The cones that exact point sampling sweeps, computed once: a
+        (member, kernel point, isotropic seed, member matrix) for each
+        rank-3 or rank-4 member whose vertex holds a rational singular
+        point and whose cone has a rational smooth point."""
+        if self._strategies is None:
+            sing, strategies = self.singular_points(), []
+            for member in self.pencil.rank_drop_members():
+                if member.rank not in (3, 4):
+                    continue
+                vertex = [p for p in sing
+                          if p.is_rational and _in_kernel(member, p)]
+                if not vertex:
+                    continue
+                M = self.pencil.member(*member.root)
+                seed_vec = _isotropic_seed(M, sing)
+                if seed_vec is not None:
+                    strategies.append((member, vertex[0], seed_vec, M))
+            self._strategies = strategies
+        return self._strategies
 
     def singularity_multiset(self):
         return sorted(str(ade) for _, ade in self.singularities())
@@ -130,26 +152,34 @@ class SurfaceInstance:
         rows, field = self.gradient_rows(point)
         return mat_rank(field, rows) == 2
 
+    def tangent_frame(self, point):
+        """The tangent plane at a smooth point p of S from one row reduction
+        of the gradient rows [P p; Q p]: (tangent, equations, pivots, field).
+
+        ``equations`` is the reduced row echelon form of the rows, whose
+        kernel is T_pS, and ``pivots`` are its two pivot columns.  The
+        kernel basis v_f, one per free column f (Cohen, GTM 138, section
+        2.3), spans T_pS; ``tangent`` is p followed by the v_f other than
+        v_f*, f* the last free column with p_f != 0.  The unit vectors at
+        the pivot columns complete ``tangent`` to a basis of the space.
+        """
+        if not self.on_surface(point):
+            raise SegreCuspError(f"{point} is not on the surface")
+        rows, field = self.gradient_rows(point)
+        equations, pivots = rref(field, rows)
+        if len(pivots) != 2:
+            raise PointSingular(f"{point} must be smooth")
+        kernel = rref_kernel(field, equations, pivots)
+        coords = list(point.coords)
+        free = [c for c in range(5) if c not in pivots]
+        last = max(i for i, f in enumerate(free) if coords[f])
+        tangent = [coords] + kernel[:last] + kernel[last + 1:]
+        return tangent, equations, pivots, field
+
     def tangent_space(self, point):
         """Basis of the projective tangent plane (3 vectors, first is p)."""
-        rows, field = self.gradient_rows(point)
-        if mat_rank(field, rows) != 2:
-            raise PointSingular(f"{point} is singular")
-        kernel = nullspace(field, rows)
-        if len(kernel) != 3:
-            raise CrossCheckMismatch(
-                f"tangent space at {point} has dimension {len(kernel)}, not 3")
-        # replace one kernel vector so the point itself is in the basis
-        basis = [list(point.coords)]
-        for v in kernel:
-            if mat_rank(field, basis + [v]) == len(basis) + 1:
-                basis.append(v)
-            if len(basis) == 3:
-                break
-        if len(basis) != 3:
-            raise CrossCheckMismatch(
-                f"could not complete {point} to a tangent-plane basis")
-        return basis, field
+        tangent, _, _, field = self.tangent_frame(point)
+        return tangent, field
 
 
 def _restricted_conic_points(pencil, v1, v2):
@@ -470,62 +500,46 @@ class AdaptedChart:
 
 
 def adapted_chart(surface, point, line=None) -> AdaptedChart:
-    """Chart at a smooth point; optionally align a line to {y = z = w = 0}."""
-    if not surface.is_smooth_at(point):
-        raise PointSingular(f"{point} must be smooth")
-    tangent, field = surface.tangent_space(point)
-    c0 = list(point.coords)
+    """Chart at a smooth point; optionally align a line to {y = z = w = 0}.
+
+    The columns are a basis of the tangent plane, p first, then the unit
+    vectors at the pivot columns of the gradient rows, all from the one row
+    reduction of :meth:`SurfaceInstance.tangent_frame`.  With a line, the
+    tangent basis is p, the first spanning vector of the line and the first
+    other tangent vector that are independent, read off a 3 x 3 determinant
+    of their coordinates at the free columns.
+    """
+    tangent, equations, pivots, field = surface.tangent_frame(point)
     if line is not None:
         if line.exactness != "exact":
             raise PointNotOnLine("chart alignment needs an exact line")
-        span = line.span_over(field)
-        if not _point_on_span(field, point, span):
+        if not line.contains(point):
             raise PointNotOnLine(f"{point} is not on the line")
-        direction = _line_direction(field, point, span)
-        basis = [c0, direction]
-        for v in tangent:
-            if mat_rank(field, basis + [v]) == len(basis) + 1:
-                basis.append(v)
-            if len(basis) == 3:
-                break
-        if len(basis) != 3:
-            raise SegreCuspError("line is not inside the tangent plane")
-    else:
-        basis = [c0] + [v for v in tangent
-                        if mat_rank(field, [c0, v]) == 2][:2]
-        if len(basis) != 3:
-            basis = complete_basis(field, [c0], 3)
-    cols = complete_basis(field, basis, 5)
-    return AdaptedChart(surface=surface, field=field, columns=cols,
+        span = line.span_over(field)
+        if any(any(mat_vec(equations, v)) for v in span):
+            raise PointNotOnLine("line is not inside the tangent plane")
+        free = [c for c in range(5) if c not in pivots]
+        p = tangent[0]
+        tangent = [p, *next((d, t) for d in span for t in tangent[1:]
+                            if mat_det(field, [[v[f] for f in free]
+                                               for v in (p, d, t)]))]
+    units = [[field.one if k == j else field.zero for k in range(5)]
+             for j in pivots]
+    return AdaptedChart(surface=surface, field=field, columns=tangent + units,
                         base_point=point, aligned_line=line)
-
-
-def _point_on_span(field, point, span):
-    rows = [list(v) for v in span] + [list(point.coords)]
-    return mat_rank(field, rows) == 2
-
-
-def _line_direction(field, point, span):
-    """A vector spanning the line together with the point."""
-    for v in span:
-        if mat_rank(field, [list(point.coords), list(v)]) == 2:
-            return list(v)
-    raise ValueError("degenerate line span")
 
 
 # --------------------------------------------------------------------------
 # exact rational points via cones over singular points
 
 
-def _isotropic_seed(pencil, member, surface_points=()):
-    """A rational point on the member quadric that is smooth on it.
+def _isotropic_seed(M, surface_points=()):
+    """A rational point on the member quadric M that is smooth on it.
 
     Kernel vectors are the cone's vertex and cannot seed the stereographic
     sweep; any other singular point of the surface lies on every member and
     works, otherwise small coordinate combinations are scanned.
     """
-    kernel = member.kernel
-    M = pencil.member(*member.root)
     units = [[Fraction(int(k == j)) for k in range(5)] for j in range(5)]
     scales = (1, -1, 2, -2)
     # generated as they are tried: most calls stop at an early candidate
@@ -537,14 +551,9 @@ def _isotropic_seed(pencil, member, surface_points=()):
           for a, b, c in zip(units[i], units[j], units[k])]
          for i, j, k in combinations(range(5), 3)
          for c1, s, t in product((1, 2), scales, scales)))
-    for v in candidates:
-        if qform(M, v) != 0:
-            continue
-        if mat_rank(QQ, kernel + [v]) != len(kernel) + 1:
-            continue
-        if any(mat_vec(M, v)):
-            return v
-    return None
+    # the vertex is ker M: the vectors with M v = 0
+    return next((v for v in candidates
+                 if not qform(M, v) and any(mat_vec(M, v))), None)
 
 
 def sample_rational_points(surface, count, rng=None, avoid=None,
@@ -575,33 +584,16 @@ def sample_rational_points(surface, count, rng=None, avoid=None,
             accept(surface.point_source(rng))
         raise RetryExhausted("parameterized point sampling exhausted attempts")
 
-    all_sing = surface.singular_points()
-    strategies = []
-    for member in surface.pencil.rank_drop_members():
-        if member.rank not in (3, 4):
-            continue
-        kernel_points = [p for p in all_sing
-                         if p.is_rational and _in_kernel(member, p)]
-        if not kernel_points:
-            continue
-        seed_vec = _isotropic_seed(surface.pencil, member, all_sing)
-        if seed_vec is None:
-            continue
-        strategies.append((member, kernel_points[0], seed_vec))
+    strategies = surface.sampling_strategies()
     if not strategies:
         raise RetryExhausted(
             "no exact point strategy: surface has no usable singular cone "
             "and no parameterization")
 
-    M_cache = {}
     for _ in range(max_attempts):
         if len(out) >= count:
             return out
-        member, s_pt, seed_vec = strategies[rng.randrange(len(strategies))]
-        key = member.root
-        if key not in M_cache:
-            M_cache[key] = surface.pencil.member(*member.root)
-        M = M_cache[key]
+        _, s_pt, seed_vec, M = strategies[rng.randrange(len(strategies))]
         w = [Fraction(rng.randint(-9, 9)) for _ in range(5)]
         if not qform(M, w):
             continue

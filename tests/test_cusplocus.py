@@ -19,6 +19,7 @@ from segrecusp.errors import NoDoubleRoot, NonGenericPoint
 from segrecusp.fields import QQ
 from segrecusp.instances import sampling_instance, table1_instance
 from segrecusp.jets import START_ORDER, jet_from_poly
+from segrecusp.linalg import mat_rank
 from segrecusp.lines import LineOnSurface, coordinate_lines, enumerate_lines
 from segrecusp.pencil import TABLE1_SYMBOLS, normal_form
 from segrecusp.surface import (AdaptedChart, ProjectivePoint, SurfaceInstance,
@@ -363,7 +364,7 @@ def test_branch_scan_smooth_fixture_all_simple(line_fixture):
     assert not scan.anomalies
 
 
-def test_on_any_line_is_exact_for_exact_lines():
+def test_on_any_line_is_exact_for_exact_lines(census_cache):
     surf = table1_instance("[1(11)(11)]")
     a, b = coordinate_lines(surf.pencil)[0]
     line = LineOnSurface(a, b, "exact")
@@ -377,6 +378,24 @@ def test_on_any_line_is_exact_for_exact_lines():
     assert not _on_any_line(surf, off)
     # the 1e-7 float test says "on" for both
     assert line.contains_point_float(off.as_float(), tol=1e-7)
+    # every exact census line of three default forms: a point of it is on a
+    # line; moved 1e-9 along a unit vector outside the line's span, on none
+    for symbol in ("[1(11)(11)]", "[12(11)]", "[1112]"):
+        inst, census = census_cache(symbol)
+        for line in census.lines:
+            if line.exactness != "exact":
+                continue
+            field = line.field()
+            a, b = line.span_over(field)
+            on = [x + 3 * y for x, y in zip(a, b)]
+            units = [[field.coerce(int(i == k)) for i in range(5)]
+                     for k in range(5)]
+            k = next(k for k in range(5)
+                     if mat_rank(field, [a, b, units[k]]) == 3)
+            off = list(on)
+            off[k] += F(1, 10 ** 9)
+            on, off = (ProjectivePoint.make(field, c) for c in (on, off))
+            assert _on_any_line(inst, on) and not _on_any_line(inst, off), line
 
 
 def test_numeric_branch_evidence_diag(census_cache):

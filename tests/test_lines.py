@@ -6,15 +6,17 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from segrecusp.errors import SegreCuspError, TowerUnsupported
 from segrecusp.fields import QQ
 from segrecusp.instances import table1_instance
-from segrecusp.linalg import mat_det
+from segrecusp.linalg import mat_det, mat_rank
 from segrecusp.lines import (coordinate_lines, count_lines_through_singular_point,
                              enumerate_lines, line_contained_exact,
                              lines_through_singular_point, off_singular_lines)
 from segrecusp.pencil import (TABLE1_SYMBOLS, SegreSymbol, default_instance,
                               normal_form)
-from segrecusp.surface import SurfaceInstance
+from segrecusp.surface import (ProjectivePoint, SurfaceInstance,
+                               sample_rational_points)
 
 EXPECTED_COUNTS = {
     "[11111]": (16, 0, 0),
@@ -179,3 +181,50 @@ def test_uncertified_numeric_line_is_a_warning(monkeypatch):
     census = enumerate_lines(SurfaceInstance(pen))
     assert census.counts == (16, 0, 0)
     assert census.warnings == ["numeric line not certified: residual 1.0e-06"]
+
+
+def _on_line_by_rank(line, point):
+    """rank [a, b, p] == 2 over the common field of the line and the point."""
+    field = line.field() if point.field == QQ else point.field
+    rows = [*line.span_over(field), [field.coerce(c) for c in point.coords]]
+    return mat_rank(field, rows) == 2
+
+
+@pytest.mark.parametrize("symbol", [str(s) for s in TABLE1_SYMBOLS])
+def test_line_contains_matches_rank_test(symbol):
+    """Every exact census line of the default form and its congruent copy,
+    at the singular points, sampled surface points, points of the line and
+    those points moved 1e-9 off it."""
+    form = default_instance(symbol)
+    for pencil in (form, form.congruent(_random_congruences(1)[symbol])):
+        surface = SurfaceInstance(pencil)
+        census = enumerate_lines(surface)
+        try:
+            sampled = sample_rational_points(surface, 2, rng=random.Random(0),
+                                             max_attempts=200)
+        except SegreCuspError:
+            sampled = []
+        for line in census.lines:
+            if line.exactness != "exact":
+                continue
+            field = line.field()
+            a, b = line.span_over(field)
+            points = surface.singular_points() + sampled
+            for t in (0, 1, -3):
+                on = [x + t * y for x, y in zip(a, b)]
+                points.append(ProjectivePoint.make(field, on))
+                for k in range(5):
+                    off = list(on)
+                    off[k] += Fraction(1, 10 ** 9)
+                    points.append(ProjectivePoint.make(field, off))
+            verdicts = []
+            for p in points:
+                try:
+                    want = _on_line_by_rank(line, p)
+                except TowerUnsupported:
+                    with pytest.raises(TowerUnsupported):
+                        line.contains(p)
+                    continue
+                assert line.contains(p) == want, (line, p)
+                verdicts.append(want)
+            assert True in verdicts and False in verdicts

@@ -1,17 +1,18 @@
 import random
 from fractions import Fraction as F
+from itertools import chain, combinations, product
 
 import pytest
 
 from segrecusp.appendix import appendix_cases
 from segrecusp.errors import PointSingular
 from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions
-from segrecusp.instances import table1_instance
+from segrecusp.instances import sampling_instance, table1_instance
 from segrecusp.jets import Jet
-from segrecusp.linalg import mat_det, mat_rank
-from segrecusp.pencil import default_instance, qform
-from segrecusp.surface import (ProjectivePoint,
-                               adapted_chart, chart_quadrics,
+from segrecusp.linalg import mat_det, mat_rank, mat_vec
+from segrecusp.pencil import TABLE1_SYMBOLS, default_instance, qform
+from segrecusp.surface import (ProjectivePoint, SurfaceInstance,
+                               _isotropic_seed, adapted_chart, chart_quadrics,
                                double_conic_hyperplane,
                                double_conic_points, sample_rational_points,
                                singular_sweep_numeric)
@@ -214,3 +215,64 @@ def test_surface_through_line_contract(line_fixture):
     assert line_fixture.distinguished_line.n_incident == 0 or \
         not line_fixture.singular_points()
     assert str(line_fixture.pencil.segre_symbol()) in "[11111]"
+
+
+def _rank_tested_seed(pencil, member, surface_points):
+    """The first candidate on the member quadric that is neither in the
+    span of the member's kernel, by a rank test, nor in ker M: the seed
+    search before it relied on ker M = span(member.kernel) alone."""
+    kernel = member.kernel
+    M = pencil.member(*member.root)
+    units = [[F(int(k == j)) for k in range(5)] for j in range(5)]
+    scales = (1, -1, 2, -2)
+    candidates = chain(
+        (list(p.coords) for p in surface_points if p.is_rational), units,
+        ([a + s * b for a, b in zip(units[i], units[j])]
+         for i, j in combinations(range(5), 2) for s in scales),
+        ([c1 * a + s * b + t * c
+          for a, b, c in zip(units[i], units[j], units[k])]
+         for i, j, k in combinations(range(5), 3)
+         for c1, s, t in product((1, 2), scales, scales)))
+    for v in candidates:
+        if qform(M, v) != 0:
+            continue
+        if mat_rank(QQ, kernel + [v]) != len(kernel) + 1:
+            continue
+        if any(mat_vec(M, v)):
+            return v
+    return None
+
+
+@pytest.mark.parametrize("symbol", [str(s) for s in TABLE1_SYMBOLS])
+def test_strategy_cache_leaves_draws_unchanged(symbol):
+    inst = sampling_instance(symbol)
+
+    def fresh():
+        out = SurfaceInstance(inst.pencil, seed=inst.seed)
+        out.point_source = inst.point_source
+        return out
+
+    if inst.point_source is None:
+        # the cones in the order the sampler drew from before the cache
+        sing, want = inst.singular_points(), []
+        for member in inst.pencil.rank_drop_members():
+            vertex = [p for p in sing if p.is_rational and mat_rank(
+                QQ, member.kernel + [list(p.coords)]) == len(member.kernel)]
+            if member.rank in (3, 4) and vertex:
+                seed = _rank_tested_seed(inst.pencil, member, sing)
+                if seed is not None:
+                    want.append((member.root, vertex[0], seed))
+        assert want == [(m.root, p, v) for m, p, v, _ in
+                        inst.sampling_strategies()]
+    for k in (0, 1):
+        first = sample_rational_points(inst, 3, rng=random.Random(k))
+        again = sample_rational_points(inst, 3, rng=random.Random(k))
+        assert first == again == sample_rational_points(
+            fresh(), 3, rng=random.Random(k))
+    for surface in (inst, table1_instance(symbol)):
+        sing = surface.singular_points()
+        pencil = surface.pencil
+        for member in pencil.rank_drop_members():
+            if member.rank in (3, 4):
+                assert _isotropic_seed(pencil.member(*member.root), sing) == \
+                    _rank_tested_seed(pencil, member, sing)
