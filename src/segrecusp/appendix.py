@@ -172,11 +172,15 @@ def closed_forms_first_case(a, b, c):
     return f_coeff, g_coeff, k_coeff
 
 
-def verify_appendix(order=None):
+def verify_appendix():
     """Replay all seven computations; returns a list of result dicts.
-    ``order`` starts the line reports (default: START_ORDER) and classifies
-    the special sections (default: DEFAULT_ORDER)."""
-    from .cusplocus import DEFAULT_ORDER, classify_section_germ, line_report
+
+    Each line report starts at :data:`segrecusp.jets.START_ORDER` and
+    escalates; a special section's line multiple is read exactly over Q(x)
+    off that report's graph
+    (:func:`segrecusp.cusplocus.section_line_multiple`).
+    """
+    from .cusplocus import line_report, section_line_multiple
 
     results = []
     for case in appendix_cases():
@@ -185,8 +189,7 @@ def verify_appendix(order=None):
         if symbol != SegreSymbol.parse(case.symbol):
             raise CrossCheckMismatch(
                 f"{case.name}: symbol {symbol} != {case.symbol}")
-        chart = case.chart(surf)
-        rep = line_report(surf, case.line(), chart=chart, order=order)
+        rep = line_report(surf, case.line(), chart=case.chart(surf))
         entry = {
             "case": case.name,
             "symbol": str(symbol),
@@ -197,14 +200,9 @@ def verify_appendix(order=None):
                      and rep.branch_mult == case.expected_branch),
         }
         if case.special_hyperplane is not None:
-            smooth_pt = _smooth_line_point(surf, case)
-            cls = classify_section_germ(surf, smooth_pt,
-                                        case.special_hyperplane,
-                                        line=case.line(),
-                                        order=order or DEFAULT_ORDER)
-            entry["special_section"] = str(cls)
-            entry["pass"] = entry["pass"] and cls.kind == "NonReducedLineMultiple" \
-                and cls.multiplicity == case.special_multiple
+            k = section_line_multiple(rep, case.special_hyperplane)
+            entry["special_section"] = f"NonReducedLineMultiple({k})"
+            entry["pass"] = entry["pass"] and k == case.special_multiple
         if case.name == "double_A1_pair_with_two_conic_pencils":
             f_c, g_c, k_c = closed_forms_first_case(*case.params)
             F, G = rep.F, rep.G
@@ -217,15 +215,3 @@ def verify_appendix(order=None):
             entry["pass"] = entry["pass"] and entry["closed_forms"]
         results.append(entry)
     return results
-
-
-def _smooth_line_point(surface, case, max_t=25):
-    i, j = case.line_points
-    for t in range(1, max_t):
-        coords = [Fraction(0)] * 5
-        coords[i] = Fraction(1)
-        coords[j] = Fraction(t)
-        p = ProjectivePoint.make(QQ, coords)
-        if surface.is_smooth_at(p):
-            return p
-    raise CrossCheckMismatch("no smooth rational point found on the line")

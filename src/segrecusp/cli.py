@@ -1,13 +1,13 @@
 """Command line interface.
 
     segre-cusp surface-report  --config FILE [--seed S --json PATH]
-    segre-cusp line-report     --config FILE --line K [--order N]
+    segre-cusp line-report     --config FILE --line K
     segre-cusp point-case      --config FILE (--point "a,b,c,d,e" | --random)
-    segre-cusp verify-appendix [--order N]
-    segre-cusp table1          [--symbols "[11111],[5]"] [--order N]
+    segre-cusp verify-appendix
+    segre-cusp table1          [--symbols "[11111],[5]"]
 
-``--order`` is the order at which line reports start; the point trichotomy
-and the ADE types work out their own.
+No command takes a truncation order: each computation starts low and
+escalates until the order settles its answer.
 
 All commands print deterministic JSON on standard output and exit nonzero
 when an assertion-bearing record fails.
@@ -21,10 +21,8 @@ import random
 import sys
 from importlib import resources
 
-from .cusplocus import DEFAULT_ORDER
 from .errors import SegreCuspError
 from .fields import parse_rational
-from .jets import START_ORDER
 from .pencil import TABLE1_SYMBOLS, SegreSymbol
 from .report import (SCHEMA_VERSION, SurfaceConfig, canonical_dumps,
                      line_payload, point_payload)
@@ -127,7 +125,7 @@ def cmd_line_report(args):
     }
     status = 0
     if line.exactness == "exact" and line.field() == QQ:
-        rep = line_report(surface, line, order=config.order)
+        rep = line_report(surface, line)
         payload.update({
             "m": rep.m, "disc_order": rep.disc_order,
             "branch_mult": rep.branch_mult,
@@ -191,7 +189,7 @@ def _parse_point(text):
 
 def cmd_verify_appendix(args):
     from .appendix import verify_appendix
-    results = verify_appendix(order=args.order)
+    results = verify_appendix()
     ok = all(r["pass"] for r in results)
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -244,7 +242,7 @@ def cmd_table1(args):
         for line in census.lines:
             if (line.exactness == "exact" and line.n_incident == 2
                     and line.field() == QQ):
-                got_x = line_report(surface, line, order=args.order).m
+                got_x = line_report(surface, line).m
                 break
         cells["x"] = {"got": got_x, "want": expected["x"],
                       "pass": got_x == expected["x"]}
@@ -266,11 +264,9 @@ def cmd_table1(args):
 
 
 def _build(args):
-    """The config named by --config, with --order (where the command takes
-    it) and --seed applied, and the surface it describes."""
+    """The config named by --config, with --seed applied, and the surface
+    it describes."""
     config = SurfaceConfig.load(args.config)
-    if getattr(args, "order", None):
-        config.order = args.order
     if args.seed is not None:
         config.seed = args.seed
     return config, config.build()
@@ -282,20 +278,14 @@ def build_parser():
         description="Exact cuspidal-locus data of Segre quartic surfaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True, order=True):
+    def common(p, config=True):
         if config:
             p.add_argument("--config", required=True, help="surface config JSON")
-        if order:
-            p.add_argument("--order", type=int, default=None,
-                           help="order at which line reports start, at least "
-                           f"{START_ORDER} (line-report: default the "
-                           f"config's, else {DEFAULT_ORDER}; verify-appendix "
-                           "and table1: only when given)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", default=None, help="also write the report here")
 
     p = sub.add_parser("surface-report", help="full report for one surface")
-    common(p, order=False)
+    common(p)
     p.add_argument("--offline-points", type=int, default=5)
     p.set_defaults(func=cmd_surface_report)
 
@@ -306,7 +296,7 @@ def build_parser():
     p.set_defaults(func=cmd_line_report)
 
     p = sub.add_parser("point-case", help="the trichotomy at a point")
-    common(p, order=False)
+    common(p)
     where = p.add_mutually_exclusive_group(required=True)
     where.add_argument("--point", default=None,
                        help="five comma-separated rationals (homogeneous)")
@@ -332,10 +322,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        order = getattr(args, "order", None)
-        if order is not None and order < START_ORDER:
-            raise SegreCuspError(
-                f"--order must be at least {START_ORDER}, got {order}")
         return args.func(args)
     except SegreCuspError as exc:
         print(f"error: {exc}", file=sys.stderr)

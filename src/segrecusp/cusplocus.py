@@ -23,15 +23,13 @@ import numpy as np
 from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
                      NonGenericPoint, RootFieldUnsupported, SegreCuspError,
                      TowerUnsupported, TruncationInsufficient)
-from .fields import QQ, QuadraticExtension, pmul, psub, quadratic_roots
+from .fields import QQ, pmul, psub, quadratic_roots
 from .jets import (START_ORDER, BinaryQuadratic, InfiniteOrder, Jet,
                    escalate, hensel_solve, splitting_reduce,
                    try_extract_square, y_order)
 from .linalg import gram_matrix, mat_rank, nullspace
 from .surface import (AdaptedChart, ProjectivePoint, adapted_chart,
                       chart_quadrics)
-
-DEFAULT_ORDER = 8
 
 
 # --------------------------------------------------------------------------
@@ -87,34 +85,31 @@ def hessian_form_at(surface, point, chart=None, order=2,
 @dataclass(frozen=True)
 class SectionGermClass:
     kind: str                     # Smooth | A1_node | A2_cusp | A3_tacnode |
-    multiplicity: int = 0         # PerfectSquare | NonReducedLineMultiple | Other
-    detail: str = ""
+    detail: str = ""              # PerfectSquare | Other
+    truncated: bool = False       # read off a jet only to its order
 
     def __str__(self):
-        if self.kind == "NonReducedLineMultiple":
-            return f"NonReducedLineMultiple({self.multiplicity})"
         return self.kind
 
 
-def classify_plane_germ(h: Jet, aligned_var=None) -> SectionGermClass:
+def classify_plane_germ(h: Jet) -> SectionGermClass:
     """Classify a plane-curve germ h(x, y) with vanishing 1-jet.
 
-    With ``aligned_var`` set (a line mapped to {y = 0}), divisibility by
-    y^k with k >= 2 is reported first as a non-reduced multiple of the line.
+    A germ zero to its truncation order, a square to that order and a
+    residual that vanishes to it are ``truncated``: a higher order may
+    change them.  Every other class is final.
     """
     h = h - Jet(h.field, h.vars, h.order,
                 {e: c for e, c in h.coeffs.items() if sum(e) <= 1})
     if h.is_zero():
-        return SectionGermClass("Other", detail="zero to truncation order")
-    if aligned_var is not None:
-        k = h.order_in(aligned_var)
-        if k is not None and k >= 2:
-            return SectionGermClass("NonReducedLineMultiple", multiplicity=k)
+        return SectionGermClass("Other", detail="zero to truncation order",
+                                truncated=True)
     # a square needs no splitting; a node is no square (c * l**2 has a
     # Hessian of rank at most 1)
     if try_extract_square(h) is not None:
         return SectionGermClass("PerfectSquare",
-                                detail=f"square to order {h.order}")
+                                detail=f"square to order {h.order}",
+                                truncated=True)
     split = splitting_reduce(h)
     if split.rank == 2:
         return SectionGermClass("A1_node")
@@ -122,7 +117,8 @@ def classify_plane_germ(h: Jet, aligned_var=None) -> SectionGermClass:
         v = split.residual.valuation()
         if v is None:
             return SectionGermClass(
-                "Other", detail=f"residual vanishes to order {split.residual.order}")
+                "Other", truncated=True,
+                detail=f"residual vanishes to order {split.residual.order}")
         if v == 3:
             return SectionGermClass("A2_cusp")
         if v == 4:
@@ -131,20 +127,21 @@ def classify_plane_germ(h: Jet, aligned_var=None) -> SectionGermClass:
     return SectionGermClass("Other", detail="corank 2 plane germ")
 
 
-def section_germ(surface, point, hyperplane, chart=None, order=DEFAULT_ORDER):
-    """The local equation of a hyperplane section in an adapted chart."""
-    if chart is None:
-        chart = adapted_chart(surface, point)
-    duals = chart.dual_coords(hyperplane)
-    if duals is None:
-        h = [chart.field.coerce(c) for c in hyperplane]
-        if sum(h[k] * chart.columns[0][k] for k in range(5)):
-            raise HyperplaneNotTangent("hyperplane misses the point")
-        return None, chart  # contains p but not T_pS: smooth section
-    lam, mu = duals
-    F, G = chart.solve_graph(order)
-    field = _common_field(chart.field, lam, mu)
-    return _section_jet(F, G, lam, mu, field), chart
+def _settled_class(chart, field, lam, mu, F, G):
+    """The class of the section germ lam F + mu G at the chart's base point
+    where the jets F, G settle it.  A square is a ``PerfectSquare`` only
+    when :func:`_double_conic` confirms it exactly; an unconfirmed square
+    and any other ``truncated`` reading raise
+    :class:`TruncationInsufficient`."""
+    cls = classify_plane_germ(_section_jet(F, G, lam, mu, field))
+    if cls.kind == "PerfectSquare" and _double_conic(chart, field, lam, mu):
+        return SectionGermClass("PerfectSquare", detail="double conic")
+    if cls.truncated:
+        unconfirmed = (" but cuts no doubled conic"
+                       if cls.kind == "PerfectSquare" else "")
+        raise TruncationInsufficient(
+            f"section ({lam} : {mu}): {cls.detail}{unconfirmed}")
+    return cls
 
 
 def _section_jet(F, G, lam, mu, field):
@@ -156,30 +153,25 @@ def _section_jet(F, G, lam, mu, field):
     return F * lam + G * mu
 
 
-def _common_field(field, *values):
-    out = field
-    for v in values:
-        if hasattr(v, "d"):
-            cand = QuadraticExtension(v.d)
-            if out == QQ:
-                out = cand
-            elif out != cand:
-                raise TowerUnsupported("mixed quadratic extensions")
-    return out
-
-
-def classify_section_germ(surface, point, hyperplane, line=None,
-                          order=DEFAULT_ORDER) -> SectionGermClass:
+def classify_section_germ(surface, point, hyperplane) -> SectionGermClass:
     """Classify the germ at ``point`` of the section by ``hyperplane``.
 
-    ``line`` aligns the chart so non-reduced multiples of that line are
-    recognized.
+    A hyperplane through the point but not its tangent plane cuts a smooth
+    germ.  Otherwise the graph is solved from ``START_ORDER`` and the order
+    escalates (:func:`segrecusp.jets.escalate`) until
+    :func:`_settled_class` settles the germ, or raises at the cap.
     """
-    chart = adapted_chart(surface, point, line)
-    h, chart = section_germ(surface, point, hyperplane, chart=chart, order=order)
-    if h is None:
+    chart = adapted_chart(surface, point)
+    duals = chart.dual_coords(hyperplane)
+    if duals is None:
+        h = [chart.field.coerce(c) for c in hyperplane]
+        if sum(h[k] * chart.columns[0][k] for k in range(5)):
+            raise HyperplaneNotTangent("hyperplane misses the point")
         return SectionGermClass("Smooth")
-    return classify_plane_germ(h, aligned_var="y" if line is not None else None)
+    # dual_coords reads (lam, mu) in the chart's field
+    lam, mu = duals
+    return escalate(lambda n: _settled_class(chart, chart.field, lam, mu,
+                                             *chart.solve_graph(n)))
 
 
 # --------------------------------------------------------------------------
@@ -198,13 +190,13 @@ def point_case(surface, point) -> PointCase:
 
     One graph solve to :data:`segrecusp.jets.START_ORDER` gives the Hessian
     form and both root germs.  At that order an A1 or A2 germ is final (A1
-    is read off the Hessian rank, an ordinary cusp is 3-determined); a germ
-    that is a square to that order is a ``PerfectSquare`` only when
-    :func:`_double_conic` confirms it exactly, and the point is not generic
-    otherwise.  Over a rational chart, roots conjugate in Q(sqrt d) give
-    conjugate germs and hyperplanes, and the classification (field
-    operations, zero tests and ranks) commutes with sqrt d -> -sqrt d, so
-    the second root takes the first root's class.
+    is read off the Hessian rank, an ordinary cusp is 3-determined), and a
+    square is a ``PerfectSquare`` when :func:`_double_conic` confirms it
+    exactly; a germ that order does not settle (:func:`_settled_class`)
+    makes the point not generic.  Over a rational chart, roots conjugate
+    in Q(sqrt d) give conjugate germs and hyperplanes, and the
+    classification (field operations, zero tests and ranks) commutes with
+    sqrt d -> -sqrt d, so the second root takes the first root's class.
     """
     hess = hessian_form_at(surface, point, order=START_ORDER)
     if not hess.has_two_distinct_roots:
@@ -213,14 +205,11 @@ def point_case(surface, point) -> PointCase:
     conjugate = hess.chart.field == QQ and hess.roots[0][0] != QQ
     classes = []
     for rfield, (lam, mu), _m in (hess.roots[:1] if conjugate else hess.roots):
-        cls = classify_plane_germ(_section_jet(hess.F, hess.G, lam, mu, rfield))
-        if cls.kind == "PerfectSquare":
-            if not _double_conic(hess.chart, rfield, lam, mu):
-                raise NonGenericPoint(
-                    f"section ({lam} : {mu}) at {point} is a square to order "
-                    f"{START_ORDER} but cuts no doubled conic")
-            cls = SectionGermClass("PerfectSquare", detail="double conic")
-        classes.append(cls)
+        try:
+            classes.append(_settled_class(hess.chart, rfield, lam, mu,
+                                          hess.F, hess.G))
+        except TruncationInsufficient as exc:
+            raise NonGenericPoint(f"at {point}: {exc}") from exc
     if conjugate:
         classes *= 2
     kinds = sorted(c.kind for c in classes)
@@ -308,11 +297,8 @@ def line_chart(surface, line, base_param=None):
     for t in params:
         c0 = [ai + t * bi for ai, bi in zip(a, b)]
         base = ProjectivePoint.make(QQ, c0)
-        if not surface.on_surface(base):
-            continue
         try:
-            if not surface.is_smooth_at(base):
-                continue
+            # raises PointSingular at a singular base point
             chart = adapted_chart(surface, base, line)
             if _graph_solvable_along_line(surface, chart):
                 return chart
@@ -337,25 +323,28 @@ def _graph_solvable_along_line(surface, chart):
     return bool(psub(pmul(p_z, q_w), pmul(p_w, q_z)))
 
 
-def line_report(surface, line, chart=None, order=None) -> HessianAlongLine:
+def line_report(surface, line, chart=None) -> HessianAlongLine:
     """Hessian data along an exact line: the D_1 multiplicity m, the
     discriminant order, and the branch multiplicity disc_order - 2m.
 
-    ``order`` is the starting truncation order (default
-    :data:`segrecusp.jets.START_ORDER`); it escalates as
-    :func:`segrecusp.jets.escalate` does, and the order used is
-    ``rep.F.order``.
+    Solved from :data:`segrecusp.jets.START_ORDER`, escalating as
+    :func:`segrecusp.jets.escalate` does; the order used is ``rep.F.order``.
     """
     if chart is None:
         chart = line_chart(surface, line)
-    return escalate(lambda n: _line_report_at_order(surface, line, chart, n),
-                    order or START_ORDER)
+    return escalate(lambda n: _line_report_at_order(surface, line, chart, n))
+
+
+def _line_graph(surface, chart, order):
+    """F, G over Q(x) with S = {z = F(x, y), w = G(x, y)} along the line
+    aligned by ``chart``."""
+    q1, q2 = chart_quadrics(surface.pencil, QQ, chart.columns, ("y", "z", "w"),
+                            order)
+    return hensel_solve([q1, q2], ("z", "w"), order=order)
 
 
 def _line_report_at_order(surface, line, chart, order):
-    q1, q2 = chart_quadrics(surface.pencil, QQ, chart.columns, ("y", "z", "w"),
-                            order)
-    F, G = hensel_solve([q1, q2], ("z", "w"), order=order)
+    F, G = _line_graph(surface, chart, order)
 
     def split_derivs(J):
         Jx = J.coefficient_derivative()
@@ -378,6 +367,30 @@ def _line_report_at_order(surface, line, chart, order):
                             form=BinaryQuadratic(a, b, c),
                             coefficient_orders=orders, m=m,
                             disc_order=d_ord, branch_mult=branch, F=F, G=G)
+
+
+def section_line_multiple(rep, hyperplane):
+    """How many times the section by a hyperplane H through the line of
+    the line report ``rep`` contains that line, exact over Q(x): in the
+    line chart, where H.c0 = H.c1 = 0, the section is (H.c2) y + (H.c3) F
+    + (H.c4) G, and the multiple is its y-order.  Read off ``rep``'s graph,
+    escalating while the section is zero to truncation."""
+    dots = [sum(Fraction(hk) * ck for hk, ck in zip(hyperplane, col))
+            for col in rep.chart.columns]
+    if dots[0] or dots[1]:
+        raise SegreCuspError("hyperplane does not contain the line")
+
+    def at_order(n):
+        F, G = ((rep.F, rep.G) if n == rep.F.order
+                else _line_graph(rep.chart.surface, rep.chart, n))
+        y = Jet.variable(F.field, ("y",), n, "y")
+        k = y_order(y * dots[2] + F * dots[3] + G * dots[4], "y")
+        if isinstance(k, InfiniteOrder):
+            raise TruncationInsufficient(
+                f"section vanishes to order {n} along the line")
+        return k
+
+    return escalate(at_order, rep.F.order)
 
 
 def _line_multiplicity(orders):
@@ -411,11 +424,13 @@ def tacnodal_hyperplane_on_line(surface, line, point):
     Writes F = y f, G = y g in the line-aligned chart at the point; the
     residual intersection with the line of the section by (lam : mu) is the
     root set of (lam f + mu g)(x, 0).  Returns the hyperplane whose
-    restriction has a double root at x = 0, with the classification of its
-    section germ (a tacnode for generic points).
+    restriction has a double root at x = 0, with the class of its section
+    germ (a tacnode for generic points), escalated until settled as in
+    :func:`classify_section_germ`.
     """
     chart = adapted_chart(surface, point, line)
-    F, G = chart.solve_graph(DEFAULT_ORDER)
+    # (lam : mu) is read off the coefficients of x y and x^2 y
+    F, G = chart.solve_graph(START_ORDER)
     for J in (F, G):
         k = J.order_in("y")
         if k is not None and k < 1:
@@ -431,10 +446,10 @@ def tacnodal_hyperplane_on_line(surface, line, point):
     g2 = g.coefficient((2, 0))
     if not (lam * f2 + mu * g2):
         raise NoDoubleRoot("double root degenerates to higher order")
-    h = F * lam + G * mu
-    cls = classify_plane_germ(h, aligned_var="y")
-    hyperplane = chart.hyperplane_from_dual(lam, mu)
-    return hyperplane, cls, (lam, mu), chart
+    cls = escalate(lambda n: _settled_class(
+        chart, chart.field, lam, mu,
+        *((F, G) if n == START_ORDER else chart.solve_graph(n))))
+    return chart.hyperplane_from_dual(lam, mu), cls, (lam, mu), chart
 
 
 def dual_plane_conic_fit(hyperplanes, line):

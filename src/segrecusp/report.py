@@ -10,10 +10,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .cusplocus import DEFAULT_ORDER
 from .errors import ConfigError, ValidationFailure
 from .fields import fmt_rational, parse_rational
-from .jets import START_ORDER
 from .pencil import QuadricPencil, SegreSymbol, normal_form, validate_segre
 from .surface import SurfaceInstance
 
@@ -63,17 +61,19 @@ def line_payload(line):
 # configuration
 
 
+CONFIG_KEYS = ("symbol", "params", "quadrics", "seed")
+
+
 class SurfaceConfig:
-    """Parsed surface description plus options."""
+    """Parsed surface description plus its seed."""
 
     def __init__(self, raw):
         self.raw = raw
-        self.order = raw.get("order", DEFAULT_ORDER)
-        if isinstance(self.order, bool) or not isinstance(self.order, int) \
-                or self.order < START_ORDER:
+        unknown = [k for k in raw if k not in CONFIG_KEYS]
+        if unknown:
             raise ConfigError(
-                f"\"order\" must be an integer at least {START_ORDER}, "
-                f"got {self.order!r}")
+                f"unknown config key(s) {', '.join(map(repr, unknown))}; "
+                f"expected {', '.join(CONFIG_KEYS)}")
         self.seed = raw.get("seed", 0)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(

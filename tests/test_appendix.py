@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 from segrecusp.appendix import (appendix_cases, closed_forms_first_case,
                                 verify_appendix)
-from segrecusp.cusplocus import DEFAULT_ORDER, line_report
+from segrecusp.cusplocus import _line_report_at_order
+from segrecusp.fields import QQ
 from segrecusp.pencil import SegreSymbol
+from segrecusp.surface import ProjectivePoint, adapted_chart
 
 
 def test_seven_cases_reproduce_multiplicities():
@@ -13,15 +15,47 @@ def test_seven_cases_reproduce_multiplicities():
     assert all(r["pass"] for r in results)
 
 
+def _point_chart_line_multiple(surf, case, order=8):
+    """The line multiple of the special section read off a point jet at a
+    fixed order: the graph solved to ``order`` at the first smooth rational
+    point (1 : t) of the line, in a chart aligned to the line, and the
+    least power of y in the section germ with its 1-jet dropped."""
+    i, j = case.line_points
+    for t in range(1, 25):
+        coords = [F(0)] * 5
+        coords[i], coords[j] = F(1), F(t)
+        p = ProjectivePoint.make(QQ, coords)
+        if surf.is_smooth_at(p):
+            break
+    chart = adapted_chart(surf, p, case.line())
+    lam, mu = chart.dual_coords(case.special_hyperplane)
+    Fj, Gj = chart.solve_graph(order)
+    h = Fj * lam + Gj * mu
+    h = h.clone({e: c for e, c in h.coeffs.items() if sum(e) > 1})
+    return h.order_in("y")
+
+
 def test_escalating_line_reports_match_order_8():
-    assert verify_appendix() == verify_appendix(order=8)
+    """Every record against the line-report kernel at order 8, and every
+    special section against the line multiple read off a point jet at
+    order 8."""
+    for case, record in zip(appendix_cases(), verify_appendix()):
+        surf = case.surface()
+        rep = _line_report_at_order(surf, case.line(), case.chart(surf), 8)
+        assert (record["m"], record["disc_order"], record["branch_mult"]) == \
+            (rep.m, rep.disc_order, rep.branch_mult), case.name
+        assert record["pass"], case.name
+        if case.special_hyperplane is None:
+            assert "special_section" not in record
+            continue
+        k = _point_chart_line_multiple(surf, case)
+        assert record["special_section"] == f"NonReducedLineMultiple({k})"
 
 
 def test_first_case_closed_forms_instantiated():
     case = appendix_cases()[0]
     surf = case.surface()
-    rep = line_report(surf, case.line(), chart=case.chart(surf),
-                      order=DEFAULT_ORDER)
+    rep = _line_report_at_order(surf, case.line(), case.chart(surf), 8)
     f_c, g_c, k_c = closed_forms_first_case(1, 2, 3)
     assert rep.F.coeffs == {(2,): f_c}
     assert rep.G.coeffs == {(2,): g_c}
@@ -57,8 +91,7 @@ def test_A2_case_closed_forms():
 
     case = appendix_cases()[3]
     surf = case.surface()
-    rep = line_report(surf, case.line(), chart=case.chart(surf),
-                      order=DEFAULT_ORDER)
+    rep = _line_report_at_order(surf, case.line(), case.chart(surf), 8)
     Kx = RationalFunctions("x")
     x = Kx.gen
     order = rep.F.order
@@ -91,8 +124,7 @@ def test_coefficient_order_bounds_per_case():
 
     for case, (amin, bexact, cmin) in zip(appendix_cases(), bounds):
         surf = case.surface()
-        rep = line_report(surf, case.line(), chart=case.chart(surf),
-                          order=DEFAULT_ORDER)
+        rep = _line_report_at_order(surf, case.line(), case.chart(surf), 8)
         oa, ob, oc = rep.coefficient_orders
         assert at_least(oa, amin), (case.name, oa)
         assert ob == bexact, (case.name, ob)

@@ -7,11 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 from segrecusp import linalg
-from segrecusp.cusplocus import _on_any_line, line_chart, sample_point_cases
-from segrecusp.errors import CrossCheckMismatch, PointNotOnLine
+from segrecusp.cusplocus import (_graph_solvable_along_line, _on_any_line,
+                                 line_chart, sample_point_cases)
+from segrecusp.errors import CrossCheckMismatch, PointNotOnLine, SegreCuspError
 from segrecusp.fields import QQ
 from segrecusp.instances import sampling_instance, table1_instance
-from segrecusp.linalg import complete_basis, mat_rank, mat_vec, nullspace
+from segrecusp.linalg import complete_basis, mat_rank, mat_vec, nullspace, rref
 from segrecusp.lines import (LineOnSurface, coordinate_lines, enumerate_lines,
                              lines_through_singular_point)
 from segrecusp.pencil import TABLE1_SYMBOLS
@@ -154,3 +155,76 @@ def test_degenerate_exact_line_is_an_error():
     for p in [a] + inst.singular_points():
         with pytest.raises(CrossCheckMismatch):
             _on_any_line(inst, p)
+
+
+BASE_PARAMS = (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 4, 6, 8, 9, 10, -5, 12,
+               -7, 15)
+
+
+def _line_chart_with_pretests(surface, line):
+    """The line chart found with an on-surface and a smoothness test before
+    each base point is charted."""
+    a, b = line.span_over(QQ)
+    for t in BASE_PARAMS:
+        base = ProjectivePoint.make(QQ, [ai + t * bi for ai, bi in zip(a, b)])
+        if not surface.on_surface(base):
+            continue
+        try:
+            if not surface.is_smooth_at(base):
+                continue
+            chart = adapted_chart(surface, base, line)
+            if _graph_solvable_along_line(surface, chart):
+                return chart
+        except SegreCuspError:
+            continue
+    raise SegreCuspError(f"no usable base point found on {line}")
+
+
+def _table1_lines():
+    """The distinct rational lines of the exact scans of the Table-1
+    default forms, each with its surface."""
+    out = []
+    for symbol in SYMBOLS:
+        inst = table1_instance(symbol)
+        seen = set()
+        for line in _exact_scan(inst):
+            if line.field() != QQ:
+                continue
+            key = tuple(map(tuple, rref(QQ, line.span_over(QQ))[0]))
+            if key not in seen:
+                seen.add(key)
+                out.append((inst, line))
+    return out
+
+
+def test_line_charts_match_pretested_charts_on_table1_lines():
+    pairs = _table1_lines()
+    assert len(pairs) == 33
+    for inst, line in pairs:
+        assert line_chart(inst, line).columns == \
+            _line_chart_with_pretests(inst, line).columns, line
+
+
+def test_line_chart_is_one_row_reduction(monkeypatch):
+    """Where the first base point is smooth, the only row reduction is the
+    one of its gradient rows (the line's equations are computed once per
+    line, before counting)."""
+    calls = []
+    reduce = linalg._row_reduce
+
+    def counted(field, M, ncols=None):
+        calls.append(len(M))
+        return reduce(field, M, ncols)
+
+    monkeypatch.setattr(linalg, "_row_reduce", counted)
+    charted = 0
+    for inst, line in _table1_lines():
+        line.equations
+        if not inst.is_smooth_at(ProjectivePoint.make(
+                QQ, line.span_over(QQ)[0])):
+            continue
+        calls.clear()
+        line_chart(inst, line)
+        assert calls == [2], line
+        charted += 1
+    assert charted > 0

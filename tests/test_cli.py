@@ -78,8 +78,6 @@ def test_table1_subset(capsys):
     ["table1", "--symbols", "[9]"],
     ["table1", "--symbols", "[1(11)(11)"],
     ["table1", "--symbols", "[(111)11]"],
-    ["table1", "--symbols", "[5]", "--order", "-1"],
-    ["table1", "--symbols", "[5]", "--order", "0"],
 ])
 def test_malformed_input_is_an_error(argv, tmp_path, capsys):
     if argv[0] == "point-case":
@@ -97,28 +95,24 @@ def test_config_order_below_two_is_an_error(order, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_order_two_is_an_error(tmp_path, capsys):
-    # line reports split germs, which needs order 3 at least
-    path = write_config(tmp_path, {"symbol": "[122]",
-                                   "params": ["1", "2", "5"]})
-    assert main(["line-report", "--config", path, "--line", "0",
-                 "--order", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "at least 3" in err
-
-
 @pytest.mark.parametrize("argv", [
     ["point-case"],
     ["point-case", "--point", "1,2,3,4,5", "--random"],
     ["point-case", "--random", "--order", "8"],
     ["surface-report", "--order", "8"],
+    ["line-report", "--line", "0", "--order", "2"],
+    ["table1", "--symbols", "[5]", "--order", "-1"],
+    ["table1", "--symbols", "[5]", "--order", "0"],
 ], ids=["no-point-flag", "both-point-flags", "point-case-order",
-        "surface-report-order"])
+        "surface-report-order", "line-report-order", "table1-order-minus-1",
+        "table1-order-0"])
 def test_usage_errors_exit_two(argv, tmp_path, capsys):
-    path = write_config(tmp_path, {"symbol": "[1(11)(11)]",
-                                   "params": ["1", "2", "5"]})
+    # no command takes a truncation order
+    if argv[0] != "table1":
+        argv = argv + ["--config", write_config(
+            tmp_path, {"symbol": "[1(11)(11)]", "params": ["1", "2", "5"]})]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--config", path])
+        main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 
@@ -130,7 +124,15 @@ def test_config_order_two_is_an_error(tmp_path, capsys):
                  ["point-case", "--config", path, "--random"]):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "at least 3" in err
+        assert err.startswith("error: ")
+
+
+def test_config_unknown_key_is_an_error(tmp_path, capsys):
+    path = write_config(tmp_path, {"symbol": "[23]", "params": ["1", "2"],
+                                   "sede": 6})
+    assert main(["surface-report", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'sede'" in err
 
 
 @pytest.mark.parametrize("seed", ["abc", 2.7, True])
@@ -208,15 +210,18 @@ def test_line_report_command(tmp_path, capsys):
 
 
 def test_line_report_states_order_used(tmp_path, capsys):
+    """line-report escalates from the order surface-report starts at, so
+    both give the same record, order used included."""
     path = write_config(tmp_path, {"symbol": "[122]",
                                    "params": ["1", "2", "5"]})
-    outs = []
-    for extra in ([], ["--order", "3"]):
-        assert main(["line-report", "--config", path, "--line", "3"]
-                    + extra) == 0
-        outs.append(json.loads(capsys.readouterr().out))
-    assert [o["order_used"] for o in outs] == [8, 3]
-    assert outs[0]["m"] == outs[1]["m"] == 2
+    assert main(["line-report", "--config", path, "--line", "3"]) == 0
+    line = json.loads(capsys.readouterr().out)
+    main(["surface-report", "--config", path, "--offline-points", "0"])
+    record = json.loads(capsys.readouterr().out)["lines"][3]
+    keys = ("m", "disc_order", "branch_mult", "order_used")
+    assert line["exact"] and record["exact_report"]
+    assert [line[k] for k in keys] == [record[k] for k in keys]
+    assert line["m"] == 2
 
 
 def test_cli_entry_point_runs():

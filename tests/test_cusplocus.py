@@ -14,11 +14,13 @@ from segrecusp.cusplocus import (_double_conic, _on_any_line, _section_jet,
                                  dual_plane_conic_fit, hessian_form_at,
                                  line_report, numeric_line_branch_evidence,
                                  point_case, sample_point_cases,
+                                 section_line_multiple,
                                  tacnodal_hyperplane_on_line)
-from segrecusp.errors import NoDoubleRoot, NonGenericPoint
+from segrecusp.errors import (NoDoubleRoot, NonGenericPoint, SegreCuspError,
+                              TruncationInsufficient)
 from segrecusp.fields import QQ
 from segrecusp.instances import sampling_instance, table1_instance
-from segrecusp.jets import START_ORDER, jet_from_poly
+from segrecusp.jets import MAX_ORDER, START_ORDER, jet_from_poly
 from segrecusp.linalg import mat_rank
 from segrecusp.lines import LineOnSurface, coordinate_lines, enumerate_lines
 from segrecusp.pencil import TABLE1_SYMBOLS, normal_form
@@ -113,9 +115,27 @@ def test_classify_plane_germ_basics():
         square = classify_plane_germ((f * f).truncate(order))
         assert str(square) == "PerfectSquare"
         assert square.detail == f"square to order {order}"
-    y4 = jet_from_poly(QQ, ("x", "y"), 8, {(0, 4): 1, (1, 4): 2})
-    assert str(classify_plane_germ(y4, aligned_var="y")) == \
-        "NonReducedLineMultiple(4)"
+
+
+def test_section_line_multiple_over_qx():
+    """Exact over Q(x): the appendix's special hyperplanes contain their
+    lines 3, 3, 4 and 4 times; the coordinate hyperplane of the chart's y
+    column contains the line but not the tangent plane along it, so once."""
+    special, transverse = [], []
+    for case in appendix_cases():
+        if case.special_hyperplane is None:
+            continue
+        surf = case.surface()
+        chart = case.chart(surf)
+        rep = line_report(surf, case.line(), chart=chart)
+        special.append(section_line_multiple(rep, case.special_hyperplane))
+        y_plane, x_plane = ([int(bool(c)) for c in chart.columns[i]]
+                            for i in (2, 1))
+        transverse.append(section_line_multiple(rep, y_plane))
+        with pytest.raises(SegreCuspError):   # misses the line
+            section_line_multiple(rep, x_plane)
+    assert special == [3, 3, 4, 4]
+    assert transverse == [1, 1, 1, 1]
 
 
 def test_cusp_germ_resultant_oracle(smooth_model):
@@ -268,6 +288,31 @@ def test_unconfirmed_square_is_not_generic(trichotomy_points, monkeypatch):
     monkeypatch.setattr(cusplocus, "_double_conic", lambda *args: False)
     with pytest.raises(NonGenericPoint):
         point_case(inst, p)
+
+
+def test_unconfirmed_square_section_escalates_to_the_cap(monkeypatch):
+    """Without the exact double-conic test a square section is never taken
+    for a PerfectSquare: the order escalates to MAX_ORDER and the
+    truncation error reaches the caller."""
+    inst = table1_instance("[1(11)(11)]")
+    member = [m for m in inst.pencil.rank_drop_members() if m.is_rank3][0]
+    H = double_conic_hyperplane(inst, member, 0)
+    pts = double_conic_points(inst, member, 0, count=3)
+    assert len(pts) == 3
+    orders = []
+    solve = AdaptedChart.solve_graph
+
+    def counted(chart, order):
+        orders.append(order)
+        return solve(chart, order)
+
+    monkeypatch.setattr(AdaptedChart, "solve_graph", counted)
+    monkeypatch.setattr(cusplocus, "_double_conic", lambda *args: False)
+    for p in pts:
+        orders.clear()
+        with pytest.raises(TruncationInsufficient):
+            classify_section_germ(inst, p, H)
+        assert orders == [START_ORDER, 6, 12, 24, MAX_ORDER]
 
 
 def test_point_case_constant_over_five_points():
