@@ -12,7 +12,7 @@ cuspidal locus of the dual variety.
 from .errors import SegreCuspError
 from .fields import QQ, QuadraticExtension, RationalFunctions
 from .jets import (BinaryQuadratic, Jet, hensel_solve, jet_from_poly,
-                   splitting_reduce, try_extract_square, y_order)
+                   splitting_reduce, y_order)
 from .pencil import (QuadricPencil, SegreSymbol, TABLE1_SYMBOLS,
                      default_instance, normal_form, validate_segre)
 from .surface import (ADEClass, AdaptedChart, ProjectivePoint,
@@ -39,6 +39,5 @@ __all__ = [
     "line_report", "load_surface_config", "normal_form", "point_case",
     "sample_rational_points", "sampling_instance", "smooth_segre_instance",
     "splitting_reduce", "surface_through_line", "table1_instance",
-    "tacnodal_hyperplane_on_line", "try_extract_square", "validate_segre",
-    "y_order",
+    "tacnodal_hyperplane_on_line", "validate_segre", "y_order",
 ]

@@ -52,6 +52,9 @@ def _census(surface):
 
 
 def cmd_surface_report(args):
+    if args.offline_points < 0:
+        raise SegreCuspError("--offline-points must not be negative, "
+                             f"got {args.offline_points}")
     config, surface = _build(args)
     from .cusplocus import branch_scan, cusp_locus_summary
 

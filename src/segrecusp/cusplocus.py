@@ -25,8 +25,7 @@ from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
                      TowerUnsupported, TruncationInsufficient)
 from .fields import QQ, pmul, psub, quadratic_roots
 from .jets import (START_ORDER, BinaryQuadratic, InfiniteOrder, Jet,
-                   escalate, hensel_solve, splitting_reduce,
-                   try_extract_square, y_order)
+                   escalate, hensel_solve, splitting_reduce, y_order)
 from .linalg import gram_matrix, mat_rank, nullspace
 from .surface import (AdaptedChart, ProjectivePoint, adapted_chart,
                       chart_quadrics)
@@ -85,7 +84,7 @@ def hessian_form_at(surface, point, chart=None, order=2,
 @dataclass(frozen=True)
 class SectionGermClass:
     kind: str                     # Smooth | A1_node | A2_cusp | A3_tacnode |
-    detail: str = ""              # PerfectSquare | Other
+    detail: str = ""              # Other | PerfectSquare (exact only)
     truncated: bool = False       # read off a jet only to its order
 
     def __str__(self):
@@ -95,20 +94,17 @@ class SectionGermClass:
 def classify_plane_germ(h: Jet) -> SectionGermClass:
     """Classify a plane-curve germ h(x, y) with vanishing 1-jet.
 
-    A germ zero to its truncation order, a square to that order and a
-    residual that vanishes to it are ``truncated``: a higher order may
-    change them.  Every other class is final.
+    A germ zero to its truncation order and a residual that vanishes to it
+    are ``truncated``: a higher order may change them.  Every other class
+    is final.  A jet never reads ``PerfectSquare``: a square u s**2 has
+    Hessian rank at most 1 and a residual zero to every order, so it reads
+    ``Other`` (truncated, or corank 2 where s is singular), and only the
+    exact test of :func:`_settled_class` names it a doubled conic.
     """
     h = h - Jet(h.field, h.vars, h.order,
                 {e: c for e, c in h.coeffs.items() if sum(e) <= 1})
     if h.is_zero():
         return SectionGermClass("Other", detail="zero to truncation order",
-                                truncated=True)
-    # a square needs no splitting; a node is no square (c * l**2 has a
-    # Hessian of rank at most 1)
-    if try_extract_square(h) is not None:
-        return SectionGermClass("PerfectSquare",
-                                detail=f"square to order {h.order}",
                                 truncated=True)
     split = splitting_reduce(h)
     if split.rank == 2:
@@ -129,18 +125,15 @@ def classify_plane_germ(h: Jet) -> SectionGermClass:
 
 def _settled_class(chart, field, lam, mu, F, G):
     """The class of the section germ lam F + mu G at the chart's base point
-    where the jets F, G settle it.  A square is a ``PerfectSquare`` only
-    when :func:`_double_conic` confirms it exactly; an unconfirmed square
-    and any other ``truncated`` reading raise
-    :class:`TruncationInsufficient`."""
+    where the jets F, G settle it.  An ``Other`` germ (a doubled conic
+    reads so at every order) is a ``PerfectSquare`` exactly when
+    :func:`_double_conic` confirms it; any other ``truncated`` reading
+    raises :class:`TruncationInsufficient`."""
     cls = classify_plane_germ(_section_jet(F, G, lam, mu, field))
-    if cls.kind == "PerfectSquare" and _double_conic(chart, field, lam, mu):
+    if cls.kind == "Other" and _double_conic(chart, field, lam, mu):
         return SectionGermClass("PerfectSquare", detail="double conic")
     if cls.truncated:
-        unconfirmed = (" but cuts no doubled conic"
-                       if cls.kind == "PerfectSquare" else "")
-        raise TruncationInsufficient(
-            f"section ({lam} : {mu}): {cls.detail}{unconfirmed}")
+        raise TruncationInsufficient(f"section ({lam} : {mu}): {cls.detail}")
     return cls
 
 
@@ -190,13 +183,14 @@ def point_case(surface, point) -> PointCase:
 
     One graph solve to :data:`segrecusp.jets.START_ORDER` gives the Hessian
     form and both root germs.  At that order an A1 or A2 germ is final (A1
-    is read off the Hessian rank, an ordinary cusp is 3-determined), and a
-    square is a ``PerfectSquare`` when :func:`_double_conic` confirms it
-    exactly; a germ that order does not settle (:func:`_settled_class`)
-    makes the point not generic.  Over a rational chart, roots conjugate
-    in Q(sqrt d) give conjugate germs and hyperplanes, and the
-    classification (field operations, zero tests and ranks) commutes with
-    sqrt d -> -sqrt d, so the second root takes the first root's class.
+    is read off the Hessian rank, an ordinary cusp is 3-determined), and
+    an ``Other`` germ is a ``PerfectSquare`` when :func:`_double_conic`
+    confirms it exactly; a germ that order does not settle
+    (:func:`_settled_class`) makes the point not generic.  Over a rational
+    chart, roots conjugate in Q(sqrt d) give conjugate germs and
+    hyperplanes, and the classification (field operations, zero tests and
+    ranks) commutes with sqrt d -> -sqrt d, so the second root takes the
+    first root's class.
     """
     hess = hessian_form_at(surface, point, order=START_ORDER)
     if not hess.has_two_distinct_roots:
@@ -514,7 +508,7 @@ class BranchReport:
     anomalies: list = dc_field(default_factory=list)
 
 
-def branch_scan(surface, offline_points=10, rng=None) -> BranchReport:
+def branch_scan(surface, offline_points=10) -> BranchReport:
     """Per-line branch data plus a no-off-line-branching spot check."""
     from .lines import enumerate_lines
     from .surface import sample_rational_points
@@ -546,7 +540,7 @@ def branch_scan(surface, offline_points=10, rng=None) -> BranchReport:
     if offline_points:
         try:
             pts = sample_rational_points(
-                surface, offline_points, rng=rng,
+                surface, offline_points,
                 avoid=lambda p: _on_any_line(surface, p))
         except SegreCuspError as exc:
             pts = []
@@ -561,15 +555,15 @@ def branch_scan(surface, offline_points=10, rng=None) -> BranchReport:
                         offline_all_two_roots=ok, anomalies=anomalies)
 
 
-def _on_any_line(surface, point, tol=1e-7):
+def _on_any_line(surface, point):
     """Whether the point lies on a known line: exactly, from the line's
-    equations (:meth:`LineOnSurface.contains`), for an exact line; to
-    ``tol`` in floating point for a numeric one."""
+    equations (:meth:`LineOnSurface.contains`), for an exact line; to 1e-7
+    in floating point for a numeric one."""
     if not surface.lines:
         return False
     coords = point.as_float()
     return any(line.contains(point) if line.exactness == "exact"
-               else line.contains_point_float(coords, tol=tol)
+               else line.contains_point_float(coords, tol=1e-7)
                for line in surface.lines)
 
 

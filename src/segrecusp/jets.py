@@ -8,11 +8,11 @@ to order 8 by one of valuation 2 yields coefficients trusted to order 10.
 On top of the ring operations this module provides the local-analysis
 primitives used throughout the package: implicit solving of one or two
 equations (degree by degree, with no Newton iteration), vanishing orders,
-extraction of unit-times-square factorizations (dividing forms by
-:func:`segrecusp.fields.pdivmod`, the package's one polynomial division), and
-the splitting of a germ into a nondegenerate quadratic part plus a residual
-in the corank variables, obtained by eliminating the critical set in the
-nondegenerate directions with the same implicit solve.
+and the splitting of a germ into a nondegenerate quadratic part plus a
+residual in the corank variables, obtained by eliminating the critical set
+in the nondegenerate directions with the same implicit solve.  Whether a
+germ is a square is not a jet question here: a doubled conic is confirmed
+by an exact rank test (:mod:`segrecusp.cusplocus`), never to an order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import OrderTooSmall, SingularJacobian, TruncationInsufficient
-from .fields import pdivmod
 from .linalg import mat_rank
 
 # A finite vanishing order read off a jet is exact, so a computation whose
@@ -520,114 +519,6 @@ def hensel_solve(equations, solve_vars, order=None):
     return tuple(Jet(field, base_vars, order,
                      {e: c for part in f for e, c in part.items()})
                  for f in phi)
-
-
-# --------------------------------------------------------------------------
-# unit * square extraction
-
-
-def _form_to_list(form, degree, last_index):
-    """Homogeneous 2-variable form -> dense list indexed by last-variable degree."""
-    out = [None] * (degree + 1)
-    for e, c in form.items():
-        out[e[last_index]] = c
-    return out
-
-
-def try_extract_square(h: Jet):
-    """Factor h = u * s**2 with u a unit jet, if possible to truncation order.
-
-    Returns (u, s) with s(0) = 0, or None.  h must vanish at the origin and
-    involve at most two variables.
-    """
-    if len(h.vars) > 2:
-        raise ValueError("try_extract_square expects a jet in at most 2 variables")
-    if h.constant_term():
-        raise ValueError("h must vanish at the origin")
-    v = h.valuation()
-    if v is None or v % 2:
-        return None
-    m = v // 2
-    field = h.field
-    nvars = len(h.vars)
-    last = nvars - 1
-
-    lowest = _form_to_list(h.homogeneous_part(v), v, last)
-    i0 = next((i for i, c in enumerate(lowest) if c is not None), None)
-    if i0 is None or i0 % 2:
-        return None
-    c0 = lowest[i0]
-    # square root of the lowest form, normalized to leading coefficient 1
-    b = [field.zero] * (m - i0 // 2 + 1)
-    b[0] = field.one
-    for k in range(1, len(b)):
-        target = lowest[i0 + k] if lowest[i0 + k] is not None else field.zero
-        acc = target / c0
-        for i in range(1, k):
-            acc = acc - b[i] * b[k - i]
-        b[k] = acc / 2
-    # verify c0 * q**2 equals the lowest form
-    sq = [field.zero] * (2 * len(b) - 1)
-    for i, bi in enumerate(b):
-        for j, bj in enumerate(b):
-            sq[i + j] = sq[i + j] + bi * bj
-    for i, c in enumerate(lowest):
-        want = c if c is not None else field.zero
-        got = c0 * sq[i - i0] if 0 <= i - i0 < len(sq) else field.zero
-        if want != got:
-            return None
-
-    def form_entry(degree, last_deg):
-        if nvars == 2:
-            return (degree - last_deg, last_deg)
-        return (last_deg,) if last_deg == degree else None
-
-    s_coeffs = {}
-    for i, c in enumerate(b):
-        if c:
-            e = form_entry(m, i + i0 // 2)
-            if e is None:
-                return None
-            s_coeffs[e] = c
-
-    q_list = [field.zero] * (m + 1)
-    for e, c in s_coeffs.items():
-        q_list[e[last]] = c
-    s_order = h.order - m
-    # lift degree by degree: h/c0 must equal s**2 exactly.  With s_j the
-    # degree-(m + j) part of s, the degree-(v + k) part of s**2 is
-    # 2 s_0 s_k + sum_{0<i<k} s_i s_{k-i}, so s_k = (h_{v+k}/c0 - that
-    # sum) / (2 s_0), read off the parts already lifted.
-    parts = [s_coeffs]
-    inv = field.one / c0
-    for k in range(1, s_order - m + 1):
-        known = {}
-        for i in range(1, k):
-            _mul_into(known, parts[i], parts[k - i], v + k, field.zero)
-        diff = {e: c * inv for e, c in h.homogeneous_part(v + k).items()}
-        for e, c in known.items():
-            diff[e] = diff.get(e, field.zero) - c
-        diff = {e: c for e, c in diff.items() if c}
-        add = {}
-        parts.append(add)
-        if not diff:
-            continue
-        num = [c if c is not None else field.zero
-               for c in _form_to_list(diff, v + k, last)]
-        quot, rem = pdivmod(num, q_list)
-        if rem:
-            return None
-        for i, c in enumerate(quot):
-            if c:
-                e = form_entry(m + k, i)
-                if e is None or i > m + k:
-                    return None
-                add[e] = c / 2
-    s = Jet(field, h.vars, s_order, {e: c for p in parts for e, c in p.items()})
-    if not (s * s * c0 - h).is_zero():
-        return None
-    u = Jet.constant(field, h.vars, h.order, field.one) * c0
-    return u, s
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import sympy
 from .errors import CrossCheckMismatch, RootFieldUnsupported, TowerUnsupported
 from .fields import (QQ, QuadraticExtension, padd, pgcd, pmul,
                      quadratic_roots, squarefree_split)
-from .linalg import gram_matrix, identity, mat_mul, mat_rank, mat_vec, nullspace
+from .linalg import gram_matrix, mat_mul, mat_rank, mat_vec, nullspace
 from .pencil import bform, qform
 from .surface import ProjectivePoint
 
@@ -323,8 +323,8 @@ def _local_solution(R, M, blocks, alpha, e):
     is x = sqrt(u) * y with y rational (see off_singular_lines)."""
     N = [[M[r][c] - (alpha if r == c else 0) for c in range(5)]
          for r in range(5)]
-    Ne = identity(QQ, 5)
-    for _ in range(e):
+    Ne = N
+    for _ in range(e - 1):
         Ne = mat_mul(Ne, N)
     for v in nullspace(QQ, Ne):     # some basis vector of E is cyclic
         krylov = [v]
@@ -466,8 +466,7 @@ def _distinct(M, radius):
     return keep
 
 
-def enumerate_lines(surface, starts_per_chart=None, newton_tol=None,
-                    dedup=None):
+def enumerate_lines(surface, newton_tol=None):
     """Complete line census: the coordinate lines, the lines through each
     singular point from its quotient system, and the lines that miss Sing(S)
     in closed form (none for a derogatory pencil).  Nothing is searched or
@@ -477,10 +476,9 @@ def enumerate_lines(surface, starts_per_chart=None, newton_tol=None,
     representative first; counts are partitioned by the number of incident
     singular points.
 
-    ``starts_per_chart``, ``newton_tol`` and ``dedup`` have no effect.  They
-    are accepted only because the benchmark's census passes ``newton_tol``
-    and tests pass the others; the next change to the benchmark
-    removes them.
+    ``newton_tol`` has no effect.  It is accepted only because the
+    benchmark's census passes it; the next change to the benchmark
+    removes it.
     """
     pencil = surface.pencil
     sing_points = surface.singular_points()

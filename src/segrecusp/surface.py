@@ -563,18 +563,16 @@ def sample_rational_points(surface, count, rng=None, avoid=None,
     Uses the attached parameterization when the surface has one, otherwise
     sweeps lines through a singular point inside a degenerate member's cone.
     ``avoid`` is a predicate rejecting unwanted points (e.g. on a line).
+    Both constructions put every candidate on S, so one off S is an error
+    (:class:`SegreCuspError` from :meth:`SurfaceInstance.is_smooth_at`).
     """
     rng = rng or random.Random(surface.seed)
     out = []
 
     def accept(p):
-        if p is None or not surface.on_surface(p):
+        if p is None or p in out or not surface.is_smooth_at(p):
             return
-        if not surface.is_smooth_at(p):
-            return
-        if avoid is not None and avoid(p):
-            return
-        if p not in out:
+        if avoid is None or not avoid(p):
             out.append(p)
 
     if surface.point_source is not None:
@@ -713,10 +711,6 @@ def double_conic_points(surface, member, t, count=3, rng=None):
         if not any(coords):
             continue
         p = ProjectivePoint.make(QQ, coords)
-        if not surface.on_surface(p):
-            continue
-        if not surface.is_smooth_at(p):
-            continue
-        if p not in out:
+        if p not in out and surface.is_smooth_at(p):
             out.append(p)
     return out

@@ -27,10 +27,10 @@ def line_fixture():
 def census_cache():
     cache = {}
 
-    def get(name, seed=11, starts=300):
+    def get(name, seed=11):
         if name not in cache:
             inst = table1_instance(name, seed=seed)
-            cache[name] = (inst, enumerate_lines(inst, starts_per_chart=starts))
+            cache[name] = (inst, enumerate_lines(inst))
         return cache[name]
 
     return get

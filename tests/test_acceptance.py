@@ -46,7 +46,7 @@ def test_criterion_1_table1_regression():
         inst = table1_instance(name, seed=0)
         if inst.singularity_multiset() != sorted(expected["sing"]):
             failures.append(f"{name}: sing")
-        census = enumerate_lines(inst, newton_tol=1e-10, dedup=1e-6)
+        census = enumerate_lines(inst)
         if list(census.counts) != expected["lines"]:
             failures.append(f"{name}: lines {census.counts}")
         if census.residual_bound >= 1e-10:
@@ -101,7 +101,7 @@ def test_criterion_4_trichotomy():
         for name in symbols:
             inst = sampling_instance(name, seed=5)
             if inst.lines is None:
-                enumerate_lines(inst, starts_per_chart=150)
+                enumerate_lines(inst)
             pairs = sample_point_cases(inst, 3, rng=random.Random(7))
             cases = [pc.case for _, pc in pairs]
             if any(c != expected for c in cases):
@@ -119,7 +119,7 @@ def test_criterion_5_no_offline_double_roots():
     instances = [smooth_segre_instance(seed=0)]
     for name in ("[122]", "[23]", "[12(11)]", "[(11)3]"):
         inst = sampling_instance(name, seed=9)
-        enumerate_lines(inst, starts_per_chart=150)
+        enumerate_lines(inst)
         instances.append(inst)
     bad = 0
     for inst in instances:
@@ -244,7 +244,7 @@ def test_criterion_8_smooth_branch_degree():
         exact_ok = exact_ok and (rep.m, rep.branch_mult) == (0, 1)
     # numeric-evidence route on the default diagonal instance
     diag = table1_instance("[11111]", seed=11)
-    census = enumerate_lines(diag, newton_tol=1e-10, dedup=1e-6)
+    census = enumerate_lines(diag)
     numeric_ok = census.counts == (16, 0, 0)
     for line in census.lines:
         ev = numeric_line_branch_evidence(diag, line)

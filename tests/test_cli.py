@@ -78,9 +78,10 @@ def test_table1_subset(capsys):
     ["table1", "--symbols", "[9]"],
     ["table1", "--symbols", "[1(11)(11)"],
     ["table1", "--symbols", "[(111)11]"],
+    ["surface-report", "--offline-points", "-3"],
 ])
 def test_malformed_input_is_an_error(argv, tmp_path, capsys):
-    if argv[0] == "point-case":
+    if argv[0] in ("point-case", "surface-report"):
         argv = argv + ["--config", write_config(
             tmp_path, {"symbol": "[1(11)(11)]", "params": ["1", "2", "5"]})]
     assert main(argv) == 2

@@ -1,4 +1,4 @@
-"""Jet arithmetic, implicit solving, vanishing orders, squares, splitting.
+"""Jet arithmetic, implicit solving, vanishing orders, splitting.
 
 Expected values tagged as derived in the design notes are recomputed here
 through independent routes (sympy substitution, resultants) before being
@@ -14,11 +14,10 @@ import sympy
 
 from segrecusp.errors import (OrderTooSmall, SingularJacobian,
                               TruncationInsufficient)
-from segrecusp.fields import (QQ, QuadraticExtension, RationalFunctions, pdivmod,
-                              pgcd)
+from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions, pgcd
 from segrecusp.jets import (MAX_ORDER, START_ORDER, InfiniteOrder, Jet,
                             escalate, hensel_solve, jet_from_poly,
-                            splitting_reduce, try_extract_square, y_order)
+                            splitting_reduce, y_order)
 
 V4 = ("x", "y", "z", "w")
 
@@ -342,146 +341,6 @@ def test_y_order_multiplicative(rng):
         if oa + ob <= (a * b).order:
             assert prod == oa + ob
 
-
-def test_try_extract_square():
-    f = jet_from_poly(QQ, ("x", "y"), 8, {(0, 1): 1, (2, 0): 1})
-    res = try_extract_square(f * f)
-    assert res is not None
-    u, s = res
-    assert u.constant_term() == 1 and s.coeffs == f.coeffs
-    cusp = jet_from_poly(QQ, ("x", "y"), 8, {(0, 2): 1, (3, 0): -1})
-    assert try_extract_square(cusp) is None
-    tac = jet_from_poly(QQ, ("x", "y"), 8, {(0, 2): 1, (4, 0): -1})
-    assert try_extract_square(tac) is None
-    # unit times square with a nontrivial unit
-    unit = jet_from_poly(QQ, ("x", "y"), 8, {(0, 0): 2, (1, 0): 1})
-    res = try_extract_square(unit * f * f)
-    assert res is not None
-    u, s = res
-    assert ((u * s * s) - (unit * f * f)).is_zero()
-
-
-
-def _reference_extract_square(h):
-    """try_extract_square with the lift that squares all of s and subtracts
-    it once per degree (the unit-times-square extraction before the lift was
-    made degree by degree)."""
-    v = h.valuation()
-    if v is None or v % 2:
-        return None
-    m = v // 2
-    field = h.field
-    nvars = len(h.vars)
-    last = nvars - 1
-
-    def form_list(form, degree):
-        out = [None] * (degree + 1)
-        for e, c in form.items():
-            out[e[last]] = c
-        return out
-
-    lowest = form_list(h.homogeneous_part(v), v)
-    i0 = next((i for i, c in enumerate(lowest) if c is not None), None)
-    if i0 is None or i0 % 2:
-        return None
-    c0 = lowest[i0]
-    b = [field.zero] * (m - i0 // 2 + 1)
-    b[0] = field.one
-    for k in range(1, len(b)):
-        acc = (lowest[i0 + k] if lowest[i0 + k] is not None
-               else field.zero) / c0
-        for i in range(1, k):
-            acc = acc - b[i] * b[k - i]
-        b[k] = acc / 2
-    sq = [field.zero] * (2 * len(b) - 1)
-    for i, bi in enumerate(b):
-        for j, bj in enumerate(b):
-            sq[i + j] = sq[i + j] + bi * bj
-    for i, c in enumerate(lowest):
-        got = c0 * sq[i - i0] if 0 <= i - i0 < len(sq) else field.zero
-        if (c if c is not None else field.zero) != got:
-            return None
-
-    def form_entry(degree, last_deg):
-        if nvars == 2:
-            return (degree - last_deg, last_deg)
-        return (last_deg,) if last_deg == degree else None
-
-    s_coeffs = {}
-    for i, c in enumerate(b):
-        if c:
-            e = form_entry(m, i + i0 // 2)
-            if e is None:
-                return None
-            s_coeffs[e] = c
-    q_list = [field.zero] * (m + 1)
-    for e, c in s_coeffs.items():
-        q_list[e[last]] = c
-    s_order = h.order - m
-    s = Jet(field, h.vars, s_order, s_coeffs)
-    target = h / c0
-    for k in range(1, s_order - m + 1):
-        diff = (target - s * s).homogeneous_part(v + k)
-        if not diff:
-            continue
-        num = [c if c is not None else field.zero
-               for c in form_list(diff, v + k)]
-        quot, rem = pdivmod(num, q_list)
-        if rem:
-            return None
-        add = {}
-        for i, c in enumerate(quot):
-            if c:
-                e = form_entry(m + k, i)
-                if e is None or i > m + k:
-                    return None
-                add[e] = c / 2
-        s = s + Jet(field, h.vars, s_order, add)
-    if not (s * s * c0 - h).is_zero():
-        return None
-    return Jet.constant(field, h.vars, h.order, field.one) * c0, s
-
-
-def _square_inputs(field, draw, rng, vars, order):
-    """Random c * s**2 (c a constant or a unit jet) to ``order``, then the
-    same jet plus one monomial at each degree above its valuation."""
-    def nonzero():
-        while True:
-            c = draw(rng)
-            if c:
-                return c
-
-    m = rng.randint(1, 2)
-    s = _random_jet(field, draw, rng, vars, order - m, low=m)
-    s = s + Jet(field, vars, s.order, {(0,) * (len(vars) - 1) + (m,): nonzero()})
-    c = Jet.constant(field, vars, order, nonzero())
-    if rng.random() < 0.5:
-        c = c + _random_jet(field, draw, rng, vars, order, low=1)
-    h = (c * s * s).truncate(order)
-    yield h
-    for d in range(2 * m + 1, order + 1):
-        e = rng.choice([e for e in itertools.product(range(d + 1),
-                                                     repeat=len(vars))
-                        if sum(e) == d])
-        yield h + Jet(field, vars, order, {e: nonzero()})
-
-
-@pytest.mark.parametrize("field_name", ["Q", "Qsqrt2"])
-def test_try_extract_square_matches_full_square_lift(field_name, rng):
-    field, draw = _field_sampler(field_name)
-    outcomes = set()
-    for trial in range(12):
-        vars = ("x", "y") if trial % 4 else ("y",)
-        for h in _square_inputs(field, draw, rng, vars, rng.randint(4, 8)):
-            got, want = try_extract_square(h), _reference_extract_square(h)
-            outcomes.add(got is None)
-            if want is None:
-                assert got is None, h
-            else:
-                assert got is not None, h
-                for a, b in zip(got, want):
-                    assert (a.order, a.coeffs) == (b.order, b.coeffs)
-    assert outcomes == {True, False}
 
 def test_splitting_reduce_examples():
     f = jet_from_poly(QQ, ("x", "y", "z"), 8,

@@ -5,7 +5,7 @@ from itertools import chain, combinations, product
 import pytest
 
 from segrecusp.appendix import appendix_cases
-from segrecusp.errors import PointSingular
+from segrecusp.errors import PointSingular, SegreCuspError
 from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions
 from segrecusp.instances import sampling_instance, table1_instance
 from segrecusp.jets import Jet
@@ -179,6 +179,17 @@ def test_sample_points_smooth_and_on_surface():
     assert len(pts) == 6
     for p in pts:
         assert inst.on_surface(p) and inst.is_smooth_at(p)
+
+
+def test_off_surface_candidate_is_an_error():
+    """Both sampling constructions put every candidate on S, so a candidate
+    off S is an error rather than a point skipped."""
+    inst = table1_instance("[122]")
+    off = ProjectivePoint.make(QQ, [1, 1, 1, 1, 1])
+    assert not inst.on_surface(off)
+    inst.point_source = lambda rng: off
+    with pytest.raises(SegreCuspError, match="not on the surface"):
+        sample_rational_points(inst, 1, rng=random.Random(0))
 
 
 def test_double_conic_hyperplane_family():
