@@ -23,12 +23,11 @@ import numpy as np
 from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
                      NonGenericPoint, RootFieldUnsupported, SegreCuspError,
                      TowerUnsupported, TruncationInsufficient)
-from .fields import QQ, pmul, psub, quadratic_roots
+from .fields import QQ, quadratic_roots
 from .jets import (START_ORDER, BinaryQuadratic, InfiniteOrder, Jet,
                    escalate, hensel_solve, splitting_reduce, y_order)
 from .linalg import gram_matrix, mat_rank, nullspace
-from .surface import (AdaptedChart, ProjectivePoint, adapted_chart,
-                      chart_quadrics)
+from .surface import AdaptedChart, ProjectivePoint, adapted_chart
 
 
 # --------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def line_chart(surface, line, base_param=None):
         try:
             # raises PointSingular at a singular base point
             chart = adapted_chart(surface, base, line)
-            if _graph_solvable_along_line(surface, chart):
+            if _graph_solvable_along_line(chart):
                 return chart
         except SegreCuspError as exc:
             last_error = exc
@@ -302,19 +301,20 @@ def line_chart(surface, line, base_param=None):
     raise SegreCuspError(f"no usable base point found on {line}: {last_error}")
 
 
-def _graph_solvable_along_line(surface, chart):
+def _graph_solvable_along_line(chart):
     """Whether d(q1, q2)/d(z, w) is invertible along the aligned line.
 
-    Read over Q off the Gram matrices G = C^T M C of the chart, with x the
-    line parameter: q(c_0 + x c_1) = G_00 + 2 G_01 x + G_11 x^2 must vanish
-    identically, and dq/dv there is 2 (G_0v + G_1v x) for v = z, w.
+    Read off the chart's quadrics in (y, z, w) over Q(x), x the line
+    parameter, which the line report then solves: their constant terms
+    q(c_0 + x c_1) must vanish identically, and their z and w coefficients
+    are dq/dz and dq/dw along the line.
     """
-    grams = [gram_matrix(QQ, M, chart.columns) for M in surface.pencil.coerced(QQ)]
-    if any(G[0][0] or G[0][1] or G[1][1] for G in grams):
+    quadrics = chart.line_jets(1)
+    if any(q.constant_term() for q in quadrics):
         raise SegreCuspError("chart is not aligned: quadrics do not vanish on it")
-    (p_z, p_w), (q_z, q_w) = ([(G[0][v], G[1][v]) for v in (3, 4)]
-                              for G in grams)
-    return bool(psub(pmul(p_z, q_w), pmul(p_w, q_z)))
+    (p_z, p_w), (q_z, q_w) = ([q.coefficient(e) for e in ((0, 1, 0), (0, 0, 1))]
+                              for q in quadrics)
+    return bool(p_z * q_w - p_w * q_z)
 
 
 def line_report(surface, line, chart=None) -> HessianAlongLine:
@@ -326,19 +326,17 @@ def line_report(surface, line, chart=None) -> HessianAlongLine:
     """
     if chart is None:
         chart = line_chart(surface, line)
-    return escalate(lambda n: _line_report_at_order(surface, line, chart, n))
+    return escalate(lambda n: _line_report_at_order(line, chart, n))
 
 
-def _line_graph(surface, chart, order):
+def _line_graph(chart, order):
     """F, G over Q(x) with S = {z = F(x, y), w = G(x, y)} along the line
     aligned by ``chart``."""
-    q1, q2 = chart_quadrics(surface.pencil, QQ, chart.columns, ("y", "z", "w"),
-                            order)
-    return hensel_solve([q1, q2], ("z", "w"), order=order)
+    return hensel_solve(list(chart.line_jets(order)), ("z", "w"), order=order)
 
 
-def _line_report_at_order(surface, line, chart, order):
-    F, G = _line_graph(surface, chart, order)
+def _line_report_at_order(line, chart, order):
+    F, G = _line_graph(chart, order)
 
     def split_derivs(J):
         Jx = J.coefficient_derivative()
@@ -376,7 +374,7 @@ def section_line_multiple(rep, hyperplane):
 
     def at_order(n):
         F, G = ((rep.F, rep.G) if n == rep.F.order
-                else _line_graph(rep.chart.surface, rep.chart, n))
+                else _line_graph(rep.chart, n))
         y = Jet.variable(F.field, ("y",), n, "y")
         k = y_order(y * dots[2] + F * dots[3] + G * dots[4], "y")
         if isinstance(k, InfiniteOrder):

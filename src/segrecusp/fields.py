@@ -9,9 +9,14 @@ Everything in this package computes over one of three scalar domains:
 Towers (e.g. a quadratic extension of Q(x)) are deliberately unsupported:
 operations that would need one raise :class:`~segrecusp.errors.TowerUnsupported`.
 
-Dense univariate polynomials live here too; their gcd (:func:`pgcd`, by
-Euclid's algorithm) and division (:func:`pdivmod`) work over any of the three
-domains and are the package's only ones.
+Dense univariate polynomials live here too; their gcd (:func:`pgcd`) and
+division (:func:`pdivmod`) work over any of the three domains and are the
+package's only ones.  Over Q, products and gcds run on integers: :func:`pmul`
+convolves the operands scaled by the lcm of their denominators, and
+:func:`pgcd` runs a primitive pseudo-remainder sequence over Z (Collins,
+JACM 14, 1967; von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 6),
+which avoids the coefficient growth of Euclid's algorithm over Q.  Over
+Q(sqrt(d)) and Q(x), :func:`pgcd` is Euclid's algorithm.
 """
 
 from __future__ import annotations
@@ -78,9 +83,13 @@ def squarefree_split(q: Fraction):
 
 # --------------------------------------------------------------------------
 # dense univariate polynomials, represented as tuples of coefficients in
-# ascending degree order with no trailing zeros.  pdivmod, pgcd and pmonic
-# work over any of the three fields, which they read from the coefficients;
-# the others build RatFuncElem's numerators and denominators over Q
+# ascending degree order with no trailing zeros.  pdivmod, pgcd, pmul and
+# pmonic work over any of the three fields, which they read from the
+# coefficients; the others build RatFuncElem's numerators and denominators
+# over Q
+
+
+_ONE = (Fraction(1),)  # the constant polynomial 1
 
 
 def _ptrim(cs):
@@ -113,15 +122,35 @@ def psub(a, b):
     return padd(a, pneg(b))
 
 
-def pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _rational(*polys):
+    return all(type(c) is Fraction or type(c) is int for p in polys for c in p)
+
+
+def _integral(p):
+    """Integer coefficients n and the lcm d of the denominators: p = n / d."""
+    d = math.lcm(*(c.denominator for c in p))
+    return [c.numerator * (d // c.denominator) for c in p], d
+
+
+def _convolve(a, b, zero):
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] += ca * cb
-    return _ptrim(out)
+    return out
+
+
+def pmul(a, b):
+    """Product over any of the three fields; over Q, one integer convolution
+    of the operands scaled to integers."""
+    if not a or not b:
+        return ()
+    if _rational(a, b):
+        (a, da), (b, db) = _integral(a), _integral(b)
+        d = da * db
+        return _ptrim(Fraction(c, d) for c in _convolve(a, b, 0))
+    return _ptrim(_convolve(a, b, Fraction(0)))
 
 
 def pdivmod(a, b):
@@ -150,17 +179,67 @@ def pderiv(a):
 
 
 def pgcd(a, b):
-    """Monic gcd over any of the three fields, by Euclid's algorithm.
+    """Monic gcd over any of the three fields.
 
     The coefficient field is read from the operands; untrimmed sequences
-    are accepted, and gcd(0, 0) is the zero polynomial ().
+    are accepted, and gcd(0, 0) is the zero polynomial ().  Over Q a
+    nonzero constant argument gives 1 at once, and otherwise the gcd comes
+    from a primitive pseudo-remainder sequence over Z; over Q(sqrt(d)) and
+    Q(x) it comes from Euclid's algorithm.
     """
     a, b = _ptrim(a), _ptrim(b)
+    if _rational(a, b):
+        if a and b:
+            return _qgcd(a, b)
+        return pmonic(a or b)
     while b:
         if len(a) == 1 or len(b) == 1:
             return (b[-1] / b[-1],)  # a nonzero constant gives 1
         a, b = b, pdivmod(a, b)[1]
     return pmonic(a)
+
+
+def _primitive(p):
+    """An integer polynomial divided by the gcd of its coefficients."""
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
+def _prem(a, b):
+    """A remainder r of b into a over Z with deg r < deg b: each step scales
+    the running remainder by lc(b) / g only, g = gcd(lc(b), its leading
+    coefficient), so r is l*a mod b for some nonzero integer l."""
+    r, n, lead = list(a), len(b), b[-1]
+    for k in range(len(a) - n, -1, -1):
+        c = r.pop()
+        if c:
+            g = math.gcd(c, lead)
+            s, t = lead // g, c // g
+            if s != 1:
+                r = [x * s for x in r]
+            for j in range(n - 1):
+                r[k + j] -= t * b[j]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _qgcd(a, b):
+    """Monic gcd of two nonzero polynomials over Q, by a primitive
+    pseudo-remainder sequence of the operands scaled to integers."""
+    if len(a) == 1 or len(b) == 1:
+        return _ONE
+    a, b = _primitive(_integral(a)[0]), _primitive(_integral(b)[0])
+    if len(a) < len(b):
+        a, b = b, a
+    while True:
+        r = _prem(a, b)
+        if not r:
+            lead = b[-1]
+            return tuple(Fraction(c, lead) for c in b)
+        if len(r) == 1:
+            return _ONE
+        a, b = b, _primitive(r)
 
 
 def pmonic(a):
@@ -286,7 +365,7 @@ class QuadExtElem:
 def _monicize(num, den):
     """Scale a reduced fraction pair so the denominator is monic."""
     if not num:
-        return (), (Fraction(1),)
+        return (), _ONE
     lead = den[-1]
     if lead == 1:
         return num, den
@@ -295,18 +374,25 @@ def _monicize(num, den):
 
 @dataclass(frozen=True)
 class RatFuncElem:
-    """Reduced fraction of polynomials over Q; denominator monic and nonzero."""
+    """Reduced fraction of polynomials over Q; denominator monic and nonzero.
+
+    A sum or product of two polynomials (denominator 1), a constant
+    denominator and the derivative of a polynomial need no gcd.
+    """
 
     num: tuple
     den: tuple
 
     @staticmethod
-    def make(num, den=(Fraction(1),)):
+    def make(num, den=_ONE):
         num, den = _ptrim(Fraction(c) for c in num), _ptrim(Fraction(c) for c in den)
         if not den:
             raise ZeroDivisionError("zero denominator in rational function")
         if not num:
-            return RatFuncElem((), (Fraction(1),))
+            return RatFuncElem((), _ONE)
+        if len(den) == 1:
+            c = den[0]
+            return RatFuncElem(num if c == 1 else tuple(x / c for x in num), _ONE)
         g = pgcd(num, den)
         if pdeg(g) > 0:
             num, _ = pdivmod(num, g)
@@ -318,7 +404,7 @@ class RatFuncElem:
         if isinstance(other, RatFuncElem):
             return other
         if isinstance(other, (int, Fraction)):
-            return RatFuncElem(pconst(other), (Fraction(1),))
+            return RatFuncElem(pconst(other), _ONE)
         return None
 
     def __add__(self, other):
@@ -329,6 +415,8 @@ class RatFuncElem:
             return o
         if not o.num:
             return self
+        if self.den == _ONE and o.den == _ONE:
+            return RatFuncElem(padd(self.num, o.num), _ONE)
         # Henrici: with both operands reduced, only small gcds are needed
         g0 = pgcd(self.den, o.den)
         if pdeg(g0) == 0:
@@ -339,7 +427,7 @@ class RatFuncElem:
         d1, _ = pdivmod(o.den, g0)
         t = padd(pmul(self.num, d1), pmul(o.num, b1))
         if not t:
-            return RatFuncElem((), (Fraction(1),))
+            return RatFuncElem((), _ONE)
         g1 = pgcd(t, g0)
         if pdeg(g1) > 0:
             t, _ = pdivmod(t, g1)
@@ -366,7 +454,9 @@ class RatFuncElem:
         if o is None:
             return NotImplemented
         if not self.num or not o.num:
-            return RatFuncElem((), (Fraction(1),))
+            return RatFuncElem((), _ONE)
+        if self.den == _ONE and o.den == _ONE:
+            return RatFuncElem(pmul(self.num, o.num), _ONE)
         a, b = self.num, self.den
         c, d = o.num, o.den
         g1 = pgcd(a, d)
@@ -397,21 +487,21 @@ class RatFuncElem:
 
     def __pow__(self, n):
         base = self if n >= 0 else self.inverse()
-        out = RatFuncElem(pconst(1), (Fraction(1),))
+        out = RatFuncElem(pconst(1), _ONE)
         for _ in range(abs(n)):
             out = out * base
         return out
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.den == (Fraction(1),) and (
+            return self.den == _ONE and (
                 self.num == pconst(other))
         if isinstance(other, RatFuncElem):
             return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        if self.den == (Fraction(1),) and len(self.num) <= 1:
+        if self.den == _ONE and len(self.num) <= 1:
             return hash(self.num[0] if self.num else Fraction(0))
         return hash((self.num, self.den))
 
@@ -419,11 +509,13 @@ class RatFuncElem:
         return bool(self.num)
 
     def derivative(self):
+        if self.den == _ONE:
+            return RatFuncElem(pderiv(self.num), _ONE)
         n = psub(pmul(pderiv(self.num), self.den), pmul(self.num, pderiv(self.den)))
         return RatFuncElem.make(n, pmul(self.den, self.den))
 
     def __repr__(self):
-        if self.den == (Fraction(1),):
+        if self.den == _ONE:
             return pstr(self.num)
         return f"({pstr(self.num)})/({pstr(self.den)})"
 
@@ -510,16 +602,16 @@ class RationalFunctions:
 
     def __init__(self, var: str = "x"):
         self.var = var
-        self.zero = RatFuncElem((), (Fraction(1),))
-        self.one = RatFuncElem((Fraction(1),), (Fraction(1),))
-        self.gen = RatFuncElem((Fraction(0), Fraction(1)), (Fraction(1),))
+        self.zero = RatFuncElem((), _ONE)
+        self.one = RatFuncElem(_ONE, _ONE)
+        self.gen = RatFuncElem((Fraction(0), Fraction(1)), _ONE)
 
     def coerce(self, value):
         if isinstance(value, RatFuncElem):
             return value
         if isinstance(value, QuadExtElem):
             raise TowerUnsupported("quadratic irrationals inside Q(x)")
-        return RatFuncElem(pconst(parse_rational(value)), (Fraction(1),))
+        return RatFuncElem(pconst(parse_rational(value)), _ONE)
 
     def derivative(self, e):
         return self.coerce(e).derivative()

@@ -6,12 +6,14 @@ field descriptor explicitly so the same code serves Q, Q(sqrt(d)) and Q(x).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 from .errors import CrossCheckMismatch
-from .fields import QQ
+from .fields import QQ, pderiv, pdivmod, pgcd
 
 
 def identity(field, n):
@@ -195,7 +197,7 @@ def complete_basis(field, vectors, n):
 
 
 # --------------------------------------------------------------------------
-# univariate polynomials over Q: root data via sympy factorization
+# univariate polynomials over Q: rational roots, and sympy's factors of the rest
 
 
 _T = sympy.Symbol("_t")
@@ -205,17 +207,48 @@ def rational_roots(coeffs):
     """All rational roots with multiplicities, plus leftover factors.
 
     ``coeffs`` is an ascending Fraction tuple.  Returns
-    (roots: list[(Fraction, int)], other_factors: list[str]).
+    (roots: list[(Fraction, int)] ascending, other_factors: list[str]).
+    Each root is guessed from a float root of the squarefree part g: its
+    denominator divides the leading coefficient of g scaled to a primitive
+    integer polynomial, so the guess is the nearest fraction with such a
+    denominator.  A guess counts only once it divides the polynomial
+    exactly, and it is divided out as often as it does.  Only a leftover of
+    positive degree is factored (sympy's ``factor_list``); its linear
+    factors are roots too.
     """
-    _, factors = sympy.Poly.from_list(
-        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
-        _T).factor_list()
-    roots, leftovers = [], []
-    for fac, mult in factors:
-        if fac.degree() == 1:
-            a1, a0 = fac.all_coeffs()
-            root = sympy.Rational(-a0, a1)
-            roots.append((Fraction(int(root.p), int(root.q)), int(mult)))
-        elif fac.degree() > 0:
-            leftovers.append(str(fac.as_expr()))
-    return roots, leftovers
+    f = tuple(coeffs)
+    g = pdivmod(f, pgcd(f, pderiv(f)))[0]
+    den = math.lcm(*(c.denominator for c in g))
+    ints = [int(c * den) for c in g]
+    bound = abs(ints[-1] // math.gcd(*ints))
+    try:
+        guesses = np.roots([float(c) for c in reversed(g)])
+    except OverflowError:
+        guesses = []
+    roots = {}
+    for z in guesses:
+        if not abs(z.imag) <= 1e-6 * max(1.0, abs(z.real)):
+            continue
+        try:
+            r = Fraction(float(z.real)).limit_denominator(bound)
+        except (OverflowError, ValueError):
+            continue
+        if r in roots:
+            continue
+        q, rem = pdivmod(f, (-r, Fraction(1)))
+        while not rem:
+            f, roots[r] = q, roots.get(r, 0) + 1
+            q, rem = pdivmod(f, (-r, Fraction(1)))
+    leftovers = []
+    if len(f) > 1:
+        _, factors = sympy.Poly.from_list(
+            [sympy.Rational(c.numerator, c.denominator) for c in reversed(f)],
+            _T).factor_list()
+        for fac, mult in factors:
+            if fac.degree() == 1:
+                a1, a0 = fac.all_coeffs()
+                root = sympy.Rational(-a0, a1)
+                roots[Fraction(int(root.p), int(root.q))] = int(mult)
+            elif fac.degree() > 0:
+                leftovers.append(str(fac.as_expr()))
+    return sorted(roots.items()), leftovers

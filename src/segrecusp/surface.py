@@ -465,6 +465,17 @@ class AdaptedChart:
         """The two quadrics as jets in (x, y, z, w) centered at the base point."""
         return tuple(q.clone(q.coeffs, order) for q in self._quadrics)
 
+    @cached_property
+    def _line_quadrics(self):
+        # as _quadrics, with x folded into Q(x)
+        return chart_quadrics(self.surface.pencil, self.field, self.columns,
+                              self.VAR_NAMES[1:], 2)
+
+    def line_jets(self, order):
+        """The two quadrics as jets in (y, z, w) over Q(x), x the parameter
+        of the aligned rational line."""
+        return tuple(q.clone(q.coeffs, order) for q in self._line_quadrics)
+
     def solve_graph(self, order):
         """F, G with the surface locally {z = F(x,y), w = G(x,y)}."""
         q1, q2 = self.chart_jets(order)

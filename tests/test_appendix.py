@@ -41,7 +41,7 @@ def test_escalating_line_reports_match_order_8():
     order 8."""
     for case, record in zip(appendix_cases(), verify_appendix()):
         surf = case.surface()
-        rep = _line_report_at_order(surf, case.line(), case.chart(surf), 8)
+        rep = _line_report_at_order(case.line(), case.chart(surf), 8)
         assert (record["m"], record["disc_order"], record["branch_mult"]) == \
             (rep.m, rep.disc_order, rep.branch_mult), case.name
         assert record["pass"], case.name
@@ -55,7 +55,7 @@ def test_escalating_line_reports_match_order_8():
 def test_first_case_closed_forms_instantiated():
     case = appendix_cases()[0]
     surf = case.surface()
-    rep = _line_report_at_order(surf, case.line(), case.chart(surf), 8)
+    rep = _line_report_at_order(case.line(), case.chart(surf), 8)
     f_c, g_c, k_c = closed_forms_first_case(1, 2, 3)
     assert rep.F.coeffs == {(2,): f_c}
     assert rep.G.coeffs == {(2,): g_c}
@@ -91,7 +91,7 @@ def test_A2_case_closed_forms():
 
     case = appendix_cases()[3]
     surf = case.surface()
-    rep = _line_report_at_order(surf, case.line(), case.chart(surf), 8)
+    rep = _line_report_at_order(case.line(), case.chart(surf), 8)
     Kx = RationalFunctions("x")
     x = Kx.gen
     order = rep.F.order
@@ -124,7 +124,7 @@ def test_coefficient_order_bounds_per_case():
 
     for case, (amin, bexact, cmin) in zip(appendix_cases(), bounds):
         surf = case.surface()
-        rep = _line_report_at_order(surf, case.line(), case.chart(surf), 8)
+        rep = _line_report_at_order(case.line(), case.chart(surf), 8)
         oa, ob, oc = rep.coefficient_orders
         assert at_least(oa, amin), (case.name, oa)
         assert ob == bexact, (case.name, ob)

@@ -173,7 +173,7 @@ def _line_chart_with_pretests(surface, line):
             if not surface.is_smooth_at(base):
                 continue
             chart = adapted_chart(surface, base, line)
-            if _graph_solvable_along_line(surface, chart):
+            if _graph_solvable_along_line(chart):
                 return chart
         except SegreCuspError:
             continue

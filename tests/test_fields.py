@@ -6,9 +6,9 @@ import pytest
 from segrecusp.errors import FieldError, RootFieldUnsupported, TowerUnsupported
 from segrecusp.fields import (QQ, QuadraticExtension, RatFuncElem,
                               RationalFunctions, field_with_sqrt,
-                              fraction_sqrt, parse_rational, pdivmod, pgcd, pmul,
-                              quadext_sqrt, quadratic_roots,
-                              squarefree_split)
+                              fraction_sqrt, padd, parse_rational, pderiv,
+                              pdivmod, pgcd, pmul, quadext_sqrt,
+                              quadratic_roots, squarefree_split)
 
 
 def test_parse_and_format_rationals():
@@ -113,8 +113,80 @@ def test_polynomial_gcd_random_products(rng=random.Random(7)):
             ac, bc = pmul(a, c), pmul(b, c)
             g = pgcd(ac + (zero,) * rng.randint(0, 2),
                      bc + (zero,) * rng.randint(0, 2))
-            # a monic common divisor of both products, divisible by c
+            # a monic common divisor of both products, divisible by c,
+            # whose cofactors are coprime
             assert g[-1] == 1
-            assert not pdivmod(ac, g)[1] and not pdivmod(bc, g)[1]
+            (u, ru), (v, rv) = pdivmod(ac, g), pdivmod(bc, g)
+            assert not ru and not rv
+            assert pgcd(u, v) == (1,)
             q, r = pdivmod(g, c)
             assert not r
+
+
+def _trim(p):
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return tuple(p)
+
+
+def _euclid_gcd(a, b):
+    """The reference gcd: Euclid's algorithm with pdivmod, made monic."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, pdivmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+def _schoolbook_mul(a, b):
+    """The reference product: the schoolbook loop over Fractions."""
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _trim(out)
+
+
+def _random_poly(rng, degree):
+    return tuple(F(rng.randint(-9, 9), rng.randint(1, 6))
+                 for _ in range(degree)) + (F(rng.randint(1, 9), rng.randint(1, 6)),)
+
+
+def test_rational_gcd_and_product_match_reference_loops(rng=random.Random(11)):
+    # the integer kernels over Q against Euclid over Q and the schoolbook
+    # product, on products with a common factor, 0-2 trailing zeros, a
+    # constant argument and a zero argument
+    for _ in range(60):
+        a, b, c = (_random_poly(rng, rng.randint(0, 4)) for _ in range(3))
+        ac, bc = pmul(a, c), pmul(b, c)
+        assert ac == _schoolbook_mul(a, c) and bc == _schoolbook_mul(b, c)
+        pad = (F(0),) * rng.randint(0, 2)
+        assert pmul(a + pad, c) == ac
+        for x, y in ((ac + pad, bc), (ac, bc + pad), (ac, c), (ac, (F(-3, 7),)),
+                     ((F(5),) + pad, bc), (ac, ()), ((), bc + pad)):
+            assert pgcd(x, y) == _euclid_gcd(x, y), (x, y)
+        assert pgcd(ac, (F(2),)) == (F(1),)
+    assert pgcd((), ()) == () and pgcd((F(0),), ()) == ()
+    assert pmul((), (F(1),)) == () and pmul((F(0),), (F(2), F(1))) == ()
+    # int coefficients are rationals too
+    assert pmul((1, 2), (F(1, 2), 3)) == (F(1, 2), F(4), F(6))
+
+
+def test_polynomial_fast_paths_match_reduced_make(rng=random.Random(12)):
+    # sums, products and derivatives of two polynomials, and a constant
+    # denominator, against make of the pair multiplied by a common factor h,
+    # which make must cancel with a gcd
+    for _ in range(40):
+        p, q, h = (_random_poly(rng, rng.randint(0, 4)) for _ in range(3))
+        h = h + (F(1),)                        # degree at least 1
+        P, Q = RatFuncElem.make(p), RatFuncElem.make(q)
+        assert P.den == Q.den == (F(1),)
+        assert P + Q == RatFuncElem.make(pmul(padd(p, q), h), h)
+        assert P - P == RatFuncElem.make((), h)
+        assert P * Q == RatFuncElem.make(pmul(pmul(p, q), h), h)
+        assert P.derivative() == RatFuncElem.make(pmul(pderiv(p), h), h)
+        for d in ((F(2),), (F(-3, 4),), (F(1),)):
+            assert RatFuncElem.make(p, d) == RatFuncElem.make(pmul(p, h),
+                                                             pmul(d, h))
+    half = RatFuncElem.make((F(1), F(3)), (F(2),))
+    assert (half.num, half.den) == ((F(1, 2), F(3, 2)), (F(1),))

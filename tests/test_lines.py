@@ -1,11 +1,13 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from segrecusp.cusplocus import line_report
 from segrecusp.errors import SegreCuspError, TowerUnsupported
 from segrecusp.fields import QQ
 from segrecusp.instances import table1_instance
@@ -168,6 +170,22 @@ def test_census_ignores_search_keywords():
             tuple(np.round(l.plucker_float(), 8).tolist())
             for l in census.lines)))
     assert len(seen) == 1
+
+
+def test_line_reports_on_the_exact_lines_of_a_dense_copy():
+    """The nine exact rational lines of the [122] copy of the census draw.
+    Their line charts solve the graph over Q(x) with non-constant
+    denominators, so Q(x) arithmetic takes real gcds; the discriminant of
+    the Hessian form cuts 16 lines' worth along them (ROADMAP item 1)."""
+    surface = SurfaceInstance(default_instance("[122]").congruent(
+        _random_congruences(1)["[122]"]))
+    exact = [line for line in enumerate_lines(surface).lines
+             if line.exactness == "exact" and line.field() == QQ]
+    reports = [line_report(surface, line) for line in exact]
+    assert Counter((r.m, r.disc_order, r.branch_mult) for r in reports) == {
+        (0, 1, 1): 4, (0, 2, 2): 4, (2, 4, 0): 1}
+    assert sum(r.disc_order for r in reports) == 16
+    assert any(len(c.den) > 1 for r in reports for c in r.F.coeffs.values())
 
 
 def test_uncertified_numeric_line_is_a_warning(monkeypatch):
