@@ -210,9 +210,10 @@ def rational_roots(coeffs):
     (roots: list[(Fraction, int)] ascending, other_factors: list[str]).
     Each root is guessed from a float root of the squarefree part g: its
     denominator divides the leading coefficient of g scaled to a primitive
-    integer polynomial, so the guess is the nearest fraction with such a
-    denominator.  A guess counts only once it divides the polynomial
-    exactly, and it is divided out as often as it does.  Only a leftover of
+    integer polynomial, so the guess is the nearest fraction whose
+    denominator is at most that coefficient.  A guess counts only once it
+    divides the polynomial exactly, and it is divided out as often as it
+    does.  Only a leftover of
     positive degree is factored (sympy's ``factor_list``); its linear
     factors are roots too.
     """
