@@ -7,13 +7,16 @@ when the binary quadratic
 
     Hess(F) lam^2 + (F_xx G_yy + G_xx F_yy - 2 F_xy G_xy) lam mu + Hess(G) mu^2
 
-vanishes.  This module computes that form at points (exactly), along lines
-(as jets over Q(x)), classifies the resulting section germs, and derives the
-divisor multiplicities and branch data of the induced double covering.
+vanishes.  At a point this module reads that form, and the class of each
+root section, off Gram entries of the two quadrics on the chart columns,
+with no jets (:class:`_TangentGrams`); along lines it computes the form as
+jets over Q(x), and derives the divisor multiplicities and branch data of
+the induced double covering.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -22,7 +25,8 @@ import numpy as np
 
 from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
                      NonGenericPoint, RootFieldUnsupported, SegreCuspError,
-                     TowerUnsupported, TruncationInsufficient)
+                     SingularJacobian, TowerUnsupported,
+                     TruncationInsufficient)
 from .fields import QQ, quadratic_roots
 from .jets import (START_ORDER, BinaryQuadratic, InfiniteOrder, Jet,
                    escalate, hensel_solve, splitting_reduce, y_order)
@@ -41,8 +45,7 @@ class HessianAtPoint:
     form: BinaryQuadratic          # scalar coefficients
     discriminant: object
     roots: list                    # [(field, (lam, mu), multiplicity)]
-    F: Jet
-    G: Jet
+    grams: _TangentGrams
 
     @property
     def has_two_distinct_roots(self):
@@ -56,24 +59,105 @@ def _hessian_form(fxx, fxy, fyy, gxx, gxy, gyy):
             gxx * gyy - gxy * gxy)
 
 
-def _second_derivatives(J: Jet):
-    """(J_xx, J_xy, J_yy) at the origin."""
-    return (2 * J.coefficient((2, 0)), J.coefficient((1, 1)),
-            2 * J.coefficient((0, 2)))
+class _TangentGrams:
+    """The Hessian form at a chart's base point p, and the class of the
+    section by each hyperplane through T_pS, from the Gram matrices
+    G_M = C^T M C of M = P, Q on the chart columns c_0 = p, ..., c_4.
+
+    **Form.**  L = 2 [[G_P(0,3), G_P(0,4)], [G_Q(0,3), G_Q(0,4)]] is the
+    Jacobian of the chart quadrics in (z, w), so the graph's second-order
+    part is (F_2, G_2) = -L^-1 (q_P, q_Q), q_M the (c_1, c_2) block of G_M
+    as a quadratic form.  A column c_j not tangent at p (a linear part
+    (F_j, G_j) of the graph) is read as c_j + F_j c_3 + G_j c_4.
+
+    **Sections.**  H of (lam : mu) is spanned by p, c_1, c_2 and
+    u = mu c_3 - lam c_4.  The member A = alpha P + beta Q with A(p, u) = 0
+    has p in the kernel of A|_H, so, B(p, u) being nonzero,
+    det (A + tB)|_H = -t^2 B(p, u)^2 Hess(A + tB) vanishes at t = 0 to
+    order k = 2 + the multiplicity of (lam : mu) as a root of the form,
+    and A|_H has corank c = 4 - the rank of the Gram matrix of A on
+    (c_1, c_2, u).  S ∩ H is the base curve of the pencil on H, of Segre
+    symbol weight k on c blocks at A; by the classification of pencils of
+    quadrics in P^3 its germ at p is a node for k = 2, an ordinary cusp
+    for (k, c) = (3, 1), a tacnode for (4, 1) (a twisted cubic and a
+    tangent line) and (3, 2) (two conics tangent at p), and a doubled
+    conic where A|_H has rank at most 1.  Any other (k, c) reads ``Other``.
+    Only M p and the Gram matrices on c_1, ..., c_4 (sparse) are formed.
+    """
+
+    def __init__(self, chart):
+        field, (c0, c1, c2, c3, c4) = chart.field, chart.columns
+        PQ = chart.surface.pencil.coerced(field)
+        grads = [[sum((m * x for m, x in zip(row, c0) if m), field.zero)
+                  for row in M] for M in PQ]
+        # G_M(0, j) = c_j . M p
+        self.p_rows = [[sum((x * g[k] for k, x in enumerate(c) if x),
+                            field.zero) for c in (c1, c2, c3, c4)]
+                       for g in grads]
+        (p1, p2, p3, p4), (q1, q2, q3, q4) = self.p_rows
+        det = 4 * (p3 * q4 - p4 * q3)
+        if not det:
+            raise SingularJacobian(
+                "Jacobian in the solve variables is singular at 0")
+        inverse = ((2 * q4 / det, -2 * p4 / det),
+                   (-2 * q3 / det, 2 * p3 / det))
+        tangent = []
+        for c, gp, gq in ((c1, p1, q1), (c2, p2, q2)):
+            slope = [-2 * (r0 * gp + r1 * gq) for r0, r1 in inverse]
+            tangent.append([a + slope[0] * b + slope[1] * d
+                            for a, b, d in zip(c, c3, c4)]
+                           if any(slope) else c)
+        self.grams = [gram_matrix(field, M, tangent + [c3, c4]) for M in PQ]
+        gP, gQ = self.grams
+        second = [[-2 * (r0 * gP[i][j] + r1 * gQ[i][j])
+                   for i, j in ((0, 0), (0, 1), (1, 1))] for r0, r1 in inverse]
+        self.form = BinaryQuadratic(*_hessian_form(*second[0], *second[1]))
+
+    def section_invariants(self, field, lam, mu):
+        """(k, c) of the section by the hyperplane of (lam : mu), exact
+        over ``field``; k is ``math.inf`` where the form is zero."""
+        a, b, c = (field.coerce(v) for v in self.form.coefficients())
+        multiplicity = (0 if a * lam * lam + b * lam * mu + c * mu * mu
+                        else 1 if b * b - 4 * a * c
+                        else 2 if a or b or c else math.inf)
+        (_, _, p3, p4), (_, _, q3, q4) = self.p_rows
+        alpha, beta = mu * q3 - lam * q4, lam * p4 - mu * p3
+        gP, gQ = self.grams
+        A = {(i, j): alpha * gP[i][j] + beta * gQ[i][j]
+             for i in range(4) for j in range(i, 4)}
+        a1u, a2u = (mu * A[i, 2] - lam * A[i, 3] for i in (0, 1))
+        auu = mu * mu * A[2, 2] - 2 * lam * mu * A[2, 3] + lam * lam * A[3, 3]
+        rank = mat_rank(field, [[A[0, 0], A[0, 1], a1u],
+                                [A[0, 1], A[1, 1], a2u],
+                                [a1u, a2u, auu]])
+        return 2 + multiplicity, 4 - rank
+
+    def section_class(self, field, lam, mu):
+        k, c = self.section_invariants(field, lam, mu)
+        if c >= 3:
+            return SectionGermClass("PerfectSquare", detail="double conic")
+        if k == 2:
+            return SectionGermClass("A1_node")
+        if (k, c) == (3, 1):
+            return SectionGermClass("A2_cusp")
+        if (k, c) in ((4, 1), (3, 2)):
+            return SectionGermClass("A3_tacnode")
+        return SectionGermClass("Other", detail=f"(k, c) = ({k}, {c})")
 
 
-def hessian_form_at(surface, point, chart=None, order=2,
+def hessian_form_at(surface, point, chart=None,
                     with_roots=True) -> HessianAtPoint:
-    """The binary quadratic detecting non-nodal sections at a smooth point."""
+    """The binary quadratic detecting non-nodal sections at a smooth point,
+    read off Gram entries with no graph solve (:class:`_TangentGrams`)."""
     if chart is None:
         chart = adapted_chart(surface, point)
-    F, G = chart.solve_graph(max(order, 2))
-    a, b, c = _hessian_form(*_second_derivatives(F), *_second_derivatives(G))
-    form = BinaryQuadratic(a, b, c)
-    roots = quadratic_roots(a, b, c, chart.field) if with_roots else None
+    grams = _TangentGrams(chart)
+    form = grams.form
+    roots = quadratic_roots(*form.coefficients(), chart.field) \
+        if with_roots else None
     return HessianAtPoint(point=point, chart=chart, form=form,
                           discriminant=form.discriminant(),
-                          roots=roots or [], F=F, G=G)
+                          roots=roots or [], grams=grams)
 
 
 # --------------------------------------------------------------------------
@@ -83,8 +167,7 @@ def hessian_form_at(surface, point, chart=None, order=2,
 @dataclass(frozen=True)
 class SectionGermClass:
     kind: str                     # Smooth | A1_node | A2_cusp | A3_tacnode |
-    detail: str = ""              # Other | PerfectSquare (exact only)
-    truncated: bool = False       # read off a jet only to its order
+    detail: str = ""              # Other | PerfectSquare
 
     def __str__(self):
         return self.kind
@@ -93,18 +176,17 @@ class SectionGermClass:
 def classify_plane_germ(h: Jet) -> SectionGermClass:
     """Classify a plane-curve germ h(x, y) with vanishing 1-jet.
 
-    A germ zero to its truncation order and a residual that vanishes to it
-    are ``truncated``: a higher order may change them.  Every other class
-    is final.  A jet never reads ``PerfectSquare``: a square u s**2 has
-    Hessian rank at most 1 and a residual zero to every order, so it reads
-    ``Other`` (truncated, or corank 2 where s is singular), and only the
-    exact test of :func:`_settled_class` names it a doubled conic.
+    A germ zero to its truncation order, or whose residual vanishes to it,
+    reads ``Other``, and its detail says so: a higher order may change it.
+    A jet never reads ``PerfectSquare``: a square u s**2 has Hessian rank
+    at most 1 and a residual zero to every order.  The section classes of
+    this module come from :class:`_TangentGrams`; this reading of a jet is
+    their reference in the tests.
     """
     h = h - Jet(h.field, h.vars, h.order,
                 {e: c for e, c in h.coeffs.items() if sum(e) <= 1})
     if h.is_zero():
-        return SectionGermClass("Other", detail="zero to truncation order",
-                                truncated=True)
+        return SectionGermClass("Other", detail="zero to truncation order")
     split = splitting_reduce(h)
     if split.rank == 2:
         return SectionGermClass("A1_node")
@@ -112,7 +194,7 @@ def classify_plane_germ(h: Jet) -> SectionGermClass:
         v = split.residual.valuation()
         if v is None:
             return SectionGermClass(
-                "Other", truncated=True,
+                "Other",
                 detail=f"residual vanishes to order {split.residual.order}")
         if v == 3:
             return SectionGermClass("A2_cusp")
@@ -122,36 +204,13 @@ def classify_plane_germ(h: Jet) -> SectionGermClass:
     return SectionGermClass("Other", detail="corank 2 plane germ")
 
 
-def _settled_class(chart, field, lam, mu, F, G):
-    """The class of the section germ lam F + mu G at the chart's base point
-    where the jets F, G settle it.  An ``Other`` germ (a doubled conic
-    reads so at every order) is a ``PerfectSquare`` exactly when
-    :func:`_double_conic` confirms it; any other ``truncated`` reading
-    raises :class:`TruncationInsufficient`."""
-    cls = classify_plane_germ(_section_jet(F, G, lam, mu, field))
-    if cls.kind == "Other" and _double_conic(chart, field, lam, mu):
-        return SectionGermClass("PerfectSquare", detail="double conic")
-    if cls.truncated:
-        raise TruncationInsufficient(f"section ({lam} : {mu}): {cls.detail}")
-    return cls
-
-
-def _section_jet(F, G, lam, mu, field):
-    """lam F + mu G, with F, G, lam and mu coerced into ``field``."""
-    if field != F.field:
-        F = F.map_coefficients(field, field.coerce)
-        G = G.map_coefficients(field, field.coerce)
-        lam, mu = field.coerce(lam), field.coerce(mu)
-    return F * lam + G * mu
-
-
 def classify_section_germ(surface, point, hyperplane) -> SectionGermClass:
     """Classify the germ at ``point`` of the section by ``hyperplane``.
 
     A hyperplane through the point but not its tangent plane cuts a smooth
-    germ.  Otherwise the graph is solved from ``START_ORDER`` and the order
-    escalates (:func:`segrecusp.jets.escalate`) until
-    :func:`_settled_class` settles the germ, or raises at the cap.
+    germ.  Otherwise the class is read off exactly, with no graph solve,
+    from the order k at which det((A + tB)|_H) vanishes and the corank c of
+    A|_H, A the member singular at the point (:class:`_TangentGrams`).
     """
     chart = adapted_chart(surface, point)
     duals = chart.dual_coords(hyperplane)
@@ -161,9 +220,7 @@ def classify_section_germ(surface, point, hyperplane) -> SectionGermClass:
             raise HyperplaneNotTangent("hyperplane misses the point")
         return SectionGermClass("Smooth")
     # dual_coords reads (lam, mu) in the chart's field
-    lam, mu = duals
-    return escalate(lambda n: _settled_class(chart, chart.field, lam, mu,
-                                             *chart.solve_graph(n)))
+    return _TangentGrams(chart).section_class(chart.field, *duals)
 
 
 # --------------------------------------------------------------------------
@@ -180,29 +237,24 @@ class PointCase:
 def point_case(surface, point) -> PointCase:
     """Classify both Hessian-root sections at a smooth point off all lines.
 
-    One graph solve to :data:`segrecusp.jets.START_ORDER` gives the Hessian
-    form and both root germs.  At that order an A1 or A2 germ is final (A1
-    is read off the Hessian rank, an ordinary cusp is 3-determined), and
-    an ``Other`` germ is a ``PerfectSquare`` when :func:`_double_conic`
-    confirms it exactly; a germ that order does not settle
-    (:func:`_settled_class`) makes the point not generic.  Over a rational
-    chart, roots conjugate in Q(sqrt d) give conjugate germs and
-    hyperplanes, and the classification (field operations, zero tests and
-    ranks) commutes with sqrt d -> -sqrt d, so the second root takes the
-    first root's class.
+    The form and the root classes are read off one set of Gram entries,
+    exactly and with no graph solve (:class:`_TangentGrams`): a simple root
+    cuts an ordinary cusp where the member A singular at p restricts to its
+    hyperplane H with corank 1, and a doubled conic where A|_H has rank at
+    most 1.  A degenerate form or any other class makes the point not
+    generic.  Over a rational chart, roots conjugate in Q(sqrt d) give
+    conjugate hyperplanes, and the classification (field operations, zero
+    tests and ranks) commutes with sqrt d -> -sqrt d, so the second root
+    takes the first root's class.
     """
-    hess = hessian_form_at(surface, point, order=START_ORDER)
+    hess = hessian_form_at(surface, point)
     if not hess.has_two_distinct_roots:
         raise NonGenericPoint(
             f"Hessian form at {point} is degenerate; the point is not generic")
     conjugate = hess.chart.field == QQ and hess.roots[0][0] != QQ
-    classes = []
-    for rfield, (lam, mu), _m in (hess.roots[:1] if conjugate else hess.roots):
-        try:
-            classes.append(_settled_class(hess.chart, rfield, lam, mu,
-                                          hess.F, hess.G))
-        except TruncationInsufficient as exc:
-            raise NonGenericPoint(f"at {point}: {exc}") from exc
+    classes = [hess.grams.section_class(rfield, lam, mu)
+               for rfield, (lam, mu), _m in
+               (hess.roots[:1] if conjugate else hess.roots)]
     if conjugate:
         classes *= 2
     kinds = sorted(c.kind for c in classes)
@@ -218,20 +270,6 @@ def point_case(surface, point) -> PointCase:
         raise NonGenericPoint(
             f"root classification {kinds} at {point} is not generic")
     return PointCase(case=case, root_classes=tuple(classes), hessian=hess)
-
-
-def _double_conic(chart, field, lam, mu):
-    """Whether the hyperplane of lam F + mu G, spanned by the chart columns
-    c0, c1, c2 and mu c3 - lam c4, cuts S in a doubled conic: exactly when
-    some rank-3 member N of the pencil restricts to it with rank at most 1,
-    the hyperplane being tangent to the cone N along a ruling (Dolgachev,
-    Classical Algebraic Geometry, §8.6).  Exact over ``field``."""
-    c = chart.columns
-    basis = c[:3] + [[mu * u - lam * v for u, v in zip(c[3], c[4])]]
-    pencil = chart.surface.pencil
-    return any(mat_rank(field, gram_matrix(field, pencil.member(*m.root),
-                                           basis)) <= 1
-               for m in pencil.rank_drop_members() if m.is_rank3)
 
 
 def sample_point_cases(surface, count, rng=None):
@@ -296,7 +334,9 @@ def line_chart(surface, line, base_param=None):
             if _graph_solvable_along_line(chart):
                 return chart
         except SegreCuspError as exc:
-            last_error = exc
+            # the message only: the exception's traceback would hold this
+            # frame in a reference cycle
+            last_error = str(exc)
             continue
     raise SegreCuspError(f"no usable base point found on {line}: {last_error}")
 
@@ -417,7 +457,7 @@ def tacnodal_hyperplane_on_line(surface, line, point):
     residual intersection with the line of the section by (lam : mu) is the
     root set of (lam f + mu g)(x, 0).  Returns the hyperplane whose
     restriction has a double root at x = 0, with the class of its section
-    germ (a tacnode for generic points), escalated until settled as in
+    germ (a tacnode for generic points), read off (k, c) as in
     :func:`classify_section_germ`.
     """
     chart = adapted_chart(surface, point, line)
@@ -438,9 +478,7 @@ def tacnodal_hyperplane_on_line(surface, line, point):
     g2 = g.coefficient((2, 0))
     if not (lam * f2 + mu * g2):
         raise NoDoubleRoot("double root degenerates to higher order")
-    cls = escalate(lambda n: _settled_class(
-        chart, chart.field, lam, mu,
-        *((F, G) if n == START_ORDER else chart.solve_graph(n))))
+    cls = _TangentGrams(chart).section_class(chart.field, lam, mu)
     return chart.hyperplane_from_dual(lam, mu), cls, (lam, mu), chart
 
 

@@ -306,6 +306,8 @@ class QuadExtElem:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadExtElem(self.a * other, self.b * other, self.d)
         o = self._lift(other)
         if o is None:
             return NotImplemented

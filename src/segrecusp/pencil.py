@@ -18,7 +18,7 @@ from .errors import (CrossCheckMismatch, DegeneratePencil, DuplicateEigenvalue,
                      IrrationalEigenvalue)
 from .fields import QQ, parse_rational, proj_normalize
 from .linalg import (char_poly, mat_det, mat_mul, mat_rank, mat_solve,
-                     nullspace, rational_roots, transpose)
+                     rational_roots, rref, rref_kernel, transpose)
 
 DIM = 5
 
@@ -207,9 +207,10 @@ class QuadricPencil:
         alpha of char_poly(M), ascending, the pair (alpha, ascending Jordan
         block sizes).  Raises IrrationalEigenvalue when a root is not
         rational.  One row reduction of A = M - alpha*I gives rank(A) and
-        its kernel; powers of A follow only until rank(A**k) = 5 - mult or
-        stops falling.  As the multiplicities sum to 5, a misstated one
-        makes the block sizes at some alpha miss theirs."""
+        its kernel; rank(A**k) follows, until it is 5 - mult or stops
+        falling, from the reduced basis of rowspace(A**(k-1)) times A.  As
+        the multiplicities sum to 5, a misstated one makes the block sizes
+        at some alpha miss theirs."""
         if self._jordan is not None:
             return self._jordan
         a, b = self.reference
@@ -226,11 +227,14 @@ class QuadricPencil:
         for alpha, mult in sorted(roots):
             A = [[c - alpha if i == j else c for j, c in enumerate(row)]
                  for i, row in enumerate(M)]
-            kernel = nullspace(QQ, A)
-            ranks, power = [DIM, DIM - len(kernel)], A
+            R, pivots = rref(QQ, A)
+            kernel = rref_kernel(QQ, R, pivots)
+            ranks, basis = [DIM, len(pivots)], R[:len(pivots)]
             while ranks[-1] not in (DIM - mult, ranks[-2]):
-                power = mat_mul(power, A)
-                ranks.append(mat_rank(QQ, power))
+                # rowspace(A**k) = rowspace(A**(k-1)) * A
+                R, pivots = rref(QQ, mat_mul(basis, A))
+                ranks.append(len(pivots))
+                basis = R[:len(pivots)]
             at_least = [r - r1 for r, r1 in zip(ranks, ranks[1:])] + [0]
             sizes = tuple(k for k in range(1, len(at_least))
                           for _ in range(at_least[k - 1] - at_least[k]))
@@ -264,7 +268,7 @@ class QuadricPencil:
     def rank_drop_members(self):
         """One entry per root of det(lam*P + mu*Q), with exact kernel: the
         member S - alpha*R = R * A shares the row space of A = M - alpha*I,
-        hence the rank and ``nullspace`` basis ``jordan_data`` found."""
+        hence the rank and kernel basis ``jordan_data`` found."""
         self.jordan_data()
         return self._members
 

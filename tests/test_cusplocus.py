@@ -1,29 +1,31 @@
 """Hessian forms, section germs, the trichotomy, line reports, branch data."""
 
+import gc
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from segrecusp import cusplocus
 from segrecusp.appendix import appendix_cases
-from segrecusp.cusplocus import (_double_conic, _on_any_line, _section_jet,
-                                 branch_scan, classify_plane_germ,
-                                 classify_section_germ, cusp_locus_summary,
-                                 dual_plane_conic_fit, hessian_form_at,
-                                 line_report, numeric_line_branch_evidence,
-                                 point_case, sample_point_cases,
-                                 section_line_multiple,
+from segrecusp.cusplocus import (SectionGermClass, _hessian_form,
+                                 _on_any_line, _TangentGrams, branch_scan,
+                                 classify_plane_germ, classify_section_germ,
+                                 cusp_locus_summary, dual_plane_conic_fit,
+                                 hessian_form_at, line_chart, line_report,
+                                 numeric_line_branch_evidence, point_case,
+                                 sample_point_cases, section_line_multiple,
                                  tacnodal_hyperplane_on_line)
-from segrecusp.errors import (NoDoubleRoot, NonGenericPoint, SegreCuspError,
-                              TruncationInsufficient)
-from segrecusp.fields import QQ
+from segrecusp.errors import NoDoubleRoot, NonGenericPoint, SegreCuspError
+from segrecusp.fields import QQ, quadratic_roots
 from segrecusp.instances import sampling_instance, table1_instance
-from segrecusp.jets import MAX_ORDER, START_ORDER, jet_from_poly
-from segrecusp.linalg import mat_rank
-from segrecusp.lines import LineOnSurface, coordinate_lines, enumerate_lines
-from segrecusp.pencil import TABLE1_SYMBOLS, normal_form
+from segrecusp.jets import jet_from_poly
+from segrecusp.linalg import gram_matrix, mat_rank
+from segrecusp.lines import (LineOnSurface, coordinate_lines, enumerate_lines,
+                             lines_through_singular_point)
+from segrecusp.pencil import TABLE1_SYMBOLS, default_instance, normal_form
 from segrecusp.surface import (AdaptedChart, ProjectivePoint, SurfaceInstance,
                                adapted_chart, double_conic_hyperplane,
                                double_conic_points, sample_rational_points)
@@ -113,7 +115,7 @@ def test_classify_plane_germ_basics():
     f = jet_from_poly(QQ, ("x", "y"), 8, {(0, 1): 1, (2, 0): 1})
     for order in (3, 5, 8):
         square = classify_plane_germ((f * f).truncate(order))
-        assert (square.kind, square.truncated) == ("Other", True)
+        assert square.kind == "Other"
         assert square.detail == f"residual vanishes to order {order}"
 
 
@@ -225,21 +227,77 @@ def trichotomy_points():
     return out
 
 
+def _root_germ(F_, G_, lam, mu, field):
+    """lam F + mu G, with F, G, lam and mu coerced into ``field``."""
+    if field != F_.field:
+        F_ = F_.map_coefficients(field, field.coerce)
+        G_ = G_.map_coefficients(field, field.coerce)
+        lam, mu = field.coerce(lam), field.coerce(mu)
+    return F_ * lam + G_ * mu
+
+
+def _jet_form(F_, G_):
+    """The Hessian form of the graph jets' second derivatives."""
+    def second(J):
+        return (2 * J.coefficient((2, 0)), J.coefficient((1, 1)),
+                2 * J.coefficient((0, 2)))
+    return _hessian_form(*second(F_), *second(G_))
+
+
+def _unsettled(cls):
+    """Whether a jet reading is one that a higher order may change."""
+    return (cls.detail == "zero to truncation order"
+            or cls.detail.startswith("residual vanishes to order"))
+
+
+def _rank_square(chart, field, lam, mu):
+    """The doubled-conic test on the hyperplane of (lam : mu), spanned by
+    c0, c1, c2 and mu c3 - lam c4: some rank-3 member of the pencil
+    restricts to it with rank at most 1."""
+    c = chart.columns
+    basis = c[:3] + [[mu * u - lam * v for u, v in zip(c[3], c[4])]]
+    pencil = chart.surface.pencil
+    return any(mat_rank(field, gram_matrix(field, pencil.member(*m.root),
+                                           basis)) <= 1
+               for m in pencil.rank_drop_members() if m.is_rank3)
+
+
+def _jet_kinds(chart, order):
+    """The kinds of both Hessian-root sections at the chart's base point,
+    read off the graph jets to ``order``: an ``Other`` germ is a
+    PerfectSquare where the rank test confirms it, a germ the order does
+    not settle reads "unsettled", and a degenerate form gives None."""
+    F_, G_ = chart.solve_graph(order)
+    a, b, c = _jet_form(F_, G_)
+    if not b * b - 4 * a * c:
+        return None
+    kinds = []
+    for rfield, (lam, mu), _ in quadratic_roots(a, b, c, chart.field):
+        cls = classify_plane_germ(_root_germ(F_, G_, lam, mu, rfield))
+        if cls.kind == "Other" and _rank_square(chart, rfield, lam, mu):
+            kinds.append("PerfectSquare")
+        else:
+            kinds.append("unsettled" if _unsettled(cls) else cls.kind)
+    return kinds
+
+
 @pytest.mark.parametrize("order", [8, 12])
 def test_point_case_matches_full_order_classification(trichotomy_points,
                                                       order):
-    """point_case classifies at order 3, confirms squares exactly and
-    classifies one root of a conjugate pair; the reference classifies both
-    root germs at the full order, where a square reads as a ``truncated``
-    germ (the reference's reading of a doubled conic)."""
+    """point_case reads the form and the root classes off Gram entries and
+    classifies one root of a conjugate pair; the reference takes the form
+    from the graph jets to the full order and classifies both root germs
+    there, where a square reads as an unsettled germ (the reference's
+    reading of a doubled conic)."""
     conjugate_pairs = 0
     for inst, p in trichotomy_points:
         pc = point_case(inst, p)
         hess = hessian_form_at(inst, p)
         F_, G_ = hess.chart.solve_graph(order)
-        want = ["PerfectSquare" if c.truncated else c.kind
-                for c in (classify_plane_germ(_section_jet(F_, G_, lam, mu,
-                                                           rfield))
+        assert hess.form.coefficients() == _jet_form(F_, G_), (inst.pencil, p)
+        want = ["PerfectSquare" if _unsettled(c) else c.kind
+                for c in (classify_plane_germ(_root_germ(F_, G_, lam, mu,
+                                                         rfield))
                           for rfield, (lam, mu), _ in hess.roots)]
         assert [c.kind for c in pc.root_classes] == want, (inst.pencil, p)
         assert all(c.detail == "double conic" for c in pc.root_classes
@@ -249,7 +307,82 @@ def test_point_case_matches_full_order_classification(trichotomy_points,
     assert conjugate_pairs > 0
 
 
-def test_point_case_solves_the_graph_once(trichotomy_points, monkeypatch):
+def test_point_case_rejects_where_the_jet_reference_does():
+    """Ten points per symbol off the lines, some of them on special curves:
+    every root class point_case's Gram reading gives is the order-8 jet
+    reading's, and point_case raises NonGenericPoint exactly where that
+    reading has a degenerate form, an unsettled germ or kinds of no case."""
+    rejected = 0
+    for j, symbol in enumerate(TABLE1_SYMBOLS):
+        inst = sampling_instance(symbol, seed=5)
+        if inst.lines is None:
+            enumerate_lines(inst)
+        for p in sample_rational_points(inst, 10, rng=random.Random(100 + j),
+                                        avoid=lambda q: _on_any_line(inst, q)):
+            hess = hessian_form_at(inst, p)
+            want = _jet_kinds(hess.chart, 8)
+            got = None if not hess.has_two_distinct_roots else [
+                hess.grams.section_class(rfield, lam, mu).kind
+                for rfield, (lam, mu), _ in hess.roots]
+            assert got == want, (symbol, p)
+            generic = want is not None and tuple(sorted(want)) in CASE_OF_KINDS
+            try:
+                pc = point_case(inst, p)
+            except NonGenericPoint:
+                rejected += 1
+                assert not generic, (symbol, p)
+            else:
+                assert generic and pc.case == CASE_OF_KINDS[
+                    tuple(sorted(want))], (symbol, p)
+    assert rejected
+
+
+def _to_sympy(v):
+    if isinstance(v, F):
+        return sympy.Rational(v.numerator, v.denominator)
+    return (sympy.Rational(v.a.numerator, v.a.denominator)
+            + sympy.Rational(v.b.numerator, v.b.denominator)
+            * sympy.sqrt(v.d))
+
+
+def test_gram_reading_matches_phi_h(trichotomy_points):
+    """At every Hessian root (lam : mu) of the fixture points, sympy's
+    Phi_H(l, m) = det(l B^T P B + m B^T Q B), B = (c0, c1, c2, u) a basis
+    of the root's hyperplane H, u = mu c3 - lam c4, has the member
+    (alpha : beta) with alpha c0^T P u + beta c0^T Q u = 0 as a root of
+    multiplicity exactly 3, and that member's corank on H is the c of the
+    Gram reading."""
+    t = sympy.Symbol("t")
+    for inst, p in trichotomy_points:
+        hess = hessian_form_at(inst, p)
+        c = hess.chart.columns
+        for rfield, (lam, mu), _ in hess.roots:
+            K = (sympy.QQ if rfield == QQ
+                 else sympy.QQ.algebraic_field(sympy.sqrt(rfield.d)))
+
+            def matrix(rows):
+                return DomainMatrix([[K.from_sympy(_to_sympy(x)) for x in row]
+                                     for row in rows],
+                                    (len(rows), len(rows[0])), K)
+
+            u = [mu * a - lam * b for a, b in zip(c[3], c[4])]
+            B = matrix([[v[i] for v in (c[0], c[1], c[2], u)]
+                        for i in range(5)])
+            X, Y = (B.transpose() * matrix(M) * B
+                    for M in (inst.pencil.P, inst.pencil.Q))
+            alpha, beta = Y[0, 3].element, -X[0, 3].element
+            A_H = X * alpha + Y * beta
+            # Phi_H along the line (alpha + t, beta), or (alpha, beta + t)
+            R = K[t]
+            phi = (A_H.convert_to(R)
+                   + (X if beta else Y).convert_to(R) * R.gens[0]).det()
+            coeffs = R.to_sympy(phi).as_poly(t).all_coeffs()[::-1]
+            assert [bool(x) for x in coeffs[:4]] == [False] * 3 + [True]
+            k, corank = hess.grams.section_invariants(rfield, lam, mu)
+            assert (k, corank) == (3, 4 - A_H.rank()), (inst.pencil, p)
+
+
+def test_point_case_never_solves_the_graph(trichotomy_points, monkeypatch):
     calls = []
     solve = AdaptedChart.solve_graph
 
@@ -259,16 +392,16 @@ def test_point_case_solves_the_graph_once(trichotomy_points, monkeypatch):
 
     monkeypatch.setattr(AdaptedChart, "solve_graph", counted)
     for inst, p in trichotomy_points:
-        calls.clear()
         point_case(inst, p)
-        assert calls == [START_ORDER], (inst.pencil, p)
+    assert calls == []
 
 
 @pytest.mark.parametrize("symbol", ["[1(11)(11)]", "[(14)]", "[111(11)]"])
 def test_double_conic_test_on_double_conic_hyperplanes(symbol):
-    """The hyperplane tangent to a rank-3 cone along a ruling passes the
-    exact test at every point of its doubled conic; another hyperplane
-    through the same tangent plane fails it."""
+    """The hyperplane tangent to a rank-3 cone along a ruling restricts the
+    member singular at each point of its doubled conic to rank 1 (c = 3),
+    a PerfectSquare; another hyperplane through the same tangent plane
+    does not."""
     inst = sampling_instance(symbol, seed=5)
     for member in inst.pencil.rank_drop_members():
         if not member.is_rank3:
@@ -279,23 +412,32 @@ def test_double_conic_test_on_double_conic_hyperplanes(symbol):
             assert pts
             for p in pts:
                 chart = adapted_chart(inst, p)
+                grams = _TangentGrams(chart)
                 lam, mu = chart.dual_coords(H)
-                assert _double_conic(chart, chart.field, lam, mu)
-                assert not _double_conic(chart, chart.field, lam + 1, mu + 3)
+                assert grams.section_invariants(chart.field, lam, mu)[1] == 3
+                assert grams.section_class(chart.field, lam, mu) == \
+                    SectionGermClass("PerfectSquare", "double conic")
+                assert grams.section_invariants(chart.field, lam + 1,
+                                                mu + 3)[1] < 3
+
+
+def _unconfirmed_rank(field, M):
+    """A rank test that never confirms rank at most 1."""
+    return max(2, mat_rank(field, M))
 
 
 def test_unconfirmed_square_is_not_generic(trichotomy_points, monkeypatch):
     inst, p = next((inst, p) for inst, p in trichotomy_points
                    if point_case(inst, p).case == "CaseI")
-    monkeypatch.setattr(cusplocus, "_double_conic", lambda *args: False)
+    monkeypatch.setattr(cusplocus, "mat_rank", _unconfirmed_rank)
     with pytest.raises(NonGenericPoint):
         point_case(inst, p)
 
 
-def test_unconfirmed_square_section_escalates_to_the_cap(monkeypatch):
-    """Without the exact double-conic test a square section is never taken
-    for a PerfectSquare: the order escalates to MAX_ORDER and the
-    truncation error reaches the caller."""
+def test_unconfirmed_square_section_is_not_a_square(monkeypatch):
+    """Only the exact rank reading makes a PerfectSquare: where it does not
+    confirm rank at most 1, a doubled-conic section reads as another class.
+    Either way no graph is solved, so nothing escalates."""
     inst = table1_instance("[1(11)(11)]")
     member = [m for m in inst.pencil.rank_drop_members() if m.is_rank3][0]
     H = double_conic_hyperplane(inst, member, 0)
@@ -309,12 +451,36 @@ def test_unconfirmed_square_section_escalates_to_the_cap(monkeypatch):
         return solve(chart, order)
 
     monkeypatch.setattr(AdaptedChart, "solve_graph", counted)
-    monkeypatch.setattr(cusplocus, "_double_conic", lambda *args: False)
     for p in pts:
-        orders.clear()
-        with pytest.raises(TruncationInsufficient):
-            classify_section_germ(inst, p, H)
-        assert orders == [START_ORDER, 6, 12, 24, MAX_ORDER]
+        assert classify_section_germ(inst, p, H).kind == "PerfectSquare"
+    monkeypatch.setattr(cusplocus, "mat_rank", _unconfirmed_rank)
+    for p in pts:
+        assert classify_section_germ(inst, p, H).kind != "PerfectSquare"
+    assert orders == []
+
+
+def test_line_chart_leaves_no_reference_cycles():
+    """line_chart keeps only the message of a failed base point, so the
+    line charts of the exact rational lines of the 16 default forms (some
+    with a singular first base point) leave nothing for the cyclic
+    collector."""
+    cases = []
+    for symbol in TABLE1_SYMBOLS:
+        surf = SurfaceInstance(default_instance(symbol))
+        pairs = list(coordinate_lines(surf.pencil))
+        for s in surf.singular_points():
+            pairs += lines_through_singular_point(surf.pencil, s)[0]
+        cases += [(surf, line) for line in
+                  (LineOnSurface(a, b, "exact") for a, b in pairs)
+                  if line.field() == QQ]
+    gc.collect()
+    gc.disable()
+    try:
+        for surf, line in cases:
+            line_chart(surf, line)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_point_case_constant_over_five_points():
