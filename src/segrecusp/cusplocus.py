@@ -82,18 +82,17 @@ class _TangentGrams:
     for (k, c) = (3, 1), a tacnode for (4, 1) (a twisted cubic and a
     tangent line) and (3, 2) (two conics tangent at p), and a doubled
     conic where A|_H has rank at most 1.  Any other (k, c) reads ``Other``.
-    Only M p and the Gram matrices on c_1, ..., c_4 (sparse) are formed.
+    Only the Gram matrices on c_1, ..., c_4 (sparse) are formed; M p are
+    the chart's gradient rows.
     """
 
     def __init__(self, chart):
-        field, (c0, c1, c2, c3, c4) = chart.field, chart.columns
+        field, (_, c1, c2, c3, c4) = chart.field, chart.columns
         PQ = chart.surface.pencil.coerced(field)
-        grads = [[sum((m * x for m, x in zip(row, c0) if m), field.zero)
-                  for row in M] for M in PQ]
         # G_M(0, j) = c_j . M p
         self.p_rows = [[sum((x * g[k] for k, x in enumerate(c) if x),
                             field.zero) for c in (c1, c2, c3, c4)]
-                       for g in grads]
+                       for g in chart.gradients]
         (p1, p2, p3, p4), (q1, q2, q3, q4) = self.p_rows
         det = 4 * (p3 * q4 - p4 * q3)
         if not det:

@@ -11,12 +11,13 @@ operations that would need one raise :class:`~segrecusp.errors.TowerUnsupported`
 
 Dense univariate polynomials live here too; their gcd (:func:`pgcd`) and
 division (:func:`pdivmod`) work over any of the three domains and are the
-package's only ones.  Over Q, products and gcds run on integers: :func:`pmul`
-convolves the operands scaled by the lcm of their denominators, and
-:func:`pgcd` runs a primitive pseudo-remainder sequence over Z (Collins,
-JACM 14, 1967; von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 6),
-which avoids the coefficient growth of Euclid's algorithm over Q.  Over
-Q(sqrt(d)) and Q(x), :func:`pgcd` is Euclid's algorithm.
+package's only ones.  Over Q, products, divisions and gcds run on integers:
+:func:`pmul` convolves the operands scaled by the lcm of their denominators,
+:func:`pdivmod` pseudo-divides them, and :func:`pgcd` runs a primitive
+pseudo-remainder sequence over Z (Collins, JACM 14, 1967; von zur
+Gathen-Gerhard, *Modern Computer Algebra*, ch. 6), which avoids the
+coefficient growth of Euclid's algorithm over Q.  Over Q(sqrt(d)) and Q(x),
+:func:`pgcd` is Euclid's algorithm.
 """
 
 from __future__ import annotations
@@ -157,11 +158,17 @@ def pdivmod(a, b):
     """Quotient and remainder of a by b over any of the three fields.
 
     The coefficient field is read from the operands; untrimmed sequences
-    are accepted.
+    are accepted.  Over Q one pseudo-division of the operands scaled to
+    integers gives every coefficient as one fraction.
     """
     a, b = _ptrim(a), _ptrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    if _rational(a, b):
+        (a, da), (b, db) = _integral(a), _integral(b)
+        q, r, s = _zdivmod(a, b)  # s * a = q * b + r over Z
+        return (tuple(Fraction(c * db, s * da) for c in q),
+                tuple(Fraction(c, s * da) for c in r))
     inv = 1 / b[-1]
     q = [inv - inv] * max(len(a) - len(b) + 1, 0)
     r = list(a)
@@ -200,28 +207,32 @@ def pgcd(a, b):
 
 
 def _primitive(p):
-    """An integer polynomial divided by the gcd of its coefficients."""
+    """An integer polynomial (or row) divided by the gcd of its
+    coefficients; a zero one as it is."""
     g = math.gcd(*p)
-    return [c // g for c in p]
+    return [c // g for c in p] if g > 1 else p
 
 
-def _prem(a, b):
-    """A remainder r of b into a over Z with deg r < deg b: each step scales
-    the running remainder by lc(b) / g only, g = gcd(lc(b), its leading
-    coefficient), so r is l*a mod b for some nonzero integer l."""
+def _zdivmod(a, b):
+    """(q, r, s) with s*a = q*b + r over Z, deg r < deg b and s a nonzero
+    integer, for integer coefficient lists with b nonzero and trimmed: each
+    step scales the running remainder and quotient by lc(b) / g only,
+    g = gcd(lc(b), the remainder's leading coefficient)."""
     r, n, lead = list(a), len(b), b[-1]
+    q, s = [0] * max(len(a) - n + 1, 0), 1
     for k in range(len(a) - n, -1, -1):
         c = r.pop()
         if c:
             g = math.gcd(c, lead)
-            s, t = lead // g, c // g
-            if s != 1:
-                r = [x * s for x in r]
+            u, t = lead // g, c // g
+            if u != 1:
+                r, q, s = [x * u for x in r], [x * u for x in q], s * u
+            q[k] = t
             for j in range(n - 1):
                 r[k + j] -= t * b[j]
     while r and not r[-1]:
         r.pop()
-    return r
+    return q, r, s
 
 
 def _qgcd(a, b):
@@ -233,7 +244,7 @@ def _qgcd(a, b):
     if len(a) < len(b):
         a, b = b, a
     while True:
-        r = _prem(a, b)
+        r = _zdivmod(a, b)[1]
         if not r:
             lead = b[-1]
             return tuple(Fraction(c, lead) for c in b)

@@ -4,6 +4,9 @@ A :class:`Jet` stores a sparse map from exponent vectors to nonzero field
 elements, together with the truncation order up to which its coefficients are
 guaranteed exact.  Arithmetic tracks that guarantee: multiplying a jet known
 to order 8 by one of valuation 2 yields coefficients trusted to order 10.
+Over Q a product runs on integers: each operand's coefficients are scaled by
+the lcm of their denominators, the products are summed per exponent, and
+each output term is built as one ``Fraction``.
 
 On top of the ring operations this module provides the local-analysis
 primitives used throughout the package: implicit solving of one or two
@@ -18,9 +21,11 @@ by an exact rank test (:mod:`segrecusp.cusplocus`), never to an order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import OrderTooSmall, SingularJacobian, TruncationInsufficient
+from .fields import _integral, _rational
 from .linalg import mat_rank
 
 # A finite vanishing order read off a jet is exact, so a computation whose
@@ -66,7 +71,24 @@ def _lower(k):
 
 def _mul_into(out, a, b, order, zero):
     """Add the product of the term maps ``a`` and ``b`` into ``out``, keeping
-    total degree at most ``order``; returns ``out`` (zero sums stay in it)."""
+    total degree at most ``order``; returns ``out`` (zero sums stay in it).
+    Over Q the products are summed per exponent on the coefficients scaled
+    to integers, and each output term adds one fraction into ``out``."""
+    if type(zero) is Fraction and _rational(a.values(), b.values()):
+        (na, da), (nb, db) = _integral(a.values()), _integral(b.values())
+        b_terms = [(eb, sum(eb), cb) for eb, cb in zip(b, nb)]
+        acc = {}
+        for ea, ca in zip(a, na):
+            room = order - sum(ea)
+            for eb, deg, cb in b_terms:
+                if deg <= room:
+                    e = _exp_add(ea, eb)
+                    acc[e] = acc.get(e, 0) + ca * cb
+        d = da * db
+        for e, n in acc.items():
+            c = Fraction(n, d)
+            out[e] = out[e] + c if e in out else c
+        return out
     b_terms = [(eb, sum(eb), cb) for eb, cb in b.items()]
     for ea, ca in a.items():
         room = order - sum(ea)

@@ -2,6 +2,12 @@
 
 Matrices are plain lists of lists of field elements; every routine takes the
 field descriptor explicitly so the same code serves Q, Q(sqrt(d)) and Q(x).
+Over Q, products, row reductions and determinants run on integers: each row
+or column is scaled once by the lcm of its denominators, the work is done
+with ``int`` arithmetic, and each output entry is built as one ``Fraction``.
+Row reduction is fraction-free Gauss-Jordan and the determinant is
+Bareiss's elimination (E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ import numpy as np
 import sympy
 
 from .errors import CrossCheckMismatch
-from .fields import QQ, pderiv, pdivmod, pgcd
+from .fields import (QQ, _integral, _primitive, _rational, pderiv, pdivmod,
+                     pgcd)
 
 
 def identity(field, n):
@@ -25,30 +32,67 @@ def transpose(M):
     return [list(col) for col in zip(*M)]
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v) if a)
+
+
 def mat_mul(A, B):
+    if _rational(*A, *B):
+        rows, cols = map(_integral, A), [_integral(c) for c in zip(*B)]
+        return [[Fraction(_dot(a, b), da * db) for b, db in cols]
+                for a, da in rows]
     n, k, m = len(A), len(B), len(B[0])
     return [[sum((A[i][t] * B[t][j] for t in range(k)),
                  start=A[0][0] * 0) for j in range(m)] for i in range(n)]
 
 
 def mat_vec(A, v):
+    if _rational(*A, v):
+        v, dv = _integral(v)
+        return [Fraction(_dot(a, v), da * dv) for a, da in map(_integral, A)]
     return [sum((A[i][j] * v[j] for j in range(len(v))), start=A[0][0] * 0)
             for i in range(len(A))]
 
 
 def gram_matrix(field, M, vectors):
-    """The matrix (v_a^T M v_b) of the vectors, skipping zero entries."""
+    """The matrix (v_a^T M v_b) of the vectors, skipping zero entries; over
+    Q, integer dot products of M scaled by one common denominator and each
+    vector by its own."""
+    if field != QQ or not _rational(*M, *vectors):
+        return _gram(M, vectors, field.zero)
+    dM = math.lcm(*(c.denominator for row in M for c in row))
+    M = [[c.numerator * (dM // c.denominator) for c in row] for row in M]
+    ints = [_integral(v) for v in vectors]
+    G = _gram(M, [v for v, _ in ints], 0)
+    return [[Fraction(g, da * dM * db) for g, (_, db) in zip(row, ints)]
+            for row, (_, da) in zip(G, ints)]
+
+
+def _gram(M, vectors, zero):
     supports = [[(k, v) for k, v in enumerate(c) if v] for c in vectors]
-    images = [[sum((row[k] * v for k, v in support if row[k]), field.zero)
+    images = [[sum((row[k] * v for k, v in support if row[k]), zero)
                for row in M] for support in supports]
-    return [[sum((v * images[b][k] for k, v in supports[a]), field.zero)
+    return [[sum((v * images[b][k] for k, v in supports[a]), zero)
              for b in range(len(vectors))] for a in range(len(vectors))]
 
 
 def _row_reduce(field, M, ncols=None):
-    """In-place reduced row echelon; returns pivot column list."""
+    """In-place reduced row echelon form of the first ``ncols`` columns;
+    returns the pivot column list.
+
+    Over Q it is fraction-free: the rows are scaled to primitive integer
+    rows, eliminating with pivot p in row r turns row i, of entry f in the
+    pivot column, into (p/g) row_i - (f/g) row_r, g = gcd(p, f), divided by
+    its content, and the pivot rows are divided by their pivots at the end.
+    Every row is a nonzero multiple of the row the same elimination over Q
+    has at that step, so the pivots and the reduced form are the same; only
+    rows below the rank, zero in the first ``ncols`` columns, keep an
+    integer multiple of their last columns.
+    """
     rows = len(M)
     cols = ncols if ncols is not None else (len(M[0]) if rows else 0)
+    if field == QQ and _rational(*M):
+        return _zrow_reduce(M, cols)
     pivots = []
     r = 0
     for c in range(cols):
@@ -66,6 +110,34 @@ def _row_reduce(field, M, ncols=None):
         r += 1
         if r == rows:
             break
+    return pivots
+
+
+def _zrow_reduce(M, cols):
+    """:func:`_row_reduce` of a rational matrix, on integers."""
+    work = [_primitive(_integral(row)[0]) for row in M]
+    rows, pivots = len(work), []
+    for c in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, rows) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        top = work[r]
+        p = top[c]
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                s, t = p // g, f // g
+                work[i] = _primitive([s * a - t * b
+                                      for a, b in zip(row, top)])
+        pivots.append(c)
+        if len(pivots) == rows:
+            break
+    for i, row in enumerate(work):
+        p = row[pivots[i]] if i < len(pivots) else 1
+        M[i] = [Fraction(a, p) for a in row]
     return pivots
 
 
@@ -118,6 +190,10 @@ def solve_linear(field, M, b):
 
 
 def mat_det(field, M):
+    """The determinant; over Q by Bareiss's elimination of the rows scaled
+    to integers, divided by the product of the row scales."""
+    if field == QQ and _rational(*M):
+        return _zdet(M)
     n = len(M)
     work = [row[:] for row in M]
     det = field.one
@@ -135,6 +211,33 @@ def mat_det(field, M):
                 f = work[i][c] * inv
                 work[i] = [a - f * b for a, b in zip(work[i], work[c])]
     return det
+
+
+def _zdet(M):
+    """:func:`mat_det` of a rational matrix: after step c every entry of the
+    rows below is a (c + 1)-minor, so each division by the previous pivot
+    is exact (Sylvester's identity)."""
+    work, scale = [], 1
+    for row in M:
+        ints, d = _integral(row)
+        work.append(ints)
+        scale *= d
+    n, sign, prev = len(work), 1, 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if work[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            sign = -sign
+        top = work[c]
+        p = top[c]
+        for i in range(c + 1, n):
+            f = work[i][c]
+            work[i] = [(p * a - f * b) // prev
+                       for a, b in zip(work[i], top)]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def mat_solve(field, A, B):

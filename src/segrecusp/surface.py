@@ -9,7 +9,7 @@ rank-3 double-conic projection.  Line enumeration lives in
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -154,7 +154,8 @@ class SurfaceInstance:
 
     def tangent_frame(self, point):
         """The tangent plane at a smooth point p of S from one row reduction
-        of the gradient rows [P p; Q p]: (tangent, equations, pivots, field).
+        of the gradient rows [P p; Q p]: (tangent, equations, pivots, field,
+        rows), ``rows`` the gradient rows themselves.
 
         ``equations`` is the reduced row echelon form of the rows, whose
         kernel is T_pS, and ``pivots`` are its two pivot columns.  The
@@ -174,11 +175,11 @@ class SurfaceInstance:
         free = [c for c in range(5) if c not in pivots]
         last = max(i for i, f in enumerate(free) if coords[f])
         tangent = [coords] + kernel[:last] + kernel[last + 1:]
-        return tangent, equations, pivots, field
+        return tangent, equations, pivots, field, rows
 
     def tangent_space(self, point):
         """Basis of the projective tangent plane (3 vectors, first is p)."""
-        tangent, _, _, field = self.tangent_frame(point)
+        tangent, _, _, field, _ = self.tangent_frame(point)
         return tangent, field
 
 
@@ -444,7 +445,8 @@ class AdaptedChart:
     """Exact linear chart: X = c0 + x c1 + y c2 + z c3 + w c4.
 
     The base point is c0, the tangent plane maps to {z = w = 0}, and an
-    aligned line (when present) to {y = z = w = 0}.
+    aligned line (when present) to {y = z = w = 0}.  ``gradients`` are the
+    rows [P c0, Q c0], formed here unless the chart's maker passes them.
     """
 
     surface: SurfaceInstance
@@ -452,8 +454,14 @@ class AdaptedChart:
     columns: list            # five 5-vectors over field
     base_point: ProjectivePoint
     aligned_line: object = None
+    gradients: list = dc_field(default=None, repr=False, compare=False)
 
     VAR_NAMES = ("x", "y", "z", "w")
+
+    def __post_init__(self):
+        if self.gradients is None:
+            self.gradients = [mat_vec(M, self.columns[0]) for M in
+                              self.surface.pencil.coerced(self.field)]
 
     @cached_property
     def _quadrics(self):
@@ -520,7 +528,7 @@ def adapted_chart(surface, point, line=None) -> AdaptedChart:
     other tangent vector that are independent, read off a 3 x 3 determinant
     of their coordinates at the free columns.
     """
-    tangent, equations, pivots, field = surface.tangent_frame(point)
+    tangent, equations, pivots, field, rows = surface.tangent_frame(point)
     if line is not None:
         if line.exactness != "exact":
             raise PointNotOnLine("chart alignment needs an exact line")
@@ -537,7 +545,7 @@ def adapted_chart(surface, point, line=None) -> AdaptedChart:
     units = [[field.one if k == j else field.zero for k in range(5)]
              for j in pivots]
     return AdaptedChart(surface=surface, field=field, columns=tangent + units,
-                        base_point=point, aligned_line=line)
+                        base_point=point, aligned_line=line, gradients=rows)
 
 
 # --------------------------------------------------------------------------

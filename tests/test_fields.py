@@ -190,3 +190,37 @@ def test_polynomial_fast_paths_match_reduced_make(rng=random.Random(12)):
                                                              pmul(d, h))
     half = RatFuncElem.make((F(1), F(3)), (F(2),))
     assert (half.num, half.den) == ((F(1, 2), F(3, 2)), (F(1),))
+
+
+def _long_division(a, b):
+    """The reference division: the long-division loop over Fractions."""
+    a, b = _trim(a), _trim(b)
+    q = [F(0)] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    for k in range(len(a) - len(b), -1, -1):
+        c = r[k + len(b) - 1] / b[-1]
+        if c:
+            q[k] = c
+            for j, cb in enumerate(b):
+                r[k + j] -= c * cb
+    return _trim(q), _trim(r)
+
+
+def test_rational_division_matches_long_division(rng=random.Random(13)):
+    # the integer pseudo-division over Q against the Fraction loop, on
+    # non-exact and exact divisions, untrimmed operands, constant divisors,
+    # dividends shorter than the divisor and a zero dividend
+    exact = 0
+    for _ in range(80):
+        a, b = (_random_poly(rng, rng.randint(0, 6)) for _ in range(2))
+        pad = (F(0),) * rng.randint(0, 2)
+        for x, y in ((a, b), (a + pad, b + pad), (pmul(a, b), b),
+                     (a, (F(rng.randint(1, 9), rng.randint(1, 6)),)),
+                     (b[:2], a), ((), b), ((2, 0, 1), b)):
+            q, r = pdivmod(x, y)
+            assert (q, r) == _long_division(x, y), (x, y)
+            assert all(type(c) is F for c in q + r)
+            exact += not r and bool(x)
+    assert exact >= 80
+    with pytest.raises(ZeroDivisionError):
+        pdivmod((F(1),), (F(0),))

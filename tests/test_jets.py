@@ -16,6 +16,7 @@ from segrecusp.errors import (OrderTooSmall, SingularJacobian,
                               TruncationInsufficient)
 from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions, pgcd
 from segrecusp.jets import (MAX_ORDER, START_ORDER, InfiniteOrder, Jet,
+                            _mul_into,
                             escalate, hensel_solve, jet_from_poly,
                             splitting_reduce, y_order)
 
@@ -245,6 +246,42 @@ def test_substitute_matches_term_by_term_expansion(field_name, rng):
         assert got.vars == next(iter(images.values())).vars, label
         assert got.order == order, label
         assert got.coeffs == _reference_substitute(f, images, order), label
+
+
+def _term_map(rng, nvars, size):
+    """A sparse term map of up to ``size`` terms of degree at most 4, with
+    coefficients from a small set so that products cancel often."""
+    coeffs = (F(1), F(-1), F(1, 2), F(-1, 2), 2, -2)
+    return {tuple(rng.randint(0, 1) for _ in range(nvars)): rng.choice(coeffs)
+            for _ in range(rng.randint(0, size))}
+
+
+def test_rational_jet_product_matches_fraction_loop(rng=random.Random(41)):
+    # the integer product over Q against a plain Fraction double loop: the
+    # truncation at order, accumulation into a non-empty out, and sums that
+    # cancel to zero and stay in out
+    zero_sums = 0
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        a, b = _term_map(rng, nvars, 6), _term_map(rng, nvars, 6)
+        order = rng.randint(0, 6)
+        out = {e: F(c) for e, c in _term_map(rng, nvars, 4).items()}
+        expect = dict(out)
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(i + j for i, j in zip(ea, eb))
+                if sum(e) <= order:
+                    expect[e] = expect.get(e, F(0)) + F(ca) * F(cb)
+        got = _mul_into(out, a, b, order, QQ.zero)
+        assert got is out and got == expect
+        assert all(type(c) is F for c in got.values())
+        zero_sums += sum(1 for c in got.values() if not c)
+    assert zero_sums >= 10
+    # x y (1 - 1) and, against out, x^2 (1 - 1): both stay as zeros
+    a, b = {(1, 0): 1, (0, 1): F(1)}, {(0, 1): F(1), (1, 0): F(-1)}
+    out = {(2, 0): F(1)}
+    assert _mul_into(out, a, b, 2, QQ.zero) == {
+        (2, 0): 0, (1, 1): 0, (0, 2): 1}
 
 
 def test_hensel_one_equation_over_sqrt2_oracle():
