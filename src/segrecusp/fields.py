@@ -13,11 +13,17 @@ Dense univariate polynomials live here too; their gcd (:func:`pgcd`) and
 division (:func:`pdivmod`) work over any of the three domains and are the
 package's only ones.  Over Q, products, divisions and gcds run on integers:
 :func:`pmul` convolves the operands scaled by the lcm of their denominators,
-:func:`pdivmod` pseudo-divides them, and :func:`pgcd` runs a primitive
-pseudo-remainder sequence over Z (Collins, JACM 14, 1967; von zur
-Gathen-Gerhard, *Modern Computer Algebra*, ch. 6), which avoids the
-coefficient growth of Euclid's algorithm over Q.  Over Q(sqrt(d)) and Q(x),
-:func:`pgcd` is Euclid's algorithm.
+:func:`pdivmod` pseudo-divides them, and :func:`pgcd` is the monic form of
+:func:`_zgcd`, a primitive pseudo-remainder sequence over Z (Collins, JACM
+14, 1967; von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 6), which
+avoids the coefficient growth of Euclid's algorithm over Q.  Over
+Q(sqrt(d)) and Q(x), :func:`pgcd` is Euclid's algorithm.
+
+An element n/d of Q(x) (:class:`RatFuncElem`) is a reduced pair of integer
+coefficient tuples, and its arithmetic builds no ``Fraction``: the primitive
+gcd from :func:`_zgcd` divides n and d exactly over Z (Gauss's lemma), and
+one integer gcd over the coefficients of n and d together makes the pair
+unique.
 """
 
 from __future__ import annotations
@@ -86,11 +92,8 @@ def squarefree_split(q: Fraction):
 # dense univariate polynomials, represented as tuples of coefficients in
 # ascending degree order with no trailing zeros.  pdivmod, pgcd, pmul and
 # pmonic work over any of the three fields, which they read from the
-# coefficients; the others build RatFuncElem's numerators and denominators
-# over Q
-
-
-_ONE = (Fraction(1),)  # the constant polynomial 1
+# coefficients; padd and pderiv take integer coefficients too, and the
+# helpers named _z... take integer coefficients only
 
 
 def _ptrim(cs):
@@ -100,27 +103,10 @@ def _ptrim(cs):
     return tuple(cs)
 
 
-def pconst(c) -> tuple:
-    c = Fraction(c)
-    return (c,) if c else ()
-
-
-def pdeg(p) -> int:
-    return len(p) - 1  # zero polynomial gets degree -1
-
-
 def padd(a, b):
     n = max(len(a), len(b))
     return _ptrim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
                   for i in range(n))
-
-
-def pneg(a):
-    return tuple(-c for c in a)
-
-
-def psub(a, b):
-    return padd(a, pneg(b))
 
 
 def _rational(*polys):
@@ -197,7 +183,8 @@ def pgcd(a, b):
     a, b = _ptrim(a), _ptrim(b)
     if _rational(a, b):
         if a and b:
-            return _qgcd(a, b)
+            g = _zgcd(_integral(a)[0], _integral(b)[0])
+            return tuple(Fraction(c, g[-1]) for c in g)
         return pmonic(a or b)
     while b:
         if len(a) == 1 or len(b) == 1:
@@ -217,7 +204,9 @@ def _zdivmod(a, b):
     """(q, r, s) with s*a = q*b + r over Z, deg r < deg b and s a nonzero
     integer, for integer coefficient lists with b nonzero and trimmed: each
     step scales the running remainder and quotient by lc(b) / g only,
-    g = gcd(lc(b), the remainder's leading coefficient)."""
+    g = gcd(lc(b), the remainder's leading coefficient).  A primitive b with
+    lc(b) > 0 that divides a over Q needs no scale: s = 1 and q is the
+    exact quotient over Z (Gauss's lemma)."""
     r, n, lead = list(a), len(b), b[-1]
     q, s = [0] * max(len(a) - n + 1, 0), 1
     for k in range(len(a) - n, -1, -1):
@@ -235,21 +224,22 @@ def _zdivmod(a, b):
     return q, r, s
 
 
-def _qgcd(a, b):
-    """Monic gcd of two nonzero polynomials over Q, by a primitive
-    pseudo-remainder sequence of the operands scaled to integers."""
-    if len(a) == 1 or len(b) == 1:
-        return _ONE
-    a, b = _primitive(_integral(a)[0]), _primitive(_integral(b)[0])
+def _zgcd(a, b):
+    """The gcd over Q of two nonzero trimmed integer polynomials as a
+    primitive integer polynomial with positive leading coefficient, (1,)
+    when they are coprime: the last remainder of a primitive
+    pseudo-remainder sequence."""
     if len(a) < len(b):
         a, b = b, a
+    if len(b) == 1:
+        return (1,)
+    a, b = _primitive(a), _primitive(b)
     while True:
         r = _zdivmod(a, b)[1]
         if not r:
-            lead = b[-1]
-            return tuple(Fraction(c, lead) for c in b)
+            return tuple(b) if b[-1] > 0 else tuple(-c for c in b)
         if len(r) == 1:
-            return _ONE
+            return (1,)
         a, b = b, _primitive(r)
 
 
@@ -375,83 +365,79 @@ class QuadExtElem:
 # elements of Q(x)
 
 
-def _monicize(num, den):
-    """Scale a reduced fraction pair so the denominator is monic."""
-    if not num:
-        return (), _ONE
-    lead = den[-1]
-    if lead == 1:
-        return num, den
-    return tuple(c / lead for c in num), tuple(c / lead for c in den)
-
-
-@dataclass(frozen=True)
 class RatFuncElem:
-    """Reduced fraction of polynomials over Q; denominator monic and nonzero.
+    """An element n/d of Q(x), stored as its canonical pair of integer
+    coefficient tuples (ascending degree): n and d coprime over Q[x], the
+    coefficients of n and d together of content 1, lc(d) > 0, and zero as
+    ((), (1,)).  The pair is unique, so equality is tuple equality.
 
-    A sum or product of two polynomials (denominator 1), a constant
-    denominator and the derivative of a polynomial need no gcd.
+    Arithmetic is integer-only.  Products convolve; sums and products
+    cancel common factors with Henrici's cross gcds, so only gcds of the
+    operands' parts are taken, and a polynomial operand (d constant) needs
+    none.  Each gcd comes from :func:`_zgcd` and, being primitive, divides
+    exactly over Z (Gauss's lemma); one ``math.gcd`` over n and d removes
+    the content.  The constructor takes a canonical pair as it is;
+    :meth:`make` reduces any pair of int or Fraction sequences.  ``num``
+    and ``den`` give the fraction with monic denominator as ``Fraction``
+    tuples, as printed.
     """
 
-    num: tuple
-    den: tuple
+    __slots__ = ("n", "d")
+
+    def __init__(self, n, d):
+        self.n, self.d = n, d
 
     @staticmethod
-    def make(num, den=_ONE):
-        num, den = _ptrim(Fraction(c) for c in num), _ptrim(Fraction(c) for c in den)
+    def make(num, den=(1,)):
+        num, den = _ptrim(num), _ptrim(den)
         if not den:
             raise ZeroDivisionError("zero denominator in rational function")
-        if not num:
-            return RatFuncElem((), _ONE)
-        if len(den) == 1:
-            c = den[0]
-            return RatFuncElem(num if c == 1 else tuple(x / c for x in num), _ONE)
-        g = pgcd(num, den)
-        if pdeg(g) > 0:
-            num, _ = pdivmod(num, g)
-            den, _ = pdivmod(den, g)
-        lead = den[-1]
-        return RatFuncElem(tuple(c / lead for c in num), tuple(c / lead for c in den))
+        (n, a), (d, b) = _integral(num), _integral(den)
+        return _canonical(*_coprime([c * b for c in n], [c * a for c in d]))
 
-    def _lift(self, other):
+    @property
+    def num(self):
+        lead = self.d[-1]
+        return tuple(Fraction(c, lead) for c in self.n)
+
+    @property
+    def den(self):
+        lead = self.d[-1]
+        return tuple(Fraction(c, lead) for c in self.d)
+
+    @staticmethod
+    def _lift(other):
         if isinstance(other, RatFuncElem):
             return other
         if isinstance(other, (int, Fraction)):
-            return RatFuncElem(pconst(other), _ONE)
+            return _constant(other)
         return None
 
     def __add__(self, other):
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if not self.num:
+        if not self.n:
             return o
-        if not o.num:
+        if not o.n:
             return self
-        if self.den == _ONE and o.den == _ONE:
-            return RatFuncElem(padd(self.num, o.num), _ONE)
-        # Henrici: with both operands reduced, only small gcds are needed
-        g0 = pgcd(self.den, o.den)
-        if pdeg(g0) == 0:
-            num = padd(pmul(self.num, o.den), pmul(o.num, self.den))
-            den = pmul(self.den, o.den)
-            return RatFuncElem(*_monicize(num, den))
-        b1, _ = pdivmod(self.den, g0)
-        d1, _ = pdivmod(o.den, g0)
-        t = padd(pmul(self.num, d1), pmul(o.num, b1))
-        if not t:
-            return RatFuncElem((), _ONE)
-        g1 = pgcd(t, g0)
-        if pdeg(g1) > 0:
-            t, _ = pdivmod(t, g1)
-            g0, _ = pdivmod(g0, g1)
-        den = pmul(pmul(b1, d1), g0)
-        return RatFuncElem(*_monicize(t, den))
+        a, b, c, d = self.n, self.d, o.n, o.d
+        if len(b) == 1 and len(d) == 1:   # polynomials: one integer lcm
+            g = math.gcd(b[0], d[0])
+            u, v = d[0] // g, b[0] // g
+            return _canonical(padd([x * u for x in a], [x * v for x in c]),
+                              (b[0] * u,))
+        # Henrici: with both operands reduced, only gcds with g0 are needed
+        g0 = _zgcd(b, d)
+        if len(g0) > 1:
+            b, d = _zdivmod(b, g0)[0], _zdivmod(d, g0)[0]
+        t, g0 = _coprime(padd(_convolve(a, d, 0), _convolve(c, b, 0)), g0)
+        return _canonical(t, _convolve(_convolve(b, d, 0), g0, 0))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFuncElem(pneg(self.num), self.den)
+        return RatFuncElem(tuple(-c for c in self.n), self.d)
 
     def __sub__(self, other):
         o = self._lift(other)
@@ -466,28 +452,21 @@ class RatFuncElem:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
-            return RatFuncElem((), _ONE)
-        if self.den == _ONE and o.den == _ONE:
-            return RatFuncElem(pmul(self.num, o.num), _ONE)
-        a, b = self.num, self.den
-        c, d = o.num, o.den
-        g1 = pgcd(a, d)
-        if pdeg(g1) > 0:
-            a, _ = pdivmod(a, g1)
-            d, _ = pdivmod(d, g1)
-        g2 = pgcd(c, b)
-        if pdeg(g2) > 0:
-            c, _ = pdivmod(c, g2)
-            b, _ = pdivmod(b, g2)
-        return RatFuncElem(*_monicize(pmul(a, c), pmul(b, d)))
+        a, b, c, d = self.n, self.d, o.n, o.d
+        if not a or not c:
+            return _ZERO
+        (a, d), (c, b) = _coprime(a, d), _coprime(c, b)
+        return _canonical(_convolve(a, c, 0), _convolve(b, d, 0))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.num:
+        n, d = self.n, self.d
+        if not n:
             raise ZeroDivisionError("zero rational function")
-        return RatFuncElem.make(self.den, self.num)
+        if n[-1] < 0:
+            return RatFuncElem(tuple(-c for c in d), tuple(-c for c in n))
+        return RatFuncElem(d, n)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -498,39 +477,74 @@ class RatFuncElem:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def __pow__(self, n):
-        base = self if n >= 0 else self.inverse()
-        out = RatFuncElem(pconst(1), _ONE)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+    def __pow__(self, k):
+        # n**k and d**k stay coprime and of content 1 together: no reduction
+        base = self if k >= 0 else self.inverse()
+        n, d = (1,), (1,)
+        for _ in range(abs(k)):
+            n, d = _convolve(n, base.n, 0), _convolve(d, base.d, 0)
+        return RatFuncElem(tuple(n), tuple(d))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.den == _ONE and (
-                self.num == pconst(other))
         if isinstance(other, RatFuncElem):
-            return self.num == other.num and self.den == other.den
+            return self.n == other.n and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return not self.n
+            return self.n == (other.numerator,) and self.d == (other.denominator,)
         return NotImplemented
 
     def __hash__(self):
-        if self.den == _ONE and len(self.num) <= 1:
-            return hash(self.num[0] if self.num else Fraction(0))
-        return hash((self.num, self.den))
+        if len(self.d) == 1 and len(self.n) <= 1:
+            return hash(Fraction(self.n[0], self.d[0]) if self.n else 0)
+        return hash((self.n, self.d))
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.n)
 
     def derivative(self):
-        if self.den == _ONE:
-            return RatFuncElem(pderiv(self.num), _ONE)
-        n = psub(pmul(pderiv(self.num), self.den), pmul(self.num, pderiv(self.den)))
-        return RatFuncElem.make(n, pmul(self.den, self.den))
+        n, d = self.n, self.d
+        if len(d) == 1:
+            return _canonical(pderiv(n), d)
+        t = padd(_convolve(pderiv(n), d, 0),
+                 [-c for c in _convolve(n, pderiv(d), 0)])
+        return _canonical(*_coprime(t, _convolve(d, d, 0)))
 
     def __repr__(self):
-        if self.den == _ONE:
+        if len(self.d) == 1:
             return pstr(self.num)
         return f"({pstr(self.num)})/({pstr(self.den)})"
+
+
+_ZERO = RatFuncElem((), (1,))
+
+
+def _constant(q):
+    """The constant int or Fraction q of Q(x)."""
+    return RatFuncElem((q.numerator,), (q.denominator,)) if q else _ZERO
+
+
+def _canonical(n, d):
+    """The RatFuncElem n/d of integer polynomials coprime over Q[x], n
+    trimmed and d nonzero: both divided by their common content, with the
+    sign that makes lc(d) positive."""
+    if not n:
+        return _ZERO
+    g = math.gcd(*n, *d)
+    if d[-1] < 0:
+        g = -g
+    if g != 1:
+        return RatFuncElem(tuple(c // g for c in n), tuple(c // g for c in d))
+    return RatFuncElem(tuple(n), tuple(d))
+
+
+def _coprime(a, b):
+    """Trimmed integer polynomials a and b divided by their gcd over Q[x]."""
+    if len(a) > 1 and len(b) > 1:
+        g = _zgcd(a, b)
+        if len(g) > 1:
+            return _zdivmod(a, g)[0], _zdivmod(b, g)[0]
+    return a, b
 
 
 # --------------------------------------------------------------------------
@@ -609,22 +623,22 @@ class QuadraticExtension:
 
 
 class RationalFunctions:
-    """Q(x): reduced fractions of rational-coefficient polynomials."""
+    """Q(x): reduced fractions of integer-coefficient polynomials."""
 
     kind = "ratfunc"
 
     def __init__(self, var: str = "x"):
         self.var = var
-        self.zero = RatFuncElem((), _ONE)
-        self.one = RatFuncElem(_ONE, _ONE)
-        self.gen = RatFuncElem((Fraction(0), Fraction(1)), _ONE)
+        self.zero = _ZERO
+        self.one = RatFuncElem((1,), (1,))
+        self.gen = RatFuncElem((0, 1), (1,))
 
     def coerce(self, value):
         if isinstance(value, RatFuncElem):
             return value
         if isinstance(value, QuadExtElem):
             raise TowerUnsupported("quadratic irrationals inside Q(x)")
-        return RatFuncElem(pconst(parse_rational(value)), _ONE)
+        return _constant(parse_rational(value))
 
     def derivative(self, e):
         return self.coerce(e).derivative()

@@ -10,13 +10,14 @@ of double-conic pencils all derive from this data.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import (CrossCheckMismatch, DegeneratePencil, DuplicateEigenvalue,
                      IrrationalEigenvalue)
-from .fields import QQ, parse_rational, proj_normalize
+from .fields import QQ, _integral, _rational, parse_rational, proj_normalize
 from .linalg import (char_poly, mat_det, mat_mul, mat_rank, mat_solve,
                      rational_roots, rref, rref_kernel, transpose)
 
@@ -29,16 +30,20 @@ _MEMBER_TRIALS = [(0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (1, 3), (1, 4)]
 
 def qform(M, X):
     """Evaluate the quadratic form X^T M X (entries follow X's arithmetic)."""
-    acc = X[0] * 0
-    for i, row in enumerate(M):
-        for j, c in enumerate(row):
-            if c:
-                acc = acc + X[i] * X[j] * c
-    return acc
+    return bform(M, X, X)
 
 
 def bform(M, X, Y):
-    """Polar bilinear form X^T M Y."""
+    """Polar bilinear form X^T M Y.  Over Q it is one integer dot product:
+    M scaled by one common denominator and each vector by its own, the
+    value built as one ``Fraction``."""
+    if _rational(*M, X, Y):
+        (x, dx), (y, dy) = _integral(X), _integral(Y)
+        dM = math.lcm(*(c.denominator for row in M for c in row))
+        acc = sum(xi * sum(c.numerator * (dM // c.denominator) * yj
+                           for c, yj in zip(row, y) if c and yj)
+                  for xi, row in zip(x, M) if xi)
+        return Fraction(acc, dx * dy * dM)
     acc = X[0] * 0
     for i, row in enumerate(M):
         for j, c in enumerate(row):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ from segrecusp.errors import FieldError, RootFieldUnsupported, TowerUnsupported
 from segrecusp.fields import (QQ, QuadraticExtension, RatFuncElem,
                               RationalFunctions, field_with_sqrt,
                               fraction_sqrt, padd, parse_rational, pderiv,
-                              pdivmod, pgcd, pmul, quadext_sqrt,
+                              pdivmod, pgcd, pmul, pstr, quadext_sqrt,
                               quadratic_roots, squarefree_split)
 
 
@@ -224,3 +225,206 @@ def test_rational_division_matches_long_division(rng=random.Random(13)):
     assert exact >= 80
     with pytest.raises(ZeroDivisionError):
         pdivmod((F(1),), (F(0),))
+
+
+# The Fraction-tuple Q(x) element that the integer RatFuncElem replaced,
+# kept as the reference: a reduced fraction over Q with monic denominator,
+# reduced with Euclid's gcd, long division and the schoolbook product above.
+
+_ONE = (F(1),)
+
+
+def _padd(a, b):
+    n = max(len(a), len(b))
+    return _trim((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+                 for i in range(n))
+
+
+def _monicize(num, den):
+    if not num:
+        return (), _ONE
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
+
+
+class _RefRatFunc:
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    @staticmethod
+    def make(num, den=_ONE):
+        num, den = _trim(F(c) for c in num), _trim(F(c) for c in den)
+        if not num:
+            return _RefRatFunc((), _ONE)
+        g = _euclid_gcd(num, den)
+        num, den = _long_division(num, g)[0], _long_division(den, g)[0]
+        return _RefRatFunc(*_monicize(num, den))
+
+    @staticmethod
+    def _lift(other):
+        if isinstance(other, _RefRatFunc):
+            return other
+        return _RefRatFunc((F(other),) if other else (), _ONE)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if not self.num:
+            return o
+        if not o.num:
+            return self
+        g0 = _euclid_gcd(self.den, o.den)
+        b1, d1 = _long_division(self.den, g0)[0], _long_division(o.den, g0)[0]
+        t = _padd(_schoolbook_mul(self.num, d1), _schoolbook_mul(o.num, b1))
+        if not t:
+            return _RefRatFunc((), _ONE)
+        g1 = _euclid_gcd(t, g0)
+        t, g0 = _long_division(t, g1)[0], _long_division(g0, g1)[0]
+        return _RefRatFunc(*_monicize(
+            t, _schoolbook_mul(_schoolbook_mul(b1, d1), g0)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _RefRatFunc(tuple(-c for c in self.num), self.den)
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if not self.num or not o.num:
+            return _RefRatFunc((), _ONE)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        g1, g2 = _euclid_gcd(a, d), _euclid_gcd(c, b)
+        a, d = _long_division(a, g1)[0], _long_division(d, g1)[0]
+        c, b = _long_division(c, g2)[0], _long_division(b, g2)[0]
+        return _RefRatFunc(*_monicize(_schoolbook_mul(a, c),
+                                      _schoolbook_mul(b, d)))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if not self.num:
+            raise ZeroDivisionError("zero rational function")
+        return _RefRatFunc.make(self.den, self.num)
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n):
+        base = self if n >= 0 else self.inverse()
+        out = _RefRatFunc(_ONE, _ONE)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    def derivative(self):
+        n = _padd(_schoolbook_mul(pderiv(self.num), self.den),
+                  tuple(-c for c in _schoolbook_mul(self.num, pderiv(self.den))))
+        return _RefRatFunc.make(n, _schoolbook_mul(self.den, self.den))
+
+    def __repr__(self):
+        if self.den == _ONE:
+            return pstr(self.num)
+        return f"({pstr(self.num)})/({pstr(self.den)})"
+
+
+def _canonical_invariants(e):
+    n, d = e.n, e.d
+    assert type(n) is tuple and type(d) is tuple
+    assert all(type(c) is int for c in n + d)
+    assert d and d[-1] > 0 and (not n or n[-1])
+    if not n:
+        assert d == (1,)
+        return
+    assert math.gcd(*n, *d) == 1
+    a, b = tuple(map(F, n)), tuple(map(F, d))   # Euclid over Q: coprime
+    while b:
+        a, b = b, _long_division(a, b)[1]
+    assert len(a) == 1
+
+
+def _agree(e, ref):
+    _canonical_invariants(e)
+    assert (e.num, e.den) == (ref.num, ref.den)
+    assert all(type(c) is F for c in e.num + e.den)
+    assert repr(e) == repr(ref)
+
+
+def _random_ratfunc(rng):
+    """A random pair with a common factor h and a common integer k, so make
+    has to cancel both; sometimes a polynomial, a constant or zero."""
+    p = _random_poly(rng, rng.randint(0, 3)) if rng.random() > 0.1 else ()
+    p = tuple(-c for c in p) if rng.random() < 0.5 else p
+    q = _random_poly(rng, rng.choice((0, 0, 1, 2, 3)))
+    h = _random_poly(rng, rng.randint(0, 2))
+    k = rng.choice((1, -1, 6, F(-5, 3)))
+    num = tuple(k * c for c in _schoolbook_mul(p, h))
+    den = tuple(k * c for c in _schoolbook_mul(q, h))
+    # int coefficients where they are whole, Fractions elsewhere
+    num = tuple(int(c) if c.denominator == 1 and rng.random() < 0.5 else c
+                for c in num)
+    return RatFuncElem.make(num, den), _RefRatFunc.make(num, den)
+
+
+def test_integer_ratfunc_matches_fraction_reference(rng=random.Random(19)):
+    # every operation of the integer Q(x) element against the Fraction-tuple
+    # class it replaced, with operands that share factors, polynomial and
+    # constant operands, zero, and int and Fraction scalars on either side
+    for _ in range(150):
+        (x, rx), (y, ry), (z, rz) = (_random_ratfunc(rng) for _ in range(3))
+        for e, ref in ((x, rx), (y, ry)):
+            _agree(e, ref)
+        s = rng.choice((0, 1, -2, 7, F(0), F(3, 4), F(-5, 6)))
+        cases = [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
+                 (x - x, rx - rx), (x * y + z, rx * ry + rz),
+                 ((x + z) * (y - z), (rx + rz) * (ry - rz)),
+                 (x + s, rx + s), (s - x, s - rx), (x * s, rx * s),
+                 (s * y, s * ry), (x.derivative(), rx.derivative()),
+                 (x ** 0, rx ** 0)]
+        for k in (1, 2, 3):
+            cases.append((x ** k, rx ** k))
+        # sums and products whose cross gcds cancel: y - x shares the
+        # denominator of x, and y / x has the numerator of x below
+        cases += [(x + (y - x), ry), (x + (y - x), rx + (ry - rx)),
+                  ((x + y) - (y + z), rx + (-rz))]
+        if x:
+            cases += [(x.inverse(), rx.inverse()), (y / x, ry / rx),
+                      (s / x, s / rx), (x ** -2, rx ** -2),
+                      (x * (y / x), ry), (x * (y / x), rx * (ry / rx)),
+                      ((y / x) * (z * x), ry * rz)]
+        if s:
+            cases.append((x / s, rx / s))
+        for e, ref in cases:
+            _agree(e, ref)
+            assert e == RatFuncElem.make(ref.num, ref.den)
+    zero = RatFuncElem.make(())
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        _ = zero ** -1
+    with pytest.raises(ZeroDivisionError):
+        RatFuncElem.make((F(1),), (0, F(0)))
+
+
+def test_ratfunc_constants_compare_and_hash_as_fractions(rng=random.Random(20)):
+    K = RationalFunctions("x")
+    for _ in range(100):
+        c = F(rng.randint(-30, 30), rng.randint(1, 12))
+        k = rng.choice((1, 2, -3, F(2, 7)))
+        e = RatFuncElem.make((k * c,), (k,))
+        _canonical_invariants(e)
+        assert e == c and c == e and e == K.coerce(c)
+        assert hash(e) == hash(c)
+        if c.denominator == 1:
+            assert e == int(c) and hash(e) == hash(int(c))
+        assert e != c + 1 and e != K.gen
+        assert len({e, c, K.coerce(c)}) == 1
+    assert K.zero == 0 and hash(K.zero) == hash(0) and not K.zero
+    assert (K.zero.n, K.zero.d) == ((), (1,))
+    assert K.one == 1 and K.gen != 1 and K.gen * K.gen.inverse() == 1

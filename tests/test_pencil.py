@@ -244,3 +244,54 @@ def test_jordan_blocks_cross_checked_against_multiplicity(symbol, moves,
         monkeypatch.setattr(pencil_module, "rational_roots", wrong)
         with pytest.raises(CrossCheckMismatch):
             QuadricPencil(form.P, form.Q).jordan_data()
+
+
+def _form_loop(M, X, Y):
+    """The reference bilinear form: the generic loop over the entries."""
+    acc = X[0] * 0
+    for i, row in enumerate(M):
+        for j, c in enumerate(row):
+            if c:
+                acc = acc + X[i] * Y[j] * c
+    return acc
+
+
+def _mixed_entry(rng):
+    v = F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+    return int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+
+
+def test_rational_forms_match_generic_loop(rng=random.Random(21)):
+    # the integer dot product of qform and bform over Q against the loop,
+    # on 200 matrices with int and Fraction entries and zero rows, and
+    # vectors with zero entries
+    for _ in range(200):
+        M = [[_mixed_entry(rng) if rng.random() < 0.7 else 0
+              for _ in range(5)] for _ in range(5)]
+        for i in rng.sample(range(5), rng.randint(0, 2)):
+            M[i] = [F(0)] * 5
+        X, Y = ([_mixed_entry(rng) if rng.random() < 0.8 else 0
+                 for _ in range(5)] for _ in range(2))
+        for got, want in ((pencil_module.qform(M, X), _form_loop(M, X, X)),
+                          (pencil_module.bform(M, X, Y), _form_loop(M, X, Y)),
+                          (pencil_module.bform(M, Y, X), _form_loop(M, Y, X))):
+            assert got == want and type(got) is F
+    zero = [[0] * 5 for _ in range(5)]
+    assert pencil_module.qform(zero, [F(1, 2)] * 5) == 0
+
+
+def test_quadratic_extension_forms_keep_generic_loop(monkeypatch):
+    # vectors over Q(sqrt 2) never reach the integer path
+    from segrecusp.fields import QuadraticExtension
+    r = QuadraticExtension(2).sqrt_gen
+    M = default_instance(SegreSymbol.parse("[11111]")).P
+    X = [1 + r, F(1, 2), 0, -r, 3]
+    Y = [F(2), r, F(-1, 3), 0, 1 - r]
+
+    def no_integers(_):
+        raise AssertionError("integer path taken")
+
+    monkeypatch.setattr(pencil_module, "_integral", no_integers)
+    got = pencil_module.bform(M, X, Y)
+    assert got == _form_loop(M, X, Y) and got.b
+    assert pencil_module.qform(M, X) == _form_loop(M, X, X)
