@@ -244,9 +244,12 @@ def _zgcd(a, b):
 
 
 def pmonic(a):
+    """a divided by its leading coefficient; integer coefficients give
+    ``Fraction``s."""
     if not a:
         return ()
-    return tuple(c / a[-1] for c in a)
+    lead = Fraction(a[-1]) if type(a[-1]) is int else a[-1]
+    return tuple(c / lead for c in a)
 
 
 def pstr(p, var="x"):

@@ -4,12 +4,16 @@ A :class:`Jet` stores a sparse map from exponent vectors to nonzero field
 elements, together with the truncation order up to which its coefficients are
 guaranteed exact.  Arithmetic tracks that guarantee: multiplying a jet known
 to order 8 by one of valuation 2 yields coefficients trusted to order 10.
-Over Q a product runs on integers: each operand's coefficients are scaled by
-the lcm of their denominators, the products are summed per exponent, and
-each output term is built as one ``Fraction``.
+Over Q products run on integers: a term map is held as integer numerators
+over one denominator (the lcm of its coefficients' denominators), scaled
+once when it is formed, products are summed per exponent in ``int`` over
+the lcm of their denominators with the common content removed once per
+sum, and each output coefficient is built as one ``Fraction``.  Over
+Q(sqrt(d)) and Q(x) a term map is its own numerator over 1, so the same
+loops run on field elements.
 
 On top of the ring operations this module provides the local-analysis
-primitives used throughout the package: implicit solving of one or two
+primitives used throughout the package: implicit solving of any number of
 equations (degree by degree, with no Newton iteration), vanishing orders,
 and the splitting of a germ into a nondegenerate quadratic part plus a
 residual in the corank variables, obtained by eliminating the critical set
@@ -20,13 +24,15 @@ by an exact rank test (:mod:`segrecusp.cusplocus`), never to an order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 
 from .errors import OrderTooSmall, SingularJacobian, TruncationInsufficient
-from .fields import _integral, _rational
-from .linalg import mat_rank
+from .fields import QQ
+from .linalg import mat_inv, mat_rank
 
 # A finite vanishing order read off a jet is exact, so a computation whose
 # order is not fixed starts low and doubles only while the answer is not
@@ -50,7 +56,7 @@ def escalate(compute, start=START_ORDER):
 
 
 def _exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _group_terms(coeffs, key_idx, rest_idx):
@@ -72,31 +78,75 @@ def _lower(k):
 def _mul_into(out, a, b, order, zero):
     """Add the product of the term maps ``a`` and ``b`` into ``out``, keeping
     total degree at most ``order``; returns ``out`` (zero sums stay in it).
-    Over Q the products are summed per exponent on the coefficients scaled
-    to integers, and each output term adds one fraction into ``out``."""
-    if type(zero) is Fraction and _rational(a.values(), b.values()):
-        (na, da), (nb, db) = _integral(a.values()), _integral(b.values())
-        b_terms = [(eb, sum(eb), cb) for eb, cb in zip(b, nb)]
-        acc = {}
-        for ea, ca in zip(a, na):
-            room = order - sum(ea)
-            for eb, deg, cb in b_terms:
-                if deg <= room:
-                    e = _exp_add(ea, eb)
-                    acc[e] = acc.get(e, 0) + ca * cb
-        d = da * db
-        for e, n in acc.items():
-            c = Fraction(n, d)
-            out[e] = out[e] + c if e in out else c
-        return out
+    Over Q the callers pass maps already scaled to integer numerators (see
+    :func:`_scaled`) and ``zero`` = 0, so the loop runs on ``int``."""
     b_terms = [(eb, sum(eb), cb) for eb, cb in b.items()]
     for ea, ca in a.items():
         room = order - sum(ea)
         for eb, db, cb in b_terms:
             if db <= room:
-                e = _exp_add(ea, eb)
+                # room == order: ea is the constant term
+                e = eb if room == order else tuple(map(add, ea, eb))
                 out[e] = out.get(e, zero) + ca * cb
     return out
+
+
+def _zero(field):
+    """The zero of the numerators of scaled term maps over ``field``: the
+    int 0 over Q, which the helpers below take for the field."""
+    return 0 if field is QQ else field.zero
+
+
+def _scaled(terms, zero):
+    """A term map as (numerators, denominator): over Q the integer
+    numerators over the lcm of the coefficients' denominators, over
+    Q(sqrt(d)) and Q(x) the map itself over 1."""
+    if type(zero) is not int:
+        return terms, 1
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (d // c.denominator)
+            for e, c in terms.items()}, d
+
+
+def _unscaled(scaled, zero):
+    """The term map of a scaled one: one ``Fraction`` per coefficient over
+    Q."""
+    terms, d = scaled
+    if type(zero) is not int:
+        return terms
+    return {e: Fraction(n, d) for e, n in terms.items()}
+
+
+def _sum_products(pairs, order, zero):
+    """The sum of the products of the scaled term maps in ``pairs``, kept to
+    total degree ``order``, as one scaled map; ``zero`` is :func:`_zero` of
+    the field.  Over Q each product is summed over the lcm of the products'
+    denominators, one operand taking the quotient as a factor, and the sum
+    loses its zero terms and its common content once; over Q(sqrt(d)) and
+    Q(x) zero sums stay, as in :func:`_mul_into`."""
+    out = {}
+    if type(zero) is not int:   # every denominator is 1
+        for (a, _), (b, _) in pairs:
+            if a and b:
+                _mul_into(out, a, b, order, zero)
+        return out, 1
+    pairs = [(a, da, b, db) for (a, da), (b, db) in pairs if a and b]
+    if not pairs:
+        return out, 1
+    den = math.lcm(*(da * db for _, da, _, db in pairs))
+    for a, da, b, db in pairs:
+        s = den // (da * db)
+        if s != 1:
+            if len(a) > len(b):
+                a, b = b, a
+            a = {e: s * c for e, c in a.items()}
+        _mul_into(out, a, b, order, zero)
+    out = {e: c for e, c in out.items() if c}
+    if den != 1:
+        g = math.gcd(den, *out.values())
+        if g != 1:
+            out, den = {e: c // g for e, c in out.items()}, den // g
+    return out, den
 
 
 class Jet:
@@ -231,8 +281,10 @@ class Jet:
             return self.clone({e: v * c for e, v in self.coeffs.items()})
         self._check_compatible(other)
         order = min(self.order + other._val_bound(), other.order + self._val_bound())
-        return self.clone(_mul_into({}, self.coeffs, other.coeffs, order,
-                                    self.field.zero), order)
+        zero = _zero(self.field)
+        product = _sum_products([(_scaled(self.coeffs, zero),
+                                  _scaled(other.coeffs, zero))], order, zero)
+        return self.clone(_unscaled(product, zero), order)
 
     __rmul__ = __mul__
 
@@ -338,8 +390,10 @@ class Jet:
         An image equal to the target variable of the same name only shifts
         exponents.  The terms are grouped by their exponents in the other
         variables, and each group costs one product with the (memoised)
-        product of their images' powers.  The result is exact to
-        min(self.order, image orders).
+        product of their images' powers.  Over Q the images, their powers
+        and the groups are scaled to integer numerators once, when formed,
+        and the result is one sum of integer products.  The result is exact
+        to min(self.order, image orders).
         """
         target = next(iter(images.values()))
         field, tvars = target.field, target.vars
@@ -352,17 +406,20 @@ class Jet:
             else:
                 moving.append(i)
         slots = [tvars.index(self.vars[i]) for i in shifted]
-        gens = [images[self.vars[i]].truncate(order).coeffs for i in moving]
-        powers = {(0,) * len(moving): {(0,) * len(tvars): field.one}}
+        zero = _zero(field)
+        gens = [_scaled(images[self.vars[i]].truncate(order).coeffs, zero)
+                for i in moving]
+        powers = {(0,) * len(moving): _scaled(
+            {(0,) * len(tvars): field.one}, zero)}
 
         def power(k):
             if k not in powers:
                 j, prev = _lower(k)
-                powers[k] = {e: c for e, c in _mul_into(
-                    {}, power(prev), gens[j], order, field.zero).items() if c}
+                powers[k] = _sum_products([(power(prev), gens[j])], order,
+                                          zero)
             return powers[k]
 
-        out = {}
+        pairs = []
         for k, terms in _group_terms(self.coeffs, moving, shifted).items():
             poly = {}
             for rest, c in terms.items():
@@ -370,8 +427,9 @@ class Jet:
                 for slot, n in zip(slots, rest):
                     e[slot] = n
                 poly[tuple(e)] = c
-            _mul_into(out, poly, power(k), order, field.zero)
-        return Jet(field, tvars, order, out)
+            pairs.append((_scaled(poly, zero), power(k)))
+        return Jet(field, tvars, order,
+                   _unscaled(_sum_products(pairs, order, zero), zero))
 
 
 # --------------------------------------------------------------------------
@@ -447,19 +505,23 @@ class BinaryQuadratic:
 def hensel_solve(equations, solve_vars, order=None):
     """Solve ``equations == 0`` for ``solve_vars`` as jets in the other variables.
 
-    The equations are jets in base + solve variables, vanishing at the
-    origin, whose Jacobian J0 with respect to the solve variables is
-    invertible at the origin.  Returns one jet per solve variable, in base
-    variables, exact modulo total degree ``order + 1``; ``order`` defaults
-    to, and is capped at, the least order of the equations, beyond which
-    the solution is not determined.
+    The equations, one per solve variable, are jets in base + solve
+    variables, vanishing at the origin, whose Jacobian J0 with respect to
+    the solve variables is invertible at the origin.  Returns one jet per
+    solve variable, in base variables, exact modulo total degree
+    ``order + 1``; ``order`` defaults to, and is capped at, the least order
+    of the equations, beyond which the solution is not determined.
 
     The solution phi is found degree by degree, with no Newton iteration
     (a relaxed solve: J. van der Hoeven, "Relax, but don't be too lazy",
     J. Symbolic Comput. 34, 2002).  Written as sum_k P_k(base) u^k, an
     equation's degree-d part at u = phi is J0 phi_d + R_d, where R_d
-    involves phi only below degree d, so phi_d = -J0^{-1} R_d.  Each power
-    phi^k (|k| >= 2) is extended by its degree-d part at every step.
+    involves phi only below degree d, so phi_d = -J0^{-1} R_d, with J0
+    inverted once by one row reduction.  Each power phi^k (|k| >= 2) is
+    extended by its degree-d part at every step.  Over Q every part is
+    held as integer numerators over one denominator (see
+    :func:`_sum_products`) and each output coefficient is built as one
+    ``Fraction``.
     """
     eqs = list(equations)
     known = min(e.order for e in eqs)
@@ -467,10 +529,10 @@ def hensel_solve(equations, solve_vars, order=None):
     if order < 2:
         raise OrderTooSmall(f"truncation order {order} < 2")
     n = len(eqs)
-    if n != len(solve_vars) or n not in (1, 2):
-        raise ValueError("hensel_solve handles 1 or 2 equations")
+    if n != len(solve_vars):
+        raise ValueError("hensel_solve needs one equation per solve variable")
     field = eqs[0].field
-    zero = field.zero
+    zero = _zero(field)
     all_vars = eqs[0].vars
     solve_idx = [all_vars.index(v) for v in solve_vars]
     base_idx = [i for i, v in enumerate(all_vars) if v not in solve_vars]
@@ -490,56 +552,47 @@ def hensel_solve(equations, solve_vars, order=None):
             for a, c in terms.items():
                 by_k.setdefault(k, {}).setdefault(sum(a), {})[a] = c
         P.append(by_k)
-    J0 = [[P[i].get(u, {}).pop(0, {}).get(b0, zero) for u in units]
+    J0 = [[P[i].get(u, {}).pop(0, {}).get(b0, field.zero) for u in units]
           for i in range(n)]
-    if n == 1:
-        det0, adj = J0[0][0], [[field.one]]
-    else:
-        det0 = J0[0][0] * J0[1][1] - J0[0][1] * J0[1][0]
-        adj = [[J0[1][1], -J0[0][1]], [-J0[1][0], J0[0][0]]]
-    if not det0:
-        raise SingularJacobian("Jacobian in the solve variables is singular at 0")
-    # the nonzero entries of each row of J0^{-1}
-    inv = [[(i, c / det0) for i, c in enumerate(row) if c] for row in adj]
+    try:
+        J0inv = mat_inv(field, J0)
+    except ZeroDivisionError:
+        raise SingularJacobian(
+            "Jacobian in the solve variables is singular at 0") from None
+    P = [{k: {m: _scaled(Pm, zero) for m, Pm in parts.items()}
+          for k, parts in by_k.items()} for by_k in P]
+    # the nonzero entries of each row of -J0^{-1}, as constant term maps
+    inv = [[(i, _scaled({b0: -c}, zero)) for i, c in enumerate(row) if c]
+           for row in J0inv]
 
     # powers[k][d]: degree-d part of phi^k; phi^(e_j) is phi_j itself, and
     # phi^k for |k| >= 2 extends phi^(k - e_j) by phi_j (see _lower)
-    phi = [[{}] for _ in range(n)]
-    powers = {(0,) * n: [{b0: field.one}]}
+    phi = [[({}, 1)] for _ in range(n)]
+    powers = {(0,) * n: [_scaled({b0: field.one}, zero)]}
     powers.update(zip(units, phi))
     links = {}
     for by_k in P:
         for k in by_k:
             while sum(k) >= 2 and k not in links:
                 links[k] = _lower(k)
-                powers[k] = [{}]
+                powers[k] = [({}, 1)]
                 k = links[k][1]
     steps = [(powers[k], j, powers[prev]) for k, (j, prev) in links.items()]
     for d in range(1, order + 1):
         for pk, j, prev in steps:
-            part = {}
-            for b in range(1, d):
-                _mul_into(part, prev[d - b], phi[j][b], order, zero)
-            pk.append({e: c for e, c in part.items() if c})
-        R = []
-        for by_k in P:
-            r = {}
-            for k, parts in by_k.items():
-                pk = powers[k]
-                for m, Pm in parts.items():
-                    if 0 <= d - m < len(pk):
-                        _mul_into(r, Pm, pk[d - m], order, zero)
-            R.append(r)
-        exps = {e: None for r in R for e in r}
+            pk.append(_sum_products([(prev[d - b], phi[j][b])
+                                     for b in range(1, d)], order, zero))
+        R = [_sum_products([(Pm, powers[k][d - m])
+                            for k, parts in by_k.items()
+                            for m, Pm in parts.items()
+                            if 0 <= d - m < len(powers[k])], order, zero)
+             for by_k in P]
         for j in range(n):
-            part = {}
-            for e in exps:
-                c = sum((w * R[i][e] for i, w in inv[j] if e in R[i]), zero)
-                if c:
-                    part[e] = -c
-            phi[j].append(part)
+            phi[j].append(_sum_products([(w, R[i]) for i, w in inv[j]],
+                                        order, zero))
     return tuple(Jet(field, base_vars, order,
-                     {e: c for part in f for e, c in part.items()})
+                     {e: c for part in f
+                      for e, c in _unscaled(part, zero).items()})
                  for f in phi)
 
 
@@ -577,8 +630,7 @@ def splitting_reduce(f: Jet):
     f(u, v) ~ Q(u) + f(phi(v), v), where u are r variables whose principal
     Hessian minor is nonsingular and u = phi(v) is the critical set
     df/du = 0, solved by one :func:`hensel_solve` to half the truncation
-    order; that solver eliminates at most two variables, so a germ in four
-    variables of Hessian rank 3 raises ValueError.
+    order, in any number of variables.
     """
     if f.constant_term() or f.homogeneous_part(1):
         raise ValueError("germ must have no constant or linear part")

@@ -101,11 +101,15 @@ def _row_reduce(field, M, ncols=None):
             continue
         M[r], M[piv] = M[piv], M[r]
         inv = field.one / M[r][c]
-        M[r] = [a * inv for a in M[r]]
+        # the pivot column becomes one and zeros with no arithmetic, and a
+        # zero entry of the pivot row is not scaled
+        M[r] = [field.one if k == c else a * inv if a else field.zero
+                for k, a in enumerate(M[r])]
         for i in range(rows):
             if i != r and M[i][c]:
                 f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
+                M[i] = [field.zero if k == c else a - f * b
+                        for k, (a, b) in enumerate(zip(M[i], M[r]))]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -306,24 +310,22 @@ def complete_basis(field, vectors, n):
 _T = sympy.Symbol("_t")
 
 
-def rational_roots(coeffs):
-    """All rational roots with multiplicities, plus leftover factors.
+def split_rational_roots(coeffs):
+    """The rational roots of a nonzero polynomial over Q, and its cofactor.
 
-    ``coeffs`` is an ascending Fraction tuple.  Returns
-    (roots: list[(Fraction, int)] ascending, other_factors: list[str]).
-    Each root is guessed from a float root of the squarefree part g: its
-    denominator divides the leading coefficient of g scaled to a primitive
-    integer polynomial, so the guess is the nearest fraction whose
-    denominator is at most that coefficient.  A guess counts only once it
-    divides the polynomial exactly, and it is divided out as often as it
-    does.  Only a leftover of
-    positive degree is factored (sympy's ``factor_list``); its linear
-    factors are roots too.
+    ``coeffs`` are ascending ``Fraction`` or ``int`` coefficients.  Returns
+    (roots, rest): {root: multiplicity} in the order found, and the
+    polynomial divided by every root as often as it divides.  Each root is
+    guessed from a float root of the squarefree part g: its denominator
+    divides the leading coefficient of g scaled to a primitive integer
+    polynomial, so the guess is the nearest fraction whose denominator is
+    at most that coefficient.  A guess counts only once it divides the
+    polynomial exactly.  Both :func:`rational_roots` and the line census
+    (:func:`segrecusp.lines.through_point_lines`) factor this way.
     """
     f = tuple(coeffs)
     g = pdivmod(f, pgcd(f, pderiv(f)))[0]
-    den = math.lcm(*(c.denominator for c in g))
-    ints = [int(c * den) for c in g]
+    ints = _integral(g)[0]
     bound = abs(ints[-1] // math.gcd(*ints))
     try:
         guesses = np.roots([float(c) for c in reversed(g)])
@@ -343,12 +345,30 @@ def rational_roots(coeffs):
         while not rem:
             f, roots[r] = q, roots.get(r, 0) + 1
             q, rem = pdivmod(f, (-r, Fraction(1)))
+    return roots, f
+
+
+def factor_over_q(coeffs):
+    """sympy's ``factor_list`` of a polynomial over Q given by ascending
+    coefficients: (Poly in one variable, multiplicity) pairs."""
+    return sympy.Poly.from_list(
+        [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
+        _T).factor_list()[1]
+
+
+def rational_roots(coeffs):
+    """All rational roots with multiplicities, plus leftover factors.
+
+    ``coeffs`` is an ascending Fraction tuple.  Returns
+    (roots: list[(Fraction, int)] ascending, other_factors: list[str]).
+    The roots come from :func:`split_rational_roots`; only a leftover of
+    positive degree is factored (sympy's ``factor_list``), and its linear
+    factors are roots too.
+    """
+    roots, f = split_rational_roots(coeffs)
     leftovers = []
     if len(f) > 1:
-        _, factors = sympy.Poly.from_list(
-            [sympy.Rational(c.numerator, c.denominator) for c in reversed(f)],
-            _T).factor_list()
-        for fac, mult in factors:
+        for fac, mult in factor_over_q(f):
             if fac.degree() == 1:
                 a1, a0 = fac.all_coeffs()
                 root = sympy.Rational(-a0, a1)

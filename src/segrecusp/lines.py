@@ -17,12 +17,12 @@ from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from .errors import CrossCheckMismatch, RootFieldUnsupported, TowerUnsupported
-from .fields import (QQ, QuadraticExtension, padd, pgcd, pmul,
-                     quadratic_roots, squarefree_split)
-from .linalg import gram_matrix, mat_mul, mat_rank, mat_vec, nullspace
+from .fields import (QQ, QuadraticExtension, _convolve, _integral, _primitive,
+                     padd, pgcd, pmul, quadratic_roots, squarefree_split)
+from .linalg import (factor_over_q, gram_matrix, mat_mul, mat_rank, mat_vec,
+                     nullspace, split_rational_roots)
 from .pencil import bform, qform
 from .surface import ProjectivePoint
 
@@ -173,9 +173,11 @@ def through_point_lines(pencil, s_point):
     """Every line on S through a rational singular point s.
 
     The lines are span(s, v) for the common zeros (a : b : c) of the two
-    quadrics restricted to the quotient plane of directions.  One resultant
-    in c, factored over Q, gives their (a : b).  A factor of degree <= 2
-    gives exact lines when its roots and their lifts in c stay in one
+    quadrics restricted to the quotient plane of directions.  Their (a : b)
+    are the roots of the resultant in c of the two conics, an integer
+    binary form in closed form (:func:`_conic_resultant`), factored over Q
+    by its rational roots (:func:`_binary_factors`).  A factor of degree
+    <= 2 gives exact lines when its roots and their lifts in c stay in one
     quadratic extension; any other factor gives numeric lines from its
     numeric roots, lifted in c in floating point.
 
@@ -186,21 +188,16 @@ def through_point_lines(pencil, s_point):
     reduced, forms = _through_point_forms(pencil, s_point)
     if forms is None:
         return [], [], None
-    # the forms as polynomials in (c, a, b): Poly.resultant eliminates c
-    polys = [sympy.Poly.from_dict(
-        {tuple((i == k) + (j == k) for k in (2, 0, 1)):
-         sympy.Rational(q.numerator, q.denominator) for (i, j), q in f.items()},
-        sympy.symbols("c a b")) for f in forms]
-    res = polys[0].resultant(polys[1])
-    if res.is_zero:
+    res = _conic_resultant(*(_c_parts(f) for f in forms))
+    if not any(res):
         return [], [], None     # a common component: not a Segre surface
     # the common zero (0 : 0 : 1), invisible to the c-resultant
     exact_dirs = [(QQ, (Fraction(0), Fraction(0), Fraction(1)))] \
         if all((2, 2) not in f for f in forms) else []
     numeric_dirs, certified = [], True
-    for fp, _mult in sympy.factor_list(res)[1]:
-        cf = {m: Fraction(int(q.p), int(q.q)) for m, q in fp.as_dict().items()}
-        deg = fp.total_degree()
+    for fp, _mult in _binary_factors(res):
+        deg = len(fp) - 1
+        cf = {(i, deg - i): Fraction(c) for i, c in enumerate(fp) if c}
         lifts = _exact_lifts(forms, cf, deg)
         if lifts is not None:
             exact_dirs += [d for ds in lifts for d in ds or ()]
@@ -234,6 +231,94 @@ def through_point_lines(pencil, s_point):
                    for m, r in zip(M, resid)]
     count = len(exact) + len(numeric) if certified else None
     return exact, numeric, count
+
+
+def _c_parts(form):
+    """A quotient conic scaled to integers, as its parts (f0, f1, f2) with
+    f = f2 c**2 + f1 c + f0: f_k is a binary form of degree 2 - k in
+    (a, b), given by its coefficients ascending in a."""
+    q = dict(zip(form, _integral(form.values())[0]))
+    return ([q.get((1, 1), 0), q.get((0, 1), 0), q.get((0, 0), 0)],
+            [q.get((1, 2), 0), q.get((0, 2), 0)], [q.get((2, 2), 0)])
+
+
+def _bmul(*forms):
+    out = [1]
+    for f in forms:
+        out = _convolve(out, f, 0)
+    return out
+
+
+def _bsub(f, g):
+    return [x - y for x, y in zip(f, g)]
+
+
+def _conic_resultant(F, G):
+    """The resultant in c of two conics given by their parts, up to a
+    nonzero constant, as an integer binary form ascending in a.
+
+    Each conic has the c-degree of its last nonzero part, as in sympy's
+    ``Poly.resultant``.  For c-degrees 2 and 2 it is the Bezout determinant
+    (f2 g0 - f0 g2)**2 - (f2 g1 - f1 g2)(f1 g0 - f0 g1); for 2 and 1 it is
+    f2 g0**2 - f1 g0 g1 + f0 g1**2, for 1 and 1 f1 g0 - f0 g1, and for n
+    and 0 g0**n (von zur Gathen-Gerhard, Modern Computer Algebra, 6.3).
+    """
+    if not (any(map(any, F)) and any(map(any, G))):
+        return [0]
+    n, m = (max(k for k in range(3) if any(p[k])) for p in (F, G))
+    if n < m:
+        F, G, n, m = G, F, m, n
+    (f0, f1, f2), (g0, g1, g2) = F, G
+    if m == 0:
+        return _bmul(*[g0] * n)
+    if n == 1:
+        return _bsub(_bmul(f1, g0), _bmul(f0, g1))
+    if m == 1:
+        return [x - y + z for x, y, z in zip(
+            _bmul(f2, g0, g0), _bmul(f1, g0, g1), _bmul(f0, g1, g1))]
+    h = _bsub(_bmul(f2, g0), _bmul(f0, g2))
+    return _bsub(_bmul(h, h), _bmul(_bsub(_bmul(f2, g1), _bmul(f1, g2)),
+                                    _bsub(_bmul(f1, g0), _bmul(f0, g1))))
+
+
+def _binary_factors(res):
+    """The factors over Q of a nonzero integer binary form (ascending in
+    a), as sympy's ``factor_list`` gives them: (coefficients ascending in
+    a, multiplicity) pairs, each factor primitive with a positive leading
+    coefficient in a, in sympy's order (see :func:`_sympy_order`).
+
+    They are b for the root (1 : 0), q a - p b for each rational root p/q
+    of res(t, 1) (:func:`segrecusp.linalg.split_rational_roots`), and the
+    rest: irreducible when of degree 2 or 3, since it has no rational root,
+    and factored by sympy only when it is a quartic, which can split into
+    two quadratics.
+    """
+    top = max(i for i, c in enumerate(res) if c)
+    factors = [((1, 0), len(res) - 1 - top)] if top < len(res) - 1 else []
+    roots, rest = split_rational_roots(res[:top + 1])
+    factors += [((-r.numerator, r.denominator), k) for r, k in roots.items()]
+    rest = _primitive(_integral(rest)[0])
+    rest = tuple(c if rest[-1] > 0 else -c for c in rest)
+    if len(rest) == 5:
+        factors += [(tuple(int(c) for c in reversed(f.all_coeffs())), k)
+                    for f, k in factor_over_q(rest)]
+    elif len(rest) > 1:
+        factors.append((rest, 1))
+    return sorted(factors, key=_sympy_order)
+
+
+def _sympy_order(factor):
+    """sympy's order of factors (``polytools._sorted_factors``) in the
+    generators (a, b): the length of the dense representation, which is
+    the degree in a plus one, the multiplicity, then the dense
+    representation itself, a list of coefficient lists in b from the top
+    power of a down."""
+    coeffs, mult = factor
+    deg = len(coeffs) - 1
+    top = max(i for i, c in enumerate(coeffs) if c)
+    dense = [[coeffs[i]] + [0] * (deg - i) if coeffs[i] else []
+             for i in range(top, -1, -1)]
+    return top + 1, mult, dense
 
 
 def lines_through_singular_point(pencil, s_point):

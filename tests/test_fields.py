@@ -428,3 +428,11 @@ def test_ratfunc_constants_compare_and_hash_as_fractions(rng=random.Random(20)):
     assert K.zero == 0 and hash(K.zero) == hash(0) and not K.zero
     assert (K.zero.n, K.zero.d) == ((), (1,))
     assert K.one == 1 and K.gen != 1 and K.gen * K.gen.inverse() == 1
+
+
+def test_gcd_with_zero_of_integer_polynomial_is_rational():
+    # a zero argument on either side returns the other one monic, over Q
+    for args in (((2, 4), ()), ((), (3, 6)), ((F(2), 4), ())):
+        g = pgcd(*args)
+        assert g == (F(1, 2), F(1)) and all(type(c) is F for c in g)
+    assert pgcd((), (5,)) == (F(1),) and type(pgcd((), (5,))[0]) is F

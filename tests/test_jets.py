@@ -77,6 +77,8 @@ def test_hensel_errors():
     with pytest.raises(OrderTooSmall):
         hensel_solve([poly4(1, {(0, 0, 1, 0): 1}),
                       poly4(1, {(0, 0, 0, 1): 1})], ("z", "w"), order=1)
+    with pytest.raises(ValueError):
+        hensel_solve([poly4(4, {(0, 0, 1, 0): 1})], ("z", "w"))
 
 
 def test_escalate_doubles_until_settled():
@@ -484,3 +486,136 @@ def test_square_oracle_resultant():
         assert min(sum(m) for m in poly.monoms()) == order
     sq = sympy.expand((y + x ** 2) ** 2)
     assert sympy.resultant(sq, sympy.diff(sq, y), y) == 0
+
+
+# --------------------------------------------------------------------------
+# any number of equations, and the integer path over Q against the generic one
+
+
+def test_hensel_three_equations_explicit_solution():
+    """u, v, w = phi(x) is the only solution of three equations built from
+    D = (u - phi_1, v - phi_2, w - phi_3) with a dense Jacobian at 0."""
+    N = 6
+    x = Jet.variable(QQ, V4, N, "x")
+    phis = [x + 2 * x * x, -(x * x) + x * x * x * F(1, 3), 3 * x - x ** 3]
+    D = [Jet.variable(QQ, V4, N, v) - p for v, p in zip(V4[1:], phis)]
+    eqs = [D[0] + 2 * D[1] - D[2] + D[0] * D[1] + x * D[2],
+           D[1] + D[2] * (1 + x) + D[0] * D[0],
+           2 * D[0] - D[2] + x * D[1] * D[2]]
+    sol = hensel_solve(eqs, V4[1:])
+    for got, phi in zip(sol, phis):
+        assert got.vars == ("x",) and got.order == N
+        assert got.coeffs == {e[:1]: c for e, c in phi.coeffs.items()}
+
+
+def test_splitting_four_variables_hessian_rank_three():
+    """f = u^T S u + (b . u) t^2 + t^3 with S nonsingular has the critical
+    set u = -S^-1 b t^2 / 2 and the residual t^3 - (b^T S^-1 b / 4) t^4."""
+    N = 8
+    S = [[1, F(1, 2), 0], [F(1, 2), 1, F(1, 2)], [0, F(1, 2), 2]]
+    f = jet_from_poly(QQ, V4, N, {
+        (2, 0, 0, 0): 1, (1, 1, 0, 0): 1, (0, 2, 0, 0): 1, (0, 1, 1, 0): 1,
+        (0, 0, 2, 0): 2, (1, 0, 0, 2): 1, (0, 1, 0, 2): 1, (0, 0, 1, 2): 1,
+        (0, 0, 0, 3): 1})
+    Sinv = sympy.Matrix(S).inv()
+    c = sum(Sinv)
+    split = splitting_reduce(f)
+    assert split.rank == 3 and split.residual_vars == ("w",)
+    assert split.residual.coeffs == {(3,): 1,
+                                     (4,): -F(int(c.p), int(c.q)) / 4}
+    assert c != 0
+
+
+K2 = QuadraticExtension(2)
+
+
+def _into_sqrt2(jet):
+    return jet.map_coefficients(K2, K2.coerce)
+
+
+def _back_to_q(jet):
+    return jet.map_coefficients(QQ, QQ.coerce)
+
+
+def _random_system(rng, n, order):
+    """n equations in 4 - n base and n solve variables (the last ones),
+    vanishing at 0, with a random invertible linear part in the solve
+    variables and random rational terms of degree 1 to ``order`` in all."""
+    draw = _field_sampler("Q")[1]
+    while True:
+        J = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        if sympy.Matrix(J).det():
+            break
+    eqs = []
+    for i in range(n):
+        f = _random_jet(QQ, draw, rng, V4, order, low=2)
+        linear = {tuple(int(k == 4 - n + j) for k in range(4)): J[i][j]
+                  for j in range(n)}
+        linear[(1, 0, 0, 0)] = draw(rng)
+        eqs.append(f + Jet(QQ, V4, order, linear))
+    return eqs, V4[4 - n:]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hensel_over_q_matches_generic_loop(n, rng):
+    for _ in range(3):
+        eqs, solve_vars = _random_system(rng, n, 5)
+        got = hensel_solve(eqs, solve_vars)
+        generic = hensel_solve([_into_sqrt2(e) for e in eqs], solve_vars)
+        assert [g.coeffs for g in got] == \
+            [_back_to_q(g).coeffs for g in generic]
+        assert all(type(c) is F for g in got for c in g.coeffs.values())
+
+
+def test_substitute_over_q_matches_generic_loop(rng):
+    draw = _field_sampler("Q")[1]
+    for _ in range(5):
+        f = _random_jet(QQ, draw, rng, ("x", "y", "z"), 5)
+        images = {"x": Jet.variable(QQ, ("x", "t"), 5, "x"),
+                  "y": _random_jet(QQ, draw, rng, ("x", "t"), 5, low=1),
+                  "z": _random_jet(QQ, draw, rng, ("x", "t"), 4)}
+        got = f.substitute(images)
+        generic = _into_sqrt2(f).substitute(
+            {v: _into_sqrt2(g) for v, g in images.items()})
+        assert got.order == generic.order == 4
+        assert got.coeffs == _back_to_q(generic).coeffs
+
+
+def test_germs_over_q_match_generic_loop():
+    """hypersurface_germ and splitting_reduce at orders 3, 6 and 12 at the
+    rational singular points of the census surfaces (the default forms and
+    random.Random(1) copies of [5], [11111] and [11(12)]), against the same
+    computations at the point taken into Q(sqrt 2)."""
+    from segrecusp.linalg import mat_det
+    from segrecusp.pencil import TABLE1_SYMBOLS, default_instance
+    from segrecusp.surface import (ProjectivePoint, SurfaceInstance,
+                                   hypersurface_germ)
+
+    draw, copies = random.Random(1), {}
+    for symbol in map(str, TABLE1_SYMBOLS):
+        while True:
+            A = [[F(draw.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
+            if mat_det(QQ, A):
+                copies[symbol] = A
+                break
+    points = 0
+    for symbol in ("[5]", "[11111]", "[11(12)]"):
+        form = default_instance(symbol)
+        for pencil in (form, form.congruent(copies[symbol])):
+            surface = SurfaceInstance(pencil)
+            for p in surface.singular_points():
+                if p.field != QQ:
+                    continue
+                points += 1
+                q2 = ProjectivePoint.make(K2, p.coords)
+                for order in (3, 6, 12):
+                    germ = hypersurface_germ(surface, p, order)
+                    generic = hypersurface_germ(surface, q2, order)
+                    assert germ.coeffs == _back_to_q(generic).coeffs
+                    split = splitting_reduce(germ)
+                    split2 = splitting_reduce(generic)
+                    assert split.rank == split2.rank
+                    assert split.residual_vars == split2.residual_vars
+                    assert split.residual.coeffs == \
+                        _back_to_q(split2.residual).coeffs
+    assert points == 4

@@ -6,13 +6,17 @@ from importlib import resources
 
 import numpy as np
 import pytest
+import sympy
 
 from segrecusp.cusplocus import line_report
 from segrecusp.errors import SegreCuspError, TowerUnsupported
 from segrecusp.fields import QQ
-from segrecusp.instances import table1_instance
+from segrecusp.instances import sampling_instance, table1_instance
 from segrecusp.linalg import mat_det, mat_rank
-from segrecusp.lines import (coordinate_lines, count_lines_through_singular_point,
+from segrecusp import lines as lines_module
+from segrecusp.lines import (_binary_factors, _c_parts, _conic_resultant,
+                             _through_point_forms, coordinate_lines,
+                             count_lines_through_singular_point,
                              enumerate_lines, line_contained_exact,
                              lines_through_singular_point, off_singular_lines)
 from segrecusp.pencil import (TABLE1_SYMBOLS, SegreSymbol, default_instance,
@@ -244,3 +248,99 @@ def test_line_contains_matches_rank_test(symbol):
                 assert line.contains(p) == want, (line, p)
                 verdicts.append(want)
             assert True in verdicts and False in verdicts
+
+
+# --------------------------------------------------------------------------
+# the closed-form conic resultant and its factors against sympy
+
+
+def _oracle_pencils():
+    """The 16 default forms, their random.Random(1) copies and the 16
+    sampling instances."""
+    copies = _random_congruences(1)
+    for symbol in map(str, TABLE1_SYMBOLS):
+        form = default_instance(symbol)
+        yield f"{symbol} default", form
+        yield f"{symbol} copy", form.congruent(copies[symbol])
+        yield f"{symbol} sampling", sampling_instance(symbol).pencil
+
+
+def _sympy_resultant(forms):
+    """The c-resultant as the census took it before the closed form:
+    sympy's Poly.resultant of the forms as polynomials in (c, a, b)."""
+    polys = [sympy.Poly.from_dict(
+        {tuple((i == k) + (j == k) for k in (2, 0, 1)):
+         sympy.Rational(q.numerator, q.denominator) for (i, j), q in f.items()},
+        sympy.symbols("c a b")) for f in forms]
+    return polys[0].resultant(polys[1])
+
+
+def _ascending_in_a(poly, degree):
+    """Rational coefficients of a binary form of the given total degree in
+    (a, b), ascending in a."""
+    coeffs = poly.as_dict()
+    return [Fraction(int(c.p), int(c.q))
+            for c in (sympy.Rational(coeffs.get((i, degree - i), 0))
+                      for i in range(degree + 1))]
+
+
+def test_conic_resultant_and_factors_match_sympy():
+    points = 0
+    for label, pencil in _oracle_pencils():
+        for s in SurfaceInstance(pencil).singular_points():
+            _, forms = _through_point_forms(pencil, s)
+            if forms is None:
+                continue
+            points += 1
+            got = _conic_resultant(*map(_c_parts, forms))
+            res = _sympy_resultant(forms)
+            assert any(got) and not res.is_zero, label
+            want = _ascending_in_a(res, len(got) - 1)
+            # equal up to a nonzero constant
+            k = next(i for i, c in enumerate(got) if c)
+            assert [got[k] * c for c in want] == [want[k] * c for c in got], label
+            factors = [(tuple(_ascending_in_a(f, f.total_degree())), int(m))
+                       for f, m in sympy.factor_list(res)[1]]
+            assert _binary_factors(got) == factors, label
+    assert points >= 80
+
+
+def test_binary_factors_order_and_leftovers():
+    a, b = sympy.symbols("a b")
+    cases = [b ** 2 * (a - 2 * b) ** 2, (3 * a + b) * a * (a ** 2 + b ** 2),
+             (a ** 2 - 2 * b ** 2) * (a ** 2 + 3 * b ** 2),
+             -(a ** 2 + a * b + 5 * b ** 2) ** 2, (2 * a - 3 * b) * b ** 3,
+             a ** 3 - 2 * b ** 3, 7 * a * b * (a + b) * (a - b)]
+    for expr in cases:
+        poly = sympy.Poly(sympy.expand(expr), a, b)
+        degree = poly.total_degree()
+        want = [(tuple(_ascending_in_a(f, f.total_degree())), int(m))
+                for f, m in sympy.factor_list(poly)[1]]
+        ints = [int(c) for c in _ascending_in_a(poly, degree)]
+        assert _binary_factors(ints) == want, expr
+
+
+def test_census_takes_no_sympy_resultant_and_factors_only_quartics(
+        monkeypatch):
+    def no_resultant(*args, **kwargs):
+        raise AssertionError("sympy resultant called")
+
+    factored = []
+    real = lines_module.factor_over_q
+
+    def quartic_only(coeffs):
+        assert len(coeffs) == 5
+        assert not sympy.Poly(list(reversed(coeffs)),
+                              sympy.Symbol("t")).ground_roots()
+        factored.append(coeffs)
+        return real(coeffs)
+
+    monkeypatch.setattr(sympy.Poly, "resultant", no_resultant)
+    monkeypatch.setattr(lines_module, "factor_over_q", quartic_only)
+    copies = _random_congruences(1)
+    for symbol in map(str, TABLE1_SYMBOLS):
+        form = default_instance(symbol)
+        for pencil in (form, form.congruent(copies[symbol])):
+            census = enumerate_lines(SurfaceInstance(pencil))
+            assert list(census.counts) == TABLE1[symbol]["lines"], symbol
+    assert factored
