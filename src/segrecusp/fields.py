@@ -24,6 +24,17 @@ coefficient tuples, and its arithmetic builds no ``Fraction``: the primitive
 gcd from :func:`_zgcd` divides n and d exactly over Z (Gauss's lemma), and
 one integer gcd over the coefficients of n and d together makes the pair
 unique.
+
+Each field descriptor also names the ring of numerators that the exact
+linear algebra (:mod:`segrecusp.linalg`) and the jets
+(:mod:`segrecusp.jets`) compute in, and is the only code that knows it:
+``numerators`` turns a row or the values of a term map into numerators over
+one denominator, ``fractions`` turns numerators over a denominator back into
+field elements, and ``divexact`` is the ring's exact division.  The rings
+are Z for Q; Z[sqrt(d)] for Q(sqrt(d)), held as :class:`QuadExtElem`
+with integer parts, whose exact division multiplies by the conjugate and
+divides by the integer norm; and Q(x) itself, each element its own
+numerator over 1, whose exact division of two polynomials takes no gcd.
 """
 
 from __future__ import annotations
@@ -109,7 +120,7 @@ def padd(a, b):
                   for i in range(n))
 
 
-def _rational(*polys):
+def all_rational(*polys):
     return all(type(c) is Fraction or type(c) is int for p in polys for c in p)
 
 
@@ -133,7 +144,7 @@ def pmul(a, b):
     of the operands scaled to integers."""
     if not a or not b:
         return ()
-    if _rational(a, b):
+    if all_rational(a, b):
         (a, da), (b, db) = _integral(a), _integral(b)
         d = da * db
         return _ptrim(Fraction(c, d) for c in _convolve(a, b, 0))
@@ -150,7 +161,7 @@ def pdivmod(a, b):
     a, b = _ptrim(a), _ptrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if _rational(a, b):
+    if all_rational(a, b):
         (a, da), (b, db) = _integral(a), _integral(b)
         q, r, s = _zdivmod(a, b)  # s * a = q * b + r over Z
         return (tuple(Fraction(c * db, s * da) for c in q),
@@ -181,7 +192,7 @@ def pgcd(a, b):
     Q(x) it comes from Euclid's algorithm.
     """
     a, b = _ptrim(a), _ptrim(b)
-    if _rational(a, b):
+    if all_rational(a, b):
         if a and b:
             g = _zgcd(_integral(a)[0], _integral(b)[0])
             return tuple(Fraction(c, g[-1]) for c in g)
@@ -286,7 +297,8 @@ class QuadExtElem:
                     f"mixing sqrt({self.d}) with sqrt({other.d})")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadExtElem(Fraction(other), Fraction(0), self.d)
+            # an int stays one: with integer parts, Z[sqrt(d)] stays closed
+            return QuadExtElem(other, 0, self.d)
         return None
 
     def __add__(self, other):
@@ -458,6 +470,8 @@ class RatFuncElem:
         a, b, c, d = self.n, self.d, o.n, o.d
         if not a or not c:
             return _ZERO
+        if len(b) == 1 and len(d) == 1:     # polynomials: no gcd
+            return _canonical(_convolve(a, c, 0), (b[0] * d[0],))
         (a, d), (c, b) = _coprime(a, d), _coprime(c, b)
         return _canonical(_convolve(a, c, 0), _convolve(b, d, 0))
 
@@ -570,6 +584,13 @@ class Rationals:
     def derivative(self, e):
         return Fraction(0)
 
+    numerators = staticmethod(_integral)
+    divexact = staticmethod(int.__floordiv__)
+
+    @staticmethod
+    def fractions(nums, den):
+        return [Fraction(n, den) for n in nums]
+
     def fmt(self, e) -> str:
         return fmt_rational(e)
 
@@ -612,6 +633,23 @@ class QuadraticExtension:
     def derivative(self, e):
         return self.zero
 
+    def numerators(self, values):
+        ints, den = _integral([c for v in map(self.coerce, values)
+                               for c in (v.a, v.b)])
+        return [QuadExtElem(a, b, self.d)
+                for a, b in zip(ints[::2], ints[1::2])], den
+
+    def fractions(self, nums, den):
+        if isinstance(den, QuadExtElem):    # n / den = n conj(den) / norm
+            conj = QuadExtElem(den.a, -den.b, self.d)
+            nums, den = [n * conj for n in nums], (den * conj).a
+        return [QuadExtElem(Fraction(n.a, den), Fraction(n.b, den), self.d)
+                for n in nums]
+
+    def divexact(self, a, b):
+        (q,) = self.fractions([a], b)       # b divides a: integer parts
+        return QuadExtElem(q.a.numerator, q.b.numerator, self.d)
+
     def fmt(self, e) -> str:
         return repr(self.coerce(e))
 
@@ -645,6 +683,28 @@ class RationalFunctions:
 
     def derivative(self, e):
         return self.coerce(e).derivative()
+
+    @staticmethod
+    def numerators(values):
+        return values, 1
+
+    def fractions(self, nums, den):
+        # a rational numerator is taken into the field, never divided as a
+        # number
+        return nums if den == 1 else [self.coerce(n) / den for n in nums]
+
+    def divexact(self, a, b):
+        """a / b where b divides a (b = 1 at an elimination's first step);
+        for a and b polynomials, as the entries of a polynomial matrix are
+        under Bareiss's elimination, one exact division over Z and no
+        gcd."""
+        if b == 1:
+            return a
+        a, b = self.coerce(a), self.coerce(b)
+        if len(a.d) == 1 and len(b.d) == 1:
+            q, _, s = _zdivmod(a.n, b.n)       # s * a.n = q * b.n
+            return _canonical([c * b.d[0] for c in q], (s * a.d[0],))
+        return a / b
 
     def fmt(self, e) -> str:
         return repr(self.coerce(e))
@@ -716,6 +776,7 @@ def quadratic_roots(a, b, c, field=QQ):
     extension; inside an extension the roots must stay there, else
     RootFieldUnsupported.
     """
+    a, b, c = (field.coerce(v) for v in (a, b, c))
     if not a and not b and not c:
         return None
     if not a:

@@ -4,13 +4,11 @@ A :class:`Jet` stores a sparse map from exponent vectors to nonzero field
 elements, together with the truncation order up to which its coefficients are
 guaranteed exact.  Arithmetic tracks that guarantee: multiplying a jet known
 to order 8 by one of valuation 2 yields coefficients trusted to order 10.
-Over Q products run on integers: a term map is held as integer numerators
-over one denominator (the lcm of its coefficients' denominators), scaled
-once when it is formed, products are summed per exponent in ``int`` over
-the lcm of their denominators with the common content removed once per
-sum, and each output coefficient is built as one ``Fraction``.  Over
-Q(sqrt(d)) and Q(x) a term map is its own numerator over 1, so the same
-loops run on field elements.
+Products run on the field's ring of numerators (:mod:`segrecusp.fields`):
+a term map is held as numerators over one denominator, scaled once when it
+is formed (integers over Q, Z[sqrt(d)] over Q(sqrt(d)), and over Q(x) the
+coefficients themselves over 1), products are summed per exponent over the
+lcm of their denominators, and each output coefficient is built once.
 
 On top of the ring operations this module provides the local-analysis
 primitives used throughout the package: implicit solving of any number of
@@ -26,12 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from operator import add
 
 from .errors import OrderTooSmall, SingularJacobian, TruncationInsufficient
-from .fields import QQ
 from .linalg import mat_inv, mat_rank
 
 # A finite vanishing order read off a jet is exact, so a computation whose
@@ -78,8 +74,8 @@ def _lower(k):
 def _mul_into(out, a, b, order, zero):
     """Add the product of the term maps ``a`` and ``b`` into ``out``, keeping
     total degree at most ``order``; returns ``out`` (zero sums stay in it).
-    Over Q the callers pass maps already scaled to integer numerators (see
-    :func:`_scaled`) and ``zero`` = 0, so the loop runs on ``int``."""
+    The callers pass maps of numerators (see :func:`_scaled`) and ``zero``
+    = 0, so over Q the loop runs on ``int``."""
     b_terms = [(eb, sum(eb), cb) for eb, cb in b.items()]
     for ea, ca in a.items():
         room = order - sum(ea)
@@ -91,61 +87,38 @@ def _mul_into(out, a, b, order, zero):
     return out
 
 
-def _zero(field):
-    """The zero of the numerators of scaled term maps over ``field``: the
-    int 0 over Q, which the helpers below take for the field."""
-    return 0 if field is QQ else field.zero
+def _scaled(terms, field):
+    """A term map as (numerators, denominator) in the ring of numerators of
+    ``field`` (:mod:`segrecusp.fields`): the map itself where its values
+    are their own numerators."""
+    values = terms.values()
+    nums, den = field.numerators(values)
+    return (terms if nums is values else dict(zip(terms, nums))), den
 
 
-def _scaled(terms, zero):
-    """A term map as (numerators, denominator): over Q the integer
-    numerators over the lcm of the coefficients' denominators, over
-    Q(sqrt(d)) and Q(x) the map itself over 1."""
-    if type(zero) is not int:
-        return terms, 1
-    d = math.lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (d // c.denominator)
-            for e, c in terms.items()}, d
+def _unscaled(scaled, field):
+    """The term map of a scaled one."""
+    terms, den = scaled
+    values = terms.values()
+    out = field.fractions(values, den)
+    return terms if out is values else dict(zip(terms, out))
 
 
-def _unscaled(scaled, zero):
-    """The term map of a scaled one: one ``Fraction`` per coefficient over
-    Q."""
-    terms, d = scaled
-    if type(zero) is not int:
-        return terms
-    return {e: Fraction(n, d) for e, n in terms.items()}
-
-
-def _sum_products(pairs, order, zero):
+def _sum_products(pairs, order, field):
     """The sum of the products of the scaled term maps in ``pairs``, kept to
-    total degree ``order``, as one scaled map; ``zero`` is :func:`_zero` of
-    the field.  Over Q each product is summed over the lcm of the products'
-    denominators, one operand taking the quotient as a factor, and the sum
-    loses its zero terms and its common content once; over Q(sqrt(d)) and
-    Q(x) zero sums stay, as in :func:`_mul_into`."""
+    total degree ``order``, as one scaled map: each product is summed over
+    the lcm of the products' denominators, one operand taking the quotient
+    as a factor (zero sums stay, as in :func:`_mul_into`)."""
+    den = math.lcm(*[da * db for (a, da), (b, db) in pairs if a and b])
     out = {}
-    if type(zero) is not int:   # every denominator is 1
-        for (a, _), (b, _) in pairs:
-            if a and b:
-                _mul_into(out, a, b, order, zero)
-        return out, 1
-    pairs = [(a, da, b, db) for (a, da), (b, db) in pairs if a and b]
-    if not pairs:
-        return out, 1
-    den = math.lcm(*(da * db for _, da, _, db in pairs))
-    for a, da, b, db in pairs:
-        s = den // (da * db)
-        if s != 1:
-            if len(a) > len(b):
-                a, b = b, a
-            a = {e: s * c for e, c in a.items()}
-        _mul_into(out, a, b, order, zero)
-    out = {e: c for e, c in out.items() if c}
-    if den != 1:
-        g = math.gcd(den, *out.values())
-        if g != 1:
-            out, den = {e: c // g for e, c in out.items()}, den // g
+    for (a, da), (b, db) in pairs:
+        if a and b:
+            if da * db != den:
+                s = den // (da * db)
+                if len(a) > len(b):
+                    a, b = b, a
+                a = {e: s * c for e, c in a.items()}
+            _mul_into(out, a, b, order, 0)
     return out, den
 
 
@@ -281,10 +254,12 @@ class Jet:
             return self.clone({e: v * c for e, v in self.coeffs.items()})
         self._check_compatible(other)
         order = min(self.order + other._val_bound(), other.order + self._val_bound())
-        zero = _zero(self.field)
-        product = _sum_products([(_scaled(self.coeffs, zero),
-                                  _scaled(other.coeffs, zero))], order, zero)
-        return self.clone(_unscaled(product, zero), order)
+        if not (self.coeffs and other.coeffs):
+            return self.clone({}, order)
+        (a, da), (b, db) = (_scaled(self.coeffs, self.field),
+                            _scaled(other.coeffs, self.field))
+        product = _mul_into({}, a, b, order, 0), da * db
+        return self.clone(_unscaled(product, self.field), order)
 
     __rmul__ = __mul__
 
@@ -390,9 +365,9 @@ class Jet:
         An image equal to the target variable of the same name only shifts
         exponents.  The terms are grouped by their exponents in the other
         variables, and each group costs one product with the (memoised)
-        product of their images' powers.  Over Q the images, their powers
-        and the groups are scaled to integer numerators once, when formed,
-        and the result is one sum of integer products.  The result is exact
+        product of their images' powers.  The images, their powers and the
+        groups are scaled to numerators once, when formed, and the result
+        is one sum of products of numerators.  The result is exact
         to min(self.order, image orders).
         """
         target = next(iter(images.values()))
@@ -406,17 +381,16 @@ class Jet:
             else:
                 moving.append(i)
         slots = [tvars.index(self.vars[i]) for i in shifted]
-        zero = _zero(field)
-        gens = [_scaled(images[self.vars[i]].truncate(order).coeffs, zero)
+        gens = [_scaled(images[self.vars[i]].truncate(order).coeffs, field)
                 for i in moving]
         powers = {(0,) * len(moving): _scaled(
-            {(0,) * len(tvars): field.one}, zero)}
+            {(0,) * len(tvars): field.one}, field)}
 
         def power(k):
             if k not in powers:
                 j, prev = _lower(k)
                 powers[k] = _sum_products([(power(prev), gens[j])], order,
-                                          zero)
+                                          field)
             return powers[k]
 
         pairs = []
@@ -427,9 +401,9 @@ class Jet:
                 for slot, n in zip(slots, rest):
                     e[slot] = n
                 poly[tuple(e)] = c
-            pairs.append((_scaled(poly, zero), power(k)))
+            pairs.append((_scaled(poly, field), power(k)))
         return Jet(field, tvars, order,
-                   _unscaled(_sum_products(pairs, order, zero), zero))
+                   _unscaled(_sum_products(pairs, order, field), field))
 
 
 # --------------------------------------------------------------------------
@@ -518,10 +492,9 @@ def hensel_solve(equations, solve_vars, order=None):
     equation's degree-d part at u = phi is J0 phi_d + R_d, where R_d
     involves phi only below degree d, so phi_d = -J0^{-1} R_d, with J0
     inverted once by one row reduction.  Each power phi^k (|k| >= 2) is
-    extended by its degree-d part at every step.  Over Q every part is
-    held as integer numerators over one denominator (see
-    :func:`_sum_products`) and each output coefficient is built as one
-    ``Fraction``.
+    extended by its degree-d part at every step.  Every part is held as
+    numerators over one denominator (see :func:`_sum_products`), and each
+    output coefficient is built once.
     """
     eqs = list(equations)
     known = min(e.order for e in eqs)
@@ -532,7 +505,6 @@ def hensel_solve(equations, solve_vars, order=None):
     if n != len(solve_vars):
         raise ValueError("hensel_solve needs one equation per solve variable")
     field = eqs[0].field
-    zero = _zero(field)
     all_vars = eqs[0].vars
     solve_idx = [all_vars.index(v) for v in solve_vars]
     base_idx = [i for i, v in enumerate(all_vars) if v not in solve_vars]
@@ -559,16 +531,16 @@ def hensel_solve(equations, solve_vars, order=None):
     except ZeroDivisionError:
         raise SingularJacobian(
             "Jacobian in the solve variables is singular at 0") from None
-    P = [{k: {m: _scaled(Pm, zero) for m, Pm in parts.items()}
+    P = [{k: {m: _scaled(Pm, field) for m, Pm in parts.items()}
           for k, parts in by_k.items()} for by_k in P]
     # the nonzero entries of each row of -J0^{-1}, as constant term maps
-    inv = [[(i, _scaled({b0: -c}, zero)) for i, c in enumerate(row) if c]
+    inv = [[(i, _scaled({b0: -c}, field)) for i, c in enumerate(row) if c]
            for row in J0inv]
 
     # powers[k][d]: degree-d part of phi^k; phi^(e_j) is phi_j itself, and
     # phi^k for |k| >= 2 extends phi^(k - e_j) by phi_j (see _lower)
     phi = [[({}, 1)] for _ in range(n)]
-    powers = {(0,) * n: [_scaled({b0: field.one}, zero)]}
+    powers = {(0,) * n: [_scaled({b0: field.one}, field)]}
     powers.update(zip(units, phi))
     links = {}
     for by_k in P:
@@ -581,18 +553,18 @@ def hensel_solve(equations, solve_vars, order=None):
     for d in range(1, order + 1):
         for pk, j, prev in steps:
             pk.append(_sum_products([(prev[d - b], phi[j][b])
-                                     for b in range(1, d)], order, zero))
+                                     for b in range(1, d)], order, field))
         R = [_sum_products([(Pm, powers[k][d - m])
                             for k, parts in by_k.items()
                             for m, Pm in parts.items()
-                            if 0 <= d - m < len(powers[k])], order, zero)
+                            if 0 <= d - m < len(powers[k])], order, field)
              for by_k in P]
         for j in range(n):
             phi[j].append(_sum_products([(w, R[i]) for i, w in inv[j]],
-                                        order, zero))
+                                        order, field))
     return tuple(Jet(field, base_vars, order,
                      {e: c for part in f
-                      for e, c in _unscaled(part, zero).items()})
+                      for e, c in _unscaled(part, field).items()})
                  for f in phi)
 
 

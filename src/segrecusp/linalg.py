@@ -2,12 +2,15 @@
 
 Matrices are plain lists of lists of field elements; every routine takes the
 field descriptor explicitly so the same code serves Q, Q(sqrt(d)) and Q(x).
-Over Q, products, row reductions and determinants run on integers: each row
-or column is scaled once by the lcm of its denominators, the work is done
-with ``int`` arithmetic, and each output entry is built as one ``Fraction``.
-Row reduction is fraction-free Gauss-Jordan and the determinant is
-Bareiss's elimination (E. H. Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+Row reduction (reduced forms, ranks, kernels, solves and inverses) and the
+determinant share one elimination, :func:`_eliminate`: Bareiss's
+fraction-free Gauss-Jordan (E. H. Bareiss, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968),
+run on the field's ring of numerators (Z, Z[sqrt(d)] or Q(x); see
+:mod:`segrecusp.fields`), with one division per entry back into the field
+at the end.  Gram matrices run on the same numerators.  The products
+:func:`mat_mul` and :func:`mat_vec`, which take no field, run on integers
+over Q: each row or column scaled once by the lcm of its denominators.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ import numpy as np
 import sympy
 
 from .errors import CrossCheckMismatch
-from .fields import (QQ, _integral, _primitive, _rational, pderiv, pdivmod,
-                     pgcd)
+from .fields import QQ, all_rational, pderiv, pdivmod, pgcd
 
 
 def identity(field, n):
@@ -37,8 +39,8 @@ def _dot(u, v):
 
 
 def mat_mul(A, B):
-    if _rational(*A, *B):
-        rows, cols = map(_integral, A), [_integral(c) for c in zip(*B)]
+    if all_rational(*A, *B):
+        rows, cols = map(QQ.numerators, A), [QQ.numerators(c) for c in zip(*B)]
         return [[Fraction(_dot(a, b), da * db) for b, db in cols]
                 for a, da in rows]
     n, k, m = len(A), len(B), len(B[0])
@@ -47,102 +49,102 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
-    if _rational(*A, v):
-        v, dv = _integral(v)
-        return [Fraction(_dot(a, v), da * dv) for a, da in map(_integral, A)]
+    if all_rational(*A, v):
+        v, dv = QQ.numerators(v)
+        return [Fraction(_dot(a, v), da * dv)
+                for a, da in map(QQ.numerators, A)]
     return [sum((A[i][j] * v[j] for j in range(len(v))), start=A[0][0] * 0)
             for i in range(len(A))]
 
 
 def gram_matrix(field, M, vectors):
-    """The matrix (v_a^T M v_b) of the vectors, skipping zero entries; over
-    Q, integer dot products of M scaled by one common denominator and each
-    vector by its own."""
-    if field != QQ or not _rational(*M, *vectors):
-        return _gram(M, vectors, field.zero)
-    dM = math.lcm(*(c.denominator for row in M for c in row))
-    M = [[c.numerator * (dM // c.denominator) for c in row] for row in M]
-    ints = [_integral(v) for v in vectors]
-    G = _gram(M, [v for v, _ in ints], 0)
-    return [[Fraction(g, da * dM * db) for g, (_, db) in zip(row, ints)]
-            for row, (_, da) in zip(G, ints)]
-
-
-def _gram(M, vectors, zero):
-    supports = [[(k, v) for k, v in enumerate(c) if v] for c in vectors]
-    images = [[sum((row[k] * v for k, v in support if row[k]), zero)
+    """The matrix (v_a^T M v_b) of the vectors, skipping zero entries, on
+    the field's numerators: M over one denominator, the vectors over
+    another."""
+    n = len(M)
+    m, dm = field.numerators([c for row in M for c in row])
+    v, dv = field.numerators([c for vec in vectors for c in vec])
+    zero, M = m[0] * 0, [m[i:i + n] for i in range(0, n * n, n)]
+    supports = [[(k, c) for k, c in enumerate(v[i:i + n]) if c]
+                for i in range(0, len(v), n)]
+    images = [[sum((row[k] * c for k, c in support if row[k]), zero)
                for row in M] for support in supports]
-    return [[sum((v * images[b][k] for k, v in supports[a]), zero)
-             for b in range(len(vectors))] for a in range(len(vectors))]
+    return [field.fractions([sum((c * image[k] for k, c in support), zero)
+                             for image in images], dv * dm * dv)
+            for support in supports]
 
 
 def _row_reduce(field, M, ncols=None):
     """In-place reduced row echelon form of the first ``ncols`` columns;
     returns the pivot column list.
 
-    Over Q it is fraction-free: the rows are scaled to primitive integer
-    rows, eliminating with pivot p in row r turns row i, of entry f in the
-    pivot column, into (p/g) row_i - (f/g) row_r, g = gcd(p, f), divided by
-    its content, and the pivot rows are divided by their pivots at the end.
-    Every row is a nonzero multiple of the row the same elimination over Q
-    has at that step, so the pivots and the reduced form are the same; only
-    rows below the rank, zero in the first ``ncols`` columns, keep an
-    integer multiple of their last columns.
+    The rows are taken to the field's ring of numerators and reduced there
+    by :func:`_eliminate`, whose pivot rows are then the reduced form times
+    the last pivot p: the pivot columns are set to 0 and 1, and the other
+    entries are divided by p.  Rows below the rank, zero in the first
+    ``ncols`` columns, keep a nonzero multiple of their last columns.
     """
-    rows = len(M)
-    cols = ncols if ncols is not None else (len(M[0]) if rows else 0)
-    if field == QQ and _rational(*M):
-        return _zrow_reduce(M, cols)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = field.one / M[r][c]
-        # the pivot column becomes one and zeros with no arithmetic, and a
-        # zero entry of the pivot row is not scaled
-        M[r] = [field.one if k == c else a * inv if a else field.zero
-                for k, a in enumerate(M[r])]
-        for i in range(rows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [field.zero if k == c else a - f * b
-                        for k, (a, b) in enumerate(zip(M[i], M[r]))]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    width = len(M[0]) if M else 0
+    rows = [field.numerators(row)[0] for row in M]
+    pivots, _, p = _eliminate(field, rows, width if ncols is None else ncols,
+                              jordan=True)
+    free = [k for k in range(width) if k not in pivots]
+    for i, row in enumerate(rows):
+        M[i] = [field.zero] * len(row)
+        for k, v in zip(free, field.fractions([row[k] for k in free], p)):
+            M[i][k] = v
+    for i, c in enumerate(pivots):
+        M[i][c] = field.one
     return pivots
 
 
-def _zrow_reduce(M, cols):
-    """:func:`_row_reduce` of a rational matrix, on integers."""
-    work = [_primitive(_integral(row)[0]) for row in M]
-    rows, pivots = len(work), []
+def _eliminate(field, rows, cols, jordan):
+    """Bareiss's fraction-free elimination, on their first ``cols`` columns,
+    of the rows of numerators of ``field`` in the list ``rows``, which it
+    updates with new rows: Gauss-Jordan when ``jordan``, else below the
+    pivots only.  Returns the pivot columns, the sign of the row swaps and
+    the last pivot (1 if there is none).
+
+    With pivot p in row r and previous pivot q, every other row of entry f
+    in the pivot column becomes (p row - f row_r) / q.  Each entry is then
+    a minor of the matrix (Sylvester's identity), so the division is exact
+    in the ring (E. H. Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", Math. Comp. 22, 1968).  Over
+    Q the ring is Z, over Q(sqrt(d)) it is Z[sqrt(d)] and over Q(x) the
+    field itself (see :mod:`segrecusp.fields`).  Row r is zero before
+    column c, and so are the rows below, so only the later columns and the
+    skipped (pivotless) columns of the rows above change; the pivot columns
+    are left as they are, the caller knowing their values (p at a row's
+    own pivot column, 0 elsewhere).
+    """
+    div = field.divexact
+    n, pivots, skipped, sign, prev = len(rows), [], [], 1, 1
     for c in range(cols):
         r = len(pivots)
-        piv = next((i for i in range(r, rows) if work[i][c]), None)
+        piv = next((i for i in range(r, n) if rows[i][c]), None)
         if piv is None:
+            skipped.append(c)
             continue
-        work[r], work[piv] = work[piv], work[r]
-        top = work[r]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        top = rows[r]
         p = top[c]
-        for i, row in enumerate(work):
-            f = row[c]
-            if f and i != r:
-                g = math.gcd(p, f)
-                s, t = p // g, f // g
-                work[i] = _primitive([s * a - t * b
-                                      for a, b in zip(row, top)])
+        for i in range(0 if jordan else r + 1, n):
+            if i != r:
+                row = rows[i]
+                g = -row[c]
+                rows[i] = row = row[:c + 1] + [
+                    div(p * a + g * b, prev)
+                    for a, b in zip(row[c + 1:], top[c + 1:])]
+                if i < r:
+                    for k in skipped:
+                        row[k] = div(p * row[k], prev)
         pivots.append(c)
-        if len(pivots) == rows:
+        prev = p
+        if r + 1 == n:
             break
-    for i, row in enumerate(work):
-        p = row[pivots[i]] if i < len(pivots) else 1
-        M[i] = [Fraction(a, p) for a in row]
-    return pivots
+    return pivots, sign, prev
 
 
 def rref(field, M):
@@ -194,54 +196,18 @@ def solve_linear(field, M, b):
 
 
 def mat_det(field, M):
-    """The determinant; over Q by Bareiss's elimination of the rows scaled
-    to integers, divided by the product of the row scales."""
-    if field == QQ and _rational(*M):
-        return _zdet(M)
-    n = len(M)
-    work = [row[:] for row in M]
-    det = field.one
-    for c in range(n):
-        piv = next((i for i in range(c, n) if work[i][c]), None)
-        if piv is None:
-            return field.zero
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-            det = -det
-        det = det * work[c][c]
-        inv = field.one / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c]:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return det
-
-
-def _zdet(M):
-    """:func:`mat_det` of a rational matrix: after step c every entry of the
-    rows below is a (c + 1)-minor, so each division by the previous pivot
-    is exact (Sylvester's identity)."""
-    work, scale = [], 1
+    """The determinant: the last pivot of :func:`_eliminate` below the
+    pivots, with the sign of its row swaps, over the product of the rows'
+    denominators."""
+    rows, scale = [], 1
     for row in M:
-        ints, d = _integral(row)
-        work.append(ints)
+        nums, d = field.numerators(row)
+        rows.append(nums)
         scale *= d
-    n, sign, prev = len(work), 1, 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if work[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            work[c], work[piv] = work[piv], work[c]
-            sign = -sign
-        top = work[c]
-        p = top[c]
-        for i in range(c + 1, n):
-            f = work[i][c]
-            work[i] = [(p * a - f * b) // prev
-                       for a, b in zip(work[i], top)]
-        prev = p
-    return Fraction(sign * prev, scale)
+    pivots, sign, p = _eliminate(field, rows, len(M), jordan=False)
+    if len(pivots) < len(M):
+        return field.zero
+    return field.fractions([sign * p], scale)[0] if M else field.one
 
 
 def mat_solve(field, A, B):
@@ -325,7 +291,7 @@ def split_rational_roots(coeffs):
     """
     f = tuple(coeffs)
     g = pdivmod(f, pgcd(f, pderiv(f)))[0]
-    ints = _integral(g)[0]
+    ints = QQ.numerators(g)[0]
     bound = abs(ints[-1] // math.gcd(*ints))
     try:
         guesses = np.roots([float(c) for c in reversed(g)])

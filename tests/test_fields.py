@@ -436,3 +436,14 @@ def test_gcd_with_zero_of_integer_polynomial_is_rational():
         g = pgcd(*args)
         assert g == (F(1, 2), F(1)) and all(type(c) is F for c in g)
     assert pgcd((), (5,)) == (F(1),) and type(pgcd((), (5,))[0]) is F
+
+
+def test_quadratic_roots_of_int_coefficients_are_fractions():
+    # int coefficients are taken into the field before any division, on
+    # the a = 0 and double-root branches too
+    assert quadratic_roots(0, 2, 4) == [
+        (QQ, (F(1), F(0)), 1), (QQ, (F(1), F(-1, 2)), 1)]
+    assert quadratic_roots(1, 2, 1) == [(QQ, (F(1), F(-1)), 2)]
+    for a, b, c in ((0, 2, 4), (1, 2, 1), (0, 0, 5), (1, 1, -6)):
+        for _, (u, v), _ in quadratic_roots(a, b, c):
+            assert type(u) is F and type(v) is F

@@ -14,3 +14,16 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_kernels_import_no_private_field_helpers():
+    # the numerators of each field live behind the field descriptors in
+    # fields.py: linalg and jets reach no integer twin of their own there
+    root = Path(segrecusp.__file__).parent
+    found = [f"{name}: {alias.name}"
+             for name in ("linalg.py", "jets.py")
+             for node in ast.walk(ast.parse((root / name).read_text(
+                 encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.module == "fields"
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
