@@ -33,8 +33,8 @@ one denominator, ``fractions`` turns numerators over a denominator back into
 field elements, and ``divexact`` is the ring's exact division.  The rings
 are Z for Q; Z[sqrt(d)] for Q(sqrt(d)), held as :class:`QuadExtElem`
 with integer parts, whose exact division multiplies by the conjugate and
-divides by the integer norm; and Q(x) itself, each element its own
-numerator over 1, whose exact division of two polynomials takes no gcd.
+divides by the integer norm; and Q(x) itself, each element over 1, where a
+polynomial is divided by a divisor with no gcd.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def padd(a, b):
                   for i in range(n))
 
 
-def all_rational(*polys):
+def _rational(*polys):
     return all(type(c) is Fraction or type(c) is int for p in polys for c in p)
 
 
@@ -144,7 +144,7 @@ def pmul(a, b):
     of the operands scaled to integers."""
     if not a or not b:
         return ()
-    if all_rational(a, b):
+    if _rational(a, b):
         (a, da), (b, db) = _integral(a), _integral(b)
         d = da * db
         return _ptrim(Fraction(c, d) for c in _convolve(a, b, 0))
@@ -161,7 +161,7 @@ def pdivmod(a, b):
     a, b = _ptrim(a), _ptrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if all_rational(a, b):
+    if _rational(a, b):
         (a, da), (b, db) = _integral(a), _integral(b)
         q, r, s = _zdivmod(a, b)  # s * a = q * b + r over Z
         return (tuple(Fraction(c * db, s * da) for c in q),
@@ -192,7 +192,7 @@ def pgcd(a, b):
     Q(x) it comes from Euclid's algorithm.
     """
     a, b = _ptrim(a), _ptrim(b)
-    if all_rational(a, b):
+    if _rational(a, b):
         if a and b:
             g = _zgcd(_integral(a)[0], _integral(b)[0])
             return tuple(Fraction(c, g[-1]) for c in g)
@@ -333,7 +333,7 @@ class QuadExtElem:
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.a * self.a - self.b * self.b * self.d
+        n = Fraction(self.a * self.a - self.b * self.b * self.d)
         if n == 0:
             raise ZeroDivisionError("zero element of quadratic extension")
         return QuadExtElem(self.a / n, -self.b / n, self.d)
@@ -694,16 +694,17 @@ class RationalFunctions:
         return nums if den == 1 else [self.coerce(n) / den for n in nums]
 
     def divexact(self, a, b):
-        """a / b where b divides a (b = 1 at an elimination's first step);
-        for a and b polynomials, as the entries of a polynomial matrix are
-        under Bareiss's elimination, one exact division over Z and no
-        gcd."""
+        """a / b, b nonzero (b = 1 at an elimination's first step): one
+        division over Z with no gcd where a and b are polynomials and b
+        divides a, as in Bareiss's elimination of a polynomial matrix, else
+        (two polynomial entries of a rational-function matrix too) in Q(x)."""
         if b == 1:
             return a
         a, b = self.coerce(a), self.coerce(b)
         if len(a.d) == 1 and len(b.d) == 1:
-            q, _, s = _zdivmod(a.n, b.n)       # s * a.n = q * b.n
-            return _canonical([c * b.d[0] for c in q], (s * a.d[0],))
+            q, r, s = _zdivmod(a.n, b.n)       # s * a.n = q * b.n + r
+            if not r:
+                return _canonical([c * b.d[0] for c in q], (s * a.d[0],))
         return a / b
 
     def fmt(self, e) -> str:

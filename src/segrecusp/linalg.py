@@ -22,7 +22,7 @@ import numpy as np
 import sympy
 
 from .errors import CrossCheckMismatch
-from .fields import QQ, all_rational, pderiv, pdivmod, pgcd
+from .fields import QQ, _integral, _rational, pderiv, pdivmod, pgcd
 
 
 def identity(field, n):
@@ -39,8 +39,8 @@ def _dot(u, v):
 
 
 def mat_mul(A, B):
-    if all_rational(*A, *B):
-        rows, cols = map(QQ.numerators, A), [QQ.numerators(c) for c in zip(*B)]
+    if _rational(*A, *B):
+        rows, cols = map(_integral, A), [_integral(c) for c in zip(*B)]
         return [[Fraction(_dot(a, b), da * db) for b, db in cols]
                 for a, da in rows]
     n, k, m = len(A), len(B), len(B[0])
@@ -49,10 +49,9 @@ def mat_mul(A, B):
 
 
 def mat_vec(A, v):
-    if all_rational(*A, v):
-        v, dv = QQ.numerators(v)
-        return [Fraction(_dot(a, v), da * dv)
-                for a, da in map(QQ.numerators, A)]
+    if _rational(*A, v):
+        v, dv = _integral(v)
+        return [Fraction(_dot(a, v), da * dv) for a, da in map(_integral, A)]
     return [sum((A[i][j] * v[j] for j in range(len(v))), start=A[0][0] * 0)
             for i in range(len(A))]
 
@@ -81,8 +80,9 @@ def _row_reduce(field, M, ncols=None):
     The rows are taken to the field's ring of numerators and reduced there
     by :func:`_eliminate`, whose pivot rows are then the reduced form times
     the last pivot p: the pivot columns are set to 0 and 1, and the other
-    entries are divided by p.  Rows below the rank, zero in the first
-    ``ncols`` columns, keep a nonzero multiple of their last columns.
+    entries are divided by p and coerced (an untouched Q(x) entry keeps its
+    input type).  Rows below the rank, zero in the first ``ncols`` columns,
+    keep a nonzero multiple of their last columns.
     """
     width = len(M[0]) if M else 0
     rows = [field.numerators(row)[0] for row in M]
@@ -92,7 +92,7 @@ def _row_reduce(field, M, ncols=None):
     for i, row in enumerate(rows):
         M[i] = [field.zero] * len(row)
         for k, v in zip(free, field.fractions([row[k] for k in free], p)):
-            M[i][k] = v
+            M[i][k] = field.coerce(v)
     for i, c in enumerate(pivots):
         M[i][c] = field.one
     return pivots
@@ -108,14 +108,10 @@ def _eliminate(field, rows, cols, jordan):
     With pivot p in row r and previous pivot q, every other row of entry f
     in the pivot column becomes (p row - f row_r) / q.  Each entry is then
     a minor of the matrix (Sylvester's identity), so the division is exact
-    in the ring (E. H. Bareiss, "Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", Math. Comp. 22, 1968).  Over
-    Q the ring is Z, over Q(sqrt(d)) it is Z[sqrt(d)] and over Q(x) the
-    field itself (see :mod:`segrecusp.fields`).  Row r is zero before
-    column c, and so are the rows below, so only the later columns and the
-    skipped (pivotless) columns of the rows above change; the pivot columns
-    are left as they are, the caller knowing their values (p at a row's
-    own pivot column, 0 elsewhere).
+    in the ring.  Row r is zero before column c, and so are the rows below,
+    so only the later columns and the skipped (pivotless) columns of the
+    rows above change; the pivot columns are left as they are, the caller
+    knowing their values (p at a row's own pivot column, 0 elsewhere).
     """
     div = field.divexact
     n, pivots, skipped, sign, prev = len(rows), [], [], 1, 1
@@ -196,9 +192,9 @@ def solve_linear(field, M, b):
 
 
 def mat_det(field, M):
-    """The determinant: the last pivot of :func:`_eliminate` below the
-    pivots, with the sign of its row swaps, over the product of the rows'
-    denominators."""
+    """The determinant (1 for the empty matrix): the last pivot of
+    :func:`_eliminate` below the pivots, with the sign of its row swaps,
+    over the product of the rows' denominators."""
     rows, scale = [], 1
     for row in M:
         nums, d = field.numerators(row)
@@ -207,7 +203,7 @@ def mat_det(field, M):
     pivots, sign, p = _eliminate(field, rows, len(M), jordan=False)
     if len(pivots) < len(M):
         return field.zero
-    return field.fractions([sign * p], scale)[0] if M else field.one
+    return field.coerce(field.fractions([sign * p], scale)[0] if M else 1)
 
 
 def mat_solve(field, A, B):
@@ -291,7 +287,7 @@ def split_rational_roots(coeffs):
     """
     f = tuple(coeffs)
     g = pdivmod(f, pgcd(f, pderiv(f)))[0]
-    ints = QQ.numerators(g)[0]
+    ints = _integral(g)[0]
     bound = abs(ints[-1] // math.gcd(*ints))
     try:
         guesses = np.roots([float(c) for c in reversed(g)])

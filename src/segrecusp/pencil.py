@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import (CrossCheckMismatch, DegeneratePencil, DuplicateEigenvalue,
                      IrrationalEigenvalue)
-from .fields import QQ, _integral, all_rational, parse_rational, proj_normalize
+from .fields import QQ, _integral, _rational, parse_rational, proj_normalize
 from .linalg import (char_poly, mat_det, mat_mul, mat_rank, mat_solve,
                      rational_roots, rref, rref_kernel, transpose)
 
@@ -37,7 +37,7 @@ def bform(M, X, Y):
     """Polar bilinear form X^T M Y.  Over Q it is one integer dot product:
     M scaled by one common denominator and each vector by its own, the
     value built as one ``Fraction``."""
-    if all_rational(*M, X, Y):
+    if _rational(*M, X, Y):
         (x, dx), (y, dy) = _integral(X), _integral(Y)
         dM = math.lcm(*(c.denominator for row in M for c in row))
         acc = sum(xi * sum(c.numerator * (dM // c.denominator) * yj

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from segrecusp.errors import FieldError, RootFieldUnsupported, TowerUnsupported
-from segrecusp.fields import (QQ, QuadraticExtension, RatFuncElem,
-                              RationalFunctions, field_with_sqrt,
+from segrecusp.fields import (QQ, QuadExtElem, QuadraticExtension,
+                              RatFuncElem, RationalFunctions, field_with_sqrt,
                               fraction_sqrt, padd, parse_rational, pderiv,
                               pdivmod, pgcd, pmul, pstr, quadext_sqrt,
                               quadratic_roots, squarefree_split)
@@ -447,3 +447,12 @@ def test_quadratic_roots_of_int_coefficients_are_fractions():
     for a, b, c in ((0, 2, 4), (1, 2, 1), (0, 0, 5), (1, 1, -6)):
         for _, (u, v), _ in quadratic_roots(a, b, c):
             assert type(u) is F and type(v) is F
+
+
+def test_quadratic_extension_divided_by_an_int_has_fraction_parts():
+    # an int divisor is lifted as an int; its inverse is still exact
+    K = QuadraticExtension(2)
+    for e in (K.sqrt_gen, K.one + K.sqrt_gen, QuadExtElem(3, 1, 2)):
+        q = e / 2
+        assert q * 2 == e and type(q.a) is F and type(q.b) is F
+    assert K.sqrt_gen / 2 == QuadExtElem(F(0), F(1, 2), 2)

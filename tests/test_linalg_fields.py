@@ -133,6 +133,23 @@ def test_rational_entries_are_taken_into_q_of_x():
     A = [[2, 1, 0], [1, 3, 1], [0, 1, 4]]
     assert mat_det(K, A) == 18 and mat_inv(K, A)[0][0] == F(11, 18)
     assert all(type(c) is RatFuncElem for row in mat_inv(K, A) for c in row)
+    # a pivot of 1 divides nothing: the entries are still taken into Q(x)
+    R, pivots = rref(K, [[1, 2]])
+    assert R == [[1, 2]] and all(type(c) is RatFuncElem for c in R[0])
+    assert mat_det(K, [[3]]) == 3 and type(mat_det(K, [[3]])) is RatFuncElem
+
+
+def test_polynomial_steps_of_a_rational_function_matrix_divide_in_q_of_x():
+    # the entries of a matrix of rational functions can meet as two
+    # polynomials where the one does not divide the other: here the second
+    # step divides -1 by x, which the first step's pivot x left behind
+    K = RationalFunctions()
+    x, one, zero = K.gen, K.one, K.zero
+    M = [[x, zero, zero], [zero, one, one / x], [zero, one / x, zero]]
+    assert mat_det(K, M) == -one / x and mat_rank(K, M) == 3
+    assert mat_mul(M, mat_inv(K, M)) == [
+        [one if i == j else zero for j in range(3)] for i in range(3)]
+    assert _same(K, mat_inv(K, M), _dm(K, M).inv())
 
 
 @pytest.mark.parametrize("K", FIELDS, ids=repr)
