@@ -2,27 +2,28 @@
 
 Matrices are plain lists of lists of field elements; every routine takes the
 field descriptor explicitly so the same code serves Q, Q(sqrt(d)) and Q(x).
-Row reduction (reduced forms, ranks, kernels, solves and inverses) and the
-determinant share one elimination, :func:`_eliminate`: Bareiss's
+Row reduction (reduced forms, kernels, solves and inverses), ranks and
+determinants share one elimination, :func:`_eliminate`: Bareiss's
 fraction-free Gauss-Jordan (E. H. Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968),
 run on the field's ring of numerators (Z, Z[sqrt(d)] or Q(x); see
 :mod:`segrecusp.fields`), with one division per entry back into the field
 at the end.  Gram matrices run on the same numerators.  The products
 :func:`mat_mul` and :func:`mat_vec`, which take no field, run on integers
-over Q: each row or column scaled once by the lcm of its denominators.
+over Q: each row or column scaled once by the lcm of its denominators, and
+so do :func:`det_pencil` and :func:`split_rational_roots`.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import sympy
 
 from .errors import CrossCheckMismatch
-from .fields import QQ, _integral, _rational, pderiv, pdivmod, pgcd
+from .fields import (QQ, _integral, _primitive, _ptrim, _rational, _zdivmod,
+                     _zgcd, pderiv)
 
 
 def identity(field, n):
@@ -80,9 +81,9 @@ def _row_reduce(field, M, ncols=None):
     The rows are taken to the field's ring of numerators and reduced there
     by :func:`_eliminate`, whose pivot rows are then the reduced form times
     the last pivot p: the pivot columns are set to 0 and 1, and the other
-    entries are divided by p and coerced (an untouched Q(x) entry keeps its
-    input type).  Rows below the rank, zero in the first ``ncols`` columns,
-    keep a nonzero multiple of their last columns.
+    entries are divided by p (over Q(x), a numerator over 1 comes back as
+    it is, and only then is coerced).  Rows below the rank, zero in the
+    first ``ncols`` columns, keep a nonzero multiple of their last columns.
     """
     width = len(M[0]) if M else 0
     rows = [field.numerators(row)[0] for row in M]
@@ -91,8 +92,11 @@ def _row_reduce(field, M, ncols=None):
     free = [k for k in range(width) if k not in pivots]
     for i, row in enumerate(rows):
         M[i] = [field.zero] * len(row)
-        for k, v in zip(free, field.fractions([row[k] for k in free], p)):
-            M[i][k] = field.coerce(v)
+        nums = [row[k] for k in free]
+        values = field.fractions(nums, p)
+        for k, v in zip(free, values if values is not nums
+                        else map(field.coerce, nums)):
+            M[i][k] = v
     for i, c in enumerate(pivots):
         M[i][c] = field.one
     return pivots
@@ -167,7 +171,8 @@ def rref_kernel(field, R, pivots):
 
 
 def mat_rank(field, M):
-    return len(rref(field, M)[1])
+    rows = [field.numerators(row)[0] for row in M]
+    return len(_eliminate(field, rows, len(M[0]) if M else 0, jordan=False)[0])
 
 
 def nullspace(field, M):
@@ -219,18 +224,30 @@ def mat_inv(field, M):
     return mat_solve(field, M, identity(field, len(M)))
 
 
-def char_poly(M):
-    """det(t*I - M) of a rational matrix, ascending: its values over Q at
-    t = 0 .. n, interpolated in Newton form (Cohen, GTM 138, section 2.2)."""
-    n = len(M)
-    c = [mat_det(QQ, [[int(i == j) * t - x for j, x in enumerate(row)]
-                      for i, row in enumerate(M)]) for t in range(n + 1)]
+def det_pencil(A, B):
+    """det(A - t*B) of integer n x n matrices, ascending: its values at t =
+    0 .. n by :func:`_eliminate`, interpolated in Newton form (Cohen, GTM
+    138, section 2.2), where every divided difference is an integer."""
+    n, c = len(A), []
+    for t in range(n + 1):
+        rows = [[a - t * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+        pivots, sign, p = _eliminate(QQ, rows, n, jordan=False)
+        c.append(sign * p if len(pivots) == n else 0)
     for k in range(1, n + 1):  # divided differences: nodes k apart
-        c[k:] = [(b - a) / k for a, b in zip(c[k - 1:], c[k:])]
+        c[k:] = [(b - a) // k for a, b in zip(c[k - 1:], c[k:])]
     poly = [c[n]]
     for k in range(n - 1, -1, -1):  # Horner: poly * (t - k) + c[k]
         poly = [a - k * b for a, b in zip([c[k]] + poly, poly + [0])]
-    return tuple(poly)
+    return poly
+
+
+def char_poly(M):
+    """det(t*I - M) of a rational matrix M = Z / d, ascending:
+    :func:`det_pencil` of (Z, d*I) over (-d)**n."""
+    n, (z, d) = len(M), _integral([c for row in M for c in row])
+    return tuple(Fraction(c, (-d) ** n) for c in det_pencil(
+        [z[i:i + n] for i in range(0, n * n, n)],
+        [[d * (i == j) for j in range(n)] for i in range(n)]))
 
 
 def sym_matrix(n, coeffs):
@@ -277,18 +294,17 @@ def split_rational_roots(coeffs):
 
     ``coeffs`` are ascending ``Fraction`` or ``int`` coefficients.  Returns
     (roots, rest): {root: multiplicity} in the order found, and the
-    polynomial divided by every root as often as it divides.  Each root is
-    guessed from a float root of the squarefree part g: its denominator
-    divides the leading coefficient of g scaled to a primitive integer
-    polynomial, so the guess is the nearest fraction whose denominator is
-    at most that coefficient.  A guess counts only once it divides the
-    polynomial exactly.  Both :func:`rational_roots` and the line census
+    polynomial f divided by every root as often as it divides, up to a
+    constant: a primitive integer polynomial.  Each root is guessed from a
+    float root of the squarefree part g, f and g primitive over Z: its
+    denominator divides the leading coefficient of g, so the guess is the
+    nearest fraction whose denominator is at most that coefficient.  A
+    guess p/q counts only once q t - p divides f over Z (Gauss's lemma).
+    Both :func:`rational_roots` and the line census
     (:func:`segrecusp.lines.through_point_lines`) factor this way.
     """
-    f = tuple(coeffs)
-    g = pdivmod(f, pgcd(f, pderiv(f)))[0]
-    ints = _integral(g)[0]
-    bound = abs(ints[-1] // math.gcd(*ints))
+    f = _primitive(_integral(_ptrim(coeffs))[0])
+    g = _zdivmod(f, _zgcd(f, pderiv(f)))[0] if len(f) > 1 else f
     try:
         guesses = np.roots([float(c) for c in reversed(g)])
     except OverflowError:
@@ -298,15 +314,15 @@ def split_rational_roots(coeffs):
         if not abs(z.imag) <= 1e-6 * max(1.0, abs(z.real)):
             continue
         try:
-            r = Fraction(float(z.real)).limit_denominator(bound)
+            r = Fraction(float(z.real)).limit_denominator(abs(g[-1]))
         except (OverflowError, ValueError):
             continue
         if r in roots:
             continue
-        q, rem = pdivmod(f, (-r, Fraction(1)))
+        q, rem, _ = _zdivmod(f, (-r.numerator, r.denominator))
         while not rem:
             f, roots[r] = q, roots.get(r, 0) + 1
-            q, rem = pdivmod(f, (-r, Fraction(1)))
+            q, rem, _ = _zdivmod(f, (-r.numerator, r.denominator))
     return roots, f
 
 
@@ -321,7 +337,7 @@ def factor_over_q(coeffs):
 def rational_roots(coeffs):
     """All rational roots with multiplicities, plus leftover factors.
 
-    ``coeffs`` is an ascending Fraction tuple.  Returns
+    ``coeffs`` are ascending ``Fraction`` or ``int`` coefficients.  Returns
     (roots: list[(Fraction, int)] ascending, other_factors: list[str]).
     The roots come from :func:`split_rational_roots`; only a leftover of
     positive degree is factored (sympy's ``factor_list``), and its linear

@@ -12,6 +12,7 @@ once from exact data and carries its containment residual.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from fractions import Fraction
@@ -19,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckMismatch, RootFieldUnsupported, TowerUnsupported
-from .fields import (QQ, QuadraticExtension, _convolve, _integral, _primitive,
-                     padd, pgcd, pmul, quadratic_roots, squarefree_split)
-from .linalg import (factor_over_q, gram_matrix, mat_mul, mat_rank, mat_vec,
+from .fields import (QQ, QuadraticExtension, _convolve, _integral, _zgcd,
+                     pderiv, pgcd, quadratic_roots, squarefree_split)
+from .linalg import (_dot, factor_over_q, gram_matrix, mat_rank, mat_vec,
                      nullspace, split_rational_roots)
 from .pencil import bform, qform
 from .surface import ProjectivePoint
@@ -289,17 +290,19 @@ def _binary_factors(res):
 
     They are b for the root (1 : 0), q a - p b for each rational root p/q
     of res(t, 1) (:func:`segrecusp.linalg.split_rational_roots`), and the
-    rest: irreducible when of degree 2 or 3, since it has no rational root,
-    and factored by sympy only when it is a quartic, which can split into
-    two quadratics.
+    rest: irreducible when of degree 2 or 3, since it has no rational root;
+    h**2 when it is a quartic with a gcd h of degree 2 with its derivative,
+    and factored by sympy when it is a squarefree quartic.
     """
     top = max(i for i, c in enumerate(res) if c)
     factors = [((1, 0), len(res) - 1 - top)] if top < len(res) - 1 else []
     roots, rest = split_rational_roots(res[:top + 1])
     factors += [((-r.numerator, r.denominator), k) for r, k in roots.items()]
-    rest = _primitive(_integral(rest)[0])
     rest = tuple(c if rest[-1] > 0 else -c for c in rest)
-    if len(rest) == 5:
+    square = _zgcd(rest, pderiv(rest)) if len(rest) == 5 else ()
+    if len(square) == 3:
+        factors.append((square, 2))
+    elif len(rest) == 5:
         factors += [(tuple(int(c) for c in reversed(f.all_coeffs())), k)
                     for f, k in factor_over_q(rest)]
     elif len(rest) > 1:
@@ -404,33 +407,44 @@ def _numeric_c_lifts(forms, r, tol=1e-6):
 
 
 def _local_solution(R, M, blocks, alpha, e):
-    """(u, y): at the eigenvalue alpha, of Jordan block size e, the solution
-    is x = sqrt(u) * y with y rational (see off_singular_lines)."""
-    N = [[M[r][c] - (alpha if r == c else 0) for c in range(5)]
+    """(u, y): at the eigenvalue alpha = p/q, of Jordan block size e, the
+    solution is x = sqrt(u) * y with y rational (see off_singular_lines).
+    R = Rz / D comes as (Rz, D), and with M = Mz / d all is over Z up to one
+    division at the end: with s = q d, N = Nz / s, the Krylov vectors N**k v
+    of a kernel vector v = vz / dv are K_k / (dv s**(e-1)), w = W / c and
+    h = H / (4 W_0)**(e-1)."""
+    (Rz, D), (z, d) = R, _integral(sum(M, []))
+    p, q, s = alpha.numerator, alpha.denominator, alpha.denominator * d
+    N = [[q * z[5 * r + k] - p * d * (r == k) for k in range(5)]
          for r in range(5)]
     Ne = N
     for _ in range(e - 1):
-        Ne = mat_mul(Ne, N)
+        Ne = [[_dot(row, col) for col in zip(*N)] for row in Ne]
     for v in nullspace(QQ, Ne):     # some basis vector of E is cyclic
+        v, dv = _integral(v)
         krylov = [v]
         for _ in range(e - 1):
-            krylov.append(mat_vec(N, krylov[-1]))
+            krylov.append([_dot(row, krylov[-1]) for row in N])
         if any(krylov[-1]):
             break
-    w = tuple(bform(R, v, k) for k in reversed(krylov))    # G, then G * f
-    for beta, (size,) in blocks:
+    krylov = [[x * s ** (e - 1 - k) for x in u] for k, u in enumerate(krylov)]
+    Rv, c = [_dot(row, v) for row in Rz], D * dv * dv * s ** (e - 1)
+    W = [_dot(Rv, k) for k in reversed(krylov)]     # G
+    for beta, (size,) in blocks:    # G * f: alpha - beta + X = (n + m X) / m
+        m, n = q * beta.denominator, p * beta.denominator - beta.numerator * q
         for _ in range(size if beta != alpha else 0):
-            w = pmul(w, (alpha - beta, Fraction(1)))[:e]
-    # h = (w / w_0)**(-1/2) = sum_k binom(-1/2, k) X**k with X = w / w_0 - 1
-    X = (Fraction(0),) + tuple(c / w[0] for c in w[1:])
-    h = term = (Fraction(1),)
-    coef = Fraction(1)
-    for k in range(1, e):
-        term = pmul(term, X)[:e]
-        coef *= (Fraction(1, 2) - k) / k
-        h = padd(h, [coef * c for c in term])
-    return 1 / w[0], [sum(c * vec[t] for c, vec in zip(h, krylov))
-                      for t in range(5)]
+            W, c = _convolve(W, (n, m), 0)[:e], c * m
+    # h = (w / w_0)**(-1/2) = sum_k binom(-1/2, k) (w / w_0 - 1)**k, and
+    # binom(-1/2, k) = (-1)**k C(2k, k) / 4**k
+    H, term = [0] * e, [1] + [0] * (e - 1)
+    for k in range(e):
+        coef = (-1) ** k * math.comb(2 * k, k) * (4 * W[0]) ** (e - 1 - k)
+        H = [a + coef * b for a, b in zip(H, term)]
+        term = _convolve(term, [0] + W[1:], 0)[:e]
+    den = (4 * W[0]) ** (e - 1) * dv * s ** (e - 1)
+    return Fraction(c, W[0]), [
+        Fraction(sum(h * vec[t] for h, vec in zip(H, krylov)), den)
+        for t in range(5)]
 
 
 def off_singular_lines(pencil):
@@ -461,7 +475,7 @@ def off_singular_lines(pencil):
     M, blocks = pencil.jordan_data()
     if any(len(sizes) > 1 for _, sizes in blocks):
         return [], []
-    R = pencil.member(*pencil.reference)
+    R = pencil.scaled_member(*pencil.reference)
     us, ys = zip(*(_local_solution(R, M, blocks, alpha, e)
                    for alpha, (e,) in blocks))
     # x and M x for each sign choice are sum_i eps_i sqrt(u_i) (y_i, M y_i)

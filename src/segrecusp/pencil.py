@@ -3,9 +3,9 @@
 A pencil is stored as a pair of 5x5 symmetric rational matrices (P, Q).  The
 Segre symbol collects, for each eigenvalue of the pencil, the multiset of
 Jordan block sizes of M = R**-1 * S, where R is a recorded invertible member
-and S an independent one, all over Q: one row reduction per eigenvalue, no
-rational functions.  Degenerate members, their exact kernels, and the count
-of double-conic pencils all derive from this data.
+and S an independent one, all on integer members: one row reduction over Z
+per eigenvalue.  Degenerate members, their exact kernels, and the count of
+double-conic pencils all derive from this data.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import (CrossCheckMismatch, DegeneratePencil, DuplicateEigenvalue,
                      IrrationalEigenvalue)
 from .fields import QQ, _integral, _rational, parse_rational, proj_normalize
-from .linalg import (char_poly, mat_det, mat_mul, mat_rank, mat_solve,
+from .linalg import (_dot, det_pencil, mat_mul, mat_rank, mat_solve,
                      rational_roots, rref, rref_kernel, transpose)
 
 DIM = 5
@@ -57,10 +57,6 @@ def second_intersection(M, p, w):
     point p in the direction w: q(w) p - 2 b(p, w) w."""
     qw, bw = qform(M, w), bform(M, p, w)
     return [qw * pk - 2 * bw * wk for pk, wk in zip(p, w)]
-
-
-def member_matrix(P, Q, lam, mu):
-    return [[lam * p + mu * q for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)]
 
 
 # --------------------------------------------------------------------------
@@ -168,6 +164,8 @@ class QuadricPencil:
                 raise ValueError("pencil matrices must be 5x5")
             if any(M[i][j] != M[j][i] for i in range(DIM) for j in range(DIM)):
                 raise ValueError("pencil matrices must be symmetric")
+        ints, self._den = _integral(sum(self.P + self.Q, []))
+        self._ints = ints[:DIM * DIM], ints[DIM * DIM:]
         self._jordan = None
         self._members = None
         self._coerced = {}
@@ -175,8 +173,14 @@ class QuadricPencil:
 
     def is_single_quadric(self):
         """True when P and Q are linearly dependent (no actual pencil)."""
-        rows = [[c for row in M for c in row] for M in (self.P, self.Q)]
-        return mat_rank(QQ, rows) < 2
+        return mat_rank(QQ, list(self._ints)) < 2
+
+    def scaled_member(self, a, b):
+        """a*P + b*Q at rationals a, b as an integer matrix over a positive
+        integer: (Z, d), P and Q being scaled once to integers."""
+        (x, y), e = _integral((a, b))
+        z = [x * p + y * q for p, q in zip(*self._ints)]
+        return [z[i:i + DIM] for i in range(0, DIM * DIM, DIM)], self._den * e
 
     @property
     def reference(self):
@@ -185,8 +189,7 @@ class QuadricPencil:
             if self.is_single_quadric():
                 raise DegeneratePencil("P and Q span a single quadric")
             for a, b in _MEMBER_TRIALS:
-                M = member_matrix(self.P, self.Q, Fraction(a), Fraction(b))
-                if mat_det(QQ, M):
+                if mat_rank(QQ, self.scaled_member(a, b)[0]) == DIM:
                     self._reference = (Fraction(a), Fraction(b))
                     break
             else:
@@ -202,26 +205,31 @@ class QuadricPencil:
         return self._coerced[field]
 
     def member(self, lam, mu):
-        return member_matrix(self.P, self.Q, Fraction(lam), Fraction(mu))
+        lam, mu = Fraction(lam), Fraction(mu)
+        return [[lam * p + mu * q for p, q in zip(rp, rq)]
+                for rp, rq in zip(self.P, self.Q)]
 
     # ------------------------------------------------------------- symbol
 
     def jordan_data(self):
         """(M, blocks): M = R**-1 * S (one row reduction of [R | S]) for the
         reference member R and an independent member S, and for each root
-        alpha of char_poly(M), ascending, the pair (alpha, ascending Jordan
-        block sizes).  Raises IrrationalEigenvalue when a root is not
-        rational.  One row reduction of A = M - alpha*I gives rank(A) and
-        its kernel; rank(A**k) follows, until it is 5 - mult or stops
-        falling, from the reduced basis of rowspace(A**(k-1)) times A.  As
-        the multiplicities sum to 5, a misstated one makes the block sizes
-        at some alpha miss theirs."""
+        alpha = p/q of det(S - t*R), ascending, the pair (alpha, ascending
+        Jordan block sizes).  Raises IrrationalEigenvalue when a root is not
+        rational.  All runs on integer members (:meth:`scaled_member`): one
+        row reduction of q*S - p*R, of the row space of A = M - alpha*I,
+        gives rank(A) and its kernel; rank(A**k) follows, until it is 5 -
+        mult or stops falling, as the rank of (q*d*M - p*d*I)**k, d*M over
+        Z.  As the multiplicities sum to 5, a misstated one makes the block
+        sizes at some alpha miss theirs."""
         if self._jordan is not None:
             return self._jordan
         a, b = self.reference
-        S = self.member(1, 0) if (a, b) != (1, 0) else self.member(0, 1)
-        M = mat_solve(QQ, self.member(a, b), S)
-        roots, leftovers = rational_roots(char_poly(M))
+        R = self.scaled_member(a, b)[0]
+        S = self.scaled_member(*((1, 0) if (a, b) != (1, 0) else (0, 1)))[0]
+        M = mat_solve(QQ, R, S)
+        z, d = _integral(sum(M, []))
+        roots, leftovers = rational_roots(det_pencil(S, R))
         if leftovers:
             raise IrrationalEigenvalue(
                 f"pencil eigenvalue outside Q: irreducible factor(s) {leftovers}",
@@ -230,16 +238,17 @@ class QuadricPencil:
             raise CrossCheckMismatch(f"multiplicities {roots} do not sum to {DIM}")
         blocks, members = [], []
         for alpha, mult in sorted(roots):
-            A = [[c - alpha if i == j else c for j, c in enumerate(row)]
-                 for i, row in enumerate(M)]
-            R, pivots = rref(QQ, A)
-            kernel = rref_kernel(QQ, R, pivots)
-            ranks, basis = [DIM, len(pivots)], R[:len(pivots)]
+            p, q = alpha.numerator, alpha.denominator
+            A = [[q * s - p * r for s, r in zip(rs, rr)]
+                 for rs, rr in zip(S, R)]
+            red, pivots = rref(QQ, A)
+            ranks = [DIM, len(pivots)]
+            if ranks[1] != DIM - mult:
+                N = Nk = [[q * z[DIM * i + j] - p * d * (i == j)
+                           for j in range(DIM)] for i in range(DIM)]
             while ranks[-1] not in (DIM - mult, ranks[-2]):
-                # rowspace(A**k) = rowspace(A**(k-1)) * A
-                R, pivots = rref(QQ, mat_mul(basis, A))
-                ranks.append(len(pivots))
-                basis = R[:len(pivots)]
+                Nk = [[_dot(row, col) for col in zip(*N)] for row in Nk]
+                ranks.append(mat_rank(QQ, Nk))
             at_least = [r - r1 for r, r1 in zip(ranks, ranks[1:])] + [0]
             sizes = tuple(k for k in range(1, len(at_least))
                           for _ in range(at_least[k - 1] - at_least[k]))
@@ -250,8 +259,10 @@ class QuadricPencil:
             blocks.append((alpha, sizes))
             members.append(RankMember(root=self._root_of(alpha),
                                       rank=ranks[1], multiplicity=mult,
-                                      kernel=kernel))
+                                      kernel=rref_kernel(QQ, red, pivots)))
         self._jordan = (M, blocks)
+        self._symbol = SegreSymbol(tuple(sizes for _, sizes in blocks),
+                                   tuple(m.root for m in members))
         self._members = sorted(members, key=lambda m: m.root)
         return self._jordan
 
@@ -264,9 +275,8 @@ class QuadricPencil:
         return proj_normalize((-alpha, Fraction(1)))
 
     def segre_symbol(self) -> SegreSymbol:
-        blocks = self.jordan_data()[1]
-        return SegreSymbol(tuple(sizes for _, sizes in blocks),
-                           tuple(self._root_of(alpha) for alpha, _ in blocks))
+        self.jordan_data()
+        return self._symbol
 
     # ------------------------------------------------------------- members
 
