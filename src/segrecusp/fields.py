@@ -43,8 +43,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .errors import FieldError, RootFieldUnsupported, TowerUnsupported
 
 Rational = Fraction
@@ -78,24 +76,52 @@ def fraction_sqrt(q: Fraction):
     return None
 
 
+# squarefree_split trial-divides by the primes below this bound
+_TRIAL_BOUND = 10 ** 4
+
+
+def _primes_below(n):
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n, p)))
+    return [p for p in range(n) if sieve[p]]
+
+
+_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+
+
 def squarefree_split(q: Fraction):
     """Write q = r**2 * d with d a squarefree integer; returns (d, r).
 
-    q must be nonzero.  Uses integer factorization, so it is intended for
-    the moderate-size discriminants that arise from small-parameter
-    instances.
+    q must be nonzero.  The integer n = num(q) den(q) is trial-divided by
+    the primes below ``_TRIAL_BOUND``, stopping once p**2 exceeds the
+    cofactor m.  Then m has no prime factor below the bound, so it is 1 or
+    a prime when m < _TRIAL_BOUND**2, and it joins d; a square m joins r;
+    only any other m is factored, by sympy's ``factorint`` (Cohen, *A
+    Course in Computational Algebraic Number Theory*, ch. 8).
     """
     if q == 0:
         raise FieldError("cannot squarefree-split zero")
     n = q.numerator * q.denominator
-    sign = -1 if n < 0 else 1
-    d = sign
-    root = 1
-    for p, e in sympy.factorint(abs(n)).items():
-        p, e = int(p), int(e)
-        if e % 2:
-            d *= p
-        root *= p ** (e // 2)
+    d, root, m = (-1 if n < 0 else 1), 1, abs(n)
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        if not m % p:
+            e = 0
+            while not m % p:
+                m, e = m // p, e + 1
+            d, root = d * p ** (e % 2), root * p ** (e // 2)
+    if m < _TRIAL_BOUND ** 2:
+        d *= m
+    elif math.isqrt(m) ** 2 == m:
+        root *= math.isqrt(m)
+    else:
+        from sympy import factorint
+        for p, e in factorint(m).items():
+            d, root = d * int(p) ** (e % 2), root * int(p) ** (e // 2)
     return d, Fraction(root, q.denominator)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from .errors import CrossCheckMismatch
 from .fields import (QQ, _integral, _primitive, _ptrim, _rational, _zdivmod,
@@ -286,9 +285,6 @@ def complete_basis(field, vectors, n):
 # univariate polynomials over Q: rational roots, and sympy's factors of the rest
 
 
-_T = sympy.Symbol("_t")
-
-
 def split_rational_roots(coeffs):
     """The rational roots of a nonzero polynomial over Q, and its cofactor.
 
@@ -328,10 +324,15 @@ def split_rational_roots(coeffs):
 
 def factor_over_q(coeffs):
     """sympy's ``factor_list`` of a polynomial over Q given by ascending
-    coefficients: (Poly in one variable, multiplicity) pairs."""
+    coefficients: (Poly in one variable, multiplicity) pairs.  sympy is
+    imported here, on the first call, and no default path of the package
+    calls this: only a leftover of :func:`rational_roots` (an irrational
+    eigenvalue) and a quartic that numpy cannot take the roots of in
+    :func:`segrecusp.lines._quartic_factors`."""
+    import sympy
     return sympy.Poly.from_list(
         [sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)],
-        _T).factor_list()[1]
+        sympy.Symbol("_t")).factor_list()[1]
 
 
 def rational_roots(coeffs):
@@ -340,8 +341,9 @@ def rational_roots(coeffs):
     ``coeffs`` are ascending ``Fraction`` or ``int`` coefficients.  Returns
     (roots: list[(Fraction, int)] ascending, other_factors: list[str]).
     The roots come from :func:`split_rational_roots`; only a leftover of
-    positive degree is factored (sympy's ``factor_list``), and its linear
-    factors are roots too.
+    positive degree is factored (sympy's ``factor_list``, by
+    :func:`factor_over_q`), and its linear factors are roots too.  A
+    polynomial that splits over Q imports no sympy.
     """
     roots, f = split_rational_roots(coeffs)
     leftovers = []
@@ -349,7 +351,7 @@ def rational_roots(coeffs):
         for fac, mult in factor_over_q(f):
             if fac.degree() == 1:
                 a1, a0 = fac.all_coeffs()
-                root = sympy.Rational(-a0, a1)
+                root = -a0 / a1
                 roots[Fraction(int(root.p), int(root.q))] = int(mult)
             elif fac.degree() > 0:
                 leftovers.append(str(fac.as_expr()))

@@ -20,8 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckMismatch, RootFieldUnsupported, TowerUnsupported
-from .fields import (QQ, QuadraticExtension, _convolve, _integral, _zgcd,
-                     pderiv, pgcd, quadratic_roots, squarefree_split)
+from .fields import (QQ, QuadraticExtension, _convolve, _integral,
+                     _primitive, _zdivmod, _zgcd, pderiv, pgcd,
+                     quadratic_roots, squarefree_split)
 from .linalg import (_dot, factor_over_q, gram_matrix, mat_rank, mat_vec,
                      nullspace, split_rational_roots)
 from .pencil import bform, qform
@@ -292,7 +293,8 @@ def _binary_factors(res):
     of res(t, 1) (:func:`segrecusp.linalg.split_rational_roots`), and the
     rest: irreducible when of degree 2 or 3, since it has no rational root;
     h**2 when it is a quartic with a gcd h of degree 2 with its derivative,
-    and factored by sympy when it is a squarefree quartic.
+    and, when it is a squarefree quartic, its two quadratic factors or
+    itself (:func:`_quartic_factors`).
     """
     top = max(i for i, c in enumerate(res) if c)
     factors = [((1, 0), len(res) - 1 - top)] if top < len(res) - 1 else []
@@ -303,11 +305,47 @@ def _binary_factors(res):
     if len(square) == 3:
         factors.append((square, 2))
     elif len(rest) == 5:
-        factors += [(tuple(int(c) for c in reversed(f.all_coeffs())), k)
-                    for f, k in factor_over_q(rest)]
+        factors += _quartic_factors(rest)
     elif len(rest) > 1:
         factors.append((rest, 1))
     return sorted(factors, key=_sympy_order)
+
+
+def _quartic_factors(f):
+    """The factors over Q of a squarefree primitive integer quartic f with
+    a positive leading coefficient a4 and no rational root: two quadratics,
+    or f itself, as (coefficients ascending, 1) pairs.
+
+    A quadratic factor g over Z, primitive with lc(g) > 0, is lc(g) times
+    t**2 - s t + p, where s and p are the sum and product of two roots of
+    f, and lc(g) divides a4, so (a4 p, -a4 s, a4) is an integer multiple
+    of g.  Each of the three
+    pairings {r0, rj} of f's float roots (``np.roots``) gives such a guess,
+    rounded and made primitive, and a guess counts only once it divides f
+    over Z with no scale (:func:`segrecusp.fields._zdivmod`); the quotient
+    is then the other primitive factor (Gauss's lemma).  With no pairing
+    confirmed f is taken as irreducible: that verdict rests on the float
+    guesses, as the "no rational root" verdict of
+    :func:`segrecusp.linalg.split_rational_roots` does (Cohen, *A Course in
+    Computational Algebraic Number Theory*, ch. 3).  When numpy cannot
+    take the roots, sympy factors f (:func:`factor_over_q`).
+    """
+    try:
+        r0, *others = np.roots([float(c) for c in reversed(f)])
+    except (OverflowError, np.linalg.LinAlgError):
+        return [(tuple(int(c) for c in reversed(g.all_coeffs())), k)
+                for g, k in factor_over_q(f)]
+    for r in others:
+        s, p = r0 + r, r0 * r
+        try:
+            g = tuple(_primitive([round(f[-1] * p.real),
+                                  -round(f[-1] * s.real), f[-1]]))
+        except (OverflowError, ValueError):
+            continue
+        h, rem, scale = _zdivmod(f, g)
+        if not rem and scale == 1:
+            return [(g, 1), (tuple(h), 1)]
+    return [(f, 1)]
 
 
 def _sympy_order(factor):

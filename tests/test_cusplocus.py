@@ -655,3 +655,35 @@ def test_tacnodal_no_double_root_error(line_fixture):
                                 "Other", "PerfectSquare")
         except NoDoubleRoot:
             pass
+
+
+def test_trichotomy_discriminants_split_by_trial_division(monkeypatch):
+    # the point cases of one pass of perfbench's trichotomy workload (two
+    # points on the sampling instance of each symbol, exact lines only):
+    # every discriminant settles without sympy's factorint, up to 73 digits
+    from segrecusp import fields, lines
+
+    def no_factorint(n, *args, **kwargs):
+        raise AssertionError(f"factorint({n})")
+
+    seen = []
+    real = fields.squarefree_split
+
+    def recorded(q):
+        seen.append(abs(q.numerator * q.denominator))
+        return real(q)
+
+    monkeypatch.setattr(sympy, "factorint", no_factorint)
+    monkeypatch.setattr(fields, "squarefree_split", recorded)
+    monkeypatch.setattr(lines, "squarefree_split", recorded)
+    for j, symbol in enumerate(TABLE1_SYMBOLS):
+        inst = sampling_instance(symbol)
+        if inst.lines is None:
+            pairs = list(coordinate_lines(inst.pencil))
+            for s in inst.singular_points():
+                pairs += lines_through_singular_point(inst.pencil, s)[0]
+            inst.lines = [LineOnSurface(a, b, "exact") for a, b in pairs]
+        for k in range(2):
+            sample_point_cases(inst, 1, rng=random.Random(f"{j}:{k}"))
+            cusp_locus_summary(inst)
+    assert len(set(seen)) >= 14 and len(str(max(seen))) >= 73

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
 from segrecusp.errors import FieldError, RootFieldUnsupported, TowerUnsupported
 from segrecusp.fields import (QQ, QuadExtElem, QuadraticExtension,
@@ -34,6 +35,80 @@ def test_fraction_sqrt_and_squarefree():
     assert d == 2 and r * r * d == 18
     d, r = squarefree_split(F(-4, 9))
     assert d == -1 and r * r * d == F(-4, 9)
+
+
+def _reference_squarefree_split(q):
+    """The squarefree split by sympy's complete factorization."""
+    n = q.numerator * q.denominator
+    d, root = (-1 if n < 0 else 1), 1
+    for p, e in sympy.factorint(abs(n)).items():
+        d, root = d * p ** (e % 2), root * p ** (e // 2)
+    return d, F(root, q.denominator)
+
+
+SMALL_PRIMES = list(sympy.primerange(2, 10 ** 4))
+
+
+def _prime(rng, low, high):
+    return sympy.nextprime(rng.randint(low, high))
+
+
+def _random_rational(rng, digits):
+    """A rational whose numerator times denominator has at most ``digits``
+    digits, from random prime powers: small primes to random powers, and
+    at most one prime or prime square above the trial bound, each put in
+    the numerator or the denominator."""
+    while True:
+        low, high, e = rng.choice([(1, 1, 1), (10 ** 4, 10 ** 8, 1),
+                                   (10 ** 8, 10 ** 20, 1),
+                                   (10 ** 4, 10 ** 30, 2)])
+        powers = [_prime(rng, low, high) ** e if high > 1 else 1]
+        size = rng.randint(1, digits)
+        while len(str(math.prod(powers))) < size:
+            powers.append(rng.choice(SMALL_PRIMES) ** rng.randint(1, 5))
+        if len(str(math.prod(powers))) <= digits:
+            num = den = 1
+            for p in set(powers):
+                if rng.random() < 0.5:
+                    num *= p
+                else:
+                    den *= p
+            return F(rng.choice((1, -1)) * num, den)
+
+
+def test_squarefree_split_matches_factorint(monkeypatch,
+                                            rng=random.Random(37)):
+    # a 73-digit Hessian discriminant of the trichotomy's point cases;
+    # products p q**2 and p q of primes above the trial bound, which reach
+    # sympy; and squares q**2 of such primes, which do not
+    values = [F(-1580411199833465902074974464638976,
+                3540789743001134628525974939620012005625)]
+    values += [F(rng.choice((1, -1)) * _prime(rng, 10 ** 4, 10 ** 6)
+                 * _prime(rng, 10 ** 4, 10 ** 6) ** 2) for _ in range(20)]
+    values += [F(_prime(rng, 10 ** 4, 10 ** 6) ** 2, rng.choice(SMALL_PRIMES))
+               for _ in range(20)]
+    values += [F(_prime(rng, 10 ** 4, 10 ** 6) * _prime(rng, 10 ** 4, 10 ** 6))
+               for _ in range(20)]
+    values += [_random_rational(rng, 75) for _ in range(2000)]
+    wants = [_reference_squarefree_split(q) for q in values]
+    factored = []
+    real = sympy.factorint
+
+    def recorded(n, *args, **kwargs):
+        factored.append(n)
+        return real(n, *args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factorint", recorded)
+    for q, want in zip(values, wants):
+        assert squarefree_split(q) == want, q
+    # only a cofactor above bound**2 that is not a square reaches sympy:
+    # the 40 products, then some of the random values
+    assert factored[:40] == [abs(q.numerator)
+                             for q in values[1:21] + values[41:61]]
+    assert len(factored) > 40
+    assert all(n >= 10 ** 8 and math.isqrt(n) ** 2 != n for n in factored)
+    with pytest.raises(FieldError):
+        squarefree_split(F(0))
 
 
 def test_field_with_sqrt_routes():

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -328,19 +329,62 @@ def test_census_takes_no_sympy_resultant_and_factors_only_quartics(
     factored = []
     real = lines_module.factor_over_q
 
-    def quartic_only(coeffs):
-        assert len(coeffs) == 5
-        assert not sympy.Poly(list(reversed(coeffs)),
-                              sympy.Symbol("t")).ground_roots()
+    def recorded(coeffs):
         factored.append(coeffs)
         return real(coeffs)
 
     monkeypatch.setattr(sympy.Poly, "resultant", no_resultant)
-    monkeypatch.setattr(lines_module, "factor_over_q", quartic_only)
+    monkeypatch.setattr(lines_module, "factor_over_q", recorded)
     copies = _random_congruences(1)
     for symbol in map(str, TABLE1_SYMBOLS):
         form = default_instance(symbol)
         for pencil in (form, form.congruent(copies[symbol])):
             census = enumerate_lines(SurfaceInstance(pencil))
             assert list(census.counts) == TABLE1[symbol]["lines"], symbol
-    assert factored
+    # the squarefree quartics split by their float roots
+    assert factored == []
+
+
+def _binary_form(coeffs):
+    a, b = sympy.symbols("a b")
+    deg = len(coeffs) - 1
+    return sympy.Poly(sum(c * a ** i * b ** (deg - i)
+                          for i, c in enumerate(coeffs)), a, b)
+
+
+def _quadratic(rng, bound):
+    """A random integer quadratic, ascending, irreducible over Q."""
+    while True:
+        c, b, a = (rng.randint(-bound, bound), rng.randint(-bound, bound),
+                   rng.randint(1, bound))
+        disc = b * b - 4 * a * c
+        if c and (disc < 0 or math.isqrt(disc) ** 2 != disc):
+            return c, b, a
+
+
+def test_quartic_split_matches_sympy(monkeypatch, rng=random.Random(31)):
+    # the census quartic of the [11(12)] copy has Galois group V4: a square
+    # discriminant, and 2 + 2 modulo every prime tried
+    quartics = [(832, -3392, 5216, -3592, 937), (1, 0, -10, 0, 1),
+                (6, 0, -5, 0, 1)]
+    bound = 10 ** 5
+    for k in range(500):
+        if k % 2:
+            g, h = _quadratic(rng, bound), _quadratic(rng, bound)
+            quartics.append(tuple(sum(g[i] * h[j - i] for i in range(3)
+                                      if 0 <= j - i < 3) for j in range(5)))
+        else:
+            quartics.append(tuple(rng.randint(-bound, bound) for _ in range(4))
+                            + (rng.randint(1, bound),))
+
+    def no_sympy(coeffs):
+        raise AssertionError("factor_over_q called")
+
+    monkeypatch.setattr(lines_module, "factor_over_q", no_sympy)
+    shapes = Counter()
+    for f in quartics:
+        want = [(tuple(_ascending_in_a(p, p.total_degree())), int(m))
+                for p, m in sympy.factor_list(_binary_form(f))[1]]
+        assert _binary_factors(list(f)) == want, f
+        shapes[tuple(len(p) - 1 for p, _ in want)] += 1
+    assert shapes[(2, 2)] >= 250 and shapes[(4,)] >= 200

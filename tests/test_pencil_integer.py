@@ -342,8 +342,8 @@ def test_squared_quartics_split_without_sympy(monkeypatch):
         got = _binary_factors(list(_ascending_in_a(poly, poly.total_degree())))
         assert got == want, expr
         assert got == sorted(got, key=_sympy_order), expr
-        # sympy factors the squarefree quartics only
-        assert len(factored) - before == (expr in squarefree), expr
+        # sympy factors no quartic, squarefree or not
+        assert len(factored) == before, expr
 
 
 def test_rref_entries_are_field_elements_over_a_pivot_of_one():

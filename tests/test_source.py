@@ -1,6 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import segrecusp
@@ -30,3 +34,73 @@ def test_integer_twins_stay_removed():
              if {getattr(node, "name", None), getattr(node, "id", None),
                  getattr(node, "attr", None)} & gone]
     assert found == []
+
+
+def _import_time_nodes(node):
+    """The nodes that run when a module is imported: all but the bodies of
+    its functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def test_no_module_imports_sympy_at_import_time():
+    # sympy takes most of a cold start; it is imported only inside the
+    # functions that fall back on it
+    root = Path(segrecusp.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in _import_time_nodes(tree):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if any(name.split(".")[0] == "sympy" for name in names):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert found == []
+
+
+NO_SYMPY_RUN = """
+import json, random, sys
+from fractions import Fraction
+from segrecusp.cli import main
+from segrecusp.fields import QQ
+from segrecusp.linalg import mat_det
+from segrecusp.lines import enumerate_lines
+from segrecusp.pencil import TABLE1_SYMBOLS, default_instance
+from segrecusp.surface import SurfaceInstance
+
+for symbol, params in (("[5]", [1]), ("[14]", [1, 2])):
+    path = sys.argv[1] + "/cfg.json"
+    with open(path, "w") as fh:
+        json.dump({"symbol": symbol, "params": params, "seed": 3}, fh)
+    if main(["surface-report", "--config", path]) != 0:
+        sys.exit(f"surface-report {symbol} failed")
+# the [11(12)] copy of tests/test_lines.py's _random_congruences(1), whose
+# census meets a quartic with Galois group V4
+rng = random.Random(1)
+for symbol in TABLE1_SYMBOLS:
+    while True:
+        A = [[Fraction(rng.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
+        if mat_det(QQ, A):
+            break
+    if str(symbol) == "[11(12)]":
+        break
+census = enumerate_lines(SurfaceInstance(default_instance("[11(12)]").congruent(A)))
+print(json.dumps({"counts": list(census.counts),
+                  "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_reports_and_census_run_without_sympy(tmp_path):
+    src = str(Path(segrecusp.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", NO_SYMPY_RUN, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"counts": [0, 4, 0], "sympy": False}
