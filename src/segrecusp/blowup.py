@@ -20,8 +20,8 @@ from .errors import (CrossCheckMismatch, IrrationalEigenvalue, RetryExhausted,
                      SegreCuspError)
 from .fields import QQ
 from .lines import LineOnSurface, line_contained_exact
-from .linalg import (complete_basis, mat_inv, mat_vec, nullspace,
-                     sym_matrix, transpose)
+from .linalg import (complete_basis, gram_matrix, mat_inv, mat_vec,
+                     nullspace, sym_matrix, transpose)
 from .pencil import QuadricPencil, second_intersection
 from .surface import ProjectivePoint, SurfaceInstance
 
@@ -173,7 +173,8 @@ def model_lines(model: PlaneModel):
     for t in (Fraction(1), Fraction(2), Fraction(3), Fraction(5), Fraction(-1),
               Fraction(7), Fraction(-2)):
         d = [others[0][k] + t * others[1][k] for k in range(3)]
-        pt = tuple(second_intersection(C, base, d))
+        G = gram_matrix(QQ, C, [base, d])
+        pt = tuple(second_intersection(G, base, d))
         if not any(pt):
             continue
         if tuple(Fraction(x) for x in pt) in [tuple(p) for p in model.points]:
@@ -253,12 +254,12 @@ def surface_through_line(seed=0) -> SurfaceInstance:
                       Fraction(1))
                 p = model.map_point(pt)
                 if p is not None:
-                    return ProjectivePoint.make(QQ, mat_vec(Ainv, list(p.coords)))
+                    return ProjectivePoint.make(QQ, mat_vec(QQ, Ainv, p.coords))
             return None
 
         def move_line(l):
-            pa = ProjectivePoint.make(QQ, mat_vec(Ainv, list(l.point_a.coords)))
-            pb = ProjectivePoint.make(QQ, mat_vec(Ainv, list(l.point_b.coords)))
+            pa = ProjectivePoint.make(QQ, mat_vec(QQ, Ainv, l.point_a.coords))
+            pb = ProjectivePoint.make(QQ, mat_vec(QQ, Ainv, l.point_b.coords))
             return LineOnSurface(pa, pb, "exact")
 
         out.point_source = source

@@ -30,7 +30,7 @@ from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
 from .fields import QQ, quadratic_roots
 from .jets import (START_ORDER, BinaryQuadratic, InfiniteOrder, Jet,
                    escalate, hensel_solve, splitting_reduce, y_order)
-from .linalg import gram_matrix, mat_rank, nullspace
+from .linalg import gram_matrix, mat_rank, nullspace, solve_linear
 from .surface import AdaptedChart, ProjectivePoint, adapted_chart
 
 
@@ -511,7 +511,6 @@ def dual_plane_conic_fit(hyperplanes, line):
 
 
 def _express_in_basis(h, basis):
-    from .linalg import solve_linear
     M = [[basis[j][i] for j in range(3)] for i in range(5)]
     sol = solve_linear(QQ, M, [Fraction(c) for c in h])
     if sol is None:
@@ -739,13 +738,8 @@ def _numeric_hessian(P, Q, pt, frame):
         rhs = -np.array([2 * bf(P, X[pair[0]], X[pair[1]]),
                          2 * bf(Q, X[pair[0]], X[pair[1]])])
         second[pair] = Jinv @ rhs
-    fxx, gxx = second[("x", "x")]
-    fxy, gxy = second[("x", "y")]
-    fyy, gyy = second[("y", "y")]
-    a = fxx * fyy - fxy ** 2
-    b = fxx * gyy + gxx * fyy - 2 * fxy * gxy
-    c = gxx * gyy - gxy ** 2
-    return a, b, c
+    (fxx, gxx), (fxy, gxy), (fyy, gyy) = second.values()
+    return _hessian_form(fxx, fxy, fyy, gxx, gxy, gyy)
 
 
 # --------------------------------------------------------------------------

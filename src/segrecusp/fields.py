@@ -11,13 +11,14 @@ operations that would need one raise :class:`~segrecusp.errors.TowerUnsupported`
 
 Dense univariate polynomials live here too; their gcd (:func:`pgcd`) and
 division (:func:`pdivmod`) work over any of the three domains and are the
-package's only ones.  Over Q, products, divisions and gcds run on integers:
-:func:`pmul` convolves the operands scaled by the lcm of their denominators,
-:func:`pdivmod` pseudo-divides them, and :func:`pgcd` is the monic form of
+package's only ones.  Each runs one loop for all three: :func:`pmul` is the
+convolution, :func:`pdivmod` long division by the inverse of the divisor's
+leading coefficient, and :func:`pgcd` Euclid's algorithm made monic.  Over
+Q they serve only gcds of polynomials of degree at most 3.  Integer
+polynomials have their own kernels, :func:`_zdivmod` (pseudo-division) and
 :func:`_zgcd`, a primitive pseudo-remainder sequence over Z (Collins, JACM
 14, 1967; von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 6), which
-avoids the coefficient growth of Euclid's algorithm over Q.  Over
-Q(sqrt(d)) and Q(x), :func:`pgcd` is Euclid's algorithm.
+avoids the coefficient growth of Euclid's algorithm over Q.
 
 An element n/d of Q(x) (:class:`RatFuncElem`) is a reduced pair of integer
 coefficient tuples, and its arithmetic builds no ``Fraction``: the primitive
@@ -146,10 +147,6 @@ def padd(a, b):
                   for i in range(n))
 
 
-def _rational(*polys):
-    return all(type(c) is Fraction or type(c) is int for p in polys for c in p)
-
-
 def _integral(p):
     """Integer coefficients n and the lcm d of the denominators: p = n / d."""
     d = math.lcm(*(c.denominator for c in p))
@@ -166,14 +163,9 @@ def _convolve(a, b, zero):
 
 
 def pmul(a, b):
-    """Product over any of the three fields; over Q, one integer convolution
-    of the operands scaled to integers."""
+    """Product over any of the three fields."""
     if not a or not b:
         return ()
-    if _rational(a, b):
-        (a, da), (b, db) = _integral(a), _integral(b)
-        d = da * db
-        return _ptrim(Fraction(c, d) for c in _convolve(a, b, 0))
     return _ptrim(_convolve(a, b, Fraction(0)))
 
 
@@ -181,20 +173,15 @@ def pdivmod(a, b):
     """Quotient and remainder of a by b over any of the three fields.
 
     The coefficient field is read from the operands; untrimmed sequences
-    are accepted.  Over Q one pseudo-division of the operands scaled to
-    integers gives every coefficient as one fraction.
+    are accepted, and int coefficients give ``Fraction``s.
     """
     a, b = _ptrim(a), _ptrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    if _rational(a, b):
-        (a, da), (b, db) = _integral(a), _integral(b)
-        q, r, s = _zdivmod(a, b)  # s * a = q * b + r over Z
-        return (tuple(Fraction(c * db, s * da) for c in q),
-                tuple(Fraction(c, s * da) for c in r))
-    inv = 1 / b[-1]
-    q = [inv - inv] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
+    inv = Fraction(1) / b[-1]
+    zero = inv - inv
+    q = [zero] * max(len(a) - len(b) + 1, 0)
+    r = [zero + c for c in a]
     for k in range(len(a) - len(b), -1, -1):
         c = r[k + len(b) - 1] * inv
         if c:
@@ -209,23 +196,16 @@ def pderiv(a):
 
 
 def pgcd(a, b):
-    """Monic gcd over any of the three fields.
+    """Monic gcd over any of the three fields, by Euclid's algorithm.
 
     The coefficient field is read from the operands; untrimmed sequences
-    are accepted, and gcd(0, 0) is the zero polynomial ().  Over Q a
-    nonzero constant argument gives 1 at once, and otherwise the gcd comes
-    from a primitive pseudo-remainder sequence over Z; over Q(sqrt(d)) and
-    Q(x) it comes from Euclid's algorithm.
+    are accepted, gcd(0, 0) is the zero polynomial (), and a nonzero
+    constant argument gives 1 at once.
     """
     a, b = _ptrim(a), _ptrim(b)
-    if _rational(a, b):
-        if a and b:
-            g = _zgcd(_integral(a)[0], _integral(b)[0])
-            return tuple(Fraction(c, g[-1]) for c in g)
-        return pmonic(a or b)
     while b:
         if len(a) == 1 or len(b) == 1:
-            return (b[-1] / b[-1],)  # a nonzero constant gives 1
+            return pmonic(b[-1:])
         a, b = b, pdivmod(a, b)[1]
     return pmonic(a)
 

@@ -8,10 +8,9 @@ fraction-free Gauss-Jordan (E. H. Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968),
 run on the field's ring of numerators (Z, Z[sqrt(d)] or Q(x); see
 :mod:`segrecusp.fields`), with one division per entry back into the field
-at the end.  Gram matrices run on the same numerators.  The products
-:func:`mat_mul` and :func:`mat_vec`, which take no field, run on integers
-over Q: each row or column scaled once by the lcm of its denominators, and
-so do :func:`det_pencil` and :func:`split_rational_roots`.
+at the end.  Gram matrices and :func:`mat_vec` run on the same numerators,
+and :func:`det_pencil` and :func:`split_rational_roots` on integers.
+:func:`mat_mul`, which no routine of the package calls, is the plain loop.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckMismatch
-from .fields import (QQ, _integral, _primitive, _ptrim, _rational, _zdivmod,
-                     _zgcd, pderiv)
+from .fields import (QQ, _integral, _primitive, _ptrim, _zdivmod, _zgcd,
+                     pderiv)
 
 
 def identity(field, n):
@@ -39,21 +38,20 @@ def _dot(u, v):
 
 
 def mat_mul(A, B):
-    if _rational(*A, *B):
-        rows, cols = map(_integral, A), [_integral(c) for c in zip(*B)]
-        return [[Fraction(_dot(a, b), da * db) for b, db in cols]
-                for a, da in rows]
     n, k, m = len(A), len(B), len(B[0])
-    return [[sum((A[i][t] * B[t][j] for t in range(k)),
-                 start=A[0][0] * 0) for j in range(m)] for i in range(n)]
+    return [[sum((A[i][t] * B[t][j] for t in range(k)), start=Fraction(0))
+             for j in range(m)] for i in range(n)]
 
 
-def mat_vec(A, v):
-    if _rational(*A, v):
-        v, dv = _integral(v)
-        return [Fraction(_dot(a, v), da * dv) for a, da in map(_integral, A)]
-    return [sum((A[i][j] * v[j] for j in range(len(v))), start=A[0][0] * 0)
-            for i in range(len(A))]
+def mat_vec(field, A, v):
+    """The product A v on the field's numerators: A over one denominator,
+    v over another."""
+    n = len(v)
+    a, da = field.numerators([c for row in A for c in row])
+    v, dv = field.numerators(v)
+    zero = a[0] * 0
+    return field.fractions([sum((c * x for c, x in zip(a[i:i + n], v) if c),
+                                zero) for i in range(0, len(a), n)], da * dv)
 
 
 def gram_matrix(field, M, vectors):

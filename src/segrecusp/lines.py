@@ -25,7 +25,6 @@ from .fields import (QQ, QuadraticExtension, _convolve, _integral,
                      quadratic_roots, squarefree_split)
 from .linalg import (_dot, factor_over_q, gram_matrix, mat_rank, mat_vec,
                      nullspace, split_rational_roots)
-from .pencil import bform, qform
 from .surface import ProjectivePoint
 
 
@@ -116,10 +115,8 @@ def line_contained_exact(pencil, a, b):
     field = a.field if a.field != QQ else b.field
     va = [field.coerce(c) for c in a.coords]
     vb = [field.coerce(c) for c in b.coords]
-    for Mf in pencil.coerced(field):
-        if qform(Mf, va) or qform(Mf, vb) or bform(Mf, va, vb):
-            return False
-    return True
+    return not any(any(map(any, gram_matrix(field, Mf, [va, vb])))
+                   for Mf in pencil.coerced(field))
 
 
 def coordinate_lines(pencil):
@@ -311,6 +308,15 @@ def _binary_factors(res):
     return sorted(factors, key=_sympy_order)
 
 
+# _quartic_factors trusts float roots below this coefficient size: 3 * 10**10
+# bounds the coefficients of a product of two quadratics with coefficients
+# up to 10**5, where 100,600 seeded random products all split from their
+# float roots; the smallest quartic seen to miss its split had coefficients
+# near 3.5 * 10**10, and with quadratic coefficients up to 10**9 nearly all
+# miss it.
+QUARTIC_FLOAT_BOUND = 3 * 10 ** 10
+
+
 def _quartic_factors(f):
     """The factors over Q of a squarefree primitive integer quartic f with
     a positive leading coefficient a4 and no rational root: two quadratics,
@@ -327,14 +333,21 @@ def _quartic_factors(f):
     confirmed f is taken as irreducible: that verdict rests on the float
     guesses, as the "no rational root" verdict of
     :func:`segrecusp.linalg.split_rational_roots` does (Cohen, *A Course in
-    Computational Algebraic Number Theory*, ch. 3).  When numpy cannot
-    take the roots, sympy factors f (:func:`factor_over_q`).
+    Computational Algebraic Number Theory*, ch. 3).  Float roots carry a4 s
+    and a4 p to within 1/2 only for small coefficients, so sympy factors f
+    (:func:`factor_over_q`) when a coefficient reaches
+    :data:`QUARTIC_FLOAT_BOUND`, or when numpy cannot take the roots.
     """
-    try:
-        r0, *others = np.roots([float(c) for c in reversed(f)])
-    except (OverflowError, np.linalg.LinAlgError):
+    roots = None
+    if max(map(abs, f)) < QUARTIC_FLOAT_BOUND:
+        try:
+            roots = np.roots([float(c) for c in reversed(f)])
+        except np.linalg.LinAlgError:
+            pass
+    if roots is None:
         return [(tuple(int(c) for c in reversed(g.all_coeffs())), k)
                 for g, k in factor_over_q(f)]
+    r0, *others = roots
     for r in others:
         s, p = r0 + r, r0 * r
         try:
@@ -517,7 +530,7 @@ def off_singular_lines(pencil):
     us, ys = zip(*(_local_solution(R, M, blocks, alpha, e)
                    for alpha, (e,) in blocks))
     # x and M x for each sign choice are sum_i eps_i sqrt(u_i) (y_i, M y_i)
-    parts = [(y, mat_vec(M, y)) for y in ys]
+    parts = [(y, mat_vec(QQ, M, y)) for y in ys]
     signs = [(1,) + eps for eps in
              itertools.product((1, -1), repeat=len(parts) - 1)]
     splits = [squarefree_split(us[0] * u) for u in us[1:]]

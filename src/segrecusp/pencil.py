@@ -10,15 +10,14 @@ double-conic pencils all derive from this data.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .errors import (CrossCheckMismatch, DegeneratePencil, DuplicateEigenvalue,
                      IrrationalEigenvalue)
-from .fields import QQ, _integral, _rational, parse_rational, proj_normalize
-from .linalg import (_dot, det_pencil, mat_mul, mat_rank, mat_solve,
+from .fields import QQ, _integral, parse_rational, proj_normalize
+from .linalg import (_dot, det_pencil, gram_matrix, mat_rank, mat_solve,
                      rational_roots, rref, rref_kernel, transpose)
 
 DIM = 5
@@ -28,34 +27,11 @@ DIM = 5
 _MEMBER_TRIALS = [(0, 1), (1, 0), (1, 1), (1, -1), (1, 2), (1, 3), (1, 4)]
 
 
-def qform(M, X):
-    """Evaluate the quadratic form X^T M X (entries follow X's arithmetic)."""
-    return bform(M, X, X)
-
-
-def bform(M, X, Y):
-    """Polar bilinear form X^T M Y.  Over Q it is one integer dot product:
-    M scaled by one common denominator and each vector by its own, the
-    value built as one ``Fraction``."""
-    if _rational(*M, X, Y):
-        (x, dx), (y, dy) = _integral(X), _integral(Y)
-        dM = math.lcm(*(c.denominator for row in M for c in row))
-        acc = sum(xi * sum(c.numerator * (dM // c.denominator) * yj
-                           for c, yj in zip(row, y) if c and yj)
-                  for xi, row in zip(x, M) if xi)
-        return Fraction(acc, dx * dy * dM)
-    acc = X[0] * 0
-    for i, row in enumerate(M):
-        for j, c in enumerate(row):
-            if c:
-                acc = acc + X[i] * Y[j] * c
-    return acc
-
-
-def second_intersection(M, p, w):
+def second_intersection(G, p, w):
     """The second point of the quadric X^T M X = 0 on the line through its
-    point p in the direction w: q(w) p - 2 b(p, w) w."""
-    qw, bw = qform(M, w), bform(M, p, w)
+    point p in the direction w, q(w) p - 2 b(p, w) w, with G the Gram matrix
+    of [p, w] under M (:func:`segrecusp.linalg.gram_matrix`)."""
+    qw, bw = G[1][1], G[0][1]
     return [qw * pk - 2 * bw * wk for pk, wk in zip(p, w)]
 
 
@@ -300,9 +276,9 @@ class QuadricPencil:
 
     def congruent(self, A):
         """The pencil (A^T P A, A^T Q A)."""
-        At = transpose(A)
-        return QuadricPencil(mat_mul(mat_mul(At, self.P), A),
-                             mat_mul(mat_mul(At, self.Q), A))
+        columns = transpose(A)
+        return QuadricPencil(gram_matrix(QQ, self.P, columns),
+                             gram_matrix(QQ, self.Q, columns))
 
     def basis_changed(self, a, b, c, d):
         """The pencil (a*P + b*Q, c*P + d*Q); requires ad - bc nonzero."""

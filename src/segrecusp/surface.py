@@ -8,6 +8,7 @@ rank-3 double-conic projection.  Line enumeration lives in
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -17,12 +18,12 @@ from itertools import chain, combinations, product
 from .errors import (NonIsolatedSingularity, PointNotOnLine, PointSingular,
                      ReducibleImageConic, RetryExhausted, SegreCuspError,
                      TruncationInsufficient, UnsupportedSingularity)
-from .fields import (QQ, RatFuncElem, RationalFunctions, pgcd,
+from .fields import (QQ, QuadExtElem, RatFuncElem, RationalFunctions, pgcd,
                      proj_normalize, quadratic_roots)
 from .jets import Jet, escalate, hensel_solve, splitting_reduce
-from .linalg import (complete_basis, gram_matrix, mat_det, mat_rank, mat_vec,
-                     rref, rref_kernel)
-from .pencil import QuadricPencil, bform, qform, second_intersection
+from .linalg import (complete_basis, gram_matrix, mat_det, mat_inv, mat_rank,
+                     mat_vec, rref, rref_kernel, solve_linear)
+from .pencil import QuadricPencil, second_intersection
 
 
 # --------------------------------------------------------------------------
@@ -57,8 +58,7 @@ class ProjectivePoint:
 def _to_complex(c):
     if isinstance(c, Fraction):
         return complex(c)
-    if hasattr(c, "a"):  # quadratic extension element
-        import math
+    if isinstance(c, QuadExtElem):
         root = math.sqrt(abs(c.d))
         r = complex(root) if c.d > 0 else complex(0, root)
         return complex(c.a) + complex(c.b) * r
@@ -138,13 +138,13 @@ class SurfaceInstance:
         coords = list(point.coords)
         field = point.field
         P, Q = self.pencil.coerced(field)
-        return [mat_vec(P, coords), mat_vec(Q, coords)], field
+        return [mat_vec(field, P, coords), mat_vec(field, Q, coords)], field
 
     def on_surface(self, point):
         coords = list(point.coords)
         field = point.field
-        P, Q = self.pencil.coerced(field)
-        return not qform(P, coords) and not qform(Q, coords)
+        return all(not gram_matrix(field, M, [coords])[0][0]
+                   for M in self.pencil.coerced(field))
 
     def is_smooth_at(self, point):
         if not self.on_surface(point):
@@ -187,9 +187,7 @@ def _restricted_conic_points(pencil, v1, v2):
     """Exact points of S on the kernel line spanned by v1, v2."""
     # both quadrics restrict proportionally on the kernel; use a nonzero one
     for M in (pencil.Q, pencil.P):
-        a = qform(M, v1)
-        b = bform(M, v1, v2)
-        c = qform(M, v2)
+        (a, b), (_, c) = gram_matrix(QQ, M, [v1, v2])
         if a or b or c:
             break
     else:
@@ -212,7 +210,8 @@ def _singular_points_exact(pencil: QuadricPencil):
                 f"member of rank {member.rank}: not a Segre surface")
         if member.rank == 4:
             v = member.kernel[0]
-            if not qform(pencil.P, v) and not qform(pencil.Q, v):
+            if all(not gram_matrix(QQ, M, [v])[0][0]
+                   for M in (pencil.P, pencil.Q)):
                 points.append(ProjectivePoint.make(QQ, v))
         else:
             points.extend(_restricted_conic_points(pencil, *member.kernel))
@@ -460,8 +459,8 @@ class AdaptedChart:
 
     def __post_init__(self):
         if self.gradients is None:
-            self.gradients = [mat_vec(M, self.columns[0]) for M in
-                              self.surface.pencil.coerced(self.field)]
+            self.gradients = [mat_vec(self.field, M, self.columns[0])
+                              for M in self.surface.pencil.coerced(self.field)]
 
     @cached_property
     def _quadrics(self):
@@ -499,7 +498,6 @@ class AdaptedChart:
 
     def hyperplane_from_dual(self, lam, mu):
         """The hyperplane with section germ lam*F + mu*G (5 covector entries)."""
-        from .linalg import mat_inv
         field = self.field
         A = [[self.columns[j][i] for j in range(5)] for i in range(5)]
         Ainv = mat_inv(field, A)
@@ -535,7 +533,7 @@ def adapted_chart(surface, point, line=None) -> AdaptedChart:
         if not line.contains(point):
             raise PointNotOnLine(f"{point} is not on the line")
         span = line.span_over(field)
-        if any(any(mat_vec(equations, v)) for v in span):
+        if any(any(mat_vec(field, equations, v)) for v in span):
             raise PointNotOnLine("line is not inside the tangent plane")
         free = [c for c in range(5) if c not in pivots]
         p = tangent[0]
@@ -571,8 +569,8 @@ def _isotropic_seed(M, surface_points=()):
          for i, j, k in combinations(range(5), 3)
          for c1, s, t in product((1, 2), scales, scales)))
     # the vertex is ker M: the vectors with M v = 0
-    return next((v for v in candidates
-                 if not qform(M, v) and any(mat_vec(M, v))), None)
+    return next((v for v in candidates if not gram_matrix(QQ, M, [v])[0][0]
+                 and any(mat_vec(QQ, M, v))), None)
 
 
 def sample_rational_points(surface, count, rng=None, avoid=None,
@@ -612,16 +610,15 @@ def sample_rational_points(surface, count, rng=None, avoid=None,
             return out
         _, s_pt, seed_vec, M = strategies[rng.randrange(len(strategies))]
         w = [Fraction(rng.randint(-9, 9)) for _ in range(5)]
-        if not qform(M, w):
+        G = gram_matrix(QQ, M, [seed_vec, w])
+        if not G[1][1]:
             continue
-        d = second_intersection(M, seed_vec, w)
+        d = second_intersection(G, seed_vec, w)
         if not any(d):
             continue
         s = list(s_pt.coords)
-        qp_d = qform(surface.pencil.P, d)
-        qq_d = qform(surface.pencil.Q, d)
-        bp = bform(surface.pencil.P, s, d)
-        bq = bform(surface.pencil.Q, s, d)
+        (_, bp), (_, qp_d) = gram_matrix(QQ, surface.pencil.P, [s, d])
+        (_, bq), (_, qq_d) = gram_matrix(QQ, surface.pencil.Q, [s, d])
         if qq_d:
             tau = -2 * bq / qq_d
         elif qp_d:
@@ -664,12 +661,14 @@ def _conic_tangency_point(surface, member, t):
         pts = sample_rational_points(surface, 1,
                                      rng=random.Random(surface.seed + 17))
         base = list(pts[0].coords)
-    if qform(N, base) != 0:
-        raise ReducibleImageConic("surface point off its own pencil member")
     # two directions completing the base modulo the kernel
     comp = complete_basis(QQ, member.kernel + [base], 5)[len(member.kernel) + 1:]
     w1, w2 = comp
-    u = second_intersection(N, base, [w1[k] + t * w2[k] for k in range(5)])
+    w = [w1[k] + t * w2[k] for k in range(5)]
+    G = gram_matrix(QQ, N, [base, w])
+    if G[0][0] != 0:
+        raise ReducibleImageConic("surface point off its own pencil member")
+    u = second_intersection(G, base, w)
     if not any(u):
         raise ReducibleImageConic("conic parameterization degenerated")
     return N, u
@@ -684,7 +683,7 @@ def double_conic_hyperplane(surface, member, t):
     if member.rank != 3:
         raise ValueError("member must have rank 3")
     N, u = _conic_tangency_point(surface, member, t)
-    h = mat_vec(N, u)
+    h = mat_vec(QQ, N, u)
     if not any(h):
         raise ReducibleImageConic("tangent hyperplane collapsed")
     return tuple(proj_normalize(h))
@@ -711,7 +710,6 @@ def double_conic_points(surface, member, t, count=3, rng=None):
         if not s.is_rational or not _in_kernel(member, s):
             continue
         cols = [[plane[j][i] for j in range(3)] for i in range(5)]
-        from .linalg import solve_linear
         sol = solve_linear(QQ, cols, list(s.coords))
         if sol is not None:
             anchor = sol
@@ -723,9 +721,10 @@ def double_conic_points(surface, member, t, count=3, rng=None):
         if len(out) >= count:
             break
         d = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
-        if not qform(f, d):
+        G = gram_matrix(QQ, f, [anchor, d])
+        if not G[1][1]:
             continue
-        pc = second_intersection(f, anchor, d)
+        pc = second_intersection(G, anchor, d)
         coords = [sum(pc[j] * plane[j][i] for j in range(3)) for i in range(5)]
         if not any(coords):
             continue

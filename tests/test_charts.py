@@ -140,7 +140,7 @@ def test_line_off_the_tangent_plane_is_rejected():
     ((p, _),) = sample_point_cases(inst, 1, rng=random.Random(3))
     q = ProjectivePoint.make(QQ, [1, 2, 3, 4, 5])
     rows, _ = inst.gradient_rows(p)
-    assert mat_vec(rows, list(q.coords)) == [F(266, 33), F(40, 33)]
+    assert mat_vec(QQ, rows, list(q.coords)) == [F(266, 33), F(40, 33)]
     with pytest.raises(PointNotOnLine, match="tangent plane"):
         adapted_chart(inst, p, LineOnSurface(p, q, "exact"))
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,10 +227,20 @@ def test_line_report_states_order_used(tmp_path, capsys):
     assert line["m"] == 2
 
 
+def _src_env():
+    """The environment with the checkout's src/ first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parents[1] / "src"),
+        env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "segrecusp.cli",
                            "table1", "--symbols", "[11111]"],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          env=_src_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_pass"] is True
 
@@ -240,7 +252,8 @@ def test_report_byte_identical_across_processes(tmp_path):
     for _ in range(2):
         proc = subprocess.run([sys.executable, "-m", "segrecusp.cli",
                                "surface-report", "--config", path],
-                              capture_output=True, text=True, timeout=300)
+                              capture_output=True, text=True, timeout=300,
+                              env=_src_env())
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]

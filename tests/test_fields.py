@@ -229,7 +229,7 @@ def _random_poly(rng, degree):
 
 
 def test_rational_gcd_and_product_match_reference_loops(rng=random.Random(11)):
-    # the integer kernels over Q against Euclid over Q and the schoolbook
+    # the gcd and product over Q against Euclid over Q and the schoolbook
     # product, on products with a common factor, 0-2 trailing zeros, a
     # constant argument and a zero argument
     for _ in range(60):
@@ -283,9 +283,9 @@ def _long_division(a, b):
 
 
 def test_rational_division_matches_long_division(rng=random.Random(13)):
-    # the integer pseudo-division over Q against the Fraction loop, on
-    # non-exact and exact divisions, untrimmed operands, constant divisors,
-    # dividends shorter than the divisor and a zero dividend
+    # the division over Q against the Fraction loop, on non-exact and exact
+    # divisions, untrimmed operands, constant divisors, dividends shorter
+    # than the divisor, a zero dividend and int coefficients
     exact = 0
     for _ in range(80):
         a, b = (_random_poly(rng, rng.randint(0, 6)) for _ in range(2))

@@ -102,7 +102,7 @@ def test_solve_linear_matches_sympy(rng=random.Random(33)):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         M = _matrix(rng, n, m, rng.randint(0, min(n, m)))
         if rng.random() < 0.5:     # consistent: b in the column space
-            b = mat_vec(M, [_entry(rng) for _ in range(m)])
+            b = mat_vec(QQ, M, [_entry(rng) for _ in range(m)])
         else:
             b = [_entry(rng) for _ in range(n)]
         S = _sym(M)
@@ -118,7 +118,7 @@ def test_solve_linear_matches_sympy(rng=random.Random(33)):
         for r, pc in enumerate(pivots):
             expect[pc] = F(str(R[r, m]))
         assert x == expect and all(type(c) is F for c in x)
-        assert mat_vec(M, x) == b
+        assert mat_vec(QQ, M, x) == b
         outcomes.add("consistent")
     assert outcomes == {"consistent", "inconsistent"}
 
@@ -131,7 +131,7 @@ def test_products_match_sympy(rng=random.Random(34)):
         AB = mat_mul(A, B)
         assert AB == _fractions(_sym(A) * _sym(B)) and _all_fractions(AB)
         v = [_entry(rng) for _ in range(k)]
-        Av = mat_vec(A, v)
+        Av = mat_vec(QQ, A, v)
         Sv = _sym(A) * _sym([[c] for c in v])
         assert Av == [row[0] for row in _fractions(Sv)]
         assert all(type(c) is F for c in Av)

@@ -17,7 +17,7 @@ from segrecusp import linalg
 from segrecusp.fields import (QuadExtElem, QuadraticExtension, RatFuncElem,
                               RationalFunctions)
 from segrecusp.linalg import (gram_matrix, mat_det, mat_inv, mat_mul,
-                              mat_rank, mat_solve, nullspace, rref,
+                              mat_rank, mat_solve, mat_vec, nullspace, rref,
                               solve_linear)
 
 X = sympy.Symbol("x")
@@ -220,3 +220,15 @@ def test_gram_matrix_matches_sympy(K, rng=random.Random(38)):
         V = _dm(K, vectors)
         assert _same(K, gram_matrix(K, M, vectors),
                      V.matmul(_dm(K, M)).matmul(V.transpose()))
+
+
+@pytest.mark.parametrize("K", FIELDS, ids=repr)
+def test_mat_vec_matches_generic_loop(K, rng=random.Random(39)):
+    # the product on the field's numerators against the loop over the
+    # entries, on matrices of every rank with zero rows and zero entries
+    for M in _cases(K, rng, 24):
+        v = [_element(K, rng) for _ in range(len(M[0]))]
+        got = mat_vec(K, M, v)
+        assert got == [sum((a * x for a, x in zip(row, v)), K.zero)
+                       for row in M]
+        assert all(type(c) is type(K.zero) for c in got)

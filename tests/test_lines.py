@@ -388,3 +388,21 @@ def test_quartic_split_matches_sympy(monkeypatch, rng=random.Random(31)):
         assert _binary_factors(list(f)) == want, f
         shapes[tuple(len(p) - 1 for p, _ in want)] += 1
     assert shapes[(2, 2)] >= 250 and shapes[(4,)] >= 200
+
+
+def test_quartic_split_of_large_products_matches_sympy(
+        rng=random.Random(32)):
+    # with quadratic coefficients up to 10**9, float roots cannot carry
+    # a4 s and a4 p to within 1/2, and sympy factors the quartic
+    quartics = [(832, -3392, 5216, -3592, 937)]
+    for _ in range(20):
+        g, h = _quadratic(rng, 10 ** 9), _quadratic(rng, 10 ** 9)
+        quartics.append(tuple(sum(g[i] * h[j - i] for i in range(3)
+                                  if 0 <= j - i < 3) for j in range(5)))
+    quartics.append(tuple(rng.randint(-10 ** 18, 10 ** 18) for _ in range(4))
+                    + (rng.randint(1, 10 ** 18),))
+    for f in quartics:
+        want = [(tuple(_ascending_in_a(p, p.total_degree())), int(m))
+                for p, m in sympy.factor_list(_binary_form(f))[1]]
+        assert _binary_factors(list(f)) == want, f
+    assert max(map(abs, quartics[1])) >= lines_module.QUARTIC_FLOAT_BOUND

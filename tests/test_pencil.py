@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -7,8 +8,9 @@ import pytest
 from segrecusp import pencil as pencil_module
 from segrecusp.errors import (CrossCheckMismatch, DegeneratePencil,
                               DuplicateEigenvalue, IrrationalEigenvalue)
-from segrecusp.fields import QQ, RationalFunctions
-from segrecusp.linalg import char_poly, mat_det, mat_rank, nullspace
+from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions
+from segrecusp.linalg import (char_poly, gram_matrix, mat_det, mat_rank,
+                              nullspace)
 from segrecusp.pencil import (TABLE1_SYMBOLS, QuadricPencil, SegreSymbol,
                               default_instance, normal_form, validate_segre)
 
@@ -262,8 +264,8 @@ def _mixed_entry(rng):
 
 
 def test_rational_forms_match_generic_loop(rng=random.Random(21)):
-    # the integer dot product of qform and bform over Q against the loop,
-    # on 200 matrices with int and Fraction entries and zero rows, and
+    # the Gram entries over Q on integer numerators against the loop, on
+    # 200 matrices with int and Fraction entries and zero rows, and
     # vectors with zero entries
     for _ in range(200):
         M = [[_mixed_entry(rng) if rng.random() < 0.7 else 0
@@ -272,26 +274,21 @@ def test_rational_forms_match_generic_loop(rng=random.Random(21)):
             M[i] = [F(0)] * 5
         X, Y = ([_mixed_entry(rng) if rng.random() < 0.8 else 0
                  for _ in range(5)] for _ in range(2))
-        for got, want in ((pencil_module.qform(M, X), _form_loop(M, X, X)),
-                          (pencil_module.bform(M, X, Y), _form_loop(M, X, Y)),
-                          (pencil_module.bform(M, Y, X), _form_loop(M, Y, X))):
-            assert got == want and type(got) is F
+        G = gram_matrix(QQ, M, [X, Y])
+        for (a, U), (b, V) in itertools.product(enumerate((X, Y)), repeat=2):
+            assert G[a][b] == _form_loop(M, U, V) and type(G[a][b]) is F
     zero = [[0] * 5 for _ in range(5)]
-    assert pencil_module.qform(zero, [F(1, 2)] * 5) == 0
+    assert gram_matrix(QQ, zero, [[F(1, 2)] * 5]) == [[0]]
 
 
-def test_quadratic_extension_forms_keep_generic_loop(monkeypatch):
-    # vectors over Q(sqrt 2) never reach the integer path
-    from segrecusp.fields import QuadraticExtension
-    r = QuadraticExtension(2).sqrt_gen
+def test_quadratic_extension_forms_match_generic_loop():
+    # vectors over Q(sqrt 2), on the numerators of Z[sqrt 2]
+    K = QuadraticExtension(2)
+    r = K.sqrt_gen
     M = default_instance(SegreSymbol.parse("[11111]")).P
     X = [1 + r, F(1, 2), 0, -r, 3]
     Y = [F(2), r, F(-1, 3), 0, 1 - r]
-
-    def no_integers(_):
-        raise AssertionError("integer path taken")
-
-    monkeypatch.setattr(pencil_module, "_integral", no_integers)
-    got = pencil_module.bform(M, X, Y)
-    assert got == _form_loop(M, X, Y) and got.b
-    assert pencil_module.qform(M, X) == _form_loop(M, X, X)
+    G = gram_matrix(K, M, [X, Y])
+    assert G[0][1] == _form_loop(M, X, Y) and G[0][1].b
+    assert G[1][0] == _form_loop(M, Y, X)
+    assert G[0][0] == _form_loop(M, X, X) and G[1][1] == _form_loop(M, Y, Y)

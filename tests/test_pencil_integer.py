@@ -26,11 +26,17 @@ from segrecusp.linalg import (det_pencil, factor_over_q, mat_det, mat_mul,
                               mat_solve, mat_vec, nullspace, rref,
                               rref_kernel, split_rational_roots)
 from segrecusp.lines import _binary_factors, _sympy_order, off_singular_lines
-from segrecusp.pencil import TABLE1_SYMBOLS, QuadricPencil, bform, default_instance
+from segrecusp.pencil import TABLE1_SYMBOLS, QuadricPencil, default_instance
 
 
 # --------------------------------------------------------------------------
 # the Fraction references
+
+
+def _bform(M, X, Y):
+    """The bilinear form X^T M Y, by the loop over the entries."""
+    return sum((x * c * y for x, row in zip(X, M) for c, y in zip(row, Y)),
+               F(0))
 
 
 def _reference_char_poly(M):
@@ -145,10 +151,10 @@ def _reference_local_solution(R, M, blocks, alpha, e):
     for v in nullspace(QQ, Ne):
         krylov = [v]
         for _ in range(e - 1):
-            krylov.append(mat_vec(N, krylov[-1]))
+            krylov.append(mat_vec(QQ, N, krylov[-1]))
         if any(krylov[-1]):
             break
-    w = tuple(bform(R, v, k) for k in reversed(krylov))
+    w = tuple(_bform(R, v, k) for k in reversed(krylov))
     for beta, (size,) in blocks:
         for _ in range(size if beta != alpha else 0):
             w = pmul(w, (alpha - beta, F(1)))[:e]

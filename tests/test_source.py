@@ -22,11 +22,13 @@ def test_no_assert_statements_in_package():
 
 def test_integer_twins_stay_removed():
     # rref, ranks, solves, inverses and determinants share one elimination,
-    # linalg._eliminate, and the jets take their numerators from the field
-    # descriptors: the Q-only integer row reduction and determinant and the
-    # jets' zero-by-type helper they replaced are defined, imported and
-    # called nowhere in the package
-    gone = {"_zrow_reduce", "_zdet", "_zero"}
+    # linalg._eliminate, the jets take their numerators from the field
+    # descriptors, and forms are read off linalg.gram_matrix: the Q-only
+    # integer row reduction and determinant, the jets' zero-by-type helper,
+    # the coefficient-type test that chose an integer path and the form
+    # evaluators it served are defined, imported and called nowhere in the
+    # package
+    gone = {"_zrow_reduce", "_zdet", "_zero", "_rational", "qform", "bform"}
     root = Path(segrecusp.__file__).parent
     found = [f"{path.relative_to(root)}:{node.lineno}"
              for path in sorted(root.rglob("*.py"))

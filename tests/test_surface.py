@@ -10,7 +10,7 @@ from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions
 from segrecusp.instances import sampling_instance, table1_instance
 from segrecusp.jets import Jet
 from segrecusp.linalg import mat_det, mat_rank, mat_vec
-from segrecusp.pencil import TABLE1_SYMBOLS, default_instance, qform
+from segrecusp.pencil import TABLE1_SYMBOLS, default_instance
 from segrecusp.surface import (ProjectivePoint, SurfaceInstance,
                                _isotropic_seed, adapted_chart, chart_quadrics,
                                double_conic_hyperplane,
@@ -107,6 +107,17 @@ def _linear_jets(field, const, directions, names, order):
             for k in range(5)]
 
 
+def _qform(M, X):
+    """The quadratic form X^T M X, by the loop over the entries (X may
+    hold jets)."""
+    acc = X[0] * 0
+    for i, row in enumerate(M):
+        for j, c in enumerate(row):
+            if c:
+                acc = acc + X[i] * X[j] * c
+    return acc
+
+
 @pytest.mark.parametrize("order", range(1, 9))
 def test_chart_quadrics_match_qform_on_linear_jets(order):
     # the reference is q(X) evaluated on linear jets; at order 1 the
@@ -137,7 +148,7 @@ def test_chart_quadrics_match_qform_on_linear_jets(order):
                                    order)))
         for field, cols, names, jet_field, X in cases:
             got = chart_quadrics(pencil, field, cols, names, order)
-            want = [qform(M, X) for M in pencil.coerced(jet_field)]
+            want = [_qform(M, X) for M in pencil.coerced(jet_field)]
             for g, w in zip(got, want):
                 assert (g.field, g.vars, g.order) == (jet_field, names, order)
                 assert g.coeffs == w.coeffs
@@ -245,11 +256,11 @@ def _rank_tested_seed(pencil, member, surface_points):
          for i, j, k in combinations(range(5), 3)
          for c1, s, t in product((1, 2), scales, scales)))
     for v in candidates:
-        if qform(M, v) != 0:
+        if _qform(M, v) != 0:
             continue
         if mat_rank(QQ, kernel + [v]) != len(kernel) + 1:
             continue
-        if any(mat_vec(M, v)):
+        if any(mat_vec(QQ, M, v)):
             return v
     return None
 
