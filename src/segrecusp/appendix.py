@@ -54,8 +54,7 @@ class AppendixCase:
         return AdaptedChart(surface=surface, field=QQ,
                             columns=[list(c) for c in self.chart_columns],
                             base_point=ProjectivePoint.make(
-                                QQ, self.chart_columns[0]),
-                            aligned_line=self.line())
+                                QQ, self.chart_columns[0]))
 
 
 def _case_2sing_A1A1_two_pencils(a, b, c):

@@ -19,12 +19,14 @@ from fractions import Fraction
 from .errors import (CrossCheckMismatch, IrrationalEigenvalue, RetryExhausted,
                      SegreCuspError)
 from .fields import QQ
+from .jets import Jet
 from .lines import LineOnSurface, line_contained_exact
 from .linalg import (complete_basis, gram_matrix, mat_inv, mat_vec,
                      nullspace, sym_matrix, transpose)
 from .pencil import QuadricPencil, second_intersection
 from .surface import ProjectivePoint, SurfaceInstance
 
+PLANE_VARS = ("u", "v", "w")
 CUBIC_MONOMIALS = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
 SEXTIC_MONOMIALS = [(i, j, 6 - i - j) for i in range(7) for j in range(7 - i)]
 
@@ -34,35 +36,18 @@ def _eval_mono(mono, pt):
     return (u ** mono[0]) * (v ** mono[1]) * (w ** mono[2])
 
 
-def _poly_mul(p, q):
-    out = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            e = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-            out[e] = out.get(e, Fraction(0)) + ca * cb
-    return out
-
-
-def _gradient(p):
-    outs = []
-    for axis in range(3):
-        g = {}
-        for e, c in p.items():
-            if e[axis]:
-                e2 = tuple(v - 1 if i == axis else v for i, v in enumerate(e))
-                g[e2] = g.get(e2, Fraction(0)) + c * e[axis]
-        outs.append(g)
-    return outs
-
-
 def _eval_poly(p, pt):
-    return sum((c * _eval_mono(e, pt) for e, c in p.items()), start=Fraction(0))
+    """The polynomial of the jet ``p`` at a plane point."""
+    return sum((c * _eval_mono(e, pt) for e, c in p.coeffs.items()),
+               start=Fraction(0))
 
 
 @dataclass
 class PlaneModel:
     points: list                  # five plane points (u, v, w), w = 1
-    cubics: list                  # five cubic polynomials (dicts)
+    # five cubics through the points, as jets over Q in (u, v, w) exact to
+    # degree 3: a product of two is exact to degree 6
+    cubics: list
     pencil: QuadricPencil
 
     def map_point(self, pt):
@@ -72,12 +57,10 @@ class PlaneModel:
         return ProjectivePoint.make(QQ, coords)
 
     def map_gradient(self, base_idx, direction):
-        grads = [_gradient(c) for c in self.cubics]
         pt = self.points[base_idx]
-        coords = []
-        for g in grads:
-            coords.append(sum((direction[a] * _eval_poly(g[a], pt)
-                               for a in range(3)), start=Fraction(0)))
+        coords = [sum((d * _eval_poly(c.derivative(name), pt)
+                       for d, name in zip(direction, PLANE_VARS)),
+                      start=Fraction(0)) for c in self.cubics]
         if not any(coords):
             return None
         return ProjectivePoint.make(QQ, coords)
@@ -90,15 +73,16 @@ def _cubics_through(points):
     basis = nullspace(QQ, rows)
     if len(basis) != 5:
         raise SegreCuspError("points are not in general position for cubics")
-    return [{m: c for m, c in zip(CUBIC_MONOMIALS, vec) if c} for vec in basis]
+    return [Jet(QQ, PLANE_VARS, 3, dict(zip(CUBIC_MONOMIALS, vec)))
+            for vec in basis]
 
 
 def _quadric_relations(cubics):
     pairs = [(i, j) for i in range(5) for j in range(i, 5)]
     cols = []
     for i, j in pairs:
-        prod = _poly_mul(cubics[i], cubics[j])
-        cols.append([prod.get(m, Fraction(0)) for m in SEXTIC_MONOMIALS])
+        prod = cubics[i] * cubics[j]
+        cols.append([prod.coefficient(m) for m in SEXTIC_MONOMIALS])
     rows = [[cols[k][r] for k in range(len(pairs))]
             for r in range(len(SEXTIC_MONOMIALS))]
     kernel = nullspace(QQ, rows)

@@ -44,21 +44,15 @@ def _emit(payload, path=None):
     sys.stdout.write(text)
 
 
-def _census(surface):
-    from .lines import LineCensus, enumerate_lines
-    if surface.lines is None:
-        return enumerate_lines(surface)
-    return LineCensus(lines=surface.lines)
-
-
 def cmd_surface_report(args):
     if args.offline_points < 0:
         raise SegreCuspError("--offline-points must not be negative, "
                              f"got {args.offline_points}")
     config, surface = _build(args)
     from .cusplocus import branch_scan, cusp_locus_summary
+    from .lines import enumerate_lines
 
-    census = _census(surface)
+    census = enumerate_lines(surface)
     scan = branch_scan(surface, offline_points=args.offline_points)
     summary = cusp_locus_summary(surface)
     # an uncertified census is a wrong answer the report cannot rule out
@@ -66,8 +60,7 @@ def cmd_surface_report(args):
     notes = []
 
     from .surface import singular_sweep_numeric
-    _, unresolved = singular_sweep_numeric(surface, n_starts=60,
-                                           seed=config.seed)
+    _, unresolved = singular_sweep_numeric(surface, seed=config.seed)
     for hit in unresolved:
         scan.anomalies.append(
             "UNRESOLVED numeric singular candidate: "
@@ -114,9 +107,10 @@ def cmd_surface_report(args):
 
 def cmd_line_report(args):
     config, surface = _build(args)
-    from .cusplocus import line_report, numeric_line_branch_evidence
+    from .cusplocus import line_branch_record
+    from .lines import enumerate_lines
 
-    census = _census(surface)
+    census = enumerate_lines(surface)
     if not 0 <= args.line < len(census.lines):
         raise SegreCuspError(
             f"line index {args.line} out of range 0..{len(census.lines) - 1}")
@@ -126,27 +120,19 @@ def cmd_line_report(args):
         "input": config.echo(),
         "line": line_payload(line),
     }
+    rec = line_branch_record(surface, line)
+    payload.update({"m": rec.m, "disc_order": rec.disc_order,
+                    "branch_mult": rec.branch_mult, "exact": rec.exact})
     status = 0
-    if line.exactness == "exact" and line.field() == QQ:
-        rep = line_report(surface, line)
+    if rec.exact:
         payload.update({
-            "m": rep.m, "disc_order": rep.disc_order,
-            "branch_mult": rep.branch_mult,
-            "coefficient_orders": [str(o) for o in rep.coefficient_orders],
-            "order_used": rep.F.order,
-            "exact": True,
+            "coefficient_orders": [str(o) for o in rec.coefficient_orders],
+            "order_used": rec.order_used,
         })
     else:
-        ev = numeric_line_branch_evidence(surface, line)
-        payload.update({
-            "m": ev.get("m_estimate"),
-            "disc_order": ev.get("disc_order_estimate"),
-            "branch_mult": ev.get("branch_estimate"),
-            "exact": False,
-            "evidence": {k: v for k, v in ev.items()
-                         if k in ("m_slopes", "disc_slopes", "status")},
-        })
-        status = 0 if ev.get("status") == "ok" else 1
+        payload["evidence"] = {k: v for k, v in rec.evidence.items()
+                               if k in ("m_slopes", "disc_slopes", "status")}
+        status = 0 if rec.evidence.get("status") == "ok" else 1
     _emit(payload, args.json)
     return status
 
@@ -157,8 +143,9 @@ def cmd_point_case(args):
         raise SegreCuspError(f"--count must be positive, got {args.count}")
     config, surface = _build(args)
     from .cusplocus import point_case, sample_point_cases
+    from .lines import enumerate_lines
 
-    _census(surface)
+    enumerate_lines(surface)
     if point is not None:
         pairs = [(point, point_case(surface, point))]
     else:

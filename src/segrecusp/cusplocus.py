@@ -542,8 +542,32 @@ class BranchReport:
     anomalies: list = dc_field(default_factory=list)
 
 
+def line_branch_record(surface, line) -> LineBranchRecord:
+    """The branch data of one line: exact from :func:`line_report` on an
+    exact rational line, whose errors propagate, and numeric evidence
+    (:func:`numeric_line_branch_evidence`) on any other line."""
+    if line.exactness == "exact" and line.field() == QQ:
+        rep = line_report(surface, line)
+        return LineBranchRecord(
+            line=line, exact=True, m=rep.m, disc_order=rep.disc_order,
+            branch_mult=rep.branch_mult,
+            coefficient_orders=rep.coefficient_orders,
+            order_used=rep.F.order)
+    return _numeric_record(surface, line)
+
+
+def _numeric_record(surface, line):
+    ev = numeric_line_branch_evidence(surface, line)
+    return LineBranchRecord(
+        line=line, exact=False, m=ev.get("m_estimate"),
+        disc_order=ev.get("disc_order_estimate"),
+        branch_mult=ev.get("branch_estimate"), evidence=ev)
+
+
 def branch_scan(surface, offline_points=10) -> BranchReport:
-    """Per-line branch data plus a no-off-line-branching spot check."""
+    """Per-line branch data (:func:`line_branch_record`; an exact report
+    that fails is an anomaly, and its line gets numeric evidence) plus a
+    no-off-line-branching spot check."""
     from .lines import enumerate_lines
     from .surface import sample_rational_points
 
@@ -552,22 +576,11 @@ def branch_scan(surface, offline_points=10) -> BranchReport:
     records = []
     anomalies = []
     for line in surface.lines:
-        if line.exactness == "exact" and line.field() == QQ:
-            try:
-                rep = line_report(surface, line)
-                records.append(LineBranchRecord(
-                    line=line, exact=True, m=rep.m, disc_order=rep.disc_order,
-                    branch_mult=rep.branch_mult,
-                    coefficient_orders=rep.coefficient_orders,
-                    order_used=rep.F.order))
-                continue
-            except (SegreCuspError, TowerUnsupported) as exc:
-                anomalies.append(f"exact report failed on {line}: {exc}")
-        ev = numeric_line_branch_evidence(surface, line)
-        records.append(LineBranchRecord(
-            line=line, exact=False, m=ev.get("m_estimate"),
-            disc_order=ev.get("disc_order_estimate"),
-            branch_mult=ev.get("branch_estimate"), evidence=ev))
+        try:
+            records.append(line_branch_record(surface, line))
+        except SegreCuspError as exc:
+            anomalies.append(f"exact report failed on {line}: {exc}")
+            records.append(_numeric_record(surface, line))
 
     ok = True
     checked = 0
@@ -612,7 +625,9 @@ def numeric_line_branch_evidence(surface, line):
     surface points approached transversally to the line (offsets
     :data:`EVIDENCE_DELTAS`); the log-slope of the discriminant against the
     offset estimates its vanishing order.  Numeric evidence only, never an
-    exact claim.
+    exact claim: its status is "inconsistent" where the samples' rounded
+    slopes disagree or the estimates give d < 2m, which no exact report
+    allows.
     """
     P = np.array([[float(c) for c in row] for row in surface.pencil.P])
     Q = np.array([[float(c) for c in row] for row in surface.pencil.Q])
@@ -645,15 +660,17 @@ def numeric_line_branch_evidence(surface, line):
     for coeff_vals, disc_vals in samples:
         m_slopes.append(_log_slope(EVIDENCE_DELTAS, coeff_vals))
         disc_slopes.append(_log_slope(EVIDENCE_DELTAS, disc_vals))
-    m_est = int(round(float(np.median(m_slopes))))
-    d_est = int(round(float(np.median(disc_slopes))))
+    m_est = max(int(round(float(np.median(m_slopes)))), 0)
+    d_est = max(int(round(float(np.median(disc_slopes)))), 0)
+    agree = all(len({round(float(s)) for s in slopes}) == 1
+                for slopes in (m_slopes, disc_slopes))
     out.update({
-        "m_estimate": max(m_est, 0),
-        "disc_order_estimate": max(d_est, 0),
-        "branch_estimate": max(d_est - 2 * max(m_est, 0), 0),
+        "m_estimate": m_est,
+        "disc_order_estimate": d_est,
+        "branch_estimate": max(d_est - 2 * m_est, 0),
         "m_slopes": [float(s) for s in m_slopes],
         "disc_slopes": [float(s) for s in disc_slopes],
-        "status": "ok",
+        "status": "ok" if agree and d_est >= 2 * m_est else "inconsistent",
     })
     return out
 
@@ -696,10 +713,10 @@ def _numeric_frame(P, Q, base, M):
     return base, c2, c1, c3, c4
 
 
-def _project_to_surface(P, Q, x0, frame, iters=40):
+def _project_to_surface(P, Q, x0, frame):
     base, c2, c1, c3, c4 = frame
     x = x0.copy()
-    for _ in range(iters):
+    for _ in range(40):
         f = np.array([x @ P @ x, x @ Q @ x])
         if max(abs(f)) < 1e-14 * (np.linalg.norm(x) ** 2):
             return x

@@ -46,8 +46,6 @@ from fractions import Fraction
 
 from .errors import FieldError, RootFieldUnsupported, TowerUnsupported
 
-Rational = Fraction
-
 
 def parse_rational(value) -> Fraction:
     """Parse an exact rational from an int (not a bool), Fraction or ``"p/q"``."""
@@ -575,8 +573,6 @@ def _coprime(a, b):
 
 
 class Rationals:
-    kind = "rationals"
-
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -615,8 +611,6 @@ QQ = Rationals()
 
 class QuadraticExtension:
     """Q(sqrt(d)) for a fixed squarefree non-square integer d."""
-
-    kind = "quadratic"
 
     def __init__(self, d: int):
         if d in (0, 1) or not isinstance(d, int):
@@ -671,8 +665,6 @@ class QuadraticExtension:
 
 class RationalFunctions:
     """Q(x): reduced fractions of integer-coefficient polynomials."""
-
-    kind = "ratfunc"
 
     def __init__(self, var: str = "x"):
         self.var = var

@@ -23,8 +23,8 @@ from .errors import CrossCheckMismatch, RootFieldUnsupported, TowerUnsupported
 from .fields import (QQ, QuadraticExtension, _convolve, _integral,
                      _primitive, _zdivmod, _zgcd, pderiv, pgcd,
                      quadratic_roots, squarefree_split)
-from .linalg import (_dot, factor_over_q, gram_matrix, mat_rank, mat_vec,
-                     nullspace, split_rational_roots)
+from .linalg import (_dot, factor_over_q, gram_matrix, identity, mat_rank,
+                     mat_vec, nullspace, split_rational_roots)
 from .surface import ProjectivePoint
 
 
@@ -122,14 +122,13 @@ def line_contained_exact(pencil, a, b):
 def coordinate_lines(pencil):
     """All coordinate lines span(e_i, e_j) lying on the surface."""
     found = []
+    units = identity(QQ, 5)
     for i, j in itertools.combinations(range(5), 2):
         ok = all(M[i][i] == 0 and M[j][j] == 0 and M[i][j] == 0
                  for M in (pencil.P, pencil.Q))
         if ok:
-            ei = [Fraction(int(k == i)) for k in range(5)]
-            ej = [Fraction(int(k == j)) for k in range(5)]
-            found.append((ProjectivePoint.make(QQ, ei),
-                          ProjectivePoint.make(QQ, ej)))
+            found.append((ProjectivePoint.make(QQ, units[i]),
+                          ProjectivePoint.make(QQ, units[j])))
     return found
 
 
@@ -150,8 +149,7 @@ def _through_point_forms(pencil, s_point):
         row = [sum(M[i][j] * s[j] for j in range(5)) for i in range(5)]
         if any(row):
             rows.append(row)
-    V = nullspace(QQ, rows) if rows else [[Fraction(int(k == j)) for k in range(5)]
-                                          for j in range(5)]
+    V = nullspace(QQ, rows) if rows else identity(QQ, 5)
     reduced = []
     for v in V:
         if mat_rank(QQ, reduced + [s, v]) == len(reduced) + 2:
@@ -194,7 +192,7 @@ def through_point_lines(pencil, s_point):
     exact_dirs = [(QQ, (Fraction(0), Fraction(0), Fraction(1)))] \
         if all((2, 2) not in f for f in forms) else []
     numeric_dirs, certified = [], True
-    for fp, _mult in _binary_factors(res):
+    for fp in _binary_factors(res):
         deg = len(fp) - 1
         cf = {(i, deg - i): Fraction(c) for i, c in enumerate(fp) if c}
         lifts = _exact_lifts(forms, cf, deg)
@@ -281,31 +279,32 @@ def _conic_resultant(F, G):
 
 
 def _binary_factors(res):
-    """The factors over Q of a nonzero integer binary form (ascending in
-    a), as sympy's ``factor_list`` gives them: (coefficients ascending in
-    a, multiplicity) pairs, each factor primitive with a positive leading
-    coefficient in a, in sympy's order (see :func:`_sympy_order`).
+    """The distinct irreducible factors over Q of a nonzero integer binary
+    form (ascending in a), each as its coefficients ascending in a,
+    primitive with a positive leading coefficient in a, in the order they
+    are found; a factor's multiplicity is not kept, since each gives its
+    lines once.
 
     They are b for the root (1 : 0), q a - p b for each rational root p/q
     of res(t, 1) (:func:`segrecusp.linalg.split_rational_roots`), and the
     rest: irreducible when of degree 2 or 3, since it has no rational root;
-    h**2 when it is a quartic with a gcd h of degree 2 with its derivative,
-    and, when it is a squarefree quartic, its two quadratic factors or
-    itself (:func:`_quartic_factors`).
+    h when it is a quartic h**2, read off its gcd of degree 2 with its
+    derivative, and, when it is a squarefree quartic, its two quadratic
+    factors or itself (:func:`_quartic_factors`).
     """
     top = max(i for i, c in enumerate(res) if c)
-    factors = [((1, 0), len(res) - 1 - top)] if top < len(res) - 1 else []
+    factors = [(1, 0)] if top < len(res) - 1 else []
     roots, rest = split_rational_roots(res[:top + 1])
-    factors += [((-r.numerator, r.denominator), k) for r, k in roots.items()]
+    factors += [(-r.numerator, r.denominator) for r in roots]
     rest = tuple(c if rest[-1] > 0 else -c for c in rest)
     square = _zgcd(rest, pderiv(rest)) if len(rest) == 5 else ()
     if len(square) == 3:
-        factors.append((square, 2))
+        factors.append(square)
     elif len(rest) == 5:
         factors += _quartic_factors(rest)
     elif len(rest) > 1:
-        factors.append((rest, 1))
-    return sorted(factors, key=_sympy_order)
+        factors.append(rest)
+    return factors
 
 
 # _quartic_factors trusts float roots below this coefficient size: 3 * 10**10
@@ -318,9 +317,9 @@ QUARTIC_FLOAT_BOUND = 3 * 10 ** 10
 
 
 def _quartic_factors(f):
-    """The factors over Q of a squarefree primitive integer quartic f with
-    a positive leading coefficient a4 and no rational root: two quadratics,
-    or f itself, as (coefficients ascending, 1) pairs.
+    """The irreducible factors over Q of a squarefree primitive integer
+    quartic f with a positive leading coefficient a4 and no rational root:
+    two quadratics, or f itself, each as its coefficients ascending.
 
     A quadratic factor g over Z, primitive with lc(g) > 0, is lc(g) times
     t**2 - s t + p, where s and p are the sum and product of two roots of
@@ -345,8 +344,8 @@ def _quartic_factors(f):
         except np.linalg.LinAlgError:
             pass
     if roots is None:
-        return [(tuple(int(c) for c in reversed(g.all_coeffs())), k)
-                for g, k in factor_over_q(f)]
+        return [tuple(int(c) for c in reversed(g.all_coeffs()))
+                for g, _mult in factor_over_q(f)]
     r0, *others = roots
     for r in others:
         s, p = r0 + r, r0 * r
@@ -357,22 +356,8 @@ def _quartic_factors(f):
             continue
         h, rem, scale = _zdivmod(f, g)
         if not rem and scale == 1:
-            return [(g, 1), (tuple(h), 1)]
-    return [(f, 1)]
-
-
-def _sympy_order(factor):
-    """sympy's order of factors (``polytools._sorted_factors``) in the
-    generators (a, b): the length of the dense representation, which is
-    the degree in a plus one, the multiplicity, then the dense
-    representation itself, a list of coefficient lists in b from the top
-    power of a down."""
-    coeffs, mult = factor
-    deg = len(coeffs) - 1
-    top = max(i for i, c in enumerate(coeffs) if c)
-    dense = [[coeffs[i]] + [0] * (deg - i) if coeffs[i] else []
-             for i in range(top, -1, -1)]
-    return top + 1, mult, dense
+            return [g, tuple(h)]
+    return [f]
 
 
 def lines_through_singular_point(pencil, s_point):

@@ -8,10 +8,9 @@ order is sorted so a report is byte-identical across runs with one seed.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import ConfigError, ValidationFailure
-from .fields import fmt_rational, parse_rational
+from .fields import parse_rational
 from .pencil import QuadricPencil, SegreSymbol, normal_form, validate_segre
 from .surface import SurfaceInstance
 
@@ -22,25 +21,13 @@ def canonical_dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
-def rat(value) -> str:
-    return fmt_rational(Fraction(value))
-
-
-def fmt_scalar(value, field=None) -> str:
-    if isinstance(value, (int, Fraction)):
-        return rat(value)
-    if field is not None:
-        return field.fmt(value)
-    return repr(value)
-
-
 def fmt_complex(z) -> str:
     zr, zi = float(z.real), float(z.imag)
     return f"{zr!r}{'+' if zi >= 0 else '-'}{abs(zi)!r}j"
 
 
 def point_payload(point):
-    return [fmt_scalar(c, point.field) for c in point.coords]
+    return [point.field.fmt(c) for c in point.coords]
 
 
 def line_payload(line):

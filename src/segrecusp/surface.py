@@ -21,8 +21,8 @@ from .errors import (NonIsolatedSingularity, PointNotOnLine, PointSingular,
 from .fields import (QQ, QuadExtElem, RatFuncElem, RationalFunctions, pgcd,
                      proj_normalize, quadratic_roots)
 from .jets import Jet, escalate, hensel_solve, splitting_reduce
-from .linalg import (complete_basis, gram_matrix, mat_det, mat_inv, mat_rank,
-                     mat_vec, rref, rref_kernel, solve_linear)
+from .linalg import (complete_basis, gram_matrix, identity, mat_det, mat_inv,
+                     mat_rank, mat_vec, rref, rref_kernel, solve_linear)
 from .pencil import QuadricPencil, second_intersection
 
 
@@ -222,11 +222,17 @@ def _singular_points_exact(pencil: QuadricPencil):
     return sorted(unique, key=lambda p: tuple(str(c) for c in p.coords))
 
 
-def singular_sweep_numeric(surface, n_starts=200, seed=0):
+# Newton starts of the numeric singular sweep, split between the two
+# orderings of the pencil generators
+SWEEP_STARTS = 60
+
+
+def singular_sweep_numeric(surface, seed=0):
     """Random Newton sweep on the rank-drop system, cross-checked exactly.
 
-    Solves (A - lam*B) x = 0 with an affine normalization from random starts
-    (both orderings of the pencil generators), keeps kernel directions lying
+    Solves (A - lam*B) x = 0 with an affine normalization from
+    :data:`SWEEP_STARTS` random starts (both orderings of the pencil
+    generators), keeps kernel directions lying
     on the surface, and compares them with the exact singular set.  Returns
     (matched, unresolved); unresolved hits are reported, never added.
     """
@@ -240,7 +246,7 @@ def singular_sweep_numeric(surface, n_starts=200, seed=0):
 
     hits = []
     for A, B in ((P, Q), (Q, P)):
-        for _ in range(n_starts // 2):
+        for _ in range(SWEEP_STARTS // 2):
             x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             lam = rng.standard_normal() + 1j * rng.standard_normal()
             a = rng.standard_normal(5) + 1j * rng.standard_normal(5)
@@ -284,13 +290,8 @@ def singular_sweep_numeric(surface, n_starts=200, seed=0):
 
 def _affine_chart_vectors(point):
     """Basis b_1..b_4 with X = p + sum u_i b_i an affine chart at p."""
-    field = point.field
     pivot = next(i for i, c in enumerate(point.coords) if c)
-    basis = []
-    for j in range(5):
-        if j != pivot:
-            basis.append([field.one if k == j else field.zero for k in range(5)])
-    return basis
+    return [e for j, e in enumerate(identity(point.field, 5)) if j != pivot]
 
 
 def hypersurface_germ(surface, point, order):
@@ -443,8 +444,8 @@ def chart_quadrics(pencil, field, columns, names, order):
 class AdaptedChart:
     """Exact linear chart: X = c0 + x c1 + y c2 + z c3 + w c4.
 
-    The base point is c0, the tangent plane maps to {z = w = 0}, and an
-    aligned line (when present) to {y = z = w = 0}.  ``gradients`` are the
+    The base point is c0, the tangent plane maps to {z = w = 0}, and a
+    line the chart is aligned to (:func:`adapted_chart`) to {y = z = w = 0}.  ``gradients`` are the
     rows [P c0, Q c0], formed here unless the chart's maker passes them.
     """
 
@@ -452,7 +453,6 @@ class AdaptedChart:
     field: object
     columns: list            # five 5-vectors over field
     base_point: ProjectivePoint
-    aligned_line: object = None
     gradients: list = dc_field(default=None, repr=False, compare=False)
 
     VAR_NAMES = ("x", "y", "z", "w")
@@ -540,10 +540,10 @@ def adapted_chart(surface, point, line=None) -> AdaptedChart:
         tangent = [p, *next((d, t) for d in span for t in tangent[1:]
                             if mat_det(field, [[v[f] for f in free]
                                                for v in (p, d, t)]))]
-    units = [[field.one if k == j else field.zero for k in range(5)]
-             for j in pivots]
-    return AdaptedChart(surface=surface, field=field, columns=tangent + units,
-                        base_point=point, aligned_line=line, gradients=rows)
+    units = identity(field, 5)
+    return AdaptedChart(surface=surface, field=field,
+                        columns=tangent + [units[j] for j in pivots],
+                        base_point=point, gradients=rows)
 
 
 # --------------------------------------------------------------------------
@@ -557,7 +557,7 @@ def _isotropic_seed(M, surface_points=()):
     sweep; any other singular point of the surface lies on every member and
     works, otherwise small coordinate combinations are scanned.
     """
-    units = [[Fraction(int(k == j)) for k in range(5)] for j in range(5)]
+    units = identity(QQ, 5)
     scales = (1, -1, 2, -2)
     # generated as they are tried: most calls stop at an early candidate
     candidates = chain(

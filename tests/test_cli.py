@@ -227,6 +227,29 @@ def test_line_report_states_order_used(tmp_path, capsys):
     assert line["m"] == 2
 
 
+@pytest.mark.parametrize("symbol", ["[122]", "[1112]", "[1(13)]"])
+def test_line_report_matches_surface_report_on_every_line(tmp_path, capsys,
+                                                          symbol):
+    """Both commands take a line's record from one builder: exact lines,
+    numeric ones and the inconsistent [1(13)] estimates alike."""
+    from segrecusp.pencil import SegreSymbol
+    params = ["1", "2", "5", "7"][:len(SegreSymbol.parse(symbol).units)]
+    path = write_config(tmp_path, {"symbol": symbol, "params": params,
+                                   "seed": 3})
+    main(["surface-report", "--config", path, "--offline-points", "0"])
+    records = json.loads(capsys.readouterr().out)["lines"]
+    keys = ("m", "disc_order", "branch_mult")
+    for k, record in enumerate(records):
+        code = main(["line-report", "--config", path, "--line", str(k)])
+        line = json.loads(capsys.readouterr().out)
+        assert line["line"] == {key: record[key] for key in line["line"]}, k
+        assert [line[key] for key in keys] == [record[key] for key in keys], k
+        assert line["exact"] == record["exact_report"], k
+        ok = line["exact"] or line["evidence"]["status"] == "ok"
+        assert code == (0 if ok else 1), k
+    assert records
+
+
 def _src_env():
     """The environment with the checkout's src/ first on PYTHONPATH."""
     env = dict(os.environ)

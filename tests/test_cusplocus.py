@@ -618,6 +618,18 @@ def test_numeric_branch_evidence_diag(census_cache):
     assert ev["m_estimate"] == 0 and ev["branch_estimate"] == 1
 
 
+def test_numeric_branch_evidence_flags_disagreeing_slopes(census_cache):
+    # the two lines of the default [1(13)] are exact over Q(sqrt(-1)); their
+    # samples give disc slopes near 2.35 and -0.84 and d = 1 < 2m = 4, where
+    # the rational twist's exact reports give (m, d) = (2, 8)
+    inst, census = census_cache("[1(13)]")
+    assert len(census.lines) == 2
+    for line in census.lines:
+        ev = numeric_line_branch_evidence(inst, line)
+        assert ev["status"] == "inconsistent", line
+        assert (ev["m_estimate"], ev["disc_order_estimate"]) == (2, 1), line
+
+
 def test_tacnodal_family_and_conic(line_fixture):
     line = line_fixture.distinguished_line
     a, b = line.span_over(QQ)

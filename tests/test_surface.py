@@ -74,7 +74,7 @@ def test_irrational_singular_points_classified():
 
 def test_numeric_singular_sweep_matches_exact():
     inst = table1_instance("[12(11)]")
-    matched, unresolved = singular_sweep_numeric(inst, n_starts=60)
+    matched, unresolved = singular_sweep_numeric(inst)
     assert not unresolved
     assert matched  # the sweep does find the known points
 
