@@ -205,11 +205,15 @@ def _table1_spelling(text):
 
 def cmd_table1(args):
     fixture = _load_table1_fixture()
-    if args.symbols:
+    if args.symbols is None:
+        wanted = [str(s) for s in TABLE1_SYMBOLS]
+    else:
         wanted = [_table1_spelling(s) for s in args.symbols.split(",")
                   if s.strip()]
-    else:
-        wanted = [str(s) for s in TABLE1_SYMBOLS]
+        if not wanted:
+            # an empty table would pass vacuously
+            raise SegreCuspError(
+                f"--symbols: {args.symbols!r} names no symbol")
     from .instances import table1_instance
     from .lines import enumerate_lines
     from .cusplocus import line_report

@@ -4,6 +4,12 @@ Builds on a validated pencil: exact singular points with their ADE types,
 tangent planes and adapted charts, exact rational point sampling, and the
 rank-3 double-conic projection.  Line enumeration lives in
 :mod:`segrecusp.lines`.
+
+The germ of S at a singular point is exact: on one chart per point, built
+from an isotropic direction of a member smooth there, S is the graph of
+that member's quadratic equation, and the other quadric restricted to it
+is a polynomial of degree at most 4 (:func:`exact_germ`).  The classifier
+builds it once and escalates only the splitting of it.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from .errors import (NonIsolatedSingularity, PointNotOnLine, PointSingular,
                      TruncationInsufficient, UnsupportedSingularity)
 from .fields import (QQ, QuadExtElem, RatFuncElem, RationalFunctions, pgcd,
                      proj_normalize, quadratic_roots)
-from .jets import Jet, escalate, hensel_solve, splitting_reduce
+from .jets import MAX_ORDER, Jet, escalate, hensel_solve, splitting_reduce
 from .linalg import (complete_basis, gram_matrix, identity, mat_det, mat_inv,
-                     mat_rank, mat_vec, rref, rref_kernel, solve_linear)
+                     mat_rank, mat_vec, nullspace, rref, rref_kernel,
+                     solve_linear)
 from .pencil import QuadricPencil, second_intersection
 
 
@@ -285,38 +292,62 @@ def singular_sweep_numeric(surface, seed=0):
 
 
 # --------------------------------------------------------------------------
-# affine germs and ADE classification
+# exact germs and ADE classification
 
 
-def _affine_chart_vectors(point):
-    """Basis b_1..b_4 with X = p + sum u_i b_i an affine chart at p."""
-    pivot = next(i for i, c in enumerate(point.coords) if c)
-    return [e for j, e in enumerate(identity(point.field, 5)) if j != pivot]
+def _isotropic_chart(surface, point):
+    """(k, C): k the index in (P, Q) of a member M smooth at p, Q before P,
+    and C = [p, v1, W] the columns of one chart at p, over the field of p.
 
-
-def hypersurface_germ(surface, point, order):
-    """Eliminate one coordinate via a pencil member smooth at the point.
-
-    Returns a 3-variable jet f with f(0) = 0 whose zero germ is (S, p).
+    With i the first nonzero entry of Mp and v = e_i / (Mp)_i, M(p, v) = 1,
+    so v1 = v - M(v, v)/2 p is M-isotropic with M(p, v1) = 1, and
+    W = ker[Mp; Mv1] has dimension 3.  On x = p + u v1 + w, w in W,
+    M(x) = 2u + M(w, w).
     """
-    names = ("u1", "u2", "u3", "u4")
-    q_p, q_q = chart_quadrics(surface.pencil, point.field,
-                              [list(point.coords)] + _affine_chart_vectors(point),
-                              names, order)
-    # a member is smooth at p when its chart jet has a linear part, which
-    # is its gradient at p read in the chart directions
-    for member, other in ((q_q, q_p), (q_p, q_q)):
-        linear = member.homogeneous_part(1)
-        if linear:
+    field, p = point.field, list(point.coords)
+    quadrics = surface.pencil.coerced(field)
+    # a member is smooth at p when its gradient Mp is nonzero
+    for k in (1, 0):
+        Mp = mat_vec(field, quadrics[k], p)
+        if any(Mp):
             break
     else:
         raise UnsupportedSingularity(
             "both quadrics are singular at the point: not a hypersurface germ")
-    solve_var = names[min(e.index(1) for e in linear)]
-    (h,) = hensel_solve([member], (solve_var,), order=order)
-    images = {v: Jet.variable(point.field, h.vars, order, v) for v in h.vars}
-    images[solve_var] = h
-    return other.substitute(images)
+    M = quadrics[k]
+    i = next(j for j, c in enumerate(Mp) if c)
+    v = [field.zero] * 5
+    v[i] = field.one / Mp[i]
+    half = M[i][i] * v[i] * v[i] / 2          # M(v, v)/2
+    v1 = [a - half * b for a, b in zip(v, p)]
+    return k, [p, v1] + nullspace(field, [Mp, mat_vec(field, M, v1)])
+
+
+def exact_germ(surface, point):
+    """The germ (S, p) as an exact polynomial f of degree <= 4 in the three
+    coordinates of W, over the field of p.
+
+    On the chart of :func:`_isotropic_chart`, S is {u = -M(w, w)/2,
+    f(w) = 0}, f(w) being the other quadric O at that u:
+
+        f(w) = 2 O(p, w) + O(w, w) - (O(p, v1) + O(v1, w)) M(w, w)
+               + O(v1, v1) M(w, w)^2 / 4,
+
+    where O(p, w) = 0 at a singular point, Op being parallel to Mp.  Both
+    quadrics are read off the Gram matrices on C = [p, v1, W]
+    (:func:`chart_quadrics`).  f is a polynomial, exact to every order, so
+    its jet carries :data:`~segrecusp.jets.MAX_ORDER`.
+    """
+    k, columns = _isotropic_chart(surface, point)
+    field, names = point.field, ("u", "w1", "w2", "w3")
+    jets = chart_quadrics(surface.pencil, field, columns, names, MAX_ORDER)
+    images = {w: Jet.variable(field, names[1:], MAX_ORDER, w)
+              for w in names[1:]}
+    # the member's jet is 2u + M(w, w)
+    images["u"] = Jet(field, names[1:], MAX_ORDER,
+                      {e[1:]: -c / 2 for e, c in jets[k].coeffs.items()
+                       if not e[0]})
+    return jets[1 - k].substitute(images)
 
 
 def _binary_cubic_double_root(coeffs, field):
@@ -395,10 +426,12 @@ def classify_germ(f: Jet) -> ADEClass:
 
 
 def classify_singularity(surface, point) -> ADEClass:
-    """ADE class of a singular point, at the least order that settles it
-    (see :func:`segrecusp.jets.escalate`)."""
-    return escalate(
-        lambda n: classify_germ(hypersurface_germ(surface, point, n)))
+    """ADE class of a singular point: its germ (:func:`exact_germ`) is
+    built once, and only the splitting escalates, :func:`classify_germ`
+    running on the germ truncated at the least order that settles it (see
+    :func:`segrecusp.jets.escalate`)."""
+    germ = exact_germ(surface, point)
+    return escalate(lambda n: classify_germ(germ.truncate(n)))
 
 
 # --------------------------------------------------------------------------

@@ -81,6 +81,8 @@ def test_table1_subset(capsys):
     ["table1", "--symbols", "[1(11)(11)"],
     ["table1", "--symbols", "[(111)11]"],
     ["surface-report", "--offline-points", "-3"],
+    ["table1", "--symbols", ","],
+    ["table1", "--symbols", ""],
 ])
 def test_malformed_input_is_an_error(argv, tmp_path, capsys):
     if argv[0] in ("point-case", "surface-report"):

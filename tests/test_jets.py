@@ -581,24 +581,31 @@ def test_substitute_over_q_matches_generic_loop(rng):
         assert got.coeffs == _back_to_q(generic).coeffs
 
 
-def test_germs_over_q_match_generic_loop():
-    """hypersurface_germ and splitting_reduce at orders 3, 6 and 12 at the
-    rational singular points of the census surfaces (the default forms and
-    random.Random(1) copies of [5], [11111] and [11(12)]), against the same
-    computations at the point taken into Q(sqrt 2)."""
+def _census_copies(seed):
+    """One invertible integer matrix with entries in [-2, 2] per Table-1
+    symbol, drawn from random.Random(seed) in Table-1 order."""
     from segrecusp.linalg import mat_det
-    from segrecusp.pencil import TABLE1_SYMBOLS, default_instance
-    from segrecusp.surface import (ProjectivePoint, SurfaceInstance,
-                                   hypersurface_germ)
+    from segrecusp.pencil import TABLE1_SYMBOLS
 
-    draw, copies = random.Random(1), {}
+    draw, copies = random.Random(seed), {}
     for symbol in map(str, TABLE1_SYMBOLS):
         while True:
             A = [[F(draw.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
             if mat_det(QQ, A):
                 copies[symbol] = A
                 break
-    points = 0
+    return copies
+
+
+def test_germs_over_q_match_generic_loop():
+    """exact_germ, and splitting_reduce on it at orders 3, 6 and 12, at the
+    rational singular points of the census surfaces (the default forms and
+    random.Random(1) copies of [5], [11111] and [11(12)]), against the same
+    computations at the point taken into Q(sqrt 2)."""
+    from segrecusp.pencil import default_instance
+    from segrecusp.surface import ProjectivePoint, SurfaceInstance, exact_germ
+
+    copies, points = _census_copies(1), 0
     for symbol in ("[5]", "[11111]", "[11(12)]"):
         form = default_instance(symbol)
         for pencil in (form, form.congruent(copies[symbol])):
@@ -607,15 +614,83 @@ def test_germs_over_q_match_generic_loop():
                 if p.field != QQ:
                     continue
                 points += 1
-                q2 = ProjectivePoint.make(K2, p.coords)
+                germ = exact_germ(surface, p)
+                generic = exact_germ(surface, ProjectivePoint.make(K2, p.coords))
+                assert germ.coeffs == _back_to_q(generic).coeffs
                 for order in (3, 6, 12):
-                    germ = hypersurface_germ(surface, p, order)
-                    generic = hypersurface_germ(surface, q2, order)
-                    assert germ.coeffs == _back_to_q(generic).coeffs
-                    split = splitting_reduce(germ)
-                    split2 = splitting_reduce(generic)
+                    split = splitting_reduce(germ.truncate(order))
+                    split2 = splitting_reduce(generic.truncate(order))
                     assert split.rank == split2.rank
                     assert split.residual_vars == split2.residual_vars
                     assert split.residual.coeffs == \
                         _back_to_q(split2.residual).coeffs
     assert points == 4
+
+
+def _evaluate(f, w):
+    """The polynomial of a jet at the point w."""
+    out = f.field.zero
+    for e, c in f.coeffs.items():
+        for x, n in zip(w, e):
+            c = c * x ** n
+        out = out + c
+    return out
+
+
+def test_exact_germ_is_the_surface_on_its_chart():
+    """At every singular point of the 16 default forms, their random.Random(1)
+    copies and the diagonal [1(11)(11)] pencil (points over Q(sqrt -1)), and
+    at a few rational w in W: x = p + u v1 + w with u = -M(w, w)/2 lies on the
+    smooth member M, and the other quadric O has O(x) = f(w) exactly.  The
+    germ is a polynomial of degree <= 4: truncated at 4 it is f at 8."""
+    from segrecusp.linalg import gram_matrix
+    from segrecusp.pencil import TABLE1_SYMBOLS, QuadricPencil, default_instance
+    from segrecusp.surface import SurfaceInstance, _isotropic_chart, exact_germ
+
+    def diag(*entries):
+        return [[F(x) if i == j else F(0) for j in range(5)]
+                for i, x in enumerate(entries)]
+
+    copies, pencils = _census_copies(1), []
+    for symbol in map(str, TABLE1_SYMBOLS):
+        form = default_instance(symbol)
+        pencils += [form, form.congruent(copies[symbol])]
+    pencils.append(QuadricPencil(diag(1, 1, 1, 1, 1), diag(1, 1, 2, 2, 3)))
+    ws = [(1, 0, 0), (0, 1, -2), (3, -1, 2), (F(1, 2), F(-2, 3), 5)]
+    fields = []
+    for pencil in pencils:
+        surface = SurfaceInstance(pencil)
+        for p in surface.singular_points():
+            field = p.field
+            k, (p0, v1, *W) = _isotropic_chart(surface, p)
+            M, O = pencil.coerced(field)[k], pencil.coerced(field)[1 - k]
+            f = exact_germ(surface, p)
+            assert f.truncate(4).coeffs == f.truncate(8).coeffs
+            for w in ws:
+                w = [field.coerce(c) for c in w]
+                wv = [sum(c * b[j] for c, b in zip(w, W)) for j in range(5)]
+                u = -gram_matrix(field, M, [wv])[0][0] / 2
+                x = [a + u * b + c for a, b, c in zip(p0, v1, wv)]
+                assert not gram_matrix(field, M, [x])[0][0]
+                assert gram_matrix(field, O, [x])[0][0] == _evaluate(f, w)
+            fields.append(field)
+    assert len(fields) == 60
+    assert QuadraticExtension(-1) in fields
+
+
+def test_germ_built_once_per_point(monkeypatch):
+    """The default [5]'s A4 is not settled at order 3: the germ is built
+    once and only classify_germ runs again, at orders 3 and 6."""
+    from segrecusp import surface as surface_module
+    from segrecusp.pencil import default_instance
+
+    built, orders = [], []
+    exact_germ = surface_module.exact_germ
+    classify_germ = surface_module.classify_germ
+    monkeypatch.setattr(surface_module, "exact_germ",
+                        lambda s, p: built.append(p) or exact_germ(s, p))
+    monkeypatch.setattr(surface_module, "classify_germ",
+                        lambda f: orders.append(f.order) or classify_germ(f))
+    surface = surface_module.SurfaceInstance(default_instance("[5]"))
+    assert surface.singularity_multiset() == ["A4"]
+    assert len(built) == 1 and orders == [3, 6]
