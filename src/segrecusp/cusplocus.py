@@ -20,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -27,10 +28,10 @@ from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
                      NonGenericPoint, RootFieldUnsupported, SegreCuspError,
                      SingularJacobian, TowerUnsupported,
                      TruncationInsufficient)
-from .fields import QQ, quadratic_roots
+from .fields import QQ, _convolve, _integral, _zdivmod, quadratic_roots
 from .jets import (START_ORDER, BinaryQuadratic, InfiniteOrder, Jet,
                    escalate, hensel_solve, splitting_reduce, y_order)
-from .linalg import gram_matrix, mat_rank, nullspace, solve_linear
+from .linalg import gram_numerators, nullspace, solve_linear
 from .surface import AdaptedChart, ProjectivePoint, adapted_chart
 
 
@@ -44,12 +45,17 @@ class HessianAtPoint:
     chart: AdaptedChart
     form: BinaryQuadratic          # scalar coefficients
     discriminant: object
-    roots: list                    # [(field, (lam, mu), multiplicity)]
     grams: _TangentGrams
 
     @property
     def has_two_distinct_roots(self):
         return bool(self.discriminant)
+
+    @cached_property
+    def roots(self):
+        """[(field, (lam, mu), multiplicity)] from :func:`quadratic_roots`,
+        computed when first read."""
+        return quadratic_roots(*self.form.coefficients(), self.chart.field) or []
 
 
 def _hessian_form(fxx, fxy, fyy, gxx, gxy, gyy):
@@ -59,80 +65,184 @@ def _hessian_form(fxx, fxy, fyy, gxx, gxy, gyy):
             gxx * gyy - gxy * gxy)
 
 
+# A binary form of degree n in (lam, mu) is the list of its n + 1 integer
+# coefficients, ascending in lam: g[i] multiplies lam^i mu^(n - i).
+
+
+def _sub(g, h):
+    return [x - y for x, y in zip(g, h)]
+
+
+def _mul(g, h):
+    return _convolve(g, h, 0)
+
+
+def _vanishes(f, g):
+    """Whether the binary form g vanishes at the roots of f, f irreducible
+    over Q of degree 1 or 2 (or a multiple of one): f divides g, since g
+    vanishes at one root of f only if the minimal polynomial f divides it.
+    f = c mu divides g when g's lam^n coefficient is 0; any other f divides
+    g when f(t, 1) divides g(t, 1), one pseudo-remainder over Z."""
+    if not f[-1]:
+        return not g[-1]
+    return not _zdivmod(g, f)[1]
+
+
+def _linear_form(lam, mu):
+    """The integer linear form that vanishes at the rational (lam : mu)."""
+    (l, m), _ = _integral((lam, mu))
+    return [-l, m]
+
+
 class _TangentGrams:
     """The Hessian form at a chart's base point p, and the class of the
     section by each hyperplane through T_pS, from the Gram matrices
-    G_M = C^T M C of M = P, Q on the chart columns c_0 = p, ..., c_4.
+    G_M = C^T M C of M = P, Q on the chart columns c_0 = p, ..., c_4, over
+    Z: the chart must lie over Q (else :class:`RootFieldUnsupported`).
 
     **Form.**  L = 2 [[G_P(0,3), G_P(0,4)], [G_Q(0,3), G_Q(0,4)]] is the
     Jacobian of the chart quadrics in (z, w), so the graph's second-order
     part is (F_2, G_2) = -L^-1 (q_P, q_Q), q_M the (c_1, c_2) block of G_M
     as a quadratic form.  A column c_j not tangent at p (a linear part
-    (F_j, G_j) of the graph) is read as c_j + F_j c_3 + G_j c_4.
+    (F_j, G_j) of the graph) is read as c_j + F_j c_3 + G_j c_4.  Each G_M
+    is formed once, on integers (:func:`gram_numerators`; again only after
+    such a correction), and its denominator is dropped: -L^-1 (q_P, q_Q)
+    does not see it, and neither do the ranks below.  So the second
+    derivatives are integers over det(L/2) (the coefficients of the member
+    A below on c_1, c_2), and the form is an integer form over det(L/2)^2.
 
     **Sections.**  H of (lam : mu) is spanned by p, c_1, c_2 and
     u = mu c_3 - lam c_4.  The member A = alpha P + beta Q with A(p, u) = 0
     has p in the kernel of A|_H, so, B(p, u) being nonzero,
     det (A + tB)|_H = -t^2 B(p, u)^2 Hess(A + tB) vanishes at t = 0 to
     order k = 2 + the multiplicity of (lam : mu) as a root of the form,
-    and A|_H has corank c = 4 - the rank of the Gram matrix of A on
+    and A|_H has corank c = 4 - the rank of the Gram matrix N of A on
     (c_1, c_2, u).  S ∩ H is the base curve of the pencil on H, of Segre
     symbol weight k on c blocks at A; by the classification of pencils of
     quadrics in P^3 its germ at p is a node for k = 2, an ordinary cusp
     for (k, c) = (3, 1), a tacnode for (4, 1) (a twisted cubic and a
     tangent line) and (3, 2) (two conics tangent at p), and a doubled
     conic where A|_H has rank at most 1.  Any other (k, c) reads ``Other``.
-    Only the Gram matrices on c_1, ..., c_4 (sparse) are formed; M p are
-    the chart's gradient rows.
+
+    **Orbits.**  N's entries are integer binary forms in (lam, mu) of
+    degree 1 to 3, built once.  Its rank at (lam : mu) is read at once for
+    every root of an irreducible form f over Z (a Galois orbit): f divides
+    a form g iff g vanishes at one root of f, so the determinant, each 2 x
+    2 minor and each entry is tested with one pseudo-remainder over Z
+    (:func:`_vanishes`), each as a whole.  A rational (lam : mu) is the
+    orbit of its linear form (:func:`_linear_form`); a conjugate pair of
+    Hessian roots needs no Q(sqrt d).
     """
 
     def __init__(self, chart):
-        field, (_, c1, c2, c3, c4) = chart.field, chart.columns
-        PQ = chart.surface.pencil.coerced(field)
+        if chart.field != QQ:
+            raise RootFieldUnsupported(
+                f"section classes need a chart over Q, not {chart.field}")
+        scaled = chart.surface.pencil.numerators(QQ)
+        grams = [gram_numerators(QQ, M, chart.columns)[0] for M in scaled]
         # G_M(0, j) = c_j . M p
-        self.p_rows = [[sum((x * g[k] for k, x in enumerate(c) if x),
-                            field.zero) for c in (c1, c2, c3, c4)]
-                       for g in chart.gradients]
-        (p1, p2, p3, p4), (q1, q2, q3, q4) = self.p_rows
-        det = 4 * (p3 * q4 - p4 * q3)
-        if not det:
+        (_, p1, p2, p3, p4), (_, q1, q2, q3, q4) = (g[0] for g in grams)
+        delta = p3 * q4 - p4 * q3
+        if not delta:
             raise SingularJacobian(
                 "Jacobian in the solve variables is singular at 0")
-        inverse = ((2 * q4 / det, -2 * p4 / det),
-                   (-2 * q3 / det, 2 * p3 / det))
-        tangent = []
-        for c, gp, gq in ((c1, p1, q1), (c2, p2, q2)):
-            slope = [-2 * (r0 * gp + r1 * gq) for r0, r1 in inverse]
-            tangent.append([a + slope[0] * b + slope[1] * d
-                            for a, b, d in zip(c, c3, c4)]
-                           if any(slope) else c)
-        self.grams = [gram_matrix(field, M, tangent + [c3, c4]) for M in PQ]
-        gP, gQ = self.grams
-        second = [[-2 * (r0 * gP[i][j] + r1 * gQ[i][j])
-                   for i, j in ((0, 0), (0, 1), (1, 1))] for r0, r1 in inverse]
-        self.form = BinaryQuadratic(*_hessian_form(*second[0], *second[1]))
+        if p1 or p2 or q1 or q2:
+            c0, c1, c2, c3, c4 = chart.columns
+            tangent = []
+            for c, gp, gq in ((c1, p1, q1), (c2, p2, q2)):
+                # -2 L^-1 (gp, gq) = -(q4 gp - p4 gq, p3 gq - q3 gp) / delta
+                slope = [Fraction(p4 * gq - q4 * gp, delta),
+                         Fraction(q3 * gp - p3 * gq, delta)]
+                tangent.append([a + slope[0] * b + slope[1] * d
+                                for a, b, d in zip(c, c3, c4)])
+            grams = [gram_numerators(QQ, M, [c0, *tangent, c3, c4])[0]
+                     for M in scaled]
+        (gP, p3, p4), (gQ, q3, q4) = (
+            ([row[1:] for row in g[1:]], g[0][3], g[0][4]) for g in grams)
+        delta = p3 * q4 - p4 * q3
 
-    def section_invariants(self, field, lam, mu):
-        """(k, c) of the section by the hyperplane of (lam : mu), exact
-        over ``field``; k is ``math.inf`` where the form is zero."""
-        a, b, c = (field.coerce(v) for v in self.form.coefficients())
-        multiplicity = (0 if a * lam * lam + b * lam * mu + c * mu * mu
+        def member(i, j):
+            # A_ij = alpha G_P(i, j) + beta G_Q(i, j), alpha = q3 mu - q4 lam
+            # and beta = p4 lam - p3 mu
+            return [q3 * gP[i][j] - p3 * gQ[i][j], p4 * gQ[i][j] - q4 * gP[i][j]]
+
+        def with_u(i):
+            # A(c_i, u) = mu A_i2 - lam A_i3
+            x, y = member(i, 2), member(i, 3)
+            return [x[0], x[1] - y[0], -y[1]]
+
+        n00, n01, n11 = member(0, 0), member(0, 1), member(1, 1)
+        x, y, z = member(2, 2), member(2, 3), member(3, 3)
+        # A(u, u) = mu^2 A_22 - 2 lam mu A_23 + lam^2 A_33
+        self._block = (n00, n01, with_u(0), n11, with_u(1),
+                       [x[0], x[1] - 2 * y[0], z[0] - 2 * y[1], z[1]])
+        # the second derivatives -2 L^-1 (G_P(i, j), G_Q(i, j)) of (F, G)
+        # are the lam and the mu coefficients of A_ij over delta
+        form = _hessian_form(n00[1], n01[1], n11[1], n00[0], n01[0], n11[0])
+        self.form = BinaryQuadratic(
+            *(Fraction(x, delta * delta) for x in form))
+        g = math.gcd(*form) or 1
+        self._form = [x // g for x in reversed(form)]
+
+    @cached_property
+    def _minors(self):
+        """N's 2 x 2 minors M_00, M_01, M_02, M_11, M_12, M_22 (rows and
+        columns i and j deleted; N is symmetric)."""
+        n00, n01, n02, n11, n12, n22 = self._block
+        return (_sub(_mul(n11, n22), _mul(n12, n12)),
+                _sub(_mul(n01, n22), _mul(n12, n02)),
+                _sub(_mul(n01, n12), _mul(n11, n02)),
+                _sub(_mul(n00, n22), _mul(n02, n02)),
+                _sub(_mul(n00, n12), _mul(n01, n02)),
+                _sub(_mul(n00, n11), _mul(n01, n01)))
+
+    @cached_property
+    def _det(self):
+        n00, n01, n02 = self._block[:3]
+        m00, m01, m02 = self._minors[:3]
+        return [a - b + c for a, b, c in
+                zip(_mul(n00, m00), _mul(n01, m01), _mul(n02, m02))]
+
+    def rank_at(self, f):
+        """The rank of N at the roots of f (see :func:`_vanishes`)."""
+        if not _vanishes(f, self._det):
+            return 3
+        if not all(_vanishes(f, m) for m in self._minors):
+            return 2
+        return 0 if all(_vanishes(f, e) for e in self._block) else 1
+
+    def root_orbits(self):
+        """The Galois orbits over Q of the form's roots, in the order of
+        :func:`quadratic_roots`: (f, n), f the integer form of the orbit,
+        irreducible over Q, and n the number of roots that
+        :func:`quadratic_roots` lists in it.  Rational roots are told from a
+        conjugate pair by ``math.isqrt`` of the discriminant."""
+        c, b, a = self._form
+        if not (a or b or c):
+            return []
+        if not a:
+            # the root (1 : 0), then (-c : b)
+            return [([1, 0], 1)] + ([([c, b], 1)] if b else [])
+        disc = b * b - 4 * a * c
+        s = math.isqrt(disc) if disc >= 0 else -1
+        if s * s != disc:
+            return [(self._form, 2)]
+        # the roots (-b + s : 2a) and (-b - s : 2a)
+        return [([b - s, 2 * a], 1)] + ([([b + s, 2 * a], 1)] if s else [])
+
+    def section_invariants(self, f):
+        """(k, c) of the sections by the hyperplanes of the roots of f, an
+        integer binary form irreducible over Q (:meth:`root_orbits`,
+        :func:`_linear_form`); k is ``math.inf`` where the form is zero."""
+        form = self._form
+        c, b, a = form
+        multiplicity = (0 if not _vanishes(f, form)
                         else 1 if b * b - 4 * a * c
                         else 2 if a or b or c else math.inf)
-        (_, _, p3, p4), (_, _, q3, q4) = self.p_rows
-        alpha, beta = mu * q3 - lam * q4, lam * p4 - mu * p3
-        gP, gQ = self.grams
-        A = {(i, j): alpha * gP[i][j] + beta * gQ[i][j]
-             for i in range(4) for j in range(i, 4)}
-        a1u, a2u = (mu * A[i, 2] - lam * A[i, 3] for i in (0, 1))
-        auu = mu * mu * A[2, 2] - 2 * lam * mu * A[2, 3] + lam * lam * A[3, 3]
-        rank = mat_rank(field, [[A[0, 0], A[0, 1], a1u],
-                                [A[0, 1], A[1, 1], a2u],
-                                [a1u, a2u, auu]])
-        return 2 + multiplicity, 4 - rank
+        return 2 + multiplicity, 4 - self.rank_at(f)
 
-    def section_class(self, field, lam, mu):
-        k, c = self.section_invariants(field, lam, mu)
+    def section_class(self, f):
+        k, c = self.section_invariants(f)
         if c >= 3:
             return SectionGermClass("PerfectSquare", detail="double conic")
         if k == 2:
@@ -144,19 +254,15 @@ class _TangentGrams:
         return SectionGermClass("Other", detail=f"(k, c) = ({k}, {c})")
 
 
-def hessian_form_at(surface, point, chart=None,
-                    with_roots=True) -> HessianAtPoint:
+def hessian_form_at(surface, point, chart=None) -> HessianAtPoint:
     """The binary quadratic detecting non-nodal sections at a smooth point,
-    read off Gram entries with no graph solve (:class:`_TangentGrams`)."""
+    read off Gram entries with no graph solve (:class:`_TangentGrams`).
+    The point must lie over Q (else :class:`RootFieldUnsupported`)."""
     if chart is None:
         chart = adapted_chart(surface, point)
     grams = _TangentGrams(chart)
-    form = grams.form
-    roots = quadratic_roots(*form.coefficients(), chart.field) \
-        if with_roots else None
-    return HessianAtPoint(point=point, chart=chart, form=form,
-                          discriminant=form.discriminant(),
-                          roots=roots or [], grams=grams)
+    return HessianAtPoint(point=point, chart=chart, form=grams.form,
+                          discriminant=grams.form.discriminant(), grams=grams)
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +315,8 @@ def classify_section_germ(surface, point, hyperplane) -> SectionGermClass:
     A hyperplane through the point but not its tangent plane cuts a smooth
     germ.  Otherwise the class is read off exactly, with no graph solve,
     from the order k at which det((A + tB)|_H) vanishes and the corank c of
-    A|_H, A the member singular at the point (:class:`_TangentGrams`).
+    A|_H, A the member singular at the point (:class:`_TangentGrams`), so
+    only at a point over Q (else :class:`RootFieldUnsupported`).
     """
     chart = adapted_chart(surface, point)
     duals = chart.dual_coords(hyperplane)
@@ -219,7 +326,7 @@ def classify_section_germ(surface, point, hyperplane) -> SectionGermClass:
             raise HyperplaneNotTangent("hyperplane misses the point")
         return SectionGermClass("Smooth")
     # dual_coords reads (lam, mu) in the chart's field
-    return _TangentGrams(chart).section_class(chart.field, *duals)
+    return _TangentGrams(chart).section_class(_linear_form(*duals))
 
 
 # --------------------------------------------------------------------------
@@ -233,29 +340,27 @@ class PointCase:
     hessian: HessianAtPoint
 
 
-def point_case(surface, point) -> PointCase:
-    """Classify both Hessian-root sections at a smooth point off all lines.
+def point_case(surface, point, chart=None) -> PointCase:
+    """Classify both Hessian-root sections at a smooth point off all lines,
+    on ``chart`` (by default :func:`adapted_chart` at the point).
 
     The form and the root classes are read off one set of Gram entries,
-    exactly and with no graph solve (:class:`_TangentGrams`): a simple root
-    cuts an ordinary cusp where the member A singular at p restricts to its
-    hyperplane H with corank 1, and a doubled conic where A|_H has rank at
-    most 1.  A degenerate form or any other class makes the point not
-    generic.  Over a rational chart, roots conjugate in Q(sqrt d) give
-    conjugate hyperplanes, and the classification (field operations, zero
-    tests and ranks) commutes with sqrt d -> -sqrt d, so the second root
-    takes the first root's class.
+    exactly, over Z and with no graph solve (:class:`_TangentGrams`): a
+    simple root cuts an ordinary cusp where the member A singular at p
+    restricts to its hyperplane H with corank 1, and a doubled conic where
+    A|_H has rank at most 1.  A degenerate form or any other class makes
+    the point not generic.  Each Galois orbit of roots is classified once
+    (:meth:`_TangentGrams.root_orbits`): for an irreducible factor f of the
+    form over Z, f divides a form g iff g vanishes at one root of f, so one
+    reading serves both roots of a conjugate pair, with no Q(sqrt d).  The
+    classes keep the order of :attr:`HessianAtPoint.roots`.
     """
-    hess = hessian_form_at(surface, point)
+    hess = hessian_form_at(surface, point, chart)
     if not hess.has_two_distinct_roots:
         raise NonGenericPoint(
             f"Hessian form at {point} is degenerate; the point is not generic")
-    conjugate = hess.chart.field == QQ and hess.roots[0][0] != QQ
-    classes = [hess.grams.section_class(rfield, lam, mu)
-               for rfield, (lam, mu), _m in
-               (hess.roots[:1] if conjugate else hess.roots)]
-    if conjugate:
-        classes *= 2
+    classes = tuple(cls for f, n in hess.grams.root_orbits()
+                    for cls in [hess.grams.section_class(f)] * n)
     kinds = sorted(c.kind for c in classes)
     squares = kinds.count("PerfectSquare")
     if squares == 2:
@@ -268,13 +373,14 @@ def point_case(surface, point) -> PointCase:
         # e.g. a tacnodal section: the point sits on a special curve
         raise NonGenericPoint(
             f"root classification {kinds} at {point} is not generic")
-    return PointCase(case=case, root_classes=tuple(classes), hessian=hess)
+    return PointCase(case=case, root_classes=classes, hessian=hess)
 
 
 def sample_point_cases(surface, count, rng=None):
     """Point cases (see :func:`point_case`) at ``count`` generic rational
-    points, resampling the occasional hit on a special curve."""
-    from .surface import sample_rational_points
+    points, each on the chart that sampled it (:func:`sample_charts`),
+    resampling the occasional hit on a special curve."""
+    from .surface import sample_charts
 
     rng = rng or random.Random(surface.seed + 3)
     out = []
@@ -282,13 +388,14 @@ def sample_point_cases(surface, count, rng=None):
     for _ in range(8 * count + 16):
         if len(out) >= count:
             return out
-        (p,) = sample_rational_points(surface, 1, rng=rng,
-                                      avoid=lambda q: _on_any_line(surface, q)
-                                      or q in seen)
+        (chart,) = sample_charts(surface, 1, rng=rng,
+                                 avoid=lambda q: _on_any_line(surface, q)
+                                 or q in seen)
+        p = chart.base_point
         seen.add(p)
         try:
-            out.append((p, point_case(surface, p)))
-        except (NonGenericPoint, RootFieldUnsupported):
+            out.append((p, point_case(surface, p, chart)))
+        except NonGenericPoint:
             continue
     raise SegreCuspError(f"found only {len(out)} of {count} generic points")
 
@@ -457,7 +564,8 @@ def tacnodal_hyperplane_on_line(surface, line, point):
     root set of (lam f + mu g)(x, 0).  Returns the hyperplane whose
     restriction has a double root at x = 0, with the class of its section
     germ (a tacnode for generic points), read off (k, c) as in
-    :func:`classify_section_germ`.
+    :func:`classify_section_germ`, so only at a point over Q (else
+    :class:`RootFieldUnsupported`).
     """
     chart = adapted_chart(surface, point, line)
     # (lam : mu) is read off the coefficients of x y and x^2 y
@@ -477,7 +585,7 @@ def tacnodal_hyperplane_on_line(surface, line, point):
     g2 = g.coefficient((2, 0))
     if not (lam * f2 + mu * g2):
         raise NoDoubleRoot("double root degenerates to higher order")
-    cls = _TangentGrams(chart).section_class(chart.field, lam, mu)
+    cls = _TangentGrams(chart).section_class(_linear_form(lam, mu))
     return chart.hyperplane_from_dual(lam, mu), cls, (lam, mu), chart
 
 
@@ -569,7 +677,7 @@ def branch_scan(surface, offline_points=10) -> BranchReport:
     that fails is an anomaly, and its line gets numeric evidence) plus a
     no-off-line-branching spot check."""
     from .lines import enumerate_lines
-    from .surface import sample_rational_points
+    from .surface import sample_charts
 
     if surface.lines is None:
         enumerate_lines(surface)
@@ -586,14 +694,15 @@ def branch_scan(surface, offline_points=10) -> BranchReport:
     checked = 0
     if offline_points:
         try:
-            pts = sample_rational_points(
+            charts = sample_charts(
                 surface, offline_points,
                 avoid=lambda p: _on_any_line(surface, p))
         except SegreCuspError as exc:
-            pts = []
+            charts = []
             anomalies.append(f"off-line sampling unavailable: {exc}")
-        for p in pts:
-            hess = hessian_form_at(surface, p, with_roots=False)
+        for chart in charts:
+            p = chart.base_point
+            hess = hessian_form_at(surface, p, chart)
             checked += 1
             if not hess.has_two_distinct_roots:
                 ok = False
@@ -608,10 +717,15 @@ def _on_any_line(surface, point):
     in floating point for a numeric one."""
     if not surface.lines:
         return False
-    coords = point.as_float()
-    return any(line.contains(point) if line.exactness == "exact"
-               else line.contains_point_float(coords, tol=1e-7)
-               for line in surface.lines)
+    coords = None      # the point in floating point, made at a numeric line
+    for line in surface.lines:
+        if line.exactness != "exact":
+            coords = coords or point.as_float()
+            if line.contains_point_float(coords, tol=1e-7):
+                return True
+        elif line.contains(point):
+            return True
+    return False
 
 
 # transversal offsets from the line at which numeric evidence is sampled

@@ -8,13 +8,16 @@ fraction-free Gauss-Jordan (E. H. Bareiss, "Sylvester's identity and
 multistep integer-preserving Gaussian elimination", Math. Comp. 22, 1968),
 run on the field's ring of numerators (Z, Z[sqrt(d)] or Q(x); see
 :mod:`segrecusp.fields`), with one division per entry back into the field
-at the end.  Gram matrices and :func:`mat_vec` run on the same numerators,
+at the end.  Gram matrices and :func:`mat_vec` run on the same numerators
+(a matrix used often, like a pencil member, can be scaled once and passed to
+:func:`scaled_gram`, :func:`gram_numerators` and :func:`scaled_mat_vec`),
 and :func:`det_pencil` and :func:`split_rational_roots` on integers.
 :func:`mat_mul`, which no routine of the package calls, is the plain loop.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -44,10 +47,16 @@ def mat_mul(A, B):
 
 
 def mat_vec(field, A, v):
-    """The product A v on the field's numerators: A over one denominator,
-    v over another."""
-    n = len(v)
-    a, da = field.numerators([c for row in A for c in row])
+    """The product A v (:func:`scaled_mat_vec` of A's numerators)."""
+    return scaled_mat_vec(field, field.numerators([c for row in A for c in row]),
+                          v)
+
+
+def scaled_mat_vec(field, scaled, v):
+    """The product A v on the field's numerators: ``scaled`` is A's
+    entries, row by row, as numerators over one denominator (the field's
+    ``numerators``), and v is taken over another."""
+    n, (a, da) = len(v), scaled
     v, dv = field.numerators(v)
     zero = a[0] * 0
     return field.fractions([sum((c * x for c, x in zip(a[i:i + n], v) if c),
@@ -55,20 +64,32 @@ def mat_vec(field, A, v):
 
 
 def gram_matrix(field, M, vectors):
-    """The matrix (v_a^T M v_b) of the vectors, skipping zero entries, on
-    the field's numerators: M over one denominator, the vectors over
-    another."""
-    n = len(M)
-    m, dm = field.numerators([c for row in M for c in row])
+    """The matrix (v_a^T M v_b) of the vectors (:func:`scaled_gram` of M's
+    numerators)."""
+    return scaled_gram(field, field.numerators([c for row in M for c in row]),
+                       vectors)
+
+
+def scaled_gram(field, scaled, vectors):
+    """The Gram matrix of the vectors under the matrix whose numerators are
+    ``scaled`` (as in :func:`scaled_mat_vec`)."""
+    rows, den = gram_numerators(field, scaled, vectors)
+    return [field.fractions(row, den) for row in rows]
+
+
+def gram_numerators(field, scaled, vectors):
+    """(G, d): the Gram matrix of the vectors under the matrix whose
+    numerators are ``scaled`` is G / d, G in the ring of numerators.
+    Zero entries are skipped; the vectors are taken over one denominator."""
+    (m, dm), n = scaled, math.isqrt(len(scaled[0]))
     v, dv = field.numerators([c for vec in vectors for c in vec])
     zero, M = m[0] * 0, [m[i:i + n] for i in range(0, n * n, n)]
     supports = [[(k, c) for k, c in enumerate(v[i:i + n]) if c]
                 for i in range(0, len(v), n)]
     images = [[sum((row[k] * c for k, c in support if row[k]), zero)
                for row in M] for support in supports]
-    return [field.fractions([sum((c * image[k] for k, c in support), zero)
-                             for image in images], dv * dm * dv)
-            for support in supports]
+    return [[sum((c * image[k] for k, c in support), zero)
+             for image in images] for support in supports], dv * dm * dv
 
 
 def _row_reduce(field, M, ncols=None):

@@ -23,8 +23,9 @@ from .errors import CrossCheckMismatch, RootFieldUnsupported, TowerUnsupported
 from .fields import (QQ, QuadraticExtension, _convolve, _integral,
                      _primitive, _zdivmod, _zgcd, pderiv, pgcd,
                      quadratic_roots, squarefree_split)
-from .linalg import (_dot, factor_over_q, gram_matrix, identity, mat_rank,
-                     mat_vec, nullspace, split_rational_roots)
+from .linalg import (_dot, factor_over_q, gram_numerators, identity,
+                     mat_rank, mat_vec, nullspace, scaled_gram,
+                     split_rational_roots)
 from .surface import ProjectivePoint
 
 
@@ -57,20 +58,34 @@ class LineOnSurface:
 
     @cached_property
     def equations(self):
-        """Three covectors over the line's field that cut out the line: the
-        kernel of its span, computed once."""
-        equations = nullspace(self.field(), self.span_over(self.field()))
-        if len(equations) != 3:
+        """Three covectors that cut out the line, on the ring of numerators
+        of its field, computed once in closed form: with a, b the span's
+        numerators and a_i b_j - a_j b_i != 0, the minors det[a; b; x] on
+        the columns i, j, k for the three other columns k."""
+        field = self.field()
+        a, b = (field.numerators(v)[0] for v in self.span_over(field))
+
+        def minor(i, j):
+            return a[i] * b[j] - a[j] * b[i]
+
+        i, j = next(((i, j) for i, j in itertools.combinations(range(5), 2)
+                     if minor(i, j)), (None, None))
+        if i is None:
             raise CrossCheckMismatch(f"{self} has a degenerate span")
+        equations = []
+        for k in range(5):
+            if k not in (i, j):
+                eq = [0] * 5
+                eq[i], eq[j], eq[k] = minor(j, k), -minor(i, k), minor(i, j)
+                equations.append(eq)
         return equations
 
     def contains(self, point):
         """Whether an exact point lies on this exact line: every one of its
-        equations vanishes there (TowerUnsupported when the point and the
-        line lie over different quadratic extensions)."""
-        field = self.field() if point.field == QQ else point.field
-        return not any(sum((field.coerce(h) * field.coerce(c)
-                            for h, c in zip(eq, point.coords)), field.zero)
+        equations vanishes there, on numerators (TowerUnsupported when the
+        point and the line lie over different quadratic extensions)."""
+        coords = point.field.numerators(point.coords)[0]
+        return not any(sum((h * c for h, c in zip(eq, coords) if h), 0)
                        for eq in self.equations)
 
     def as_matrix_float(self):
@@ -115,8 +130,8 @@ def line_contained_exact(pencil, a, b):
     field = a.field if a.field != QQ else b.field
     va = [field.coerce(c) for c in a.coords]
     vb = [field.coerce(c) for c in b.coords]
-    return not any(any(map(any, gram_matrix(field, Mf, [va, vb])))
-                   for Mf in pencil.coerced(field))
+    return not any(any(map(any, gram_numerators(field, M, [va, vb])[0]))
+                   for M in pencil.numerators(field))
 
 
 def coordinate_lines(pencil):
@@ -159,8 +174,8 @@ def _through_point_forms(pencil, s_point):
     # the two quadrics restricted to representatives of V/<s>, as forms in
     # the quotient coordinates (q is constant on cosets of s there)
     forms = []
-    for M in (pencil.P, pencil.Q):
-        G = gram_matrix(QQ, M, reduced)
+    for M in pencil.numerators(QQ):
+        G = scaled_gram(QQ, M, reduced)
         forms.append({(i, j): G[i][j] if i == j else 2 * G[i][j]
                       for i in range(3) for j in range(i, 3) if G[i][j]})
     return reduced, forms

@@ -145,6 +145,7 @@ class QuadricPencil:
         self._jordan = None
         self._members = None
         self._coerced = {}
+        self._numerators = {}
         self._reference = None
 
     def is_single_quadric(self):
@@ -179,6 +180,17 @@ class QuadricPencil:
                 [[field.coerce(c) for c in row] for row in M]
                 for M in (self.P, self.Q))
         return self._coerced[field]
+
+    def numerators(self, field):
+        """(P, Q) scaled for :func:`segrecusp.linalg.scaled_gram` and
+        :func:`~segrecusp.linalg.scaled_mat_vec`: each one's entries, row by
+        row, as numerators over one denominator in ``field``, built once per
+        field."""
+        if field not in self._numerators:
+            self._numerators[field] = tuple(
+                field.numerators([c for row in M for c in row])
+                for M in self.coerced(field))
+        return self._numerators[field]
 
     def member(self, lam, mu):
         lam, mu = Fraction(lam), Fraction(mu)

@@ -27,9 +27,9 @@ from .errors import (NonIsolatedSingularity, PointNotOnLine, PointSingular,
 from .fields import (QQ, QuadExtElem, RatFuncElem, RationalFunctions, pgcd,
                      proj_normalize, quadratic_roots)
 from .jets import MAX_ORDER, Jet, escalate, hensel_solve, splitting_reduce
-from .linalg import (complete_basis, gram_matrix, identity, mat_det, mat_inv,
-                     mat_rank, mat_vec, nullspace, rref, rref_kernel,
-                     solve_linear)
+from .linalg import (complete_basis, gram_matrix, gram_numerators, identity,
+                     mat_det, mat_inv, mat_rank, mat_vec, nullspace, rref,
+                     rref_kernel, scaled_gram, scaled_mat_vec, solve_linear)
 from .pencil import QuadricPencil, second_intersection
 
 
@@ -117,9 +117,11 @@ class SurfaceInstance:
 
     def sampling_strategies(self):
         """The cones that exact point sampling sweeps, computed once: a
-        (member, kernel point, isotropic seed, member matrix) for each
+        (member, kernel point, isotropic seed, member numerators) for each
         rank-3 or rank-4 member whose vertex holds a rational singular
-        point and whose cone has a rational smooth point."""
+        point and whose cone has a rational smooth point; the numerators
+        are the member matrix's, scaled once for
+        :func:`~segrecusp.linalg.scaled_gram`."""
         if self._strategies is None:
             sing, strategies = self.singular_points(), []
             for member in self.pencil.rank_drop_members():
@@ -132,7 +134,8 @@ class SurfaceInstance:
                 M = self.pencil.member(*member.root)
                 seed_vec = _isotropic_seed(M, sing)
                 if seed_vec is not None:
-                    strategies.append((member, vertex[0], seed_vec, M))
+                    strategies.append((member, vertex[0], seed_vec,
+                                       QQ.numerators(sum(M, []))))
             self._strategies = strategies
         return self._strategies
 
@@ -142,16 +145,14 @@ class SurfaceInstance:
     # --------------------------------------------------------------- helpers
 
     def gradient_rows(self, point):
-        coords = list(point.coords)
-        field = point.field
-        P, Q = self.pencil.coerced(field)
-        return [mat_vec(field, P, coords), mat_vec(field, Q, coords)], field
+        coords, field = list(point.coords), point.field
+        return [scaled_mat_vec(field, M, coords)
+                for M in self.pencil.numerators(field)], field
 
     def on_surface(self, point):
-        coords = list(point.coords)
-        field = point.field
-        return all(not gram_matrix(field, M, [coords])[0][0]
-                   for M in self.pencil.coerced(field))
+        coords, field = list(point.coords), point.field
+        return all(not gram_numerators(field, M, [coords])[0][0][0]
+                   for M in self.pencil.numerators(field))
 
     def is_smooth_at(self, point):
         if not self.on_surface(point):
@@ -193,8 +194,8 @@ class SurfaceInstance:
 def _restricted_conic_points(pencil, v1, v2):
     """Exact points of S on the kernel line spanned by v1, v2."""
     # both quadrics restrict proportionally on the kernel; use a nonzero one
-    for M in (pencil.Q, pencil.P):
-        (a, b), (_, c) = gram_matrix(QQ, M, [v1, v2])
+    for M in reversed(pencil.numerators(QQ)):
+        (a, b), (_, c) = scaled_gram(QQ, M, [v1, v2])
         if a or b or c:
             break
     else:
@@ -217,8 +218,8 @@ def _singular_points_exact(pencil: QuadricPencil):
                 f"member of rank {member.rank}: not a Segre surface")
         if member.rank == 4:
             v = member.kernel[0]
-            if all(not gram_matrix(QQ, M, [v])[0][0]
-                   for M in (pencil.P, pencil.Q)):
+            if all(not gram_numerators(QQ, M, [v])[0][0][0]
+                   for M in pencil.numerators(QQ)):
                 points.append(ProjectivePoint.make(QQ, v))
         else:
             points.extend(_restricted_conic_points(pencil, *member.kernel))
@@ -305,22 +306,23 @@ def _isotropic_chart(surface, point):
     M(x) = 2u + M(w, w).
     """
     field, p = point.field, list(point.coords)
-    quadrics = surface.pencil.coerced(field)
+    scaled = surface.pencil.numerators(field)
     # a member is smooth at p when its gradient Mp is nonzero
     for k in (1, 0):
-        Mp = mat_vec(field, quadrics[k], p)
+        Mp = scaled_mat_vec(field, scaled[k], p)
         if any(Mp):
             break
     else:
         raise UnsupportedSingularity(
             "both quadrics are singular at the point: not a hypersurface germ")
-    M = quadrics[k]
+    M = surface.pencil.coerced(field)[k]
     i = next(j for j, c in enumerate(Mp) if c)
     v = [field.zero] * 5
     v[i] = field.one / Mp[i]
     half = M[i][i] * v[i] * v[i] / 2          # M(v, v)/2
     v1 = [a - half * b for a, b in zip(v, p)]
-    return k, [p, v1] + nullspace(field, [Mp, mat_vec(field, M, v1)])
+    Mv1 = scaled_mat_vec(field, scaled[k], v1)
+    return k, [p, v1] + nullspace(field, [Mp, Mv1])
 
 
 def exact_germ(surface, point):
@@ -455,8 +457,8 @@ def chart_quadrics(pencil, field, columns, names, order):
     exps = [(0,) * len(names)] * (1 + fold) + units
     xdeg = [0, fold] + [0] * (len(columns) - 2)
     jets = []
-    for M in pencil.coerced(field):
-        G = gram_matrix(field, M, columns)
+    for M in pencil.numerators(field):
+        G = scaled_gram(field, M, columns)
         polys = {}
         for a in range(len(columns)):
             for b in range(a, len(columns)):
@@ -492,8 +494,9 @@ class AdaptedChart:
 
     def __post_init__(self):
         if self.gradients is None:
-            self.gradients = [mat_vec(self.field, M, self.columns[0])
-                              for M in self.surface.pencil.coerced(self.field)]
+            self.gradients = [
+                scaled_mat_vec(self.field, M, self.columns[0])
+                for M in self.surface.pencil.numerators(self.field)]
 
     @cached_property
     def _quadrics(self):
@@ -608,22 +611,36 @@ def _isotropic_seed(M, surface_points=()):
 
 def sample_rational_points(surface, count, rng=None, avoid=None,
                            max_attempts=4000):
-    """Exact smooth rational points on the surface, drawn from a dense family.
+    """Exact smooth rational points on the surface: the base points of
+    :func:`sample_charts`."""
+    return [chart.base_point for chart in sample_charts(
+        surface, count, rng=rng, avoid=avoid, max_attempts=max_attempts)]
+
+
+def sample_charts(surface, count, rng=None, avoid=None, max_attempts=4000):
+    """Adapted charts at exact smooth rational points on the surface, drawn
+    from a dense family.
 
     Uses the attached parameterization when the surface has one, otherwise
     sweeps lines through a singular point inside a degenerate member's cone.
-    ``avoid`` is a predicate rejecting unwanted points (e.g. on a line).
-    Both constructions put every candidate on S, so one off S is an error
-    (:class:`SegreCuspError` from :meth:`SurfaceInstance.is_smooth_at`).
+    ``avoid`` is a predicate rejecting unwanted points (e.g. on a line).  A
+    candidate it passes is kept when its chart builds: the row reduction of
+    the gradient rows in :func:`adapted_chart` is the smoothness test
+    (:class:`PointSingular`).  Both constructions put every candidate on S,
+    so one off S is an error (:class:`SegreCuspError` from
+    :meth:`SurfaceInstance.tangent_frame`).
     """
     rng = rng or random.Random(surface.seed)
     out = []
 
     def accept(p):
-        if p is None or p in out or not surface.is_smooth_at(p):
+        if (p is None or any(chart.base_point == p for chart in out)
+                or avoid is not None and avoid(p)):
             return
-        if avoid is None or not avoid(p):
-            out.append(p)
+        try:
+            out.append(adapted_chart(surface, p))
+        except PointSingular:
+            pass
 
     if surface.point_source is not None:
         for _ in range(max_attempts):
@@ -637,21 +654,21 @@ def sample_rational_points(surface, count, rng=None, avoid=None,
         raise RetryExhausted(
             "no exact point strategy: surface has no usable singular cone "
             "and no parameterization")
-
+    P, Q = surface.pencil.numerators(QQ)
     for _ in range(max_attempts):
         if len(out) >= count:
             return out
         _, s_pt, seed_vec, M = strategies[rng.randrange(len(strategies))]
         w = [Fraction(rng.randint(-9, 9)) for _ in range(5)]
-        G = gram_matrix(QQ, M, [seed_vec, w])
+        G = scaled_gram(QQ, M, [seed_vec, w])
         if not G[1][1]:
             continue
         d = second_intersection(G, seed_vec, w)
         if not any(d):
             continue
         s = list(s_pt.coords)
-        (_, bp), (_, qp_d) = gram_matrix(QQ, surface.pencil.P, [s, d])
-        (_, bq), (_, qq_d) = gram_matrix(QQ, surface.pencil.Q, [s, d])
+        (_, bp), (_, qp_d) = scaled_gram(QQ, P, [s, d])
+        (_, bq), (_, qq_d) = scaled_gram(QQ, Q, [s, d])
         if qq_d:
             tau = -2 * bq / qq_d
         elif qp_d:

@@ -127,7 +127,7 @@ def test_criterion_5_no_offline_double_roots():
             inst, 50, rng=random.Random(13),
             avoid=lambda p: _on_any_line(inst, p))
         for p in pts:
-            hess = hessian_form_at(inst, p, with_roots=False)
+            hess = hessian_form_at(inst, p)
             if not hess.has_two_distinct_roots:
                 bad += 1
     report("5 No off-line double roots (50 points x 5 instances)", bad == 0,

@@ -2,23 +2,26 @@
 
 import gc
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from segrecusp import cusplocus
+from segrecusp import cusplocus, fields
 from segrecusp.appendix import appendix_cases
 from segrecusp.cusplocus import (SectionGermClass, _hessian_form,
-                                 _on_any_line, _TangentGrams, branch_scan,
+                                 _linear_form, _on_any_line, _TangentGrams,
+                                 branch_scan,
                                  classify_plane_germ, classify_section_germ,
                                  cusp_locus_summary, dual_plane_conic_fit,
                                  hessian_form_at, line_chart, line_report,
                                  numeric_line_branch_evidence, point_case,
                                  sample_point_cases, section_line_multiple,
                                  tacnodal_hyperplane_on_line)
-from segrecusp.errors import NoDoubleRoot, NonGenericPoint, SegreCuspError
+from segrecusp.errors import (NoDoubleRoot, NonGenericPoint,
+                              RootFieldUnsupported, SegreCuspError)
 from segrecusp.fields import QQ, quadratic_roots
 from segrecusp.instances import sampling_instance, table1_instance
 from segrecusp.jets import jet_from_poly
@@ -28,7 +31,8 @@ from segrecusp.lines import (LineOnSurface, coordinate_lines, enumerate_lines,
 from segrecusp.pencil import TABLE1_SYMBOLS, default_instance, normal_form
 from segrecusp.surface import (AdaptedChart, ProjectivePoint, SurfaceInstance,
                                adapted_chart, double_conic_hyperplane,
-                               double_conic_points, sample_rational_points)
+                               double_conic_points, sample_charts,
+                               sample_rational_points)
 
 
 def first_case():
@@ -322,8 +326,7 @@ def test_point_case_rejects_where_the_jet_reference_does():
             hess = hessian_form_at(inst, p)
             want = _jet_kinds(hess.chart, 8)
             got = None if not hess.has_two_distinct_roots else [
-                hess.grams.section_class(rfield, lam, mu).kind
-                for rfield, (lam, mu), _ in hess.roots]
+                c.kind for c in _orbit_classes(hess)]
             assert got == want, (symbol, p)
             generic = want is not None and tuple(sorted(want)) in CASE_OF_KINDS
             try:
@@ -335,6 +338,13 @@ def test_point_case_rejects_where_the_jet_reference_does():
                 assert generic and pc.case == CASE_OF_KINDS[
                     tuple(sorted(want))], (symbol, p)
     assert rejected
+
+
+def _orbit_classes(hess):
+    """The class of each Hessian root, read once per Galois orbit, in the
+    order of ``hess.roots``."""
+    return [cls for f, n in hess.grams.root_orbits()
+            for cls in [hess.grams.section_class(f)] * n]
 
 
 def _to_sympy(v):
@@ -351,12 +361,14 @@ def test_gram_reading_matches_phi_h(trichotomy_points):
     of the root's hyperplane H, u = mu c3 - lam c4, has the member
     (alpha : beta) with alpha c0^T P u + beta c0^T Q u = 0 as a root of
     multiplicity exactly 3, and that member's corank on H is the c of the
-    Gram reading."""
+    Gram reading of the root's Galois orbit."""
     t = sympy.Symbol("t")
     for inst, p in trichotomy_points:
         hess = hessian_form_at(inst, p)
         c = hess.chart.columns
-        for rfield, (lam, mu), _ in hess.roots:
+        orbits = [f for f, n in hess.grams.root_orbits() for _ in range(n)]
+        assert len(orbits) == len(hess.roots)
+        for (rfield, (lam, mu), _), f in zip(hess.roots, orbits):
             K = (sympy.QQ if rfield == QQ
                  else sympy.QQ.algebraic_field(sympy.sqrt(rfield.d)))
 
@@ -378,7 +390,7 @@ def test_gram_reading_matches_phi_h(trichotomy_points):
                    + (X if beta else Y).convert_to(R) * R.gens[0]).det()
             coeffs = R.to_sympy(phi).as_poly(t).all_coeffs()[::-1]
             assert [bool(x) for x in coeffs[:4]] == [False] * 3 + [True]
-            k, corank = hess.grams.section_invariants(rfield, lam, mu)
+            k, corank = hess.grams.section_invariants(f)
             assert (k, corank) == (3, 4 - A_H.rank()), (inst.pencil, p)
 
 
@@ -394,6 +406,92 @@ def test_point_case_never_solves_the_graph(trichotomy_points, monkeypatch):
     for inst, p in trichotomy_points:
         point_case(inst, p)
     assert calls == []
+
+
+def test_point_case_builds_no_quadratic_field(trichotomy_points,
+                                             monkeypatch):
+    """point_case reads each Galois orbit of Hessian roots over Z: with
+    quadratic_roots and squarefree_split refused, the fixture points give
+    the classes of the order-8 jet reading, which takes every root in its
+    own field, in the order of its roots, and their cases."""
+    want = [_jet_kinds(adapted_chart(inst, p), 8)
+            for inst, p in trichotomy_points]
+
+    def refuse(*args):
+        raise AssertionError(f"a quadratic field was built for {args}")
+
+    monkeypatch.setattr(cusplocus, "quadratic_roots", refuse)
+    monkeypatch.setattr(fields, "squarefree_split", refuse)
+    for (inst, p), kinds in zip(trichotomy_points, want):
+        pc = point_case(inst, p)
+        assert [c.kind for c in pc.root_classes] == kinds, (inst.pencil, p)
+        assert pc.case == CASE_OF_KINDS[tuple(sorted(kinds))]
+
+
+def test_sampled_points_are_row_reduced_once(trichotomy_points, monkeypatch):
+    """sample_point_cases hands each point's sampling chart to point_case:
+    the gradient rows of an accepted point are formed once."""
+    calls = Counter()
+    gradient_rows = SurfaceInstance.gradient_rows
+
+    def counted(surface, point):
+        calls[surface, point] += 1
+        return gradient_rows(surface, point)
+
+    monkeypatch.setattr(SurfaceInstance, "gradient_rows", counted)
+    accepted = 0
+    for inst in dict.fromkeys(inst for inst, _ in trichotomy_points):
+        for p, _ in sample_point_cases(inst, 2, rng=random.Random(3)):
+            assert calls[inst, p] == 1, (inst.pencil, p)
+            accepted += 1
+    assert accepted == 32
+
+
+def test_orbit_reading_matches_jet_reading():
+    """On 432 points (nine from each of three draws on the sampling
+    instance of every symbol), the Gram reading of each Galois orbit of
+    Hessian roots gives the order-8 jet reading of every root: at conjugate
+    pairs, at rational roots and at the root (1 : 0) of a form with no
+    lam^2 term."""
+    seen = Counter()
+    for j, symbol in enumerate(TABLE1_SYMBOLS):
+        inst = sampling_instance(symbol, seed=5)
+        if inst.lines is None:
+            enumerate_lines(inst)
+        for k in range(3):
+            for chart in sample_charts(inst, 9,
+                                       rng=random.Random(1000 * k + j),
+                                       avoid=lambda q: _on_any_line(inst, q)):
+                hess = hessian_form_at(inst, chart.base_point, chart)
+                got = None if not hess.has_two_distinct_roots else [
+                    c.kind for c in _orbit_classes(hess)]
+                assert got == _jet_kinds(chart, 8), (symbol, chart.base_point)
+                a = hess.form.coefficients()[0]
+                seen["points"] += 1
+                seen["a = 0"] += not a
+                seen["rational, a != 0"] += bool(a) and len(
+                    hess.grams.root_orbits()) == 2
+                seen["conjugate"] += len(hess.grams.root_orbits()) == 1
+    assert seen["points"] == 432
+    assert min(seen.values()) >= 40, seen
+
+
+def test_section_reading_needs_a_chart_over_q(census_cache):
+    """A chart at a point over Q(sqrt -1), on a line of the default [1(13)],
+    gives a typed error, not a crash."""
+    inst, census = census_cache("[1(13)]")
+    line = next(line for line in census.lines
+                if line.exactness == "exact" and line.field() != QQ)
+    a, b = line.span_over(line.field())
+    p = ProjectivePoint.make(line.field(), [x + 2 * y for x, y in zip(a, b)])
+    chart = adapted_chart(inst, p)
+    assert chart.field == line.field()
+    with pytest.raises(RootFieldUnsupported):
+        _TangentGrams(chart)
+    with pytest.raises(RootFieldUnsupported):
+        hessian_form_at(inst, p)
+    with pytest.raises(RootFieldUnsupported):
+        classify_section_germ(inst, p, chart.hyperplane_from_dual(1, 2))
 
 
 @pytest.mark.parametrize("symbol", ["[1(11)(11)]", "[(14)]", "[111(11)]"])
@@ -413,23 +511,26 @@ def test_double_conic_test_on_double_conic_hyperplanes(symbol):
             for p in pts:
                 chart = adapted_chart(inst, p)
                 grams = _TangentGrams(chart)
-                lam, mu = chart.dual_coords(H)
-                assert grams.section_invariants(chart.field, lam, mu)[1] == 3
-                assert grams.section_class(chart.field, lam, mu) == \
+                f = _linear_form(*chart.dual_coords(H))
+                assert grams.section_invariants(f)[1] == 3
+                assert grams.section_class(f) == \
                     SectionGermClass("PerfectSquare", "double conic")
-                assert grams.section_invariants(chart.field, lam + 1,
-                                                mu + 3)[1] < 3
+                lam, mu = chart.dual_coords(H)
+                assert grams.section_invariants(
+                    _linear_form(lam + 1, mu + 3))[1] < 3
 
 
-def _unconfirmed_rank(field, M):
-    """A rank test that never confirms rank at most 1."""
-    return max(2, mat_rank(field, M))
+def _unconfirm_rank(monkeypatch):
+    """Make the exact rank reading never confirm rank at most 1."""
+    rank_at = _TangentGrams.rank_at
+    monkeypatch.setattr(_TangentGrams, "rank_at",
+                        lambda grams, f: max(2, rank_at(grams, f)))
 
 
 def test_unconfirmed_square_is_not_generic(trichotomy_points, monkeypatch):
     inst, p = next((inst, p) for inst, p in trichotomy_points
                    if point_case(inst, p).case == "CaseI")
-    monkeypatch.setattr(cusplocus, "mat_rank", _unconfirmed_rank)
+    _unconfirm_rank(monkeypatch)
     with pytest.raises(NonGenericPoint):
         point_case(inst, p)
 
@@ -453,7 +554,7 @@ def test_unconfirmed_square_section_is_not_a_square(monkeypatch):
     monkeypatch.setattr(AdaptedChart, "solve_graph", counted)
     for p in pts:
         assert classify_section_germ(inst, p, H).kind == "PerfectSquare"
-    monkeypatch.setattr(cusplocus, "mat_rank", _unconfirmed_rank)
+    _unconfirm_rank(monkeypatch)
     for p in pts:
         assert classify_section_germ(inst, p, H).kind != "PerfectSquare"
     assert orders == []
@@ -672,7 +773,9 @@ def test_tacnodal_no_double_root_error(line_fixture):
 def test_trichotomy_discriminants_split_by_trial_division(monkeypatch):
     # the point cases of one pass of perfbench's trichotomy workload (two
     # points on the sampling instance of each symbol, exact lines only):
-    # every discriminant settles without sympy's factorint, up to 73 digits
+    # the roots of every Hessian form, read off its HessianAtPoint, settle
+    # without sympy's factorint, the discriminants reaching 73 digits
+    # (point_case itself splits none)
     from segrecusp import fields, lines
 
     def no_factorint(n, *args, **kwargs):
@@ -696,6 +799,8 @@ def test_trichotomy_discriminants_split_by_trial_division(monkeypatch):
                 pairs += lines_through_singular_point(inst.pencil, s)[0]
             inst.lines = [LineOnSurface(a, b, "exact") for a, b in pairs]
         for k in range(2):
-            sample_point_cases(inst, 1, rng=random.Random(f"{j}:{k}"))
+            ((_, pc),) = sample_point_cases(inst, 1,
+                                            rng=random.Random(f"{j}:{k}"))
             cusp_locus_summary(inst)
+            assert len(pc.hessian.roots) == 2
     assert len(set(seen)) >= 14 and len(str(max(seen))) >= 73

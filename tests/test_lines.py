@@ -10,15 +10,17 @@ import pytest
 import sympy
 
 from segrecusp.cusplocus import line_report
-from segrecusp.errors import SegreCuspError, TowerUnsupported
-from segrecusp.fields import QQ
+from segrecusp.errors import (CrossCheckMismatch, SegreCuspError,
+                              TowerUnsupported)
+from segrecusp.fields import QQ, QuadraticExtension
 from segrecusp.instances import sampling_instance, table1_instance
 from segrecusp.linalg import mat_det, mat_rank
 from segrecusp import lines as lines_module
 from segrecusp.lines import (_binary_factors, _c_parts, _conic_resultant,
                              _through_point_forms, coordinate_lines,
                              count_lines_through_singular_point,
-                             enumerate_lines, line_contained_exact,
+                             LineOnSurface, enumerate_lines,
+                             line_contained_exact,
                              lines_through_singular_point, off_singular_lines)
 from segrecusp.pencil import (TABLE1_SYMBOLS, SegreSymbol, default_instance,
                               normal_form)
@@ -209,6 +211,30 @@ def _on_line_by_rank(line, point):
     field = line.field() if point.field == QQ else point.field
     rows = [*line.span_over(field), [field.coerce(c) for c in point.coords]]
     return mat_rank(field, rows) == 2
+
+
+def test_rational_points_of_lines_over_a_quadratic_field():
+    """A line over Q(sqrt 2) holds no rational point, one, or a rational
+    line of them (spanned by conjugate points); contains reads each
+    rational point as the rank test does, and refuses a degenerate span."""
+    K = QuadraticExtension(2)
+    r = K.sqrt_gen
+    spans = {0: ([1, r, 0, 0, 0], [0, 0, 1, r, 0]),
+             1: ([1, 0, 0, 0, 0], [0, 1, r, 0, 0]),
+             2: ([1, r, 0, 0, 0], [1, -r, 0, 0, 0])}
+    points = [ProjectivePoint.make(QQ, v) for v in (
+        [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [3, -2, 0, 0, 0], [0, 0, 1, 0, 0],
+        [1, 1, 1, 1, 1], [0, 1, 2, 0, 0], [2, 0, 0, 0, 1])]
+    for count, span in spans.items():
+        line = LineOnSurface(*(ProjectivePoint.make(K, v) for v in span),
+                             "exact")
+        verdicts = [line.contains(p) for p in points]
+        assert verdicts == [_on_line_by_rank(line, p) for p in points]
+        assert sum(verdicts) == [0, 1, 3][count], line
+    a = ProjectivePoint.make(K, spans[0][0])
+    for p in points[:2] + [a]:
+        with pytest.raises(CrossCheckMismatch):
+            LineOnSurface(a, a, "exact").contains(p)
 
 
 @pytest.mark.parametrize("symbol", [str(s) for s in TABLE1_SYMBOLS])
