@@ -7,11 +7,14 @@ when the binary quadratic
 
     Hess(F) lam^2 + (F_xx G_yy + G_xx F_yy - 2 F_xy G_xy) lam mu + Hess(G) mu^2
 
-vanishes.  At a point this module reads that form, and the class of each
-root section, off Gram entries of the two quadrics on the chart columns,
-with no jets (:class:`_TangentGrams`); along lines it computes the form as
-jets over Q(x), and derives the divisor multiplicities and branch data of
-the induced double covering.
+vanishes.  At a point this module reads that form, the class of each
+root section and, at a point of a line, the tacnodal hyperplane off one
+integer Gram block N of the two quadrics on the chart columns, with no jets
+(:class:`HessianAtPoint`): the tacnodal (lam : mu) is the root of N's entry
+A(c_1, c_2), c_1 along the line, and it degenerates where N's entry
+A(c_1, u) vanishes at that root.  Along lines it computes the form as jets
+over Q(x), and derives the divisor multiplicities and branch data of the
+induced double covering.
 """
 
 from __future__ import annotations
@@ -28,34 +31,15 @@ from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
                      NonGenericPoint, RootFieldUnsupported, SegreCuspError,
                      SingularJacobian, TowerUnsupported,
                      TruncationInsufficient)
-from .fields import QQ, _convolve, _integral, _zdivmod, quadratic_roots
-from .jets import (START_ORDER, BinaryQuadratic, InfiniteOrder, Jet,
-                   escalate, hensel_solve, splitting_reduce, y_order)
+from .fields import QQ, _bmul, _bsub, _integral, _zdivmod, quadratic_roots
+from .jets import (BinaryQuadratic, InfiniteOrder, Jet, escalate,
+                   hensel_solve, splitting_reduce, y_order)
 from .linalg import gram_numerators, nullspace, solve_linear
 from .surface import AdaptedChart, ProjectivePoint, adapted_chart
 
 
 # --------------------------------------------------------------------------
 # the Hessian form at a point
-
-
-@dataclass
-class HessianAtPoint:
-    point: ProjectivePoint
-    chart: AdaptedChart
-    form: BinaryQuadratic          # scalar coefficients
-    discriminant: object
-    grams: _TangentGrams
-
-    @property
-    def has_two_distinct_roots(self):
-        return bool(self.discriminant)
-
-    @cached_property
-    def roots(self):
-        """[(field, (lam, mu), multiplicity)] from :func:`quadratic_roots`,
-        computed when first read."""
-        return quadratic_roots(*self.form.coefficients(), self.chart.field) or []
 
 
 def _hessian_form(fxx, fxy, fyy, gxx, gxy, gyy):
@@ -67,14 +51,6 @@ def _hessian_form(fxx, fxy, fyy, gxx, gxy, gyy):
 
 # A binary form of degree n in (lam, mu) is the list of its n + 1 integer
 # coefficients, ascending in lam: g[i] multiplies lam^i mu^(n - i).
-
-
-def _sub(g, h):
-    return [x - y for x, y in zip(g, h)]
-
-
-def _mul(g, h):
-    return _convolve(g, h, 0)
 
 
 def _vanishes(f, g):
@@ -94,7 +70,7 @@ def _linear_form(lam, mu):
     return [-l, m]
 
 
-class _TangentGrams:
+class HessianAtPoint:
     """The Hessian form at a chart's base point p, and the class of the
     section by each hyperplane through T_pS, from the Gram matrices
     G_M = C^T M C of M = P, Q on the chart columns c_0 = p, ..., c_4, over
@@ -108,8 +84,9 @@ class _TangentGrams:
     is formed once, on integers (:func:`gram_numerators`; again only after
     such a correction), and its denominator is dropped: -L^-1 (q_P, q_Q)
     does not see it, and neither do the ranks below.  So the second
-    derivatives are integers over det(L/2) (the coefficients of the member
-    A below on c_1, c_2), and the form is an integer form over det(L/2)^2.
+    derivatives are integers over delta = det(L/2) (the coefficients of
+    the member A below on c_1, c_2), and the form is an integer form over
+    delta^2.
 
     **Sections.**  H of (lam : mu) is spanned by p, c_1, c_2 and
     u = mu c_3 - lam c_4.  The member A = alpha P + beta Q with A(p, u) = 0
@@ -132,12 +109,22 @@ class _TangentGrams:
     (:func:`_vanishes`), each as a whole.  A rational (lam : mu) is the
     orbit of its linear form (:func:`_linear_form`); a conjugate pair of
     Hessian roots needs no Q(sqrt d).
+
+    **Along a line.**  Where c_1 spans a line through p, the line lies on
+    S iff A(c_1, c_1) = 0 for every member, and the graph is
+    (F, G) = y (f, g).  The tacnodal hyperplane (lam : mu) = (g_x : -f_x)
+    is the root of N's entry A(c_1, c_2), a linear form [a_0, a_1] whose
+    coefficients are delta (G_xy, F_xy): (lam, mu) = (a_0, -a_1) / delta.
+    The residual restriction lam f + mu g has a double root at p unless it
+    degenerates to a higher one, which happens where N's entry A(c_1, u)
+    vanishes at that root (:func:`tacnodal_hyperplane_on_line`).
     """
 
-    def __init__(self, chart):
+    def __init__(self, point, chart):
         if chart.field != QQ:
             raise RootFieldUnsupported(
                 f"section classes need a chart over Q, not {chart.field}")
+        self.point, self.chart = point, chart
         scaled = chart.surface.pencil.numerators(QQ)
         grams = [gram_numerators(QQ, M, chart.columns)[0] for M in scaled]
         # G_M(0, j) = c_j . M p
@@ -159,7 +146,7 @@ class _TangentGrams:
                      for M in scaled]
         (gP, p3, p4), (gQ, q3, q4) = (
             ([row[1:] for row in g[1:]], g[0][3], g[0][4]) for g in grams)
-        delta = p3 * q4 - p4 * q3
+        self._delta = delta = p3 * q4 - p4 * q3
 
         def member(i, j):
             # A_ij = alpha G_P(i, j) + beta G_Q(i, j), alpha = q3 mu - q4 lam
@@ -181,27 +168,38 @@ class _TangentGrams:
         form = _hessian_form(n00[1], n01[1], n11[1], n00[0], n01[0], n11[0])
         self.form = BinaryQuadratic(
             *(Fraction(x, delta * delta) for x in form))
+        self.discriminant = self.form.discriminant()
         g = math.gcd(*form) or 1
         self._form = [x // g for x in reversed(form)]
+
+    @property
+    def has_two_distinct_roots(self):
+        return bool(self.discriminant)
+
+    @cached_property
+    def roots(self):
+        """[(field, (lam, mu), multiplicity)] from :func:`quadratic_roots`,
+        computed when first read."""
+        return quadratic_roots(*self.form.coefficients(), self.chart.field) or []
 
     @cached_property
     def _minors(self):
         """N's 2 x 2 minors M_00, M_01, M_02, M_11, M_12, M_22 (rows and
         columns i and j deleted; N is symmetric)."""
         n00, n01, n02, n11, n12, n22 = self._block
-        return (_sub(_mul(n11, n22), _mul(n12, n12)),
-                _sub(_mul(n01, n22), _mul(n12, n02)),
-                _sub(_mul(n01, n12), _mul(n11, n02)),
-                _sub(_mul(n00, n22), _mul(n02, n02)),
-                _sub(_mul(n00, n12), _mul(n01, n02)),
-                _sub(_mul(n00, n11), _mul(n01, n01)))
+        return (_bsub(_bmul(n11, n22), _bmul(n12, n12)),
+                _bsub(_bmul(n01, n22), _bmul(n12, n02)),
+                _bsub(_bmul(n01, n12), _bmul(n11, n02)),
+                _bsub(_bmul(n00, n22), _bmul(n02, n02)),
+                _bsub(_bmul(n00, n12), _bmul(n01, n02)),
+                _bsub(_bmul(n00, n11), _bmul(n01, n01)))
 
     @cached_property
     def _det(self):
         n00, n01, n02 = self._block[:3]
         m00, m01, m02 = self._minors[:3]
         return [a - b + c for a, b, c in
-                zip(_mul(n00, m00), _mul(n01, m01), _mul(n02, m02))]
+                zip(_bmul(n00, m00), _bmul(n01, m01), _bmul(n02, m02))]
 
     def rank_at(self, f):
         """The rank of N at the roots of f (see :func:`_vanishes`)."""
@@ -213,10 +211,10 @@ class _TangentGrams:
 
     def root_orbits(self):
         """The Galois orbits over Q of the form's roots, in the order of
-        :func:`quadratic_roots`: (f, n), f the integer form of the orbit,
-        irreducible over Q, and n the number of roots that
-        :func:`quadratic_roots` lists in it.  Rational roots are told from a
-        conjugate pair by ``math.isqrt`` of the discriminant."""
+        :attr:`roots`: (f, n), f the integer form of the orbit, irreducible
+        over Q, and n the number of roots that :attr:`roots` lists in it.
+        Rational roots are told from a conjugate pair by ``math.isqrt`` of
+        the discriminant."""
         c, b, a = self._form
         if not (a or b or c):
             return []
@@ -256,13 +254,11 @@ class _TangentGrams:
 
 def hessian_form_at(surface, point, chart=None) -> HessianAtPoint:
     """The binary quadratic detecting non-nodal sections at a smooth point,
-    read off Gram entries with no graph solve (:class:`_TangentGrams`).
+    read off Gram entries with no graph solve (:class:`HessianAtPoint`).
     The point must lie over Q (else :class:`RootFieldUnsupported`)."""
     if chart is None:
         chart = adapted_chart(surface, point)
-    grams = _TangentGrams(chart)
-    return HessianAtPoint(point=point, chart=chart, form=grams.form,
-                          discriminant=grams.form.discriminant(), grams=grams)
+    return HessianAtPoint(point, chart)
 
 
 # --------------------------------------------------------------------------
@@ -285,7 +281,7 @@ def classify_plane_germ(h: Jet) -> SectionGermClass:
     reads ``Other``, and its detail says so: a higher order may change it.
     A jet never reads ``PerfectSquare``: a square u s**2 has Hessian rank
     at most 1 and a residual zero to every order.  The section classes of
-    this module come from :class:`_TangentGrams`; this reading of a jet is
+    this module come from :class:`HessianAtPoint`; this reading of a jet is
     their reference in the tests.
     """
     h = h - Jet(h.field, h.vars, h.order,
@@ -315,7 +311,7 @@ def classify_section_germ(surface, point, hyperplane) -> SectionGermClass:
     A hyperplane through the point but not its tangent plane cuts a smooth
     germ.  Otherwise the class is read off exactly, with no graph solve,
     from the order k at which det((A + tB)|_H) vanishes and the corank c of
-    A|_H, A the member singular at the point (:class:`_TangentGrams`), so
+    A|_H, A the member singular at the point (:class:`HessianAtPoint`), so
     only at a point over Q (else :class:`RootFieldUnsupported`).
     """
     chart = adapted_chart(surface, point)
@@ -326,7 +322,7 @@ def classify_section_germ(surface, point, hyperplane) -> SectionGermClass:
             raise HyperplaneNotTangent("hyperplane misses the point")
         return SectionGermClass("Smooth")
     # dual_coords reads (lam, mu) in the chart's field
-    return _TangentGrams(chart).section_class(_linear_form(*duals))
+    return HessianAtPoint(point, chart).section_class(_linear_form(*duals))
 
 
 # --------------------------------------------------------------------------
@@ -345,12 +341,12 @@ def point_case(surface, point, chart=None) -> PointCase:
     on ``chart`` (by default :func:`adapted_chart` at the point).
 
     The form and the root classes are read off one set of Gram entries,
-    exactly, over Z and with no graph solve (:class:`_TangentGrams`): a
+    exactly, over Z and with no graph solve (:class:`HessianAtPoint`): a
     simple root cuts an ordinary cusp where the member A singular at p
     restricts to its hyperplane H with corank 1, and a doubled conic where
     A|_H has rank at most 1.  A degenerate form or any other class makes
     the point not generic.  Each Galois orbit of roots is classified once
-    (:meth:`_TangentGrams.root_orbits`): for an irreducible factor f of the
+    (:meth:`HessianAtPoint.root_orbits`): for an irreducible factor f of the
     form over Z, f divides a form g iff g vanishes at one root of f, so one
     reading serves both roots of a conjugate pair, with no Q(sqrt d).  The
     classes keep the order of :attr:`HessianAtPoint.roots`.
@@ -359,8 +355,8 @@ def point_case(surface, point, chart=None) -> PointCase:
     if not hess.has_two_distinct_roots:
         raise NonGenericPoint(
             f"Hessian form at {point} is degenerate; the point is not generic")
-    classes = tuple(cls for f, n in hess.grams.root_orbits()
-                    for cls in [hess.grams.section_class(f)] * n)
+    classes = tuple(cls for f, n in hess.root_orbits()
+                    for cls in [hess.section_class(f)] * n)
     kinds = sorted(c.kind for c in classes)
     squares = kinds.count("PerfectSquare")
     if squares == 2:
@@ -563,30 +559,25 @@ def tacnodal_hyperplane_on_line(surface, line, point):
     residual intersection with the line of the section by (lam : mu) is the
     root set of (lam f + mu g)(x, 0).  Returns the hyperplane whose
     restriction has a double root at x = 0, with the class of its section
-    germ (a tacnode for generic points), read off (k, c) as in
-    :func:`classify_section_germ`, so only at a point over Q (else
-    :class:`RootFieldUnsupported`).
+    germ (a tacnode for generic points), all read off the Gram block N of
+    :class:`HessianAtPoint`, with no graph solve, so only at a point over Q
+    (else :class:`RootFieldUnsupported`): (lam : mu) is the root of N's
+    entry A(c_1, c_2), and the double root degenerates to a higher one
+    where N's entry A(c_1, u) vanishes at that root.
     """
     chart = adapted_chart(surface, point, line)
-    # (lam : mu) is read off the coefficients of x y and x^2 y
-    F, G = chart.solve_graph(START_ORDER)
-    for J in (F, G):
-        k = J.order_in("y")
-        if k is not None and k < 1:
-            raise SegreCuspError("graph functions do not vanish on the line")
-    f = F.divide_by_power("y", 1)
-    g = G.divide_by_power("y", 1)
-    f1 = f.coefficient((1, 0))
-    g1 = g.coefficient((1, 0))
-    if not f1 and not g1:
+    hess = HessianAtPoint(point, chart)
+    on_line, direction, along_u = hess._block[:3]
+    if any(on_line):
+        raise SegreCuspError("graph functions do not vanish on the line")
+    if not any(direction):
         raise NoDoubleRoot("restriction to the line is degenerate at the point")
-    lam, mu = g1, -f1
-    f2 = f.coefficient((2, 0))
-    g2 = g.coefficient((2, 0))
-    if not (lam * f2 + mu * g2):
+    if _vanishes(direction, along_u):
         raise NoDoubleRoot("double root degenerates to higher order")
-    cls = _TangentGrams(chart).section_class(_linear_form(lam, mu))
-    return chart.hyperplane_from_dual(lam, mu), cls, (lam, mu), chart
+    a0, a1 = direction
+    lam, mu = Fraction(a0, hess._delta), Fraction(-a1, hess._delta)
+    return (chart.hyperplane_from_dual(lam, mu), hess.section_class(direction),
+            (lam, mu), chart)
 
 
 def dual_plane_conic_fit(hyperplanes, line):

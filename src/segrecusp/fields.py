@@ -160,6 +160,21 @@ def _convolve(a, b, zero):
     return out
 
 
+# Integer binary forms in (a, b) are their coefficient lists, ascending in a.
+
+
+def _bmul(f, *forms):
+    """The product of integer binary forms."""
+    for g in forms:
+        f = _convolve(f, g, 0)
+    return f
+
+
+def _bsub(f, g):
+    """The difference of two integer binary forms of one degree."""
+    return [x - y for x, y in zip(f, g)]
+
+
 def pmul(a, b):
     """Product over any of the three fields."""
     if not a or not b:

@@ -338,26 +338,6 @@ class Jet:
         return Jet(field, self.vars, self.order,
                    {e: fn(c) for e, c in self.coeffs.items()})
 
-    def drop_vars(self, names):
-        """Remove variables the jet does not involve."""
-        idx = [self.vars.index(n) for n in names]
-        for e in self.coeffs:
-            if any(e[i] for i in idx):
-                raise ValueError(f"jet still involves {names}")
-        keep = [j for j in range(len(self.vars)) if j not in idx]
-        return Jet(self.field, tuple(self.vars[j] for j in keep), self.order,
-                   {tuple(e[j] for j in keep): c for e, c in self.coeffs.items()})
-
-    def divide_by_power(self, name, k):
-        """Exact division by name**k; raises if not divisible."""
-        i = self.vars.index(name)
-        out = {}
-        for e, c in self.coeffs.items():
-            if e[i] < k:
-                raise ValueError(f"jet not divisible by {name}^{k}")
-            out[tuple(v - k if j == i else v for j, v in enumerate(e))] = c
-        return self.clone(out, self.order - k)
-
     def substitute(self, images):
         """Substitute every variable by a jet (all images over one target ring).
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CrossCheckMismatch, RootFieldUnsupported, TowerUnsupported
-from .fields import (QQ, QuadraticExtension, _convolve, _integral,
-                     _primitive, _zdivmod, _zgcd, pderiv, pgcd,
+from .fields import (QQ, QuadraticExtension, _bmul, _bsub, _convolve,
+                     _integral, _primitive, _zdivmod, _zgcd, pderiv, pgcd,
                      quadratic_roots, squarefree_split)
 from .linalg import (_dot, factor_over_q, gram_numerators, identity,
                      mat_rank, mat_vec, nullspace, scaled_gram,
@@ -254,17 +254,6 @@ def _c_parts(form):
             [q.get((1, 2), 0), q.get((0, 2), 0)], [q.get((2, 2), 0)])
 
 
-def _bmul(*forms):
-    out = [1]
-    for f in forms:
-        out = _convolve(out, f, 0)
-    return out
-
-
-def _bsub(f, g):
-    return [x - y for x, y in zip(f, g)]
-
-
 def _conic_resultant(F, G):
     """The resultant in c of two conics given by their parts, up to a
     nonzero constant, as an integer binary form ascending in a.
@@ -282,7 +271,7 @@ def _conic_resultant(F, G):
         F, G, n, m = G, F, m, n
     (f0, f1, f2), (g0, g1, g2) = F, G
     if m == 0:
-        return _bmul(*[g0] * n)
+        return _bmul([1], *[g0] * n)
     if n == 1:
         return _bsub(_bmul(f1, g0), _bmul(f0, g1))
     if m == 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, product
@@ -27,9 +27,10 @@ from .errors import (NonIsolatedSingularity, PointNotOnLine, PointSingular,
 from .fields import (QQ, QuadExtElem, RatFuncElem, RationalFunctions, pgcd,
                      proj_normalize, quadratic_roots)
 from .jets import MAX_ORDER, Jet, escalate, hensel_solve, splitting_reduce
-from .linalg import (complete_basis, gram_matrix, gram_numerators, identity,
-                     mat_det, mat_inv, mat_rank, mat_vec, nullspace, rref,
-                     rref_kernel, scaled_gram, scaled_mat_vec, solve_linear)
+from .linalg import (_dot, complete_basis, gram_matrix, gram_numerators,
+                     identity, mat_det, mat_inv, mat_rank, mat_vec, nullspace,
+                     rref, rref_kernel, scaled_gram, scaled_mat_vec,
+                     solve_linear)
 from .pencil import QuadricPencil, second_intersection
 
 
@@ -150,20 +151,23 @@ class SurfaceInstance:
                 for M in self.pencil.numerators(field)], field
 
     def on_surface(self, point):
-        coords, field = list(point.coords), point.field
-        return all(not gram_numerators(field, M, [coords])[0][0][0]
-                   for M in self.pencil.numerators(field))
+        return _on_surface(point, self.gradient_rows(point)[0])
+
+    def _surface_gradient_rows(self, point):
+        """The gradient rows [P p; Q p] of a point p of S and their field;
+        p is on S when p . (M p) = 0 for both rows."""
+        rows, field = self.gradient_rows(point)
+        if not _on_surface(point, rows):
+            raise SegreCuspError(f"{point} is not on the surface")
+        return rows, field
 
     def is_smooth_at(self, point):
-        if not self.on_surface(point):
-            raise SegreCuspError(f"{point} is not on the surface")
-        rows, field = self.gradient_rows(point)
+        rows, field = self._surface_gradient_rows(point)
         return mat_rank(field, rows) == 2
 
     def tangent_frame(self, point):
         """The tangent plane at a smooth point p of S from one row reduction
-        of the gradient rows [P p; Q p]: (tangent, equations, pivots, field,
-        rows), ``rows`` the gradient rows themselves.
+        of the gradient rows [P p; Q p]: (tangent, equations, pivots, field).
 
         ``equations`` is the reduced row echelon form of the rows, whose
         kernel is T_pS, and ``pivots`` are its two pivot columns.  The
@@ -172,9 +176,7 @@ class SurfaceInstance:
         v_f*, f* the last free column with p_f != 0.  The unit vectors at
         the pivot columns complete ``tangent`` to a basis of the space.
         """
-        if not self.on_surface(point):
-            raise SegreCuspError(f"{point} is not on the surface")
-        rows, field = self.gradient_rows(point)
+        rows, field = self._surface_gradient_rows(point)
         equations, pivots = rref(field, rows)
         if len(pivots) != 2:
             raise PointSingular(f"{point} must be smooth")
@@ -183,12 +185,15 @@ class SurfaceInstance:
         free = [c for c in range(5) if c not in pivots]
         last = max(i for i, f in enumerate(free) if coords[f])
         tangent = [coords] + kernel[:last] + kernel[last + 1:]
-        return tangent, equations, pivots, field, rows
+        return tangent, equations, pivots, field
 
-    def tangent_space(self, point):
-        """Basis of the projective tangent plane (3 vectors, first is p)."""
-        tangent, _, _, field, _ = self.tangent_frame(point)
-        return tangent, field
+
+def _on_surface(point, rows):
+    """Whether p . (M p) = 0 for both gradient rows M p of the point p,
+    read on the numerators of p and of each row."""
+    field = point.field
+    v, _ = field.numerators(point.coords)
+    return not any(_dot(v, field.numerators(row)[0]) for row in rows)
 
 
 def _restricted_conic_points(pencil, v1, v2):
@@ -480,23 +485,15 @@ class AdaptedChart:
     """Exact linear chart: X = c0 + x c1 + y c2 + z c3 + w c4.
 
     The base point is c0, the tangent plane maps to {z = w = 0}, and a
-    line the chart is aligned to (:func:`adapted_chart`) to {y = z = w = 0}.  ``gradients`` are the
-    rows [P c0, Q c0], formed here unless the chart's maker passes them.
+    line the chart is aligned to (:func:`adapted_chart`) to {y = z = w = 0}.
     """
 
     surface: SurfaceInstance
     field: object
     columns: list            # five 5-vectors over field
     base_point: ProjectivePoint
-    gradients: list = dc_field(default=None, repr=False, compare=False)
 
     VAR_NAMES = ("x", "y", "z", "w")
-
-    def __post_init__(self):
-        if self.gradients is None:
-            self.gradients = [
-                scaled_mat_vec(self.field, M, self.columns[0])
-                for M in self.surface.pencil.numerators(self.field)]
 
     @cached_property
     def _quadrics(self):
@@ -523,14 +520,6 @@ class AdaptedChart:
         """F, G with the surface locally {z = F(x,y), w = G(x,y)}."""
         q1, q2 = self.chart_jets(order)
         return hensel_solve([q1, q2], ("z", "w"), order=order)
-
-    def point_at(self, x, y, z, w):
-        field = self.field
-        vals = [field.coerce(v) for v in (x, y, z, w)]
-        coords = [self.columns[0][k]
-                  + sum(vals[i] * self.columns[i + 1][k] for i in range(4))
-                  for k in range(5)]
-        return ProjectivePoint.make(field, coords)
 
     def hyperplane_from_dual(self, lam, mu):
         """The hyperplane with section germ lam*F + mu*G (5 covector entries)."""
@@ -562,7 +551,7 @@ def adapted_chart(surface, point, line=None) -> AdaptedChart:
     other tangent vector that are independent, read off a 3 x 3 determinant
     of their coordinates at the free columns.
     """
-    tangent, equations, pivots, field, rows = surface.tangent_frame(point)
+    tangent, equations, pivots, field = surface.tangent_frame(point)
     if line is not None:
         if line.exactness != "exact":
             raise PointNotOnLine("chart alignment needs an exact line")
@@ -579,7 +568,7 @@ def adapted_chart(surface, point, line=None) -> AdaptedChart:
     units = identity(field, 5)
     return AdaptedChart(surface=surface, field=field,
                         columns=tangent + [units[j] for j in pivots],
-                        base_point=point, gradients=rows)
+                        base_point=point)
 
 
 # --------------------------------------------------------------------------

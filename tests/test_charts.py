@@ -57,7 +57,7 @@ def _exact_scan(surface):
 def _dropped(surface, point):
     """Index, among the free columns, of the kernel vector the tangent basis
     leaves out."""
-    _, _, pivots, _, _ = surface.tangent_frame(point)
+    _, _, pivots, _ = surface.tangent_frame(point)
     free = [c for c in range(5) if c not in pivots]
     return max(i for i, f in enumerate(free) if point.coords[f])
 

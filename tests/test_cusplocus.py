@@ -12,7 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 from segrecusp import cusplocus, fields
 from segrecusp.appendix import appendix_cases
 from segrecusp.cusplocus import (SectionGermClass, _hessian_form,
-                                 _linear_form, _on_any_line, _TangentGrams,
+                                 _linear_form, _on_any_line, HessianAtPoint,
                                  branch_scan,
                                  classify_plane_germ, classify_section_germ,
                                  cusp_locus_summary, dual_plane_conic_fit,
@@ -28,7 +28,8 @@ from segrecusp.jets import jet_from_poly
 from segrecusp.linalg import gram_matrix, mat_rank
 from segrecusp.lines import (LineOnSurface, coordinate_lines, enumerate_lines,
                              lines_through_singular_point)
-from segrecusp.pencil import TABLE1_SYMBOLS, default_instance, normal_form
+from segrecusp.pencil import (TABLE1_SYMBOLS, QuadricPencil,
+                              default_instance, normal_form)
 from segrecusp.surface import (AdaptedChart, ProjectivePoint, SurfaceInstance,
                                adapted_chart, double_conic_hyperplane,
                                double_conic_points, sample_charts,
@@ -343,8 +344,8 @@ def test_point_case_rejects_where_the_jet_reference_does():
 def _orbit_classes(hess):
     """The class of each Hessian root, read once per Galois orbit, in the
     order of ``hess.roots``."""
-    return [cls for f, n in hess.grams.root_orbits()
-            for cls in [hess.grams.section_class(f)] * n]
+    return [cls for f, n in hess.root_orbits()
+            for cls in [hess.section_class(f)] * n]
 
 
 def _to_sympy(v):
@@ -366,7 +367,7 @@ def test_gram_reading_matches_phi_h(trichotomy_points):
     for inst, p in trichotomy_points:
         hess = hessian_form_at(inst, p)
         c = hess.chart.columns
-        orbits = [f for f, n in hess.grams.root_orbits() for _ in range(n)]
+        orbits = [f for f, n in hess.root_orbits() for _ in range(n)]
         assert len(orbits) == len(hess.roots)
         for (rfield, (lam, mu), _), f in zip(hess.roots, orbits):
             K = (sympy.QQ if rfield == QQ
@@ -390,7 +391,7 @@ def test_gram_reading_matches_phi_h(trichotomy_points):
                    + (X if beta else Y).convert_to(R) * R.gens[0]).det()
             coeffs = R.to_sympy(phi).as_poly(t).all_coeffs()[::-1]
             assert [bool(x) for x in coeffs[:4]] == [False] * 3 + [True]
-            k, corank = hess.grams.section_invariants(f)
+            k, corank = hess.section_invariants(f)
             assert (k, corank) == (3, 4 - A_H.rank()), (inst.pencil, p)
 
 
@@ -470,8 +471,8 @@ def test_orbit_reading_matches_jet_reading():
                 seen["points"] += 1
                 seen["a = 0"] += not a
                 seen["rational, a != 0"] += bool(a) and len(
-                    hess.grams.root_orbits()) == 2
-                seen["conjugate"] += len(hess.grams.root_orbits()) == 1
+                    hess.root_orbits()) == 2
+                seen["conjugate"] += len(hess.root_orbits()) == 1
     assert seen["points"] == 432
     assert min(seen.values()) >= 40, seen
 
@@ -487,7 +488,7 @@ def test_section_reading_needs_a_chart_over_q(census_cache):
     chart = adapted_chart(inst, p)
     assert chart.field == line.field()
     with pytest.raises(RootFieldUnsupported):
-        _TangentGrams(chart)
+        HessianAtPoint(p, chart)
     with pytest.raises(RootFieldUnsupported):
         hessian_form_at(inst, p)
     with pytest.raises(RootFieldUnsupported):
@@ -510,21 +511,21 @@ def test_double_conic_test_on_double_conic_hyperplanes(symbol):
             assert pts
             for p in pts:
                 chart = adapted_chart(inst, p)
-                grams = _TangentGrams(chart)
+                hess = hessian_form_at(inst, p, chart)
                 f = _linear_form(*chart.dual_coords(H))
-                assert grams.section_invariants(f)[1] == 3
-                assert grams.section_class(f) == \
+                assert hess.section_invariants(f)[1] == 3
+                assert hess.section_class(f) == \
                     SectionGermClass("PerfectSquare", "double conic")
                 lam, mu = chart.dual_coords(H)
-                assert grams.section_invariants(
+                assert hess.section_invariants(
                     _linear_form(lam + 1, mu + 3))[1] < 3
 
 
 def _unconfirm_rank(monkeypatch):
     """Make the exact rank reading never confirm rank at most 1."""
-    rank_at = _TangentGrams.rank_at
-    monkeypatch.setattr(_TangentGrams, "rank_at",
-                        lambda grams, f: max(2, rank_at(grams, f)))
+    rank_at = HessianAtPoint.rank_at
+    monkeypatch.setattr(HessianAtPoint, "rank_at",
+                        lambda hess, f: max(2, rank_at(hess, f)))
 
 
 def test_unconfirmed_square_is_not_generic(trichotomy_points, monkeypatch):
@@ -768,6 +769,137 @@ def test_tacnodal_no_double_root_error(line_fixture):
                                 "Other", "PerfectSquare")
         except NoDoubleRoot:
             pass
+
+
+def _graph_tacnodal(surface, line, point):
+    """The tacnodal hyperplane, the class of its section and (lam, mu),
+    read off the graph jets to order 3 in the chart aligned to the line:
+    F = y f and G = y g, (lam, mu) = (g_x, -f_x) at the point, and the
+    double root degenerates where lam f_xx + mu g_xx vanishes there."""
+    chart = adapted_chart(surface, point, line)
+    F_, G_ = chart.solve_graph(3)
+    if any(e[1] < 1 for J in (F_, G_) for e in J.coeffs):
+        raise SegreCuspError("graph functions do not vanish on the line")
+    lam, mu = G_.coefficient((1, 1)), -F_.coefficient((1, 1))
+    if not (lam or mu):
+        raise NoDoubleRoot("restriction to the line is degenerate at the point")
+    if not lam * F_.coefficient((2, 1)) + mu * G_.coefficient((2, 1)):
+        raise NoDoubleRoot("double root degenerates to higher order")
+    cls = hessian_form_at(surface, point, chart).section_class(
+        _linear_form(lam, mu))
+    return chart.hyperplane_from_dual(lam, mu), cls, (lam, mu)
+
+
+def _points_on(line, params):
+    a, b = line.span_over(QQ)
+    return [ProjectivePoint.make(QQ, [x + t * y for x, y in zip(a, b)])
+            for t in params]
+
+
+def test_tacnodal_reading_matches_graph_reading():
+    """On 1,224 points (t = -5..6 on each of the 17 lines of
+    surface_through_line(seed), seeds 0..5), the hyperplane, the class and
+    (lam, mu) read off the Gram block equal the order-3 graph reading."""
+    from segrecusp.blowup import surface_through_line
+
+    seen = Counter()
+    for seed in range(6):
+        fix = surface_through_line(seed)
+        for line in fix.lines + [fix.distinguished_line]:
+            for p in _points_on(line, range(-5, 7)):
+                want = _graph_tacnodal(fix, line, p)
+                got = tacnodal_hyperplane_on_line(fix, line, p)
+                assert got[:3] == want, (seed, line, p)
+                seen[want[1].kind] += 1
+    assert sum(seen.values()) == 1224
+    assert seen["A3_tacnode"] and seen["Other"], seen
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a jet was built or a graph solved")
+
+
+def test_smooth_point_readings_build_no_jet(line_fixture, trichotomy_points,
+                                            monkeypatch):
+    """With graph solves and Jet construction refused, the tacnodal
+    hyperplanes along the fixture's line and their section classes are the
+    order-3 graph reading's, classify_section_germ gives the same classes
+    at the same hyperplanes, and the point cases give the order-8 jet
+    reading's classes."""
+    from segrecusp import jets, surface
+    from segrecusp.jets import Jet
+
+    line = line_fixture.distinguished_line
+    points = _points_on(line, range(-5, 7))
+    want = [_graph_tacnodal(line_fixture, line, p) for p in points]
+    kinds = [_jet_kinds(adapted_chart(inst, p), 8)
+             for inst, p in trichotomy_points]
+    monkeypatch.setattr(AdaptedChart, "solve_graph", _refuse)
+    for module in (jets, surface, cusplocus):
+        monkeypatch.setattr(module, "hensel_solve", _refuse)
+    monkeypatch.setattr(Jet, "__init__", _refuse)
+    for p, (H, cls, lam_mu) in zip(points, want):
+        assert tacnodal_hyperplane_on_line(line_fixture, line, p)[:3] == \
+            (H, cls, lam_mu), p
+        assert classify_section_germ(line_fixture, p, H) == cls, p
+    for (inst, p), k in zip(trichotomy_points, kinds):
+        pc = point_case(inst, p)
+        assert [c.kind for c in pc.root_classes] == k, (inst.pencil, p)
+        assert pc.case == CASE_OF_KINDS[tuple(sorted(k))]
+
+
+def _quadric(terms):
+    """The symmetric matrix of sum c x_i x_j over the terms {(i, j): c}."""
+    M = [[F(0)] * 5 for _ in range(5)]
+    for (i, j), c in terms.items():
+        M[i][j] += F(c, 1 if i == j else 2)
+        M[j][i] = M[i][j]
+    return M
+
+
+# pencils containing the line {x2 = x3 = x4 = 0}, smooth at e0 with
+# T = {x3 = x4 = 0}, each with the term that repairs it: at e0 the chart is
+# the unit vectors, A(c1, c2) is -(lam P_12 + mu Q_12), and at its root
+# (0 : 1), where P_12 = 1 and Q_12 = 0, A(c1, u) is -Q_13
+DEGENERATE_TACNODAL = {
+    "restriction to the line is degenerate at the point": (
+        {(0, 3): 2, (2, 2): 1, (1, 4): 2, (4, 4): 1},
+        {(0, 4): 2, (1, 3): 2, (2, 2): -1, (3, 3): 1}, (0, (1, 2))),
+    "double root degenerates to higher order": (
+        {(0, 3): 2, (1, 2): 2, (4, 4): 1},
+        {(0, 4): 2, (1, 4): 2, (2, 2): 1, (3, 3): 1}, (1, (1, 3))),
+}
+
+
+@pytest.mark.parametrize("message", sorted(DEGENERATE_TACNODAL))
+def test_tacnodal_degenerate_roots_are_typed(message):
+    """Each degenerate tacnodal root raises NoDoubleRoot with its message;
+    with the term 2 x_i x_j that repairs it, the root is the graph
+    reading's."""
+    P, Q, (k, repair) = DEGENERATE_TACNODAL[message]
+    e0, e1 = (ProjectivePoint.make(QQ, [int(i == k) for i in range(5)])
+              for k in (0, 1))
+    line = LineOnSurface(e0, e1, "exact")
+    surf = SurfaceInstance(QuadricPencil(_quadric(P), _quadric(Q)))
+    with pytest.raises(NoDoubleRoot, match=f"^{message}$"):
+        tacnodal_hyperplane_on_line(surf, line, e0)
+    forms = [P, Q]
+    forms[k] = {**forms[k], repair: 2}
+    surf = SurfaceInstance(QuadricPencil(*map(_quadric, forms)))
+    got = tacnodal_hyperplane_on_line(surf, line, e0)
+    assert got[:3] == _graph_tacnodal(surf, line, e0) and not got[2][0]
+
+
+def test_tacnodal_needs_a_line_on_the_surface(line_fixture):
+    """A line through p inside T_pS but not on S is an error."""
+    (p,) = _points_on(line_fixture.distinguished_line, [2])
+    tangent = line_fixture.tangent_frame(p)[0]
+    off = ProjectivePoint.make(
+        QQ, [x + 3 * y for x, y in zip(tangent[1], tangent[2])])
+    with pytest.raises(SegreCuspError,
+                       match="^graph functions do not vanish on the line$"):
+        tacnodal_hyperplane_on_line(line_fixture,
+                                    LineOnSurface(p, off, "exact"), p)
 
 
 def test_trichotomy_discriminants_split_by_trial_division(monkeypatch):
