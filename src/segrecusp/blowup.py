@@ -2,11 +2,12 @@
 
 Blowing up five rational points of the plane (no three collinear) and
 embedding anticanonically by the cubics through them yields a smooth
-intersection of two quadrics in CP4 with dense rational points and sixteen
-exact rational lines: the five exceptional curves, the ten lines through
-point pairs, and the conic through all five.  These fixtures drive every
-construction that needs exact points or an exact line missing the singular
-locus.
+intersection of two quadrics in CP4 with dense rational points.  The plane
+model is the point source; the sixteen lines come from the census,
+:func:`segrecusp.lines.enumerate_lines`, which finds them all exact over Q
+(the five exceptional curves, the ten lines through point pairs and the
+conic through all five).  These fixtures drive every construction that
+needs exact points or an exact line missing the singular locus.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (CrossCheckMismatch, IrrationalEigenvalue, RetryExhausted,
-                     SegreCuspError)
+from .errors import CrossCheckMismatch, RetryExhausted, SegreCuspError
 from .fields import QQ
 from .jets import Jet
-from .lines import LineOnSurface, line_contained_exact
-from .linalg import (complete_basis, gram_matrix, mat_inv, mat_vec,
-                     nullspace, sym_matrix, transpose)
-from .pencil import QuadricPencil, second_intersection
+from .lines import enumerate_lines
+from .linalg import (complete_basis, mat_inv, mat_vec, nullspace, sym_matrix,
+                     transpose)
+from .pencil import QuadricPencil
 from .surface import ProjectivePoint, SurfaceInstance
 
 PLANE_VARS = ("u", "v", "w")
@@ -52,15 +52,6 @@ class PlaneModel:
 
     def map_point(self, pt):
         coords = [_eval_poly(c, pt) for c in self.cubics]
-        if not any(coords):
-            return None
-        return ProjectivePoint.make(QQ, coords)
-
-    def map_gradient(self, base_idx, direction):
-        pt = self.points[base_idx]
-        coords = [sum((d * _eval_poly(c.derivative(name), pt)
-                       for d, name in zip(direction, PLANE_VARS)),
-                      start=Fraction(0)) for c in self.cubics]
         if not any(coords):
             return None
         return ProjectivePoint.make(QQ, coords)
@@ -111,67 +102,15 @@ def plane_model(points) -> PlaneModel:
     return PlaneModel(points=points, cubics=cubics, pencil=pencil)
 
 
-def _conic_through(points):
-    monos = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
-    rows = [[_eval_mono(m, p) for m in monos] for p in points]
-    kernel = nullspace(QQ, rows)
-    if len(kernel) != 1:
-        raise CrossCheckMismatch("five points do not fix one conic")
-    # the index pair (i, j) of each monomial X_i X_j
-    pairs = [tuple(t for t, e in enumerate(m) for _ in range(e)) for m in monos]
-    return sym_matrix(3, dict(zip(pairs, kernel[0])))
-
-
-def model_lines(model: PlaneModel):
-    """The sixteen exact lines: exceptional, pair lines, and the conic image."""
-    lines = []
-    pencil = model.pencil
-
-    def add(p_a, p_b):
-        if p_a is None or p_b is None:
-            raise SegreCuspError("degenerate line sample")
-        line = LineOnSurface(p_a, p_b, "exact")
-        if not line_contained_exact(pencil, p_a, p_b):
-            raise SegreCuspError("computed span is not on the surface")
-        lines.append(line)
-
-    for i in range(5):
-        add(model.map_gradient(i, (1, 0, 0)), model.map_gradient(i, (0, 1, 0)))
-    for i, j in itertools.combinations(range(5), 2):
-        a, b = model.points[i], model.points[j]
-        samples = []
-        for t in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 5),
-                  Fraction(3, 7)):
-            pt = tuple(ai + t * (bi - ai) for ai, bi in zip(a, b))
-            img = model.map_point(pt)
-            if img is not None:
-                samples.append(img)
-            if len(samples) == 2:
-                break
-        add(*samples)
-    # the conic through all five points, parameterized from the first
-    C = _conic_through(model.points)
-    base = list(model.points[0])
-    others = complete_basis(QQ, [base], 3)[1:]
-    samples = []
-    for t in (Fraction(1), Fraction(2), Fraction(3), Fraction(5), Fraction(-1),
-              Fraction(7), Fraction(-2)):
-        d = [others[0][k] + t * others[1][k] for k in range(3)]
-        G = gram_matrix(QQ, C, [base, d])
-        pt = tuple(second_intersection(G, base, d))
-        if not any(pt):
-            continue
-        if tuple(Fraction(x) for x in pt) in [tuple(p) for p in model.points]:
-            continue
-        img = model.map_point(pt)
-        if img is not None and all(img != s.point_a for s in lines):
-            samples.append(img)
-        if len(samples) == 2:
-            break
-    add(*samples)
-    if len(lines) != 16:
-        raise CrossCheckMismatch(f"{len(lines)} lines on the plane model, not 16")
-    return lines
+def _exact_census(inst):
+    """Run the census on a fixture surface, which must give sixteen exact
+    lines over Q and no warning."""
+    census = enumerate_lines(inst)
+    if census.warnings or len(census.lines) != 16 or not all(
+            l.exactness == "exact" and l.field() == QQ for l in census.lines):
+        raise CrossCheckMismatch(
+            f"census of a fixture surface: {len(census.lines)} lines, "
+            f"warnings {census.warnings}")
 
 
 def smooth_segre_instance(seed=0) -> SurfaceInstance:
@@ -184,12 +123,12 @@ def smooth_segre_instance(seed=0) -> SurfaceInstance:
         try:
             model = plane_model(pts)
             model.pencil.segre_symbol()      # rational eigenvalues required
-            lines = model_lines(model)
-        except (SegreCuspError, IrrationalEigenvalue):
+        except SegreCuspError:
             continue
         inst = SurfaceInstance(model.pencil, seed=seed)
         if inst.singular_points():
             continue
+        _exact_census(inst)
 
         def source(rng_, model=model):
             for _ in range(50):
@@ -202,7 +141,6 @@ def smooth_segre_instance(seed=0) -> SurfaceInstance:
             return None
 
         inst.point_source = source
-        inst.lines = lines
         inst.model = model
         return inst
     raise RetryExhausted("no smooth rational model found")
@@ -213,7 +151,8 @@ def surface_through_line(seed=0) -> SurfaceInstance:
 
     Built by moving a rational line of a smooth model into coordinate
     position, so the line misses the (empty) singular locus and the quadrics
-    carry no X0^2, X0*X1 or X1^2 monomials.
+    carry no X0^2, X0*X1 or X1^2 monomials.  The lines are the census of the
+    moved pencil, and ``distinguished_line`` is the one through e0 and e1.
     """
     rng = random.Random(seed ^ 0x5EED)
     for _ in range(60):
@@ -229,31 +168,20 @@ def surface_through_line(seed=0) -> SurfaceInstance:
         if out.singular_points():
             continue
         Ainv = mat_inv(QQ, A)
-        model = inst.model
 
-        def source(rng_, model=model, Ainv=Ainv):
-            for _ in range(50):
-                pt = (Fraction(rng_.randint(-40, 40), rng_.randint(1, 17)),
-                      Fraction(rng_.randint(-40, 40), rng_.randint(1, 17)),
-                      Fraction(1))
-                p = model.map_point(pt)
-                if p is not None:
-                    return ProjectivePoint.make(QQ, mat_vec(QQ, Ainv, p.coords))
-            return None
-
-        def move_line(l):
-            pa = ProjectivePoint.make(QQ, mat_vec(QQ, Ainv, l.point_a.coords))
-            pb = ProjectivePoint.make(QQ, mat_vec(QQ, Ainv, l.point_b.coords))
-            return LineOnSurface(pa, pb, "exact")
+        def source(rng_, model_source=inst.point_source, Ainv=Ainv):
+            p = model_source(rng_)
+            if p is None:
+                return None
+            return ProjectivePoint.make(QQ, mat_vec(QQ, Ainv, p.coords))
 
         out.point_source = source
-        out.lines = [move_line(l) for l in inst.lines]
-        out.distinguished_line = move_line(line)
-        # a 5-point smoothness sample along the line, plus exact containment
+        _exact_census(out)
         e0 = ProjectivePoint.make(QQ, [1, 0, 0, 0, 0])
         e1 = ProjectivePoint.make(QQ, [0, 1, 0, 0, 0])
-        if not line_contained_exact(new_pencil, e0, e1):
-            raise CrossCheckMismatch("span(e0, e1) is not on the moved surface")
+        out.distinguished_line = next(
+            l for l in out.lines if l.contains(e0) and l.contains(e1))
+        # a 5-point smoothness sample along the line
         for t in (0, 1, 2, 3, 5):
             pt = ProjectivePoint.make(QQ, [1, t, 0, 0, 0])
             if not out.is_smooth_at(pt):

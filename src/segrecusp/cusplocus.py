@@ -413,50 +413,32 @@ class HessianAlongLine:
     G: Jet
 
 
-def line_chart(surface, line, base_param=None):
+def line_chart(surface, line):
     """Chart over Q(x) aligned to an exact rational line.
 
     Sends the line to {y = z = w = 0} with x the line parameter; the base
-    point (at x = 0) is chosen smooth with the tangent plane at it mapped to
-    {z = w = 0}.
+    point (at x = 0) is the first smooth one of a fixed list on the line,
+    with the tangent plane at it mapped to {z = w = 0}.  The graph of S
+    over (x, y) is then solvable along the line: at x = 0 the Jacobian in
+    (z, w) is the minor of the reduced gradient rows at their pivot
+    columns, so its determinant is not identically zero.
     """
     if line.field() != QQ:
         raise TowerUnsupported("line chart needs a rational line")
     a, b = line.span_over(QQ)
-    params = [Fraction(base_param)] if base_param is not None else \
-        [Fraction(t) for t in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 4, 6, 8,
-                               9, 10, -5, 12, -7, 15)]
     last_error = None
-    for t in params:
+    for t in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 4, 6, 8, 9, 10, -5, 12,
+              -7, 15):
         c0 = [ai + t * bi for ai, bi in zip(a, b)]
         base = ProjectivePoint.make(QQ, c0)
         try:
             # raises PointSingular at a singular base point
-            chart = adapted_chart(surface, base, line)
-            if _graph_solvable_along_line(chart):
-                return chart
+            return adapted_chart(surface, base, line)
         except SegreCuspError as exc:
             # the message only: the exception's traceback would hold this
             # frame in a reference cycle
             last_error = str(exc)
-            continue
     raise SegreCuspError(f"no usable base point found on {line}: {last_error}")
-
-
-def _graph_solvable_along_line(chart):
-    """Whether d(q1, q2)/d(z, w) is invertible along the aligned line.
-
-    Read off the chart's quadrics in (y, z, w) over Q(x), x the line
-    parameter, which the line report then solves: their constant terms
-    q(c_0 + x c_1) must vanish identically, and their z and w coefficients
-    are dq/dz and dq/dw along the line.
-    """
-    quadrics = chart.line_jets(1)
-    if any(q.constant_term() for q in quadrics):
-        raise SegreCuspError("chart is not aligned: quadrics do not vanish on it")
-    (p_z, p_w), (q_z, q_w) = ([q.coefficient(e) for e in ((0, 1, 0), (0, 0, 1))]
-                              for q in quadrics)
-    return bool(p_z * q_w - p_w * q_z)
 
 
 def line_report(surface, line, chart=None) -> HessianAlongLine:

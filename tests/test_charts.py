@@ -7,8 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from segrecusp import linalg
-from segrecusp.cusplocus import (_graph_solvable_along_line, _on_any_line,
-                                 line_chart, sample_point_cases)
+from segrecusp.cusplocus import _on_any_line, line_chart, sample_point_cases
 from segrecusp.errors import CrossCheckMismatch, PointNotOnLine, SegreCuspError
 from segrecusp.fields import QQ
 from segrecusp.instances import sampling_instance, table1_instance
@@ -172,9 +171,7 @@ def _line_chart_with_pretests(surface, line):
         try:
             if not surface.is_smooth_at(base):
                 continue
-            chart = adapted_chart(surface, base, line)
-            if _graph_solvable_along_line(chart):
-                return chart
+            return adapted_chart(surface, base, line)
         except SegreCuspError:
             continue
     raise SegreCuspError(f"no usable base point found on {line}")

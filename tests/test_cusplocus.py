@@ -638,12 +638,14 @@ def test_line_report_escalates_from_start_order(symbol, span, expected):
 
 
 def test_line_report_base_point_independent(line_fixture):
-    from segrecusp.cusplocus import line_chart
     line = line_fixture.distinguished_line
-    r1 = line_report(line_fixture, line,
-                     chart=line_chart(line_fixture, line, base_param=1))
-    r2 = line_report(line_fixture, line,
-                     chart=line_chart(line_fixture, line, base_param=3))
+    a, b = line.span_over(QQ)
+    reports = []
+    for t in (1, 3):
+        base = ProjectivePoint.make(QQ, [ai + t * bi for ai, bi in zip(a, b)])
+        reports.append(line_report(
+            line_fixture, line, chart=adapted_chart(line_fixture, base, line)))
+    r1, r2 = reports
     assert (r1.m, r1.branch_mult) == (r2.m, r2.branch_mult) == (0, 1)
 
 
@@ -753,22 +755,6 @@ def test_tacnodal_family_and_conic(line_fixture):
     conic, residuals = dual_plane_conic_fit(hyps, line)
     assert any(conic)
     assert all(r == 0 for r in residuals)
-
-
-def test_tacnodal_no_double_root_error(line_fixture):
-    # a point where f1 = g1 = 0 cannot exist generically; feed a wrong line
-    line = line_fixture.lines[0]
-    if line.plucker_float() is not None and \
-            line is not line_fixture.distinguished_line:
-        a, b = line.span_over(QQ)
-        p = ProjectivePoint.make(QQ, [ai + 2 * bi for ai, bi in zip(a, b)])
-        try:
-            H, cls, lm, chart = tacnodal_hyperplane_on_line(
-                line_fixture, line, p)
-            assert cls.kind in ("A3_tacnode", "NonReducedLineMultiple",
-                                "Other", "PerfectSquare")
-        except NoDoubleRoot:
-            pass
 
 
 def _graph_tacnodal(surface, line, point):

@@ -30,13 +30,17 @@ def test_integer_twins_stay_removed():
     # package; so are the second builders of census factors (in sympy's
     # order), plane polynomials, printed scalars and the CLI's census, the
     # ADE germ's implicit solve on a coordinate chart, the wrapped Gram
-    # reading at a smooth point, cusplocus's twin binary-form helpers, and
-    # the jet and chart helpers that only the tests reached
+    # reading at a smooth point, cusplocus's twin binary-form helpers, the
+    # jet and chart helpers that only the tests reached, the plane model's
+    # second line builder (the census builds every fixture's lines) and the
+    # line chart's probe, which could never fail
     gone = {"_zrow_reduce", "_zdet", "_zero", "_rational", "qform", "bform",
             "_sympy_order", "fmt_scalar", "rat", "_poly_mul", "_gradient",
             "_census", "hypersurface_germ", "_affine_chart_vectors",
             "_TangentGrams", "_sub", "_mul", "divide_by_power", "drop_vars",
-            "point_at", "tangent_space", "gradients"}
+            "point_at", "tangent_space", "gradients", "model_lines",
+            "map_gradient", "_conic_through", "move_line",
+            "_graph_solvable_along_line"}
     root = Path(segrecusp.__file__).parent
     found = [f"{path.relative_to(root)}:{node.lineno}"
              for path in sorted(root.rglob("*.py"))

@@ -10,6 +10,7 @@ from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions
 from segrecusp.instances import sampling_instance, table1_instance
 from segrecusp.jets import Jet
 from segrecusp.linalg import mat_det, mat_rank, mat_vec
+from segrecusp.lines import enumerate_lines
 from segrecusp.pencil import TABLE1_SYMBOLS, default_instance
 from segrecusp.surface import (ProjectivePoint, SurfaceInstance,
                                _isotropic_seed, adapted_chart, chart_quadrics,
@@ -229,13 +230,45 @@ def test_double_conic_sections_are_squares():
         assert classify_section_germ(inst, p, H).kind == "PerfectSquare"
 
 
-def test_surface_through_line_contract(line_fixture):
-    # quadrics carry no monomials involving only X0, X1
-    for M in (line_fixture.pencil.P, line_fixture.pencil.Q):
-        assert M[0][0] == 0 and M[0][1] == 0 and M[1][1] == 0
-    assert line_fixture.distinguished_line.n_incident == 0 or \
-        not line_fixture.singular_points()
-    assert str(line_fixture.pencil.segre_symbol()) in "[11111]"
+def test_surface_through_line_contract():
+    from segrecusp.blowup import surface_through_line
+    e0, e1 = e(0), e(1)
+    for seed in range(6):
+        fix = surface_through_line(seed)
+        # quadrics carry no monomials involving only X0, X1
+        for M in (fix.pencil.P, fix.pencil.Q):
+            assert M[0][0] == 0 and M[0][1] == 0 and M[1][1] == 0
+        line = fix.distinguished_line
+        assert line in fix.lines, seed
+        assert line.contains(e0) and line.contains(e1), seed
+        assert line.n_incident == 0, seed
+        assert str(fix.pencil.segre_symbol()) == "[11111]"
+
+
+def test_census_on_plane_model(smooth_model):
+    """The census of the five-point plane model: sixteen exact lines over Q
+    with no warning, the 5-regular Clebsch intersection graph of a quartic
+    del Pezzo surface, and one line through the images of each segment
+    between two of the five points."""
+    census = enumerate_lines(SurfaceInstance(smooth_model.pencil, seed=0))
+    assert census.warnings == []
+    lines = smooth_model.lines
+    assert len(lines) == 16
+    assert all(l.exactness == "exact" and l.field() == QQ for l in lines)
+    assert [l.plucker_float().tolist() for l in census.lines] == \
+        [l.plucker_float().tolist() for l in lines]
+    spans = [list(l.span_over(QQ)) for l in lines]
+    for i, span in enumerate(spans):
+        meets = [j for j, other in enumerate(spans)
+                 if j != i and mat_rank(QQ, span + other) == 3]
+        assert len(meets) == 5, i
+    model = smooth_model.model
+    for a, b in combinations(model.points, 2):
+        images = [model.map_point(tuple(ai + t * (bi - ai)
+                                        for ai, bi in zip(a, b)))
+                  for t in (F(1, 3), F(2, 3))]
+        through = [l for l in lines if all(l.contains(p) for p in images)]
+        assert len(through) == 1, (a, b)
 
 
 def _rank_tested_seed(pencil, member, surface_points):
