@@ -28,7 +28,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
-                     NonGenericPoint, RootFieldUnsupported, SegreCuspError,
+                     NonGenericPoint, NotOnSurface, PointNotOnLine,
+                     PointSingular, RootFieldUnsupported, SegreCuspError,
                      SingularJacobian, TowerUnsupported,
                      TruncationInsufficient)
 from .fields import QQ, _bmul, _bsub, _integral, _zdivmod, quadratic_roots
@@ -418,27 +419,28 @@ def line_chart(surface, line):
 
     Sends the line to {y = z = w = 0} with x the line parameter; the base
     point (at x = 0) is the first smooth one of a fixed list on the line,
-    with the tangent plane at it mapped to {z = w = 0}.  The graph of S
-    over (x, y) is then solvable along the line: at x = 0 the Jacobian in
-    (z, w) is the minor of the reduced gradient rows at their pivot
-    columns, so its determinant is not identically zero.
+    with the tangent plane at it mapped to {z = w = 0}.  A singular base
+    point costs one rank test of its integer gradient rows
+    (:meth:`~segrecusp.surface.SurfaceInstance.tangent_frame`).  A base
+    point off S, or a line leaving the tangent plane at a smooth one, shows
+    that the line is not on S (:class:`NotOnSurface`, naming the line).
+    The graph of S over (x, y) is then solvable along the line: at x = 0
+    the Jacobian in (z, w) is the minor of the gradient rows at their
+    pivot columns, so its determinant is not identically zero.
     """
     if line.field() != QQ:
         raise TowerUnsupported("line chart needs a rational line")
     a, b = line.span_over(QQ)
-    last_error = None
     for t in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 4, 6, 8, 9, 10, -5, 12,
               -7, 15):
-        c0 = [ai + t * bi for ai, bi in zip(a, b)]
-        base = ProjectivePoint.make(QQ, c0)
+        base = ProjectivePoint.make(QQ, [ai + t * bi for ai, bi in zip(a, b)])
         try:
-            # raises PointSingular at a singular base point
             return adapted_chart(surface, base, line)
-        except SegreCuspError as exc:
-            # the message only: the exception's traceback would hold this
-            # frame in a reference cycle
-            last_error = str(exc)
-    raise SegreCuspError(f"no usable base point found on {line}: {last_error}")
+        except PointSingular:
+            continue
+        except (NotOnSurface, PointNotOnLine) as exc:
+            raise NotOnSurface(f"{line} is not on the surface: {exc}") from None
+    raise SegreCuspError(f"no smooth base point found on {line}")
 
 
 def line_report(surface, line, chart=None) -> HessianAlongLine:

@@ -59,6 +59,10 @@ class PointSingular(SegreCuspError):
     """A smooth point was required but a singular one was supplied."""
 
 
+class NotOnSurface(SegreCuspError):
+    """A point or a line that must lie on the surface does not."""
+
+
 class PointNotOnLine(SegreCuspError):
     """The base point does not lie on the supplied line."""
 

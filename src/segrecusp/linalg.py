@@ -10,7 +10,9 @@ run on the field's ring of numerators (Z, Z[sqrt(d)] or Q(x); see
 :mod:`segrecusp.fields`), with one division per entry back into the field
 at the end.  Gram matrices and :func:`mat_vec` run on the same numerators
 (a matrix used often, like a pencil member, can be scaled once and passed to
-:func:`scaled_gram`, :func:`gram_numerators` and :func:`scaled_mat_vec`),
+:func:`scaled_gram`, :func:`gram_numerators` and :func:`scaled_mat_vec`;
+:func:`upper_gram_numerators` forms the upper triangles of several
+symmetric matrices' Gram matrices on one set of numerators),
 and :func:`det_pencil` and :func:`split_rational_roots` on integers.
 :func:`mat_mul`, which no routine of the package calls, is the plain loop.
 """
@@ -81,15 +83,47 @@ def gram_numerators(field, scaled, vectors):
     """(G, d): the Gram matrix of the vectors under the matrix whose
     numerators are ``scaled`` is G / d, G in the ring of numerators.
     Zero entries are skipped; the vectors are taken over one denominator."""
-    (m, dm), n = scaled, math.isqrt(len(scaled[0]))
-    v, dv = field.numerators([c for vec in vectors for c in vec])
-    zero, M = m[0] * 0, [m[i:i + n] for i in range(0, n * n, n)]
-    supports = [[(k, c) for k, c in enumerate(v[i:i + n]) if c]
-                for i in range(0, len(v), n)]
-    images = [[sum((row[k] * c for k, c in support if row[k]), zero)
-               for row in M] for support in supports]
+    (m, dm), (supports, dv) = scaled, _supports(field, vectors)
+    images, zero = _images(m, supports), m[0] * 0
     return [[sum((c * image[k] for k, c in support), zero)
              for image in images] for support in supports], dv * dm * dv
+
+
+def upper_gram_numerators(field, members, vectors):
+    """The upper triangles of the Gram matrices of the vectors under
+    symmetric matrices, given by their numerators (as in
+    :func:`scaled_mat_vec`), in one pass with the vectors taken over one
+    denominator once: for each matrix, (G, d) with G / d its Gram matrix
+    and G a dict of the nonzero entries G_ab, a <= b."""
+    supports, dv = _supports(field, vectors)
+    out = []
+    for m, dm in members:
+        images, zero, G = _images(m, supports), m[0] * 0, {}
+        for a, support in enumerate(supports):
+            for b in range(a, len(supports)):
+                g = sum((c * images[b][k] for k, c in support), zero)
+                if g:
+                    G[a, b] = g
+        out.append((G, dv * dm * dv))
+    return out
+
+
+def _supports(field, vectors):
+    """The vectors' numerators over one denominator d, each as its (index,
+    entry) pairs of nonzero entry, and d."""
+    n = len(vectors[0]) if vectors else 1
+    v, dv = field.numerators([c for vec in vectors for c in vec])
+    return [[(k, c) for k, c in enumerate(v[i:i + n]) if c]
+            for i in range(0, len(v), n)], dv
+
+
+def _images(m, supports):
+    """The products M v of the square matrix M, whose entries row by row
+    are ``m``, with the vectors of :func:`_supports`."""
+    n, zero = math.isqrt(len(m)), m[0] * 0
+    M = [m[i:i + n] for i in range(0, n * n, n)]
+    return [[sum((row[k] * c for k, c in support if row[k]), zero)
+             for row in M] for support in supports]
 
 
 def _row_reduce(field, M, ncols=None):

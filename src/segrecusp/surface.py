@@ -21,16 +21,16 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from .errors import (NonIsolatedSingularity, PointNotOnLine, PointSingular,
-                     ReducibleImageConic, RetryExhausted, SegreCuspError,
+from .errors import (NonIsolatedSingularity, NotOnSurface, PointNotOnLine,
+                     PointSingular, ReducibleImageConic, RetryExhausted,
                      TruncationInsufficient, UnsupportedSingularity)
-from .fields import (QQ, QuadExtElem, RatFuncElem, RationalFunctions, pgcd,
-                     proj_normalize, quadratic_roots)
+from .fields import (QQ, QuadExtElem, RationalFunctions, _canonical, _ptrim,
+                     pgcd, proj_normalize, quadratic_roots)
 from .jets import MAX_ORDER, Jet, escalate, hensel_solve, splitting_reduce
-from .linalg import (_dot, complete_basis, gram_matrix, gram_numerators,
-                     identity, mat_det, mat_inv, mat_rank, mat_vec, nullspace,
-                     rref, rref_kernel, scaled_gram, scaled_mat_vec,
-                     solve_linear)
+from .linalg import (_dot, _images, _supports, complete_basis, gram_matrix,
+                     gram_numerators, identity, mat_inv, mat_rank, mat_vec,
+                     nullspace, scaled_gram, scaled_mat_vec, solve_linear,
+                     upper_gram_numerators)
 from .pencil import QuadricPencil, second_intersection
 
 
@@ -146,54 +146,83 @@ class SurfaceInstance:
     # --------------------------------------------------------------- helpers
 
     def gradient_rows(self, point):
-        coords, field = list(point.coords), point.field
-        return [scaled_mat_vec(field, M, coords)
-                for M in self.pencil.numerators(field)], field
+        """The gradient rows [P p; Q p] of a point p and its field, formed
+        once on the numerators of p and of P and Q: each row is M p times
+        a positive rational, so its kernel and the test p . (M p) = 0 are
+        those of M p."""
+        field = point.field
+        support, _ = _supports(field, [point.coords])
+        return [_images(m, support)[0]
+                for m, _ in self.pencil.numerators(field)], field
 
     def on_surface(self, point):
         return _on_surface(point, self.gradient_rows(point)[0])
 
     def _surface_gradient_rows(self, point):
-        """The gradient rows [P p; Q p] of a point p of S and their field;
-        p is on S when p . (M p) = 0 for both rows."""
-        rows, field = self.gradient_rows(point)
+        """The gradient rows of a point p of S (else :class:`NotOnSurface`)."""
+        rows, _ = self.gradient_rows(point)
         if not _on_surface(point, rows):
-            raise SegreCuspError(f"{point} is not on the surface")
-        return rows, field
+            raise NotOnSurface(f"{point} is not on the surface")
+        return rows
 
     def is_smooth_at(self, point):
-        rows, field = self._surface_gradient_rows(point)
-        return mat_rank(field, rows) == 2
+        return _pivots(self._surface_gradient_rows(point)) is not None
 
     def tangent_frame(self, point):
-        """The tangent plane at a smooth point p of S from one row reduction
-        of the gradient rows [P p; Q p]: (tangent, equations, pivots, field).
+        """The tangent plane at a smooth point p of S, read off the gradient
+        rows [P p; Q p] on integers: (tangent, rows, pivots, field).
 
-        ``equations`` is the reduced row echelon form of the rows, whose
-        kernel is T_pS, and ``pivots`` are its two pivot columns.  The
-        kernel basis v_f, one per free column f (Cohen, GTM 138, section
-        2.3), spans T_pS; ``tangent`` is p followed by the v_f other than
-        v_f*, f* the last free column with p_f != 0.  The unit vectors at
-        the pivot columns complete ``tangent`` to a basis of the space.
+        ``rows`` are the integer gradient rows of :meth:`gradient_rows`,
+        whose kernel is T_pS, and ``pivots`` the two pivot columns (c, c')
+        of their reduced row echelon form (:func:`_pivots`; else
+        :class:`PointSingular`).  With m(i, j) the 2 x 2 minor of the rows
+        at columns i and j, the kernel basis v_f, one per free column f
+        (Cohen, GTM 138, section 2.3), has 1 at f, -m(f, c')/m(c, c') at c
+        and -m(c, f)/m(c, c') at c' (Cramer's rule), each entry one
+        fraction, so it spans T_pS as ``rref_kernel`` of the reduced rows
+        would.  ``tangent`` is p followed by the v_f other than v_f*, f* the
+        last free column with p_f != 0.  The unit vectors at the pivot
+        columns complete ``tangent`` to a basis of the space.
         """
-        rows, field = self._surface_gradient_rows(point)
-        equations, pivots = rref(field, rows)
-        if len(pivots) != 2:
+        field = point.field
+        rows = self._surface_gradient_rows(point)
+        pivots = _pivots(rows)
+        if pivots is None:
             raise PointSingular(f"{point} must be smooth")
-        kernel = rref_kernel(field, equations, pivots)
+        (r, s), (c, c2) = rows, pivots
         coords = list(point.coords)
-        free = [c for c in range(5) if c not in pivots]
+        free = [f for f in range(5) if f not in pivots]
         last = max(i for i, f in enumerate(free) if coords[f])
-        tangent = [coords] + kernel[:last] + kernel[last + 1:]
-        return tangent, equations, pivots, field
+        tangent = [coords]
+        for f in free[:last] + free[last + 1:]:
+            v = [field.zero] * 5
+            v[f] = field.one
+            v[c], v[c2] = field.fractions(
+                [r[c2] * s[f] - r[f] * s[c2], r[f] * s[c] - r[c] * s[f]],
+                r[c] * s[c2] - r[c2] * s[c])
+            tangent.append(v)
+        return tangent, rows, pivots, field
 
 
 def _on_surface(point, rows):
-    """Whether p . (M p) = 0 for both gradient rows M p of the point p,
-    read on the numerators of p and of each row."""
-    field = point.field
-    v, _ = field.numerators(point.coords)
-    return not any(_dot(v, field.numerators(row)[0]) for row in rows)
+    """Whether p . (M p) = 0 for both gradient rows, read on the numerators
+    of p."""
+    v, _ = point.field.numerators(point.coords)
+    return not any(_dot(v, row) for row in rows)
+
+
+def _pivots(rows):
+    """The pivot columns of the reduced row echelon form of two rows r, s,
+    or None if their rank is below 2: the first column c where one row is
+    nonzero and the first column c' after it with r_c s_c' != r_c' s_c.
+    Where every such minor vanishes, each column is a multiple of column c,
+    so the rank is below 2."""
+    r, s = rows
+    c = next((k for k in range(5) if r[k] or s[k]), None)
+    if c is None:
+        return None
+    c2 = next((k for k in range(c + 1, 5) if r[c] * s[k] - r[k] * s[c]), None)
+    return None if c2 is None else (c, c2)
 
 
 def _restricted_conic_points(pencil, v1, v2):
@@ -453,7 +482,16 @@ def chart_quadrics(pencil, field, columns, names, order):
     total degree ``order``) are read off the Gram matrices with scalar
     products only.  ``columns`` lie over ``field``, the constant column first.
     With one name fewer than chart directions, t_1 is the line parameter x of
-    Q(x) and each coefficient is a polynomial of degree at most 2 in x.
+    Q(x) and each coefficient is a polynomial of degree at most 2 in x
+    (the chart then lies over Q).
+
+    Both quadrics are read in one pass over the upper triangles a <= b of
+    their Gram matrices, formed on integers
+    (:func:`~segrecusp.linalg.upper_gram_numerators`), G = N / d: each
+    coefficient is an integer polynomial over d, taken into Q(x) by
+    :func:`~segrecusp.fields._canonical`, or into the field with one
+    ``fractions`` call per jet.  Each (a, b) gives its own term: a monomial
+    in ``names`` and, over Q(x), a power of x.
     """
     fold = len(columns) - 1 - len(names)      # 1: t_1 is folded into Q(x)
     units = [tuple(int(i == j) for i in range(len(names)))
@@ -462,21 +500,20 @@ def chart_quadrics(pencil, field, columns, names, order):
     exps = [(0,) * len(names)] * (1 + fold) + units
     xdeg = [0, fold] + [0] * (len(columns) - 2)
     jets = []
-    for M in pencil.numerators(field):
-        G = scaled_gram(field, M, columns)
+    for N, d in upper_gram_numerators(field, pencil.numerators(field),
+                                      columns):
         polys = {}
-        for a in range(len(columns)):
-            for b in range(a, len(columns)):
-                if G[a][b]:
-                    e = tuple(i + j for i, j in zip(exps[a], exps[b]))
-                    poly = polys.setdefault(e, [field.zero] * 3)
-                    poly[xdeg[a] + xdeg[b]] += (2 - (a == b)) * G[a][b]
+        for (a, b), g in N.items():
+            e = tuple(i + j for i, j in zip(exps[a], exps[b]))
+            polys.setdefault(e, [0, 0, 0])[xdeg[a] + xdeg[b]] = \
+                (2 - (a == b)) * g
         if fold:
             jets.append(Jet(RationalFunctions("x"), names, order,
-                            {e: RatFuncElem.make(p) for e, p in polys.items()}))
+                            {e: _canonical(_ptrim(p), (d,))
+                             for e, p in polys.items()}))
         else:
-            jets.append(Jet(field, names, order,
-                            {e: p[0] for e, p in polys.items()}))
+            jets.append(Jet(field, names, order, dict(zip(
+                polys, field.fractions([p[0] for p in polys.values()], d)))))
     return tuple(jets)
 
 
@@ -545,26 +582,35 @@ def adapted_chart(surface, point, line=None) -> AdaptedChart:
     """Chart at a smooth point; optionally align a line to {y = z = w = 0}.
 
     The columns are a basis of the tangent plane, p first, then the unit
-    vectors at the pivot columns of the gradient rows, all from the one row
-    reduction of :meth:`SurfaceInstance.tangent_frame`.  With a line, the
-    tangent basis is p, the first spanning vector of the line and the first
-    other tangent vector that are independent, read off a 3 x 3 determinant
-    of their coordinates at the free columns.
+    vectors at the pivot columns of the gradient rows, all from
+    :meth:`SurfaceInstance.tangent_frame`.  With a line, the tangent basis
+    is p, the first spanning vector d of the line and the first other
+    tangent vector t that are independent, read off the 3 x 3 determinant of
+    their coordinates at the free columns.  There t is a unit vector, so
+    the determinant is, up to sign, the 2 x 2 minor of p and d at the two
+    free columns other than t's.  The line's tangent-plane test and that
+    minor are read on the numerators of p and of the span.
     """
-    tangent, equations, pivots, field = surface.tangent_frame(point)
+    tangent, rows, pivots, field = surface.tangent_frame(point)
     if line is not None:
         if line.exactness != "exact":
             raise PointNotOnLine("chart alignment needs an exact line")
         if not line.contains(point):
             raise PointNotOnLine(f"{point} is not on the line")
         span = line.span_over(field)
-        if any(any(mat_vec(field, equations, v)) for v in span):
-            raise PointNotOnLine("line is not inside the tangent plane")
+        nums = [field.numerators(d)[0] for d in span]
+        if any(_dot(row, d) for row in rows for d in nums):
+            raise PointNotOnLine(f"line is not inside the tangent plane at "
+                                 f"{point}")
         free = [c for c in range(5) if c not in pivots]
-        p = tangent[0]
-        tangent = [p, *next((d, t) for d in span for t in tangent[1:]
-                            if mat_det(field, [[v[f] for f in free]
-                                               for v in (p, d, t)]))]
+        p, pn = tangent[0], field.numerators(tangent[0])[0]
+
+        def independent(d, t):
+            i, j = (f for f in free if not t[f])
+            return pn[i] * d[j] - pn[j] * d[i]
+
+        tangent = [p, *next((d, t) for d, dn in zip(span, nums)
+                            for t in tangent[1:] if independent(dn, t))]
     units = identity(field, 5)
     return AdaptedChart(surface=surface, field=field,
                         columns=tangent + [units[j] for j in pivots],
@@ -613,11 +659,10 @@ def sample_charts(surface, count, rng=None, avoid=None, max_attempts=4000):
     Uses the attached parameterization when the surface has one, otherwise
     sweeps lines through a singular point inside a degenerate member's cone.
     ``avoid`` is a predicate rejecting unwanted points (e.g. on a line).  A
-    candidate it passes is kept when its chart builds: the row reduction of
-    the gradient rows in :func:`adapted_chart` is the smoothness test
-    (:class:`PointSingular`).  Both constructions put every candidate on S,
-    so one off S is an error (:class:`SegreCuspError` from
-    :meth:`SurfaceInstance.tangent_frame`).
+    candidate it passes is kept when its chart builds: the rank test of the
+    gradient rows in :meth:`SurfaceInstance.tangent_frame` is the
+    smoothness test (:class:`PointSingular`).  Both constructions put every
+    candidate on S, so one off S is an error (:class:`NotOnSurface`).
     """
     rng = rng or random.Random(surface.seed)
     out = []
