@@ -39,8 +39,12 @@ def _load_table1_fixture():
 def _emit(payload, path=None):
     text = canonical_dumps(payload)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SegreCuspError(
+                f"--json: cannot write {path}: {exc.strerror}") from exc
     sys.stdout.write(text)
 
 
@@ -260,6 +264,8 @@ def cmd_table1(args):
 def _build(args):
     """The config named by --config, with --seed applied, and the surface
     it describes."""
+    if args.seed is not None and args.seed < 0:
+        raise SegreCuspError(f"--seed must not be negative, got {args.seed}")
     config = SurfaceConfig.load(args.config)
     if args.seed is not None:
         config.seed = args.seed

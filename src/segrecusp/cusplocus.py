@@ -12,9 +12,11 @@ root section and, at a point of a line, the tacnodal hyperplane off one
 integer Gram block N of the two quadrics on the chart columns, with no jets
 (:class:`HessianAtPoint`): the tacnodal (lam : mu) is the root of N's entry
 A(c_1, c_2), c_1 along the line, and it degenerates where N's entry
-A(c_1, u) vanishes at that root.  Along lines it computes the form as jets
-over Q(x), and derives the divisor multiplicities and branch data of the
-induced double covering.
+A(c_1, u) vanishes at that root.  The tacnodal hyperplanes of a line off
+Sing(S) lie on a conic given in closed form by 4 x 4 minors of the
+gradient rows along it (:func:`tacnodal_conic`).  Along lines it computes
+the form as jets over Q(x), and derives the divisor multiplicities and
+branch data of the induced double covering.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from .errors import (CrossCheckMismatch, HyperplaneNotTangent, NoDoubleRoot,
 from .fields import QQ, _bmul, _bsub, _integral, _zdivmod, quadratic_roots
 from .jets import (BinaryQuadratic, InfiniteOrder, Jet, escalate,
                    hensel_solve, splitting_reduce, y_order)
-from .linalg import gram_numerators, nullspace, solve_linear
-from .surface import AdaptedChart, ProjectivePoint, adapted_chart
+from .linalg import (gram_matrix, identity, mat_det, mat_rank, mat_vec,
+                     upper_gram_numerators)
+from .surface import AdaptedChart, ProjectivePoint, _pivots, adapted_chart
 
 
 # --------------------------------------------------------------------------
@@ -81,9 +84,10 @@ class HessianAtPoint:
     Jacobian of the chart quadrics in (z, w), so the graph's second-order
     part is (F_2, G_2) = -L^-1 (q_P, q_Q), q_M the (c_1, c_2) block of G_M
     as a quadratic form.  A column c_j not tangent at p (a linear part
-    (F_j, G_j) of the graph) is read as c_j + F_j c_3 + G_j c_4.  Each G_M
-    is formed once, on integers (:func:`gram_numerators`; again only after
-    such a correction), and its denominator is dropped: -L^-1 (q_P, q_Q)
+    (F_j, G_j) of the graph) is read as c_j + F_j c_3 + G_j c_4.  Both
+    G_M are formed once, their upper triangles in one pass on integers
+    (:func:`~segrecusp.linalg.upper_gram_numerators`; again only after
+    such a correction), and the denominator is dropped: -L^-1 (q_P, q_Q)
     does not see it, and neither do the ranks below.  So the second
     derivatives are integers over delta = det(L/2) (the coefficients of
     the member A below on c_1, c_2), and the form is an integer form over
@@ -127,9 +131,11 @@ class HessianAtPoint:
                 f"section classes need a chart over Q, not {chart.field}")
         self.point, self.chart = point, chart
         scaled = chart.surface.pencil.numerators(QQ)
-        grams = [gram_numerators(QQ, M, chart.columns)[0] for M in scaled]
+        grams = [G for G, _ in upper_gram_numerators(QQ, scaled,
+                                                     chart.columns)]
         # G_M(0, j) = c_j . M p
-        (_, p1, p2, p3, p4), (_, q1, q2, q3, q4) = (g[0] for g in grams)
+        (p1, p2, p3, p4), (q1, q2, q3, q4) = (
+            [G.get((0, j), 0) for j in range(1, 5)] for G in grams)
         delta = p3 * q4 - p4 * q3
         if not delta:
             raise SingularJacobian(
@@ -143,16 +149,17 @@ class HessianAtPoint:
                          Fraction(q3 * gp - p3 * gq, delta)]
                 tangent.append([a + slope[0] * b + slope[1] * d
                                 for a, b, d in zip(c, c3, c4)])
-            grams = [gram_numerators(QQ, M, [c0, *tangent, c3, c4])[0]
-                     for M in scaled]
+            grams = [G for G, _ in upper_gram_numerators(
+                QQ, scaled, [c0, *tangent, c3, c4])]
         (gP, p3, p4), (gQ, q3, q4) = (
-            ([row[1:] for row in g[1:]], g[0][3], g[0][4]) for g in grams)
+            (G, G.get((0, 3), 0), G.get((0, 4), 0)) for G in grams)
         self._delta = delta = p3 * q4 - p4 * q3
 
         def member(i, j):
-            # A_ij = alpha G_P(i, j) + beta G_Q(i, j), alpha = q3 mu - q4 lam
-            # and beta = p4 lam - p3 mu
-            return [q3 * gP[i][j] - p3 * gQ[i][j], p4 * gQ[i][j] - q4 * gP[i][j]]
+            # A_ij = alpha G_P(i, j) + beta G_Q(i, j) on c_1, ..., c_4 with
+            # i <= j, alpha = q3 mu - q4 lam and beta = p4 lam - p3 mu
+            gp, gq = gP.get((i + 1, j + 1), 0), gQ.get((i + 1, j + 1), 0)
+            return [q3 * gp - p3 * gq, p4 * gq - q4 * gp]
 
         def with_u(i):
             # A(c_i, u) = mu A_i2 - lam A_i3
@@ -564,41 +571,67 @@ def tacnodal_hyperplane_on_line(surface, line, point):
             (lam, mu), chart)
 
 
-def dual_plane_conic_fit(hyperplanes, line):
-    """Fit a conic in the dual plane l* through five hyperplanes, check six.
+def tacnodal_conic(surface, line):
+    """The conic of tacnodal hyperplanes through an exact rational line l
+    of S off Sing(S): the symmetric 5 x 5 matrix of the quadratic form
 
-    Hyperplanes containing the line form a CP2 inside the dual CP4; returns
-    (conic coefficients in a basis of that plane, residuals on all inputs).
+        q(h) = (B.h)^2 - 4 (A.h)(C.h),   BB^T - 2 (AC^T + CA^T),
+
+    whose zeros h with h.a = h.b = 0, l = <a, b>, are the hyperplanes
+    whose section has a tacnode on l (:func:`tacnodal_hyperplane_on_line`
+    reads one at a point).
+
+    *Proof.*  A hyperplane h through l cuts S in l and a residual cubic,
+    which meets l in two points (Dolgachev, *Classical Algebraic
+    Geometry*, CUP 2012, ch. 8).  A point x of l lies on the cubic iff
+    the section is singular at x, iff h contains T_xS, iff h lies in the
+    span of the gradient rows P x and Q x.  All three vanish on l (l lies
+    in T_xS), and alpha and beta, the unit covectors at the pivot columns
+    of [a; b], restrict to a basis of the covectors on l, so that span
+    condition is det[h; P x; Q x; alpha; beta] = 0.  For x = s a + t b
+    the determinant is s^2 (A.h) + st (B.h) + t^2 (C.h), A, B and C the
+    cofactor vectors of the rows (P a, Q a, alpha, beta), of (P a, Q b,
+    alpha, beta) plus (P b, Q a, alpha, beta), and of (P b, Q b, alpha,
+    beta), each entry a 4 x 4 minor.  The section has a tacnode where the
+    two points meet, where the discriminant q(h) vanishes.
+
+    *Rank.*  On covectors through l, (A.h, B.h, C.h) are, up to one
+    factor, the coefficients of s^2, st and t^2 in the cross product of
+    P x and Q x there, the normal direction of T_xS along l.  Where l
+    meets Sing(S) at x_0, P x_0 and Q x_0 are dependent, so A s_0^2 + B
+    s_0 t_0 + C t_0^2 = 0 and the matrix has rank below 3, a
+    :class:`SegreCuspError`.  Off Sing(S) the normal directions trace a
+    conic, not a line: a hyperplane containing every T_xS along l would
+    cut S in 2l plus a conic meeting l three times.  So A, B and C are
+    independent on the covectors through l, the matrix has rank 3 and q
+    cuts a smooth conic in the dual plane l*.
     """
+    if line.exactness != "exact" or line.field() != QQ:
+        raise SegreCuspError("the tacnodal conic needs an exact line over Q")
     a, b = line.span_over(QQ)
-    rows = [a, b]
-    basis = nullspace(QQ, rows)  # covectors vanishing on the line
-    if len(basis) != 3:
-        raise CrossCheckMismatch(f"{line} does not span a line")
-    coords = []
-    for h in hyperplanes:
-        sol = _express_in_basis(h, basis)
-        coords.append(sol)
-    monomials = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+    P, Q = surface.pencil.P, surface.pencil.Q
+    if any(x for M in (P, Q) for row in gram_matrix(QQ, M, [a, b])
+           for x in row):
+        raise NotOnSurface(f"{line} is not on the surface")
+    pa, pb, qa, qb = (mat_vec(QQ, M, v) for M in (P, Q) for v in (a, b))
+    units = identity(QQ, 5)
+    alpha, beta = (units[c] for c in _pivots([a, b]))
 
-    def mono_row(c):
-        return [c[i] * c[j] for i, j in monomials]
+    def cofactors(r, s):
+        # det[h; r; s; alpha; beta] = sum_j h_j (-1)^j det(rows minus col j)
+        rows = [r, s, alpha, beta]
+        return [(-1) ** j * mat_det(QQ, [v[:j] + v[j + 1:] for v in rows])
+                for j in range(5)]
 
-    system = [mono_row(c) for c in coords[:5]]
-    kernel = nullspace(QQ, system)
-    if not kernel:
-        raise SegreCuspError("five hyperplanes do not determine a conic")
-    conic = kernel[0]
-    residuals = [sum(q * m for q, m in zip(conic, mono_row(c))) for c in coords]
-    return conic, residuals
-
-
-def _express_in_basis(h, basis):
-    M = [[basis[j][i] for j in range(3)] for i in range(5)]
-    sol = solve_linear(QQ, M, [Fraction(c) for c in h])
-    if sol is None:
-        raise SegreCuspError("hyperplane does not contain the line")
-    return sol
+    A, C = cofactors(pa, qa), cofactors(pb, qb)
+    B = [x + y for x, y in zip(cofactors(pa, qb), cofactors(pb, qa))]
+    M = [[B[i] * B[k] - 2 * (A[i] * C[k] + C[i] * A[k]) for k in range(5)]
+         for i in range(5)]
+    if mat_rank(QQ, M) < 3:
+        raise SegreCuspError(
+            f"the tacnodal conic of {line} is degenerate: the line meets "
+            "the singular locus")
+    return M
 
 
 # --------------------------------------------------------------------------

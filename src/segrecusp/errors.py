@@ -79,10 +79,6 @@ class NonGenericPoint(SegreCuspError):
     """A sampled point landed on a special locus; resample and retry."""
 
 
-class ReducibleImageConic(SegreCuspError):
-    """The image conic of a rank-3 projection is reducible."""
-
-
 class NoDoubleRoot(SegreCuspError):
     """The tangency construction degenerated at the chosen base point."""
 

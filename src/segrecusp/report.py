@@ -65,6 +65,9 @@ class SurfaceConfig:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(
                 f"\"seed\" must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigError(
+                f"\"seed\" must not be negative, got {self.seed}")
         self.symbol = None
         self.params = None
         self.quadrics = None

@@ -2,7 +2,7 @@
 
 Builds on a validated pencil: exact singular points with their ADE types,
 tangent planes and adapted charts, exact rational point sampling, and the
-rank-3 double-conic projection.  Line enumeration lives in
+double-conic hyperplane N p of a rank-3 member N.  Line enumeration lives in
 :mod:`segrecusp.lines`.
 
 The germ of S at a singular point is exact: on one chart per point, built
@@ -22,15 +22,14 @@ from fractions import Fraction
 from itertools import chain, combinations, product
 
 from .errors import (NonIsolatedSingularity, NotOnSurface, PointNotOnLine,
-                     PointSingular, ReducibleImageConic, RetryExhausted,
-                     TruncationInsufficient, UnsupportedSingularity)
+                     PointSingular, RetryExhausted, TruncationInsufficient,
+                     UnsupportedSingularity)
 from .fields import (QQ, QuadExtElem, RationalFunctions, _canonical, _ptrim,
                      pgcd, proj_normalize, quadratic_roots)
 from .jets import MAX_ORDER, Jet, escalate, hensel_solve, splitting_reduce
-from .linalg import (_dot, _images, _supports, complete_basis, gram_matrix,
-                     gram_numerators, identity, mat_inv, mat_rank, mat_vec,
-                     nullspace, scaled_gram, scaled_mat_vec, solve_linear,
-                     upper_gram_numerators)
+from .linalg import (_dot, _images, _supports, gram_matrix, gram_numerators,
+                     identity, mat_inv, mat_rank, mat_vec, nullspace,
+                     scaled_gram, scaled_mat_vec, upper_gram_numerators)
 from .pencil import QuadricPencil, second_intersection
 
 
@@ -731,88 +730,25 @@ def _in_kernel(member, point):
 # double-conic hyperplanes from rank-3 members
 
 
-def _conic_tangency_point(surface, member, t):
-    """A rational point of the rank-3 member cone at conic parameter t."""
-    t = Fraction(t)
-    N = surface.pencil.member(*member.root)
-    # rational point on the image conic = image of a rational surface point
-    base = None
-    for p in surface.singular_points():
-        if p.is_rational and not _in_kernel(member, p):
-            base = list(p.coords)
-            break
-    if base is None:
-        pts = sample_rational_points(surface, 1,
-                                     rng=random.Random(surface.seed + 17))
-        base = list(pts[0].coords)
-    # two directions completing the base modulo the kernel
-    comp = complete_basis(QQ, member.kernel + [base], 5)[len(member.kernel) + 1:]
-    w1, w2 = comp
-    w = [w1[k] + t * w2[k] for k in range(5)]
-    G = gram_matrix(QQ, N, [base, w])
-    if G[0][0] != 0:
-        raise ReducibleImageConic("surface point off its own pencil member")
-    u = second_intersection(G, base, w)
-    if not any(u):
-        raise ReducibleImageConic("conic parameterization degenerated")
-    return N, u
+def double_conic_hyperplane(surface, member, point):
+    """The hyperplane N p of the rank-3 member N at a smooth point p of S,
+    normalized, over the field of p: its section is a doubled conic
+    through p, which :class:`~segrecusp.cusplocus.HessianAtPoint` reads as
+    c = 3.  A point off S is a :class:`NotOnSurface` error and a singular
+    point a :class:`PointSingular` one.
 
-
-def double_conic_hyperplane(surface, member, t):
-    """Pullback of a tangent line of the rank-3 member's image conic.
-
-    ``t`` selects the tangency point along a rational parameterization of the
-    conic.  Returns the hyperplane as five exact rational coefficients.
+    *Proof.*  N is a cone over a smooth conic whose vertex is the line
+    V = ker N.  V meets S only in singular points (there N x = 0 makes
+    P x and Q x dependent), so at a smooth p, N p is nonzero, and the
+    hyperplane N p is the cone's tangent hyperplane along the plane
+    Pi = <V, p>: N restricted to it has rank 1, Pi counted twice.  S is
+    cut on N p by that double plane and one other member, so S ∩ N p =
+    2 (Pi ∩ S), a doubled conic through p (Dolgachev, *Classical
+    Algebraic Geometry*, CUP 2012, ch. 8).
     """
     if member.rank != 3:
         raise ValueError("member must have rank 3")
-    N, u = _conic_tangency_point(surface, member, t)
-    h = mat_vec(QQ, N, u)
-    if not any(h):
-        raise ReducibleImageConic("tangent hyperplane collapsed")
-    return tuple(proj_normalize(h))
-
-
-def double_conic_points(surface, member, t, count=3, rng=None):
-    """Smooth rational points on the double conic cut by the t-hyperplane.
-
-    The conic is the plane section of S by <kernel, tangency point>; it
-    passes a singular point of S on the kernel line, from which it is swept
-    rationally.
-    """
-    rng = rng or random.Random(surface.seed + 23)
-    _, u = _conic_tangency_point(surface, member, t)
-    plane = [list(v) for v in member.kernel] + [u]
-    # restriction of a quadric to the plane (both restrict proportionally)
-    for M in (surface.pencil.Q, surface.pencil.P):
-        f = gram_matrix(QQ, M, plane)
-        if any(any(row) for row in f):
-            break
-    # a singular point of S on the kernel line, in plane coordinates
-    anchor = None
-    for s in surface.singular_points():
-        if not s.is_rational or not _in_kernel(member, s):
-            continue
-        cols = [[plane[j][i] for j in range(3)] for i in range(5)]
-        sol = solve_linear(QQ, cols, list(s.coords))
-        if sol is not None:
-            anchor = sol
-            break
-    if anchor is None:
-        raise ReducibleImageConic("no rational singular anchor on the conic")
-    out = []
-    for _ in range(200):
-        if len(out) >= count:
-            break
-        d = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
-        G = gram_matrix(QQ, f, [anchor, d])
-        if not G[1][1]:
-            continue
-        pc = second_intersection(G, anchor, d)
-        coords = [sum(pc[j] * plane[j][i] for j in range(3)) for i in range(5)]
-        if not any(coords):
-            continue
-        p = ProjectivePoint.make(QQ, coords)
-        if p not in out and surface.is_smooth_at(p):
-            out.append(p)
-    return out
+    if not surface.is_smooth_at(point):
+        raise PointSingular(f"{point} must be smooth")
+    N = surface.pencil.member(*member.root)
+    return proj_normalize(mat_vec(point.field, N, list(point.coords)))

@@ -13,14 +13,14 @@ from importlib import resources
 import pytest
 
 from segrecusp.blowup import smooth_segre_instance, surface_through_line
-from segrecusp.cusplocus import (cusp_locus_summary, dual_plane_conic_fit,
-                                 hessian_form_at, line_report,
-                                 numeric_line_branch_evidence,
-                                 sample_point_cases,
+from segrecusp.cusplocus import (cusp_locus_summary, hessian_form_at,
+                                 line_report, numeric_line_branch_evidence,
+                                 sample_point_cases, tacnodal_conic,
                                  tacnodal_hyperplane_on_line, _on_any_line)
 from segrecusp.fields import QQ, RationalFunctions
 from segrecusp.instances import sampling_instance, table1_instance
 from segrecusp.jets import Jet, y_order
+from segrecusp.linalg import mat_rank
 from segrecusp.lines import enumerate_lines
 from segrecusp.pencil import TABLE1_SYMBOLS, default_instance
 from segrecusp.surface import (AdaptedChart, ProjectivePoint,
@@ -138,15 +138,16 @@ def test_criterion_6_tacnodal_conic():
     fix = surface_through_line(seed=1)
     line = fix.distinguished_line
     a, b = line.span_over(QQ)
-    hyps = []
-    ok = True
+    conic = tacnodal_conic(fix, line)
+    ok = mat_rank(QQ, conic) == 3
+    residuals = []
     for t in (F(1), F(2), F(3), F(5), F(7), F(11)):
         p = ProjectivePoint.make(QQ, [ai + t * bi for ai, bi in zip(a, b)])
         H, cls, _, _ = tacnodal_hyperplane_on_line(fix, line, p)
         ok = ok and cls.kind == "A3_tacnode"
-        hyps.append(H)
-    conic, residuals = dual_plane_conic_fit(hyps, line)
-    ok = ok and any(conic) and all(r == 0 for r in residuals)
+        residuals.append(sum(H[i] * conic[i][k] * H[k]
+                             for i in range(5) for k in range(5)))
+    ok = ok and all(r == 0 for r in residuals)
     report("6 Tacnodal sections on a conic in the dual plane", ok,
            f"residuals {residuals}")
 

@@ -227,52 +227,39 @@ def _table1_lines():
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _census_copies():
-    """The census benchmark's congruent copies: for each Table-1 symbol in
-    Table-1 order, the default form moved by the next invertible 5 x 5
-    matrix with entries in [-2, 2] drawn from random.Random(1)."""
-    rng, copies = random.Random(1), []
-    for symbol in SYMBOLS:
-        while True:
-            A = [[F(rng.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
-            if linalg.mat_det(QQ, A):
-                break
-        copies.append(SurfaceInstance(default_instance(symbol).congruent(A)))
-    return copies
-
-
-def _scanned_lines():
+@pytest.fixture(scope="module")
+def scanned_lines(census_congruences):
     """Every rational line of the exact scans of the Table-1 default forms
-    and of their congruent copies, with the span it was found with (a line
-    found twice is charted from both spans), each with its surface."""
-    surfaces = [table1_instance(symbol) for symbol in SYMBOLS]
-    return [(inst, line) for inst in surfaces + list(_census_copies())
+    and of their congruent copies in the census benchmark, with the span
+    it was found with (a line found twice is charted from both spans),
+    each with its surface."""
+    surfaces = [table1_instance(symbol) for symbol in SYMBOLS] + [
+        SurfaceInstance(default_instance(symbol).congruent(
+            census_congruences[symbol])) for symbol in SYMBOLS]
+    return [(inst, line) for inst in surfaces
             for line in _exact_scan(inst) if line.field() == QQ]
 
 
-def test_line_charts_match_pretested_charts_on_table1_lines():
+def test_line_charts_match_pretested_charts_on_table1_lines(scanned_lines):
     """Every scanned line of the default forms (the 33 distinct lines and
     their other spans) and of the copies, whose dense coordinates exercise
     the choice of the pivots and of the minor that picks the tangent
     vector."""
     assert len(_table1_lines()) == 33
-    pairs = _scanned_lines()
-    assert len(pairs) == 111
-    for inst, line in pairs:
+    assert len(scanned_lines) == 111
+    for inst, line in scanned_lines:
         chart = line_chart(inst, line)
         assert (chart.base_point, chart.columns) == \
             _line_chart_with_pretests(inst, line), line
 
 
-def test_line_chart_needs_no_elimination(monkeypatch):
+def test_line_chart_needs_no_elimination(monkeypatch, scanned_lines):
     """line_chart forms the gradient rows once at each base point it
     tries, the last being the chart's, and runs no elimination: a singular
     base point costs one rank test of its integer rows."""
     tried = Counter()
-    pairs = _scanned_lines()
     calls = _count_work(monkeypatch)
-    for inst, line in pairs:
+    for inst, line in scanned_lines:
         calls.clear()
         chart = line_chart(inst, line)
         points = [k for k in calls if k != "eliminate"]
@@ -315,13 +302,13 @@ def _rref_frame(surface, point):
     return [coords] + kernel[:last] + kernel[last + 1:], pivots
 
 
-def test_tangent_frame_matches_fraction_row_reduction():
+def test_tangent_frame_matches_fraction_row_reduction(scanned_lines):
     """At the trichotomy benchmark points and at the base point of every
     scanned line, the integer frame has the pivots and the kernel vectors
     of the reduced Fraction rows, and its rows are multiples of M p."""
     points = _benchmark_points() + [
         (inst, line_chart(inst, line).base_point)
-        for inst, line in _scanned_lines()]
+        for inst, line in scanned_lines]
     assert len(points) == 32 + 111
     for inst, p in points:
         tangent, rows, pivots, field = inst.tangent_frame(p)

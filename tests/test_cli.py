@@ -83,13 +83,29 @@ def test_table1_subset(capsys):
     ["surface-report", "--offline-points", "-3"],
     ["table1", "--symbols", ","],
     ["table1", "--symbols", ""],
+    ["surface-report", "--seed", "-4"],
+    ["surface-report", {"seed": -4}],
 ])
 def test_malformed_input_is_an_error(argv, tmp_path, capsys):
+    # a trailing dict is added to the config
+    extra = argv[-1] if isinstance(argv[-1], dict) else {}
+    if extra:
+        argv = argv[:-1]
     if argv[0] in ("point-case", "surface-report"):
         argv = argv + ["--config", write_config(
-            tmp_path, {"symbol": "[1(11)(11)]", "params": ["1", "2", "5"]})]
+            tmp_path, {"symbol": "[1(11)(11)]", "params": ["1", "2", "5"],
+                       **extra})]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_json_path_is_an_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    assert main(["verify-appendix", "--json", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.err == (f"error: --json: cannot write {path}: "
+                       "No such file or directory\n")
+    assert not out.out
 
 
 @pytest.mark.parametrize("order", [-1, 0, 2.5])

@@ -581,23 +581,7 @@ def test_substitute_over_q_matches_generic_loop(rng):
         assert got.coeffs == _back_to_q(generic).coeffs
 
 
-def _census_copies(seed):
-    """One invertible integer matrix with entries in [-2, 2] per Table-1
-    symbol, drawn from random.Random(seed) in Table-1 order."""
-    from segrecusp.linalg import mat_det
-    from segrecusp.pencil import TABLE1_SYMBOLS
-
-    draw, copies = random.Random(seed), {}
-    for symbol in map(str, TABLE1_SYMBOLS):
-        while True:
-            A = [[F(draw.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
-            if mat_det(QQ, A):
-                copies[symbol] = A
-                break
-    return copies
-
-
-def test_germs_over_q_match_generic_loop():
+def test_germs_over_q_match_generic_loop(census_congruences):
     """exact_germ, and splitting_reduce on it at orders 3, 6 and 12, at the
     rational singular points of the census surfaces (the default forms and
     random.Random(1) copies of [5], [11111] and [11(12)]), against the same
@@ -605,10 +589,10 @@ def test_germs_over_q_match_generic_loop():
     from segrecusp.pencil import default_instance
     from segrecusp.surface import ProjectivePoint, SurfaceInstance, exact_germ
 
-    copies, points = _census_copies(1), 0
+    points = 0
     for symbol in ("[5]", "[11111]", "[11(12)]"):
         form = default_instance(symbol)
-        for pencil in (form, form.congruent(copies[symbol])):
+        for pencil in (form, form.congruent(census_congruences[symbol])):
             surface = SurfaceInstance(pencil)
             for p in surface.singular_points():
                 if p.field != QQ:
@@ -637,7 +621,7 @@ def _evaluate(f, w):
     return out
 
 
-def test_exact_germ_is_the_surface_on_its_chart():
+def test_exact_germ_is_the_surface_on_its_chart(census_congruences):
     """At every singular point of the 16 default forms, their random.Random(1)
     copies and the diagonal [1(11)(11)] pencil (points over Q(sqrt -1)), and
     at a few rational w in W: x = p + u v1 + w with u = -M(w, w)/2 lies on the
@@ -651,10 +635,10 @@ def test_exact_germ_is_the_surface_on_its_chart():
         return [[F(x) if i == j else F(0) for j in range(5)]
                 for i, x in enumerate(entries)]
 
-    copies, pencils = _census_copies(1), []
+    pencils = []
     for symbol in map(str, TABLE1_SYMBOLS):
         form = default_instance(symbol)
-        pencils += [form, form.congruent(copies[symbol])]
+        pencils += [form, form.congruent(census_congruences[symbol])]
     pencils.append(QuadricPencil(diag(1, 1, 1, 1, 1), diag(1, 1, 2, 2, 3)))
     ws = [(1, 0, 0), (0, 1, -2), (3, -1, 2), (F(1, 2), F(-2, 3), 5)]
     fields = []

@@ -14,7 +14,7 @@ from segrecusp.errors import (CrossCheckMismatch, SegreCuspError,
                               TowerUnsupported)
 from segrecusp.fields import QQ, QuadraticExtension
 from segrecusp.instances import sampling_instance, table1_instance
-from segrecusp.linalg import mat_det, mat_rank
+from segrecusp.linalg import mat_rank
 from segrecusp import lines as lines_module
 from segrecusp.lines import (_binary_factors, _c_parts, _conic_resultant,
                              _through_point_forms, coordinate_lines,
@@ -26,6 +26,8 @@ from segrecusp.pencil import (TABLE1_SYMBOLS, SegreSymbol, default_instance,
                               normal_form)
 from segrecusp.surface import (ProjectivePoint, SurfaceInstance,
                                sample_rational_points)
+
+from conftest import congruences
 
 EXPECTED_COUNTS = {
     "[11111]": (16, 0, 0),
@@ -120,20 +122,6 @@ with resources.files("segrecusp").joinpath("data", "table1.json").open() as fh:
     TABLE1 = json.load(fh)["rows"]
 
 
-def _random_congruences(seed):
-    """One invertible integer matrix with entries in [-2, 2] per Table-1
-    symbol, drawn from random.Random(seed) in Table-1 order."""
-    rng, out = random.Random(seed), {}
-    for symbol in TABLE1_SYMBOLS:
-        while True:
-            A = [[Fraction(rng.randint(-2, 2)) for _ in range(5)]
-                 for _ in range(5)]
-            if mat_det(QQ, A):
-                out[str(symbol)] = A
-                break
-    return out
-
-
 def _check_census(pencil, symbol):
     surface = SurfaceInstance(pencil)
     census = enumerate_lines(surface)
@@ -149,10 +137,10 @@ def _check_census(pencil, symbol):
 
 
 @pytest.mark.parametrize("symbol", [str(s) for s in TABLE1_SYMBOLS])
-def test_census_matches_table1_congruent(symbol):
+def test_census_matches_table1_congruent(symbol, census_congruences):
     # the default forms are criterion 1 of the acceptance suite
     _check_census(default_instance(symbol).congruent(
-        _random_congruences(1)[symbol]), symbol)
+        census_congruences[symbol]), symbol)
 
 
 @pytest.mark.parametrize("symbol", ["[1(11)(11)]", "[(11)3]", "[(14)]"])
@@ -161,14 +149,14 @@ def test_derogatory_census_has_no_line_off_sing(symbol):
     pen = normal_form(symbol, [3, -1, 4][:len(SegreSymbol.parse(symbol).units)])
     assert off_singular_lines(pen) == ([], [])
     census = enumerate_lines(SurfaceInstance(pen.congruent(
-        _random_congruences(5)[symbol])))
+        congruences(5)[symbol][0])))
     assert census.counts[0] == 0
     assert sum(census.counts) == sum(TABLE1[symbol]["lines"])
     assert census.warnings == []
 
 
-def test_census_ignores_search_keywords():
-    pen = default_instance("[1112]").congruent(_random_congruences(1)["[1112]"])
+def test_census_ignores_search_keywords(census_congruences):
+    pen = default_instance("[1112]").congruent(census_congruences["[1112]"])
     inst = SurfaceInstance(pen, seed=3)
     seen = set()
     for kwargs in [{}, {"newton_tol": 1e-3}]:
@@ -179,13 +167,13 @@ def test_census_ignores_search_keywords():
     assert len(seen) == 1
 
 
-def test_line_reports_on_the_exact_lines_of_a_dense_copy():
+def test_line_reports_on_the_exact_lines_of_a_dense_copy(census_congruences):
     """The nine exact rational lines of the [122] copy of the census draw.
     Their line charts solve the graph over Q(x) with non-constant
     denominators, so Q(x) arithmetic takes real gcds; the discriminant of
     the Hessian form cuts 16 lines' worth along them (ROADMAP item 1)."""
     surface = SurfaceInstance(default_instance("[122]").congruent(
-        _random_congruences(1)["[122]"]))
+        census_congruences["[122]"]))
     exact = [line for line in enumerate_lines(surface).lines
              if line.exactness == "exact" and line.field() == QQ]
     reports = [line_report(surface, line) for line in exact]
@@ -238,12 +226,12 @@ def test_rational_points_of_lines_over_a_quadratic_field():
 
 
 @pytest.mark.parametrize("symbol", [str(s) for s in TABLE1_SYMBOLS])
-def test_line_contains_matches_rank_test(symbol):
+def test_line_contains_matches_rank_test(symbol, census_congruences):
     """Every exact census line of the default form and its congruent copy,
     at the singular points, sampled surface points, points of the line and
     those points moved 1e-9 off it."""
     form = default_instance(symbol)
-    for pencil in (form, form.congruent(_random_congruences(1)[symbol])):
+    for pencil in (form, form.congruent(census_congruences[symbol])):
         surface = SurfaceInstance(pencil)
         census = enumerate_lines(surface)
         try:
@@ -281,10 +269,9 @@ def test_line_contains_matches_rank_test(symbol):
 # the closed-form conic resultant and its factors against sympy
 
 
-def _oracle_pencils():
-    """The 16 default forms, their random.Random(1) copies and the 16
-    sampling instances."""
-    copies = _random_congruences(1)
+def _oracle_pencils(copies):
+    """The 16 default forms, their census copies and the 16 sampling
+    instances."""
     for symbol in map(str, TABLE1_SYMBOLS):
         form = default_instance(symbol)
         yield f"{symbol} default", form
@@ -311,9 +298,9 @@ def _ascending_in_a(poly, degree):
                       for i in range(degree + 1))]
 
 
-def test_conic_resultant_and_factors_match_sympy():
+def test_conic_resultant_and_factors_match_sympy(census_congruences):
     points = 0
-    for label, pencil in _oracle_pencils():
+    for label, pencil in _oracle_pencils(census_congruences):
         for s in SurfaceInstance(pencil).singular_points():
             _, forms = _through_point_forms(pencil, s)
             if forms is None:
@@ -348,7 +335,7 @@ def test_binary_factors_distinct_and_leftovers():
 
 
 def test_census_takes_no_sympy_resultant_and_factors_only_quartics(
-        monkeypatch):
+        monkeypatch, census_congruences):
     def no_resultant(*args, **kwargs):
         raise AssertionError("sympy resultant called")
 
@@ -361,10 +348,9 @@ def test_census_takes_no_sympy_resultant_and_factors_only_quartics(
 
     monkeypatch.setattr(sympy.Poly, "resultant", no_resultant)
     monkeypatch.setattr(lines_module, "factor_over_q", recorded)
-    copies = _random_congruences(1)
     for symbol in map(str, TABLE1_SYMBOLS):
         form = default_instance(symbol)
-        for pencil in (form, form.congruent(copies[symbol])):
+        for pencil in (form, form.congruent(census_congruences[symbol])):
             census = enumerate_lines(SurfaceInstance(pencil))
             assert list(census.counts) == TABLE1[symbol]["lines"], symbol
     # the squarefree quartics split by their float roots

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -148,24 +147,9 @@ def test_validate_segre():
 SYMBOLS = [str(s) for s in TABLE1_SYMBOLS]
 
 
-@functools.lru_cache(maxsize=None)
-def _census_congruences():
-    """The random.Random(1) draw of the census benchmark: one invertible
-    matrix with entries in [-2, 2] per Table-1 symbol, in Table-1 order."""
-    rng = random.Random(1)
-    out = {}
-    for symbol in SYMBOLS:
-        while True:
-            A = [[F(rng.randint(-2, 2)) for _ in range(5)] for _ in range(5)]
-            if mat_det(QQ, A):
-                break
-        out[symbol] = A
-    return out
-
-
-def _form_and_copy(symbol):
+def _form_and_copy(symbol, copies):
     form = default_instance(symbol)
-    return form, form.congruent(_census_congruences()[symbol])
+    return form, form.congruent(copies[symbol])
 
 
 def _det_over_qt(M):
@@ -178,8 +162,9 @@ def _det_over_qt(M):
 
 
 @pytest.mark.parametrize("symbol", SYMBOLS)
-def test_char_poly_matches_rational_function_determinant(symbol):
-    form, copy = _form_and_copy(symbol)
+def test_char_poly_matches_rational_function_determinant(symbol,
+                                                         census_congruences):
+    form, copy = _form_and_copy(symbol, census_congruences)
     for pen in (form, copy):
         M = pen.jordan_data()[0]
         assert char_poly(M) == _det_over_qt(M)
@@ -192,8 +177,9 @@ def test_char_poly_small_cases():
 
 
 @pytest.mark.parametrize("symbol", SYMBOLS)
-def test_rank_drop_members_match_direct_reduction(symbol):
-    form, copy = _form_and_copy(symbol)
+def test_rank_drop_members_match_direct_reduction(symbol,
+                                                  census_congruences):
+    form, copy = _form_and_copy(symbol, census_congruences)
     for pen in (form, copy, form.basis_changed(2, 3, -1, 5)):
         members = pen.rank_drop_members()
         assert [m.root for m in members] == sorted(m.root for m in members)
@@ -204,8 +190,9 @@ def test_rank_drop_members_match_direct_reduction(symbol):
 
 
 @pytest.mark.parametrize("symbol", SYMBOLS)
-def test_symbol_round_trip_congruence_and_basis_change(symbol):
-    form, copy = _form_and_copy(symbol)
+def test_symbol_round_trip_congruence_and_basis_change(symbol,
+                                                       census_congruences):
+    form, copy = _form_and_copy(symbol, census_congruences)
     want = SegreSymbol.parse(symbol)
     for pen in (copy, form.basis_changed(2, 3, -1, 5),
                 form.basis_changed(0, 1, 1, 0)):

@@ -26,7 +26,9 @@ from segrecusp.linalg import (det_pencil, factor_over_q, mat_det, mat_mul,
                               mat_solve, mat_vec, nullspace, rref,
                               rref_kernel, split_rational_roots)
 from segrecusp.lines import _binary_factors, off_singular_lines
-from segrecusp.pencil import TABLE1_SYMBOLS, QuadricPencil, default_instance
+from segrecusp.pencil import QuadricPencil, default_instance
+
+from conftest import congruences
 
 
 # --------------------------------------------------------------------------
@@ -177,17 +179,12 @@ def _pencils():
     """The 16 default forms, four random.Random(1) congruent copies of
     each, each form in the basis (2P + Q/3, -P + 5Q), and the seven
     appendix pencils: 103 pencils."""
-    rng, out = random.Random(1), []
-    for symbol in map(str, TABLE1_SYMBOLS):
+    out = []
+    for symbol, copies in congruences(per_symbol=4).items():
         form = default_instance(symbol)
         out.append((f"{symbol} form", form))
-        for k in range(4):
-            while True:
-                A = [[F(rng.randint(-2, 2)) for _ in range(5)]
-                     for _ in range(5)]
-                if mat_det(QQ, A):
-                    break
-            out.append((f"{symbol} copy {k}", form.congruent(A)))
+        out += [(f"{symbol} copy {k}", form.congruent(A))
+                for k, A in enumerate(copies)]
         out.append((f"{symbol} basis", form.basis_changed(2, F(1, 3), -1, 5)))
     out += [(f"appendix {i}", case.pencil())
             for i, case in enumerate(appendix_cases())]

@@ -32,15 +32,19 @@ def test_integer_twins_stay_removed():
     # ADE germ's implicit solve on a coordinate chart, the wrapped Gram
     # reading at a smooth point, cusplocus's twin binary-form helpers, the
     # jet and chart helpers that only the tests reached, the plane model's
-    # second line builder (the census builds every fixture's lines) and the
-    # line chart's probe, which could never fail
+    # second line builder (the census builds every fixture's lines), the
+    # line chart's probe, which could never fail, and the search and fit
+    # that the closed-form double-conic hyperplane and tacnodal conic
+    # replace
     gone = {"_zrow_reduce", "_zdet", "_zero", "_rational", "qform", "bform",
             "_sympy_order", "fmt_scalar", "rat", "_poly_mul", "_gradient",
             "_census", "hypersurface_germ", "_affine_chart_vectors",
             "_TangentGrams", "_sub", "_mul", "divide_by_power", "drop_vars",
             "point_at", "tangent_space", "gradients", "model_lines",
             "map_gradient", "_conic_through", "move_line",
-            "_graph_solvable_along_line"}
+            "_graph_solvable_along_line", "_conic_tangency_point",
+            "double_conic_points", "ReducibleImageConic",
+            "dual_plane_conic_fit", "_express_in_basis"}
     root = Path(segrecusp.__file__).parent
     found = [f"{path.relative_to(root)}:{node.lineno}"
              for path in sorted(root.rglob("*.py"))

@@ -5,8 +5,9 @@ from itertools import chain, combinations, product
 import pytest
 
 from segrecusp.appendix import appendix_cases
-from segrecusp.errors import PointSingular, SegreCuspError
-from segrecusp.fields import QQ, QuadraticExtension, RationalFunctions
+from segrecusp.errors import NotOnSurface, PointSingular, SegreCuspError
+from segrecusp.fields import (QQ, QuadraticExtension, RationalFunctions,
+                              proj_normalize)
 from segrecusp.instances import sampling_instance, table1_instance
 from segrecusp.jets import Jet
 from segrecusp.linalg import mat_det, mat_rank, mat_vec
@@ -14,8 +15,7 @@ from segrecusp.lines import enumerate_lines
 from segrecusp.pencil import TABLE1_SYMBOLS, default_instance
 from segrecusp.surface import (ProjectivePoint, SurfaceInstance,
                                _isotropic_seed, adapted_chart, chart_quadrics,
-                               double_conic_hyperplane,
-                               double_conic_points, sample_rational_points,
+                               double_conic_hyperplane, sample_rational_points,
                                singular_sweep_numeric)
 
 
@@ -203,17 +203,24 @@ def test_off_surface_candidate_is_an_error():
         sample_rational_points(inst, 1, rng=random.Random(0))
 
 
-def test_double_conic_hyperplane_family():
+def _rank3_member_and_points(count):
+    """[1(11)(11)], a rank-3 member of its pencil and ``count`` sampled
+    smooth rational points of the surface."""
     inst = table1_instance("[1(11)(11)]")
     member = [m for m in inst.pencil.rank_drop_members() if m.is_rank3][0]
-    hyps = [double_conic_hyperplane(inst, member, t) for t in (0, 1, 2)]
+    return inst, member, sample_rational_points(inst, count,
+                                                rng=random.Random(7))
+
+
+def test_double_conic_hyperplane_family():
+    inst, member, pts = _rank3_member_and_points(3)
+    hyps = [double_conic_hyperplane(inst, member, p) for p in pts]
     assert len({tuple(h) for h in hyps}) == 3
 
 
 def test_double_conic_passes_singular_point():
-    inst = table1_instance("[1(11)(11)]")
-    member = [m for m in inst.pencil.rank_drop_members() if m.is_rank3][0]
-    H = double_conic_hyperplane(inst, member, 0)
+    inst, member, (p,) = _rank3_member_and_points(1)
+    H = double_conic_hyperplane(inst, member, p)
     on_h = [p for p in inst.singular_points()
             if sum(F(h) * c for h, c in zip(H, p.coords)) == 0]
     assert on_h  # Prop.: every double conic passes a singular point
@@ -221,13 +228,43 @@ def test_double_conic_passes_singular_point():
 
 def test_double_conic_sections_are_squares():
     from segrecusp.cusplocus import classify_section_germ
-    inst = table1_instance("[1(11)(11)]")
-    member = [m for m in inst.pencil.rank_drop_members() if m.is_rank3][0]
-    H = double_conic_hyperplane(inst, member, 0)
-    pts = double_conic_points(inst, member, 0, count=3)
+    inst, member, pts = _rank3_member_and_points(3)
     assert len(pts) == 3
     for p in pts:
+        H = double_conic_hyperplane(inst, member, p)
+        assert H == proj_normalize(mat_vec(QQ, inst.pencil.member(
+            *member.root), list(p.coords)))
         assert classify_section_germ(inst, p, H).kind == "PerfectSquare"
+
+
+def test_double_conic_hyperplane_needs_a_smooth_point_and_a_rank3_member():
+    inst, member, (p,) = _rank3_member_and_points(1)
+    with pytest.raises(PointSingular):
+        double_conic_hyperplane(inst, member, inst.singular_points()[0])
+    off = ProjectivePoint.make(QQ, [1, 1, 1, 1, 1])
+    assert not inst.on_surface(off)
+    with pytest.raises(NotOnSurface):
+        double_conic_hyperplane(inst, member, off)
+    rank4 = next(m for m in inst.pencil.rank_drop_members() if m.rank == 4)
+    with pytest.raises(ValueError):
+        double_conic_hyperplane(inst, rank4, p)
+
+
+def test_double_conic_hyperplane_over_a_quadratic_field():
+    """At a point over Q(sqrt -1), on a line of the default [1(13)], N p is
+    read over that field and contains the tangent plane."""
+    inst = table1_instance("[1(13)]")
+    line = next(line for line in enumerate_lines(inst).lines
+                if line.exactness == "exact" and line.field() != QQ)
+    field = line.field()
+    a, b = line.span_over(field)
+    p = ProjectivePoint.make(field, [x + 2 * y for x, y in zip(a, b)])
+    (member,) = [m for m in inst.pencil.rank_drop_members() if m.is_rank3]
+    H = double_conic_hyperplane(inst, member, p)
+    assert H == proj_normalize(mat_vec(field, inst.pencil.member(
+        *member.root), list(p.coords)))
+    assert not any(sum((h * c for h, c in zip(H, v)), field.zero)
+                   for v in inst.tangent_frame(p)[0])
 
 
 def test_surface_through_line_contract():
